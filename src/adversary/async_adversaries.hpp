@@ -117,6 +117,11 @@ class FixedCrashScheduler final : public sim::AsyncAdversary {
 /// (receiver, round) so it can alternate strictly — the same prefix-balance
 /// the window-model SplitKeeperAdversary enforces. A delivery it returns is
 /// assumed applied (run_async guarantees this).
+///
+/// Only kVoteKind payloads are balanced. Ben-Or and Bracha never send one,
+/// so under them the keeper degenerates to "the lowest pending id of the
+/// lowest-index live receiver" (receivers whose round() is kBot skipped),
+/// after the same full pending-set scan every step.
 class AsyncSplitKeeper final : public sim::AsyncAdversary {
  public:
   AsyncSplitKeeper() = default;

@@ -165,8 +165,52 @@ std::vector<sim::ProcId> balance_votes(
   return order;
 }
 
+bool SplitKeeperAdversary::broadcast_shaped(const sim::Execution& exec,
+                                            const sim::WindowBatch& batch) {
+  if (exec.buffer().pending_count() != batch.size()) return false;
+  // Every run whole broadcasts, and run starts ascending with the sender
+  // id — then id order is sender order on every receiver's list.
+  sim::MsgId last = sim::kNoMsg;
+  for (sim::ProcId s = 0; s < batch.n(); ++s) {
+    const int k = batch.broadcast_runs(s);
+    if (k < 0) return false;
+    if (k == 0) continue;
+    const sim::MsgId start = batch.from_to(s, 0).front();
+    if (start < last) return false;
+    last = start;
+  }
+  return true;
+}
+
+void SplitKeeperAdversary::classify(const sim::Envelope& env) {
+  if (env.payload.kind == protocols::kVoteKind &&
+      (env.payload.value == 0 || env.payload.value == 1)) {
+    votes_.emplace_back(env.sender, env.payload.round, env.payload.value);
+  } else {
+    non_votes_.push_back(env.sender);
+  }
+}
+
+void SplitKeeperAdversary::build_row(int n, std::vector<sim::ProcId>& order) {
+  balance_votes_into(votes_, balance_, order);
+  // Append senders of non-vote messages and everyone who sent nothing so
+  // that S_i = [n] (the split-keeper never silences anyone — only the
+  // delivery ORDER is adversarial).
+  const std::uint64_t epoch = ++epoch_;
+  for (sim::ProcId s : order) present_[static_cast<std::size_t>(s)] = epoch;
+  for (sim::ProcId s : non_votes_) {
+    if (present_[static_cast<std::size_t>(s)] != epoch) {
+      present_[static_cast<std::size_t>(s)] = epoch;
+      order.push_back(s);
+    }
+  }
+  for (sim::ProcId s = 0; s < n; ++s) {
+    if (present_[static_cast<std::size_t>(s)] != epoch) order.push_back(s);
+  }
+}
+
 sim::PlanDecision SplitKeeperAdversary::plan_window_into(
-    const sim::Execution& exec, const sim::WindowBatch& /*batch*/,
+    const sim::Execution& exec, const sim::WindowBatch& batch,
     sim::WindowPlan& plan) {
   const int n = exec.n();
   plan.reset(n);
@@ -174,38 +218,33 @@ sim::PlanDecision SplitKeeperAdversary::plan_window_into(
     present_.assign(static_cast<std::size_t>(n), 0);
   }
 
-  // Per receiver: walk its pending list directly (during the planning
-  // phase the receiver's pending list IS this window's batch, in id
-  // order — the same order the published-ids scan used to produce) and
-  // split votes from everything else. No per-id buffer lookups.
+  if (broadcast_shaped(exec, batch)) {
+    // Every receiver's pending list is the same broadcast sequence (sender
+    // ascending, then broadcast order), so read one envelope per broadcast,
+    // balance once, and hand every receiver the same row.
+    votes_.clear();
+    non_votes_.clear();
+    for (sim::ProcId s = 0; s < n; ++s) {
+      const std::span<const sim::MsgId> copies = batch.from_to(s, 0);
+      for (const sim::MsgId id : copies) classify(exec.buffer().get(id));
+    }
+    std::vector<sim::ProcId>& first = plan.delivery_order[0];
+    build_row(n, first);
+    for (std::size_t i = 1; i < plan.delivery_order.size(); ++i) {
+      plan.delivery_order[i].assign(first.begin(), first.end());
+    }
+    return sim::PlanDecision::kUpdated;
+  }
+
+  // General path, per receiver: walk its pending list directly (during
+  // the planning phase it holds this window's batch plus any older
+  // leftovers, in id order) and split votes from everything else. No
+  // per-id buffer lookups.
   for (int i = 0; i < n; ++i) {
     votes_.clear();
     non_votes_.clear();
-    for (const sim::Envelope& env : exec.buffer().pending_to(i)) {
-      if (env.payload.kind == protocols::kVoteKind &&
-          (env.payload.value == 0 || env.payload.value == 1)) {
-        votes_.emplace_back(env.sender, env.payload.round, env.payload.value);
-      } else {
-        non_votes_.push_back(env.sender);
-      }
-    }
-    std::vector<sim::ProcId>& order =
-        plan.delivery_order[static_cast<std::size_t>(i)];
-    balance_votes_into(votes_, balance_, order);
-    // Append senders of non-vote messages and everyone who sent nothing so
-    // that S_i = [n] (the split-keeper never silences anyone — only the
-    // delivery ORDER is adversarial).
-    const std::uint64_t epoch = ++epoch_;
-    for (sim::ProcId s : order) present_[static_cast<std::size_t>(s)] = epoch;
-    for (sim::ProcId s : non_votes_) {
-      if (present_[static_cast<std::size_t>(s)] != epoch) {
-        present_[static_cast<std::size_t>(s)] = epoch;
-        order.push_back(s);
-      }
-    }
-    for (sim::ProcId s = 0; s < n; ++s) {
-      if (present_[static_cast<std::size_t>(s)] != epoch) order.push_back(s);
-    }
+    for (const sim::Envelope& env : exec.buffer().pending_to(i)) classify(env);
+    build_row(n, plan.delivery_order[static_cast<std::size_t>(i)]);
   }
   return sim::PlanDecision::kUpdated;
 }

@@ -123,6 +123,13 @@ struct BalanceScratch {
 /// Needs no resets and delivers every message (S_i = [n]): only the ORDER
 /// is adversarial. This makes it simultaneously a legal strongly adaptive
 /// adversary and a legal crash-model adversary with zero crashes.
+///
+/// Planning cost: when the window is broadcast_shaped, every receiver's
+/// pending list carries the same (sender, payload) sequence, so the plan
+/// is one balanced row copied to all n receivers — exactly the rows the
+/// per-receiver path would build. Otherwise (Byzantine send() runs,
+/// keep-pending leftovers, senders published out of order) each receiver
+/// is planned from its own pending list.
 class SplitKeeperAdversary final : public sim::WindowAdversary {
  public:
   sim::PlanDecision plan_window_into(const sim::Execution& exec,
@@ -130,7 +137,19 @@ class SplitKeeperAdversary final : public sim::WindowAdversary {
                                      sim::WindowPlan& plan) override;
   [[nodiscard]] std::string name() const override { return "split-keeper"; }
 
+  /// True iff one plan row serves every receiver: every sender's run is
+  /// whole broadcasts (or empty), the senders published in ascending id
+  /// order, and nothing older than the batch is pending.
+  [[nodiscard]] static bool broadcast_shaped(const sim::Execution& exec,
+                                             const sim::WindowBatch& batch);
+
  private:
+  /// Append env to votes_ (a 0/1 vote) or non_votes_ (anything else).
+  void classify(const sim::Envelope& env);
+  /// Write the balanced order of votes_, then non-vote senders, then every
+  /// remaining sender, into `order`.
+  void build_row(int n, std::vector<sim::ProcId>& order);
+
   // Reusable per-window scratch (cleared, never shrunk).
   std::vector<std::tuple<sim::ProcId, int, int>> votes_;
   std::vector<sim::ProcId> non_votes_;

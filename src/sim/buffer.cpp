@@ -250,24 +250,11 @@ void MessageBuffer::mark_delivered(MsgId id) {
   ++delivered_;
 }
 
-const Envelope* MessageBuffer::deliver_lazy(MsgId id, ProcId receiver) {
-  const std::int32_t s = slot_of(id);
-  if (s == kNoSlot) return nullptr;
-  const auto si = static_cast<std::size_t>(s);
-  AA_CHECK(meta_[si].receiver == receiver,
-           "deliver_lazy: message addressed to a different receiver");
-  unlink_receiver(s);
-  if (id < direct_base_) id_map_.erase(id);
-  meta_[si].id = kNoMsg;  // park: off the live index, awaiting the sweep
-  --pending_;
-  ++delivered_;
-  return &envs_[si];
-}
-
 int MessageBuffer::deliver_window_run_to(ProcId receiver, std::int64_t w,
                                          const std::uint64_t* sender_stamp,
                                          std::uint64_t epoch,
-                                         std::vector<const Envelope*>& out) {
+                                         std::span<const Envelope*> out,
+                                         std::int32_t* cursor) {
   AA_REQUIRE(receiver >= 0 && receiver < n_,
              "deliver_window_run_to: bad receiver");
   if (w < win_base_ ||
@@ -297,11 +284,15 @@ int MessageBuffer::deliver_window_run_to(ProcId receiver, std::int64_t w,
         (sender_stamp == nullptr ||
          sender_stamp[static_cast<std::size_t>(mt.sender)] == epoch);
     if (take) {
-      // Park the slot like deliver_lazy: off the receiver list and the
-      // live index now, recycled by the caller's eventual window-w sweep.
+      // Park the slot: off the receiver list and the live index now,
+      // recycled by the caller's eventual window-w sweep.
       if (mt.id < direct_base_) id_map_.erase(mt.id);
       mt.id = kNoMsg;
-      out.push_back(&envs_[si]);
+      std::int32_t& at = cursor[static_cast<std::size_t>(mt.sender)];
+      const auto pos = static_cast<std::size_t>(at++);
+      AA_CHECK(pos < out.size(),
+               "deliver_window_run_to: sender segment overflows the output");
+      out[pos] = &envs_[si];
       ++delivered;
     } else {
       lk.prev_rcv = prev_kept;
@@ -347,7 +338,7 @@ std::size_t MessageBuffer::drop_pending_in_window(std::int64_t w) {
     const auto si = static_cast<std::size_t>(s);
     const std::int32_t next = links_[si].next_win;
     if (meta_[si].id == kNoMsg) {
-      // Parked: deliver_lazy / the bulk run already unlinked and unindexed
+      // Parked: the delivery walk already unlinked and unindexed
       // it — just recycle the slot.
     } else {
       // A still-pending slot swept at the window edge is exactly the

@@ -42,7 +42,7 @@
 // only question that can be asked about the whole history.
 //
 // Envelope-view invalidation contract (batch API, SoA edition): references
-// returned by get()/iteration and the views handed out by deliver_lazy /
+// returned by get()/iteration and the views handed out by
 // deliver_window_run_to point into the envelope array `envs_` and are
 // invalidated by
 //   (1) the next publication — a single add() OR any add_batch(), which may
@@ -237,38 +237,31 @@ class MessageBuffer {
   /// pending (a retired id throws std::logic_error).
   void mark_delivered(MsgId id);
 
-  /// Single-lookup LAZY delivery for the acceptable-window hot path: if
-  /// `id` is pending AND addressed to `receiver` (a mismatch throws
-  /// std::logic_error BEFORE any state changes), mark it delivered
-  /// (is_pending flips to false, the receiver list and id index are
-  /// updated, counters advance) and return a view of its envelope; if
-  /// already retired, return nullptr (ids never issued throw). Unlike
-  /// mark_delivered, the slot is NOT recycled yet: it stays parked on its
-  /// window list until drop_pending_in_window(its window) sweeps it onto
-  /// the free list in one bulk walk — that is what makes the per-message
-  /// cost low. The caller therefore MUST eventually drop the message's
-  /// window (run_acceptable_window's end_window does); the returned view
-  /// stays valid until then. Window iteration skips parked slots, so
-  /// mid-window queries stay exact.
-  const Envelope* deliver_lazy(MsgId id, ProcId receiver);
-
-  /// Whole-list delivery run — the bulk counterpart of deliver_lazy for the
-  /// window fast path. Walks `receiver`'s pending list once, in list (id)
-  /// order, and delivers every message sent in window `w` whose sender is
-  /// selected: all of them when `sender_stamp` is null, else exactly those
-  /// with sender_stamp[sender] == epoch. The window test is the window
-  /// list's recorded id range when its ids are contiguous (one metadata
-  /// compare, no envelope touch), the envelope's window field otherwise.
-  /// Delivered slots are parked lazily (same sweep obligation as
-  /// deliver_lazy: the caller MUST eventually drop window w) and their ids
-  /// leave the live index WITHOUT any hash work; unselected messages stay
-  /// pending, relinked in one pass. Appends one envelope view per delivery
-  /// to `out` (valid until the next publication or the window sweep) and
-  /// returns the number delivered.
+  /// Whole-list delivery run — the acceptable-window delivery path. Walks
+  /// `receiver`'s pending list once, in list (id) order, and delivers
+  /// every message sent in window `w` whose sender is selected: all of
+  /// them when `sender_stamp` is null, else exactly those with
+  /// sender_stamp[sender] == epoch. The window test is the window list's
+  /// recorded id range when its ids are contiguous (one metadata compare,
+  /// no envelope touch), the envelope's window field otherwise. Delivered
+  /// slots are PARKED, not recycled: is_pending flips to false and the ids
+  /// leave the live index without any hash work, but each slot stays on
+  /// its window list until drop_pending_in_window(w) sweeps it onto the
+  /// free list in one bulk walk — so the caller MUST eventually drop
+  /// window w (run_acceptable_window's end_window does). Window iteration
+  /// skips parked slots, so mid-window queries stay exact. Unselected
+  /// messages stay pending, relinked in one pass. Each delivery's
+  /// envelope view (valid until the next publication or the window sweep)
+  /// is written to out[cursor[sender]++]: the caller lays out one segment
+  /// per sender (cursor[s] = the segment's start), so a single walk
+  /// emits the run in any per-sender order while each sender's messages
+  /// keep their send order. Writing past `out` throws std::logic_error.
+  /// Returns the number delivered.
   int deliver_window_run_to(ProcId receiver, std::int64_t w,
                             const std::uint64_t* sender_stamp,
                             std::uint64_t epoch,
-                            std::vector<const Envelope*>& out);
+                            std::span<const Envelope*> out,
+                            std::int32_t* cursor);
 
   /// Transition pending → dropped and recycle the slot. Precondition:
   /// pending.

@@ -133,6 +133,7 @@ SentBatch Execution::sending_step(ProcId p) {
         first + static_cast<MsgId>(sc.sort_order[j]);
   }
   sc.row_stamp[static_cast<std::size_t>(p)] = sc.batch_epoch;
+  sc.bcast_runs[static_cast<std::size_t>(p)] = out.broadcast_runs();
   for (std::size_t r = 0; r < static_cast<std::size_t>(n_); ++r) {
     const std::int32_t c = sc.sort_begin[r + 1] - sc.sort_begin[r];
     if (c == 0) continue;
@@ -154,11 +155,18 @@ SentBatch Execution::sending_step(ProcId p) {
 void Execution::begin_window_batch() {
   WindowScratch& sc = scratch_;
   const auto n = static_cast<std::size_t>(n_);
+  // deliver_plan_row walks the receiver's whole window list, so the batch
+  // must be everything the window holds.
+  AA_CHECK(buffer_.pending_in_window(window_).empty(),
+           "begin_window_batch: messages already published in this window");
   if (sc.row_stamp.size() != n) {
     sc.row_stamp.assign(n, 0);
     sc.rcv_stamp.assign(n, 0);
     sc.rcv_total.assign(n, 0);
+    sc.bcast_runs.assign(n, 0);
     sc.member_stamp.assign(n, 0);
+    sc.seg_begin.assign(n, 0);
+    sc.seg_end.assign(n, 0);
     sc.pair_begin.assign(n * (n + 1), 0);
   }
   sc.batch.clear();
@@ -192,34 +200,6 @@ void Execution::receiving_step(MsgId id) {
   check_output_write_once(p, out_before);
 }
 
-int Execution::deliver_run(ProcId receiver, std::span<const MsgId> ids) {
-  AA_REQUIRE(receiver >= 0 && receiver < n_, "deliver_run: bad receiver id");
-  AA_CHECK(!crashed_[static_cast<std::size_t>(receiver)],
-           "deliver_run: delivery to a crashed processor");
-  // Deliver each id up front (lazily: the slots stay parked on their
-  // window list until end_window sweeps them), collecting envelope views
-  // that stay valid through on_receive_batch.
-  run_envs_.clear();
-  std::int64_t& chain = chain_[static_cast<std::size_t>(receiver)];
-  for (const MsgId id : ids) {
-    // deliver_lazy rejects a wrong-receiver id before touching any state.
-    const Envelope* env = buffer_.deliver_lazy(id, receiver);
-    if (env == nullptr) continue;  // already retired — nothing to deliver
-    record(StepKind::Receive, receiver, id);
-    if (cfg_.lens != nullptr) cfg_.lens->on_deliver(*env, window_, steps_);
-    if (env->chain > chain) chain = env->chain;
-    run_envs_.push_back(env);
-  }
-  if (run_envs_.empty()) return 0;
-  const int out_before =
-      procs_[static_cast<std::size_t>(receiver)]->output();
-  procs_[static_cast<std::size_t>(receiver)]->on_receive_batch(
-      run_envs_, rngs_[static_cast<std::size_t>(receiver)],
-      staged_[static_cast<std::size_t>(receiver)]);
-  check_output_write_once(receiver, out_before);
-  return static_cast<int>(run_envs_.size());
-}
-
 int Execution::deliver_plan_row(ProcId receiver, std::span<const ProcId> row) {
   AA_REQUIRE(receiver >= 0 && receiver < n_, "deliver_plan_row: bad receiver");
   AA_CHECK(!crashed_[static_cast<std::size_t>(receiver)],
@@ -229,58 +209,68 @@ int Execution::deliver_plan_row(ProcId receiver, std::span<const ProcId> row) {
            "deliver_plan_row: no batch collected for the current window");
   const WindowBatch batch(&sc, n_);
 
-  // Fast-path eligibility: list order (ascending id ⇒ ascending sender
-  // within one window) must equal plan order, i.e. the row's
-  // senders-with-messages must already be ascending. Senders that sent
-  // nothing to this receiver are order-irrelevant no-ops.
-  bool ascending = true;
-  ProcId last = -1;
-  std::int64_t covered = 0;
+  // One pass over the row: stamp membership, lay out one output segment
+  // per sender in plan order (seg_begin = start, seg_end = the walk's
+  // cursor) and total the covered messages. Repeated senders deliver
+  // nothing more.
+  std::int32_t covered = 0;
   const std::uint64_t member_epoch = ++sc.member_epoch;
   for (const ProcId s : row) {
     AA_REQUIRE(s >= 0 && s < n_, "deliver_plan_row: sender id out of range");
-    sc.member_stamp[static_cast<std::size_t>(s)] = member_epoch;
+    const auto si = static_cast<std::size_t>(s);
+    if (sc.member_stamp[si] == member_epoch) continue;
+    sc.member_stamp[si] = member_epoch;
+    sc.seg_begin[si] = covered;
+    sc.seg_end[si] = covered;
     const std::int32_t c = batch.count(s, receiver);
-    if (c == 0) continue;
-    if (s < last) ascending = false;
-    last = s;
     covered += c;
   }
   if (covered == 0) return 0;  // row senders published nothing to receiver
 
-  if (ascending) {
-    // Whole-list fast path: consume the receiver's pending list in one
-    // splice. A full cover (row ⊇ every sender with messages) needs no
-    // membership test at all; a partial cover filters by the stamped row.
-    const bool full = covered == batch.count_to(receiver);
-    run_envs_.clear();
-    const int delivered = buffer_.deliver_window_run_to(
-        receiver, window_, full ? nullptr : sc.member_stamp.data(),
-        member_epoch, run_envs_);
-    std::int64_t& chain = chain_[static_cast<std::size_t>(receiver)];
-    for (const Envelope* env : run_envs_) {
-      record(StepKind::Receive, receiver, env->id);
-      if (cfg_.lens != nullptr) cfg_.lens->on_deliver(*env, window_, steps_);
-      if (env->chain > chain) chain = env->chain;
-    }
-    if (delivered == 0) return 0;
-    const int out_before =
-        procs_[static_cast<std::size_t>(receiver)]->output();
-    procs_[static_cast<std::size_t>(receiver)]->on_receive_batch(
-        run_envs_, rngs_[static_cast<std::size_t>(receiver)],
-        staged_[static_cast<std::size_t>(receiver)]);
-    check_output_write_once(receiver, out_before);
-    return delivered;
-  }
+  // Retire the whole run in one walk of the receiver's pending list,
+  // scattering each view into its sender's segment — list order within a
+  // sender is send order, so the output is plan order. A full cover (row ⊇
+  // every sender with messages) needs no membership test; a partial cover
+  // filters by the stamped row.
+  const bool full = covered == batch.count_to(receiver);
+  run_envs_.resize(static_cast<std::size_t>(covered));
+  const int delivered = buffer_.deliver_window_run_to(
+      receiver, window_, full ? nullptr : sc.member_stamp.data(),
+      member_epoch, run_envs_, sc.seg_end.data());
+  if (delivered == 0) return 0;
+  if (delivered != covered) close_segment_gaps(row);
+  const std::span<const Envelope* const> run(
+      run_envs_.data(), static_cast<std::size_t>(delivered));
 
-  // Slow path (genuinely adversarial order): gather the run in plan order
-  // from the pair index and deliver per id.
-  sc.run_ids.clear();
-  for (const ProcId s : row) {
-    const std::span<const MsgId> seg = batch.from_to(s, receiver);
-    sc.run_ids.insert(sc.run_ids.end(), seg.begin(), seg.end());
+  std::int64_t& chain = chain_[static_cast<std::size_t>(receiver)];
+  for (const Envelope* env : run) {
+    record(StepKind::Receive, receiver, env->id);
+    if (cfg_.lens != nullptr) cfg_.lens->on_deliver(*env, window_, steps_);
+    if (env->chain > chain) chain = env->chain;
   }
-  return deliver_run(receiver, sc.run_ids);
+  const int out_before = procs_[static_cast<std::size_t>(receiver)]->output();
+  procs_[static_cast<std::size_t>(receiver)]->on_receive_batch(
+      run, rngs_[static_cast<std::size_t>(receiver)],
+      staged_[static_cast<std::size_t>(receiver)]);
+  check_output_write_once(receiver, out_before);
+  return delivered;
+}
+
+void Execution::close_segment_gaps(std::span<const ProcId> row) {
+  // Some covered messages were delivered earlier in this window, so their
+  // segments ended short: slide the filled part of every segment down, in
+  // row order. Each segment is emptied once copied, so a repeated sender
+  // copies nothing.
+  WindowScratch& sc = scratch_;
+  std::size_t out = 0;
+  for (const ProcId s : row) {
+    const auto si = static_cast<std::size_t>(s);
+    for (auto i = static_cast<std::size_t>(sc.seg_begin[si]);
+         i < static_cast<std::size_t>(sc.seg_end[si]); ++i) {
+      run_envs_[out++] = run_envs_[i];
+    }
+    sc.seg_begin[si] = sc.seg_end[si];
+  }
 }
 
 void Execution::resetting_step(ProcId p) {

@@ -112,21 +112,6 @@ class Execution {
   /// the (randomized) local computation.
   void receiving_step(MsgId id);
 
-  /// Batched receiving steps: deliver every still-pending id in `ids` (in
-  /// order; all must be addressed to `receiver`) and run the local
-  /// computation ONCE over the whole run via Process::on_receive_batch.
-  /// The crash check and the output write-once snapshot happen once per
-  /// run instead of once per message; each delivery still counts as one
-  /// receiving step (step counter / event log). Returns the number of
-  /// messages delivered. Used by run_acceptable_window; for protocols that
-  /// honour the on_receive_batch contract this matches a receiving_step
-  /// per id in every observable EXCEPT the Decision record's step/chain
-  /// stamps, which carry end-of-run granularity (the decision's window and
-  /// value are exact; which message within the run triggered the write is
-  /// not reconstructed). Window-model consumers read windows, not steps —
-  /// the async model, whose chain metric is load-bearing, delivers per id.
-  int deliver_run(ProcId receiver, std::span<const MsgId> ids);
-
   // ---- bulk publication (the window driver's batch pipeline) ----
 
   /// Arm window-batch collection for the CURRENT window: clears the
@@ -134,9 +119,9 @@ class Execution {
   /// following sending steps build the (sender, receiver) pair index
   /// incrementally instead of the driver re-walking the window list.
   /// Collection disarms automatically when the window counter advances.
-  /// Precondition (checked): each sender takes at most one non-empty
-  /// sending step per collected window — exactly what Definition 1's
-  /// sending phase does.
+  /// Preconditions (checked): nothing is pending from the current window
+  /// yet, and each sender takes at most one non-empty sending step per
+  /// collected window — exactly what Definition 1's sending phase does.
   void begin_window_batch();
 
   /// View of the batch collected since begin_window_batch (ids + pair
@@ -144,16 +129,23 @@ class Execution {
   [[nodiscard]] WindowBatch window_batch() const;
 
   /// Deliver one receiver's whole window run given its plan row (the
-  /// ordered sender list, duplicate-free — validated plans are). Uses the
+  /// ordered sender list; repeated senders deliver nothing more). Uses the
   /// collected pair index (precondition: begin_window_batch this window).
-  /// When the row's senders-with-messages appear in ascending order, the
-  /// delivery sequence equals the receiver's pending-list order and the
-  /// run is consumed in one whole-list splice (bulk lazy delivery, a
-  /// single on_receive_batch) — no per-message id-map lookups. A full
-  /// cover of the receiver's window messages skips even the sender
-  /// membership test. Rows in non-ascending (genuinely adversarial) order
-  /// fall back to the per-id gather + deliver_run slow path, which is
-  /// observationally identical. Returns the number delivered.
+  /// Every row, ascending or not, full or partial, retires in ONE walk of
+  /// the receiver's pending list (MessageBuffer::deliver_window_run_to):
+  /// the pair index sizes one output segment per row sender, in plan
+  /// order, and the walk scatters each message into its sender's segment.
+  /// A full cover of the receiver's window messages skips the membership
+  /// test. The computation then runs ONCE over the run via
+  /// Process::on_receive_batch — the crash check and the output write-once
+  /// snapshot happen once per run, while each delivery still counts as one
+  /// receiving step (step counter / event log / lens, in plan order). For
+  /// protocols that honour the on_receive_batch contract this matches a
+  /// receiving_step per id in every observable EXCEPT the Decision
+  /// record's step/chain stamps, which carry end-of-run granularity (the
+  /// decision's window and value are exact). Window-model consumers read
+  /// windows, not steps — the async model, whose chain metric is
+  /// load-bearing, delivers per id. Returns the number delivered.
   int deliver_plan_row(ProcId receiver, std::span<const ProcId> row);
 
   /// Resetting step: erase `p`'s memory per §2 (input/output/id/reset
@@ -236,6 +228,9 @@ class Execution {
  private:
   friend struct AuditTestAccess;
   void record(StepKind k, ProcId p, MsgId m = kNoMsg);
+  /// Compact run_envs_ when some of the row's segments were left short by
+  /// messages already delivered earlier in the window.
+  void close_segment_gaps(std::span<const ProcId> row);
   void check_output_write_once(ProcId p, int before);
   /// Whether this window boundary audits (cfg_.audit every window, or the
   /// cfg_.audit_every sampling period divides the window index).
@@ -253,9 +248,10 @@ class Execution {
   std::vector<Decision> decisions_;
   std::vector<Event> events_;
   std::vector<MsgId> published_;            ///< reused by sending_step
-  /// Reused by deliver_run; filled and consumed inside ONE run, never
-  /// held across publication or a window sweep (buffer.hpp contract).
-  // aa-lint: envelope-ok(transient deliver_run scratch, cleared per run)
+  /// Reused by deliver_plan_row: the run in plan order. Filled and
+  /// consumed inside ONE run, never held across publication or a window
+  /// sweep (buffer.hpp contract).
+  // aa-lint: envelope-ok(transient deliver_plan_row scratch, cleared per run)
   std::vector<const Envelope*> run_envs_;
   WindowScratch scratch_;
   std::int64_t window_ = 0;

@@ -66,11 +66,17 @@ struct WindowPlan {
 ///                  nothing", so no counter array is ever reset (the old
 ///                  4 KiB per-window pair_count wipe is gone)
 ///   rcv_total    — per-receiver message totals this window (valid iff
-///                  rcv_stamp[r] == batch_epoch), used by the whole-list
-///                  delivery fast path's coverage check
+///                  rcv_stamp[r] == batch_epoch), used by the delivery
+///                  walk's full-cover check
+///   bcast_runs   — per-sender Outbox::broadcast_runs() of the published
+///                  run (valid iff row_stamp[s] == batch_epoch): k ≥ 1
+///                  whole broadcasts, or -1 for a run staged with send()
 ///   sort_begin / sort_order — Outbox::index_by_receiver output scratch
 ///   member_stamp — per-sender plan-row membership marks for the filtered
-///                  delivery fast path (epoch member_epoch)
+///                  delivery walk (epoch member_epoch)
+///   seg_begin / seg_end — per-sender output segment of one plan row's
+///                  delivery run, laid out in plan order (seg_end is the
+///                  delivery walk's write cursor)
 ///   batch_epoch  — bumped by every begin_window_batch
 ///   collect_window — the window index being collected, or -1 when the
 ///                  execution is not in a collected window (async drivers
@@ -78,7 +84,6 @@ struct WindowPlan {
 ///
 /// Plan bookkeeping (driven by run_acceptable_window):
 ///   plan         — the adversary's reusable WindowPlan
-///   run_ids      — one receiver's delivery run, in plan order (slow path)
 ///   stamp, epoch — epoch-stamped duplicate detector for plan validation
 ///   planner, planner_t   — the (adversary, t) pairing prepare() last ran
 ///                          for on this execution; the driver re-prepares
@@ -96,14 +101,16 @@ struct WindowScratch {
   std::vector<std::uint64_t> row_stamp;
   std::vector<std::int32_t> rcv_total;
   std::vector<std::uint64_t> rcv_stamp;
+  std::vector<std::int32_t> bcast_runs;
   std::vector<std::int32_t> sort_begin;
   std::vector<std::uint32_t> sort_order;
   std::vector<std::uint64_t> member_stamp;
   std::uint64_t member_epoch = 0;
+  std::vector<std::int32_t> seg_begin;
+  std::vector<std::int32_t> seg_end;
   std::uint64_t batch_epoch = 0;
   std::int64_t collect_window = -1;
   WindowPlan plan;
-  std::vector<MsgId> run_ids;
   std::vector<std::uint64_t> stamp;
   std::uint64_t epoch = 0;
   const void* planner = nullptr;
@@ -199,6 +206,15 @@ class WindowBatch {
     return sc_->rcv_stamp[static_cast<std::size_t>(r)] == sc_->batch_epoch
                ? sc_->rcv_total[static_cast<std::size_t>(r)]
                : 0;
+  }
+
+  /// Shape of sender s's run this window: k ≥ 1 when it published exactly
+  /// k whole broadcast() runs (then from_to(s, r)[j] is broadcast j's copy
+  /// to r, for every r), 0 when it published nothing, -1 when the run was
+  /// staged with send().
+  [[nodiscard]] int broadcast_runs(ProcId s) const {
+    const auto i = static_cast<std::size_t>(s);
+    return sc_->row_stamp[i] == sc_->batch_epoch ? sc_->bcast_runs[i] : 0;
   }
 
  private:

@@ -29,7 +29,11 @@ class Outbox {
 
   /// Queue a message to one receiver. Prefer broadcast for all-to-all
   /// sends; when looping send() over many receivers, reserve() first.
-  void send(ProcId to, const Message& m) { queued_.push_back({to, m}); }
+  /// Voids the broadcast-run count until the next clear().
+  void send(ProcId to, const Message& m) {
+    queued_.push_back({to, m});
+    broadcast_runs_ = -1;
+  }
 
   /// Queue the same message to every processor (including self; the paper
   /// notes self-delivery is redundant but harmless — our protocols rely on
@@ -37,6 +41,7 @@ class Outbox {
   void broadcast(const Message& m) {
     queued_.reserve(queued_.size() + static_cast<std::size_t>(n_));
     for (ProcId p = 0; p < n_; ++p) queued_.push_back({p, m});
+    if (broadcast_runs_ >= 0) ++broadcast_runs_;
   }
 
   /// Pre-size the staging queue for `extra` more send() calls.
@@ -47,8 +52,17 @@ class Outbox {
     return queued_;
   }
   [[nodiscard]] bool empty() const noexcept { return queued_.empty(); }
-  void clear() noexcept { queued_.clear(); }
+  void clear() noexcept {
+    queued_.clear();
+    broadcast_runs_ = 0;
+  }
   [[nodiscard]] int n() const noexcept { return n_; }
+
+  /// Broadcast shape of the staged run: k when items() is exactly k whole
+  /// broadcast() runs (item j*n + r is broadcast j's copy to receiver r),
+  /// -1 once any send() was staged since the last clear(). The engine
+  /// records it per sender so a planner can tell broadcast-shaped windows.
+  [[nodiscard]] int broadcast_runs() const noexcept { return broadcast_runs_; }
 
   /// Receiver-sorted drain hook for the bulk publication path: computes the
   /// stable receiver grouping of the staged items WITHOUT reordering the
@@ -97,6 +111,7 @@ class Outbox {
  private:
   int n_;
   std::vector<Item> queued_;
+  int broadcast_runs_ = 0;
   // index_by_receiver scratch (epoch-stamped so it never needs clearing).
   std::vector<std::int32_t> count_;
   std::vector<std::uint64_t> stamp_;

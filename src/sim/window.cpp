@@ -81,11 +81,9 @@ int run_acceptable_window(Execution& exec, WindowAdversary& adv, int t) {
     sc.plan_liveness_epoch = exec.liveness_epoch();
   }
 
-  // Batched delivery: each live receiver's whole run in one call —
-  // ascending plan rows are consumed straight off the receiver's pending
-  // list (whole-list splice, no per-message id-map lookups), adversarially
-  // ordered rows gather from the prebuilt pair index and fall back to the
-  // per-id deliver_run path.
+  // Batched delivery: each live receiver's whole run in one call — every
+  // plan row is retired by one walk of the receiver's pending list that
+  // writes the run out in plan order (no per-message id-map lookups).
   int deliveries = 0;
   for (ProcId i = 0; i < n; ++i) {
     if (exec.crashed(i)) continue;

@@ -24,7 +24,11 @@
 //     sending step publishes its whole outbox in one
 //     MessageBuffer::add_batch and folds its receiver grouping into the
 //     window's (sender, receiver) pair index as it goes — the driver never
-//     re-walks the window list to build a counting sort.
+//     re-walks the window list to build a counting sort. It also records
+//     how many whole broadcast() calls each run was (every protocol here
+//     except Byzantine send() equivocators stages only broadcasts), and
+//     WindowBatch::broadcast_runs exposes that shape, so an adversary can
+//     plan every receiver's identical broadcast sequence once.
 //   * plan_window_into receives that prebuilt index as a WindowBatch view
 //     and returns a PlanDecision. kUpdated means the plan was overwritten
 //     (the driver re-validates it); kReusePrevious means the plan object
@@ -32,11 +36,11 @@
 //     both the n² plan fill and validate_window_plan — unless a
 //     crash/reset changed liveness since the last validation, which forces
 //     one defensive re-validation.
-//   * deliveries run through Execution::deliver_plan_row: a plan row whose
-//     senders-with-messages are in ascending order is consumed straight
-//     off the receiver's pending list in one whole-list splice (bulk lazy
-//     delivery, a single Process::on_receive_batch); adversarially ordered
-//     rows fall back to the per-id gather + deliver_run path.
+//   * deliveries run through Execution::deliver_plan_row: every plan row,
+//     ascending or adversarially ordered, is consumed straight off the
+//     receiver's pending list in one whole-list walk (bulk lazy delivery,
+//     a single Process::on_receive_batch) that scatters each message into
+//     its sender's plan-order segment.
 #pragma once
 
 #include <span>

@@ -228,7 +228,9 @@ TEST(AsyncSplitKeeper, EndToEndStallsSplitInputs) {
   AsyncSplitKeeper keeper;
   const auto r = sim::run_async(e, keeper, t, 4 * n * n);
   // Either stalled (step limit) or, rarely, the coins aligned.
-  if (r.hit_step_limit) EXPECT_EQ(e.decided_count(), 0);
+  if (r.hit_step_limit) {
+    EXPECT_EQ(e.decided_count(), 0);
+  }
   SUCCEED();
 }
 

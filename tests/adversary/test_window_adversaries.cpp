@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <vector>
 
 #include "adversary/window_adversaries.hpp"
+#include "protocols/byzantine.hpp"
 #include "protocols/factory.hpp"
+#include "protocols/reset_agreement.hpp"
 #include "sim/window.hpp"
 
 namespace aa::adversary {
@@ -188,6 +192,230 @@ TEST(SplitKeeper, CannotBlockUnanimity) {
   SplitKeeperAdversary keeper;
   sim::run_acceptable_window(e, keeper, t);
   EXPECT_EQ(e.decided_count(), n);
+}
+
+// ---- split-keeper: one plan per broadcast window ---------------------------
+
+// The split-keeper's plan written from its definition, receiver by
+// receiver: the receiver's pending 0/1 votes in balanced order, then the
+// senders of its other pending messages, then everyone else.
+sim::WindowPlan reference_split_plan(const Execution& e) {
+  const int n = e.n();
+  sim::WindowPlan plan;
+  plan.reset(n);
+  for (sim::ProcId i = 0; i < n; ++i) {
+    std::vector<std::tuple<sim::ProcId, int, int>> votes;
+    std::vector<sim::ProcId> others;
+    for (const sim::Envelope& env : e.buffer().pending_to(i)) {
+      if (env.payload.kind == protocols::kVoteKind &&
+          (env.payload.value == 0 || env.payload.value == 1)) {
+        votes.emplace_back(env.sender, env.payload.round, env.payload.value);
+      } else {
+        others.push_back(env.sender);
+      }
+    }
+    std::vector<sim::ProcId>& order =
+        plan.delivery_order[static_cast<std::size_t>(i)];
+    order = balance_votes(votes);
+    std::vector<bool> seen(static_cast<std::size_t>(n), false);
+    for (const sim::ProcId s : order) seen[static_cast<std::size_t>(s)] = true;
+    for (const sim::ProcId s : others) {
+      if (!seen[static_cast<std::size_t>(s)]) {
+        seen[static_cast<std::size_t>(s)] = true;
+        order.push_back(s);
+      }
+    }
+    for (sim::ProcId s = 0; s < n; ++s) {
+      if (!seen[static_cast<std::size_t>(s)]) order.push_back(s);
+    }
+  }
+  return plan;
+}
+
+// Plan the current (already sent) window with `keeper`, check it against
+// the reference, then deliver it and close the window. Returns whether
+// the broadcast fast path applied.
+bool plan_check_deliver(Execution& e, SplitKeeperAdversary& keeper,
+                        sim::WindowPlan& plan, int& max_runs) {
+  const sim::WindowBatch batch = e.window_batch();
+  for (sim::ProcId s = 0; s < e.n(); ++s) {
+    max_runs = std::max(max_runs, batch.broadcast_runs(s));
+  }
+  const bool shaped = SplitKeeperAdversary::broadcast_shaped(e, batch);
+  keeper.plan_window_into(e, batch, plan);
+  EXPECT_EQ(plan.delivery_order, reference_split_plan(e).delivery_order)
+      << "window " << e.window();
+  for (sim::ProcId i = 0; i < e.n(); ++i) {
+    if (!e.crashed(i)) {
+      e.deliver_plan_row(i, plan.delivery_order[static_cast<std::size_t>(i)]);
+    }
+  }
+  e.end_window();
+  return shaped;
+}
+
+TEST(SplitKeeper, BroadcastPlanEqualsPerReceiverPlan) {
+  // Reset and forgetful stage votes; Ben-Or and Bracha stage no votes at
+  // all, Bracha several broadcasts per step.
+  const int n = 14;
+  const int t = 2;
+  for (const ProtocolKind kind :
+       {ProtocolKind::Reset, ProtocolKind::Forgetful, ProtocolKind::BenOr,
+        ProtocolKind::Bracha}) {
+    int max_runs = 0;
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      Execution e(protocols::make_processes(kind, t,
+                                            protocols::split_inputs(n, 0.5)),
+                  seed);
+      SplitKeeperAdversary keeper;
+      sim::WindowPlan plan;
+      for (int w = 0; w < 25; ++w) {
+        send_all(e);
+        EXPECT_TRUE(plan_check_deliver(e, keeper, plan, max_runs))
+            << protocols::protocol_kind_name(kind) << " window " << w;
+      }
+    }
+    if (kind == ProtocolKind::Bracha) {
+      EXPECT_GT(max_runs, 1) << "no multi-broadcast step exercised";
+    }
+  }
+}
+
+/// Votes two rounds ahead per step (k = 2 vote broadcasts), plus a
+/// non-vote broadcast from every third processor (k = 3): the shared row
+/// must balance several rounds and append the non-vote senders.
+class TwoRoundVoter final : public sim::Process {
+ public:
+  TwoRoundVoter(sim::ProcId self, int input) : self_(self), input_(input) {}
+
+  void on_start(sim::Outbox& out) override { stage(input_, 1 - input_, out); }
+  // Once per window: on p0's second vote.
+  void on_receive(const sim::Envelope& env, Rng& rng,
+                  sim::Outbox& out) override {
+    if (env.sender != 0 || env.payload.kind != protocols::kVoteKind ||
+        env.payload.round % 2 != 0) {
+      return;
+    }
+    stage(static_cast<int>(rng.uniform_index(2)),
+          static_cast<int>(rng.uniform_index(2)), out);
+  }
+  void on_reset() override {}
+  [[nodiscard]] int input() const override { return input_; }
+  [[nodiscard]] int output() const override { return sim::kBot; }
+  [[nodiscard]] int round() const override { return round_; }
+  [[nodiscard]] int estimate() const override { return input_; }
+  [[nodiscard]] const char* protocol_name() const override {
+    return "two-round-voter";
+  }
+
+ private:
+  void stage(int a, int b, sim::Outbox& out) {
+    out.broadcast(protocols::make_vote(round_ + 1, a));
+    out.broadcast(protocols::make_vote(round_ + 2, b));
+    if (self_ % 3 == 0) {
+      sim::Message note;
+      note.kind = 7;
+      note.round = round_;
+      out.broadcast(note);
+    }
+    round_ += 2;
+  }
+
+  sim::ProcId self_;
+  int input_;
+  int round_ = 0;
+};
+
+TEST(SplitKeeper, MultiRoundBroadcastPlanEqualsPerReceiverPlan) {
+  const int n = 11;
+  std::vector<std::unique_ptr<sim::Process>> procs;
+  for (sim::ProcId p = 0; p < n; ++p) {
+    procs.push_back(std::make_unique<TwoRoundVoter>(p, p % 2));
+  }
+  Execution e(std::move(procs), 8);
+  SplitKeeperAdversary keeper;
+  sim::WindowPlan plan;
+  int max_runs = 0;
+  for (int w = 0; w < 10; ++w) {
+    send_all(e);
+    EXPECT_TRUE(plan_check_deliver(e, keeper, plan, max_runs)) << w;
+  }
+  EXPECT_EQ(max_runs, 3);
+}
+
+TEST(SplitKeeper, MidWindowCrashKeepsBroadcastPlanExact) {
+  // A crash before a sender's step empties its run (0 broadcasts); a crash
+  // after the sending phase leaves its messages pending. Neither changes
+  // what any receiver's list holds relative to the others, so the one-row
+  // plan must stay exact.
+  const int n = 12;
+  const int t = 2;
+  Execution e = make_exec(n, t, 21);
+  SplitKeeperAdversary keeper;
+  sim::WindowPlan plan;
+  int max_runs = 0;
+  for (int w = 0; w < 6; ++w) {
+    e.begin_window_batch();
+    if (w == 2) e.crash(4);  // before its sending step
+    for (int p = 0; p < n; ++p) e.sending_step(p);
+    if (w == 3) e.crash(7);  // after publication, before planning
+    EXPECT_TRUE(plan_check_deliver(e, keeper, plan, max_runs)) << w;
+  }
+  EXPECT_TRUE(e.crashed(4) && e.crashed(7));
+}
+
+TEST(SplitKeeper, EquivocatorTakesPerReceiverPath) {
+  // Byzantine equivocators stage send() runs: receivers hold different
+  // values from them, so no single row can serve everyone.
+  const int n = 13;
+  const int t = 2;
+  Execution e(protocols::make_byzantine_processes(
+                  ProtocolKind::Reset, t, protocols::split_inputs(n, 0.5),
+                  /*byz_count=*/2, protocols::ByzantineStrategy::Equivocate,
+                  /*lie_seed=*/5),
+              17);
+  SplitKeeperAdversary keeper;
+  sim::WindowPlan plan;
+  int max_runs = 0;
+  send_all(e);
+  EXPECT_EQ(e.window_batch().broadcast_runs(0), -1);
+  EXPECT_FALSE(plan_check_deliver(e, keeper, plan, max_runs));
+  for (int w = 1; w < 12; ++w) {
+    send_all(e);
+    plan_check_deliver(e, keeper, plan, max_runs);
+  }
+}
+
+TEST(SplitKeeper, LeftoversAndOutOfOrderSendersTakePerReceiverPath) {
+  const int n = 10;
+  const int t = 1;
+  Execution e = make_exec(n, t, 33);
+  SplitKeeperAdversary keeper;
+  sim::WindowPlan plan;
+  int max_runs = 0;
+  // Window 0: deliver all but the last of every receiver's messages (enough
+  // votes to move on) and keep the rest pending across the window edge.
+  send_all(e);
+  for (sim::ProcId i = 0; i < n; ++i) {
+    const std::vector<sim::MsgId> ids = e.buffer().pending_to_ids(i);
+    for (std::size_t k = 0; k + 1 < ids.size(); ++k) e.receiving_step(ids[k]);
+  }
+  e.advance_window_keep_pending();
+  // Window 1: a fresh broadcast batch on top of the leftovers.
+  send_all(e);
+  ASSERT_GT(e.window_batch().size(), 0u);
+  ASSERT_GT(e.buffer().pending_count(), e.window_batch().size());
+  EXPECT_FALSE(plan_check_deliver(e, keeper, plan, max_runs));
+
+  // Senders publishing in descending id order void the shared row too:
+  // list order is no longer sender order.
+  Execution d = make_exec(n, t, 34);
+  for (int w = 0; w < 3; ++w) {
+    d.begin_window_batch();
+    for (int p = n - 1; p >= 0; --p) d.sending_step(p);
+    ASSERT_GT(d.window_batch().size(), 0u);
+    EXPECT_FALSE(plan_check_deliver(d, keeper, plan, max_runs)) << w;
+  }
 }
 
 TEST(AdversaryNames, AreDistinct) {

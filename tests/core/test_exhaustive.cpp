@@ -56,8 +56,7 @@ TEST(Exhaustive, DetectsAgreementViolationFromCraftedStart) {
   // Broken thresholds T2 = T3 (violating T2 >= T3 + t): start from a
   // configuration where one processor has already decided 0 but the votes
   // now favour 1. One window pushes others to decide 1 — the checker must
-  // find the conflicting configuration.
-  const int n = 7;
+  // find the conflicting configuration (n = 7).
   const int t = 1;
   const Thresholds broken{5, 4, 4};  // valid 2*T3 > n, broken T2 >= T3 + t
   AbstractConfig start;

@@ -133,8 +133,7 @@ TEST(ParallelDeterminism, ExhaustiveReportIdenticalAcrossThreadCounts) {
 
 TEST(ParallelDeterminism, ExhaustiveViolationWitnessIdentical) {
   // A run that FINDS a violation must report the same first witness (the
-  // same canonical-order candidate) at any thread count.
-  const int n = 7;
+  // same canonical-order candidate) at any thread count (n = 7).
   const int t = 1;
   const protocols::Thresholds broken{5, 4, 4};
   AbstractConfig start;

@@ -92,13 +92,19 @@ TEST_P(ResetGridTest, InvariantsHoldForEveryCell) {
 
   EXPECT_TRUE(r.agreement) << "agreement violated";
   EXPECT_TRUE(r.validity) << "validity violated";
-  if (g.ones == 0.0 && r.decided) EXPECT_EQ(r.decision, 0);
-  if (g.ones == 1.0 && r.decided) EXPECT_EQ(r.decision, 1);
+  if (g.ones == 0.0 && r.decided) {
+    EXPECT_EQ(r.decision, 0);
+  }
+  if (g.ones == 1.0 && r.decided) {
+    EXPECT_EQ(r.decision, 1);
+  }
   if (!slow_cell) {
     EXPECT_TRUE(r.all_decided) << "termination failed within the horizon";
   }
   // Unanimity fast path: one window, no matter the adversary.
-  if (g.ones == 0.0 || g.ones == 1.0) EXPECT_EQ(r.windows_to_first, 1);
+  if (g.ones == 0.0 || g.ones == 1.0) {
+    EXPECT_EQ(r.windows_to_first, 1);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, ResetGridTest,
@@ -120,8 +126,12 @@ TEST_P(InputFractionTest, DecidesSomeInputValue) {
       static_cast<std::uint64_t>(ones_count) + 50, std::nullopt, true);
   ASSERT_TRUE(r.all_decided);
   EXPECT_TRUE(r.validity);
-  if (ones_count == 0) EXPECT_EQ(r.decision, 0);
-  if (ones_count == n) EXPECT_EQ(r.decision, 1);
+  if (ones_count == 0) {
+    EXPECT_EQ(r.decision, 0);
+  }
+  if (ones_count == n) {
+    EXPECT_EQ(r.decision, 1);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFractions, InputFractionTest,

@@ -161,9 +161,18 @@ TEST(WindowTrace, SuppressHooksExactAcrossStraddlingRunsAndSpill) {
   for (int k = 0; k < 6; ++k) {
     items.push_back({static_cast<sim::ProcId>(k % n), m});
   }
-  const sim::MsgId first0 = buf.add_batch(0, items, /*window=*/0, 1);
-  ASSERT_NE(buf.deliver_lazy(first0, /*receiver=*/0), nullptr);
-  ASSERT_NE(buf.deliver_lazy(first0 + 1, /*receiver=*/1), nullptr);
+  buf.add_batch(0, items, /*window=*/0, 1);
+  // Receivers 2 and 3 hold one message each: deliver (park) both. One
+  // sender, so one output segment starting at 0.
+  std::vector<const sim::Envelope*> views(3);
+  std::vector<std::int32_t> cursor(n, 0);
+  ASSERT_EQ(buf.deliver_window_run_to(/*receiver=*/2, 0, nullptr, 0, views,
+                                      cursor.data()),
+            1);
+  cursor.assign(n, 0);
+  ASSERT_EQ(buf.deliver_window_run_to(/*receiver=*/3, 0, nullptr, 0, views,
+                                      cursor.data()),
+            1);
   EXPECT_EQ(buf.drop_pending_in_window(0), 4u);
   EXPECT_EQ(trace.suppressed_total(0), 4);
 
@@ -177,17 +186,23 @@ TEST(WindowTrace, SuppressHooksExactAcrossStraddlingRunsAndSpill) {
   const sim::MsgId first1 = buf.add_batch(1, items, /*window=*/1, 2);
   EXPECT_EQ(first1, 6);
   buf.spill_direct_index();
-  // Parked via the straggler-map tier (the spill moved its id there).
-  ASSERT_NE(buf.deliver_lazy(first1, /*receiver=*/0), nullptr);
+  // Receiver 3's two messages park via the straggler-map tier (the spill
+  // moved their ids there).
+  cursor.assign(n, 0);
+  ASSERT_EQ(buf.deliver_window_run_to(/*receiver=*/3, 1, nullptr, 0, views,
+                                      cursor.data()),
+            2);
+  EXPECT_EQ(views[0]->id, first1 + 3);
+  EXPECT_EQ(views[1]->id, first1 + 7);
   buf.mark_dropped(first1 + 2);                     // explicit suppression
-  EXPECT_EQ(buf.drop_pending_in_window(1), 7u);
+  EXPECT_EQ(buf.drop_pending_in_window(1), 6u);
   EXPECT_EQ(buf.pending_count(), 0u);
 
   // Sender 0 published 6 in window 0 (2 delivered) and sender 1 published
-  // 9 in window 1 (1 delivered): 4 + 8 suppressions, none double-counted
+  // 9 in window 1 (2 delivered): 4 + 7 suppressions, none double-counted
   // across the recycled slots or the two id tiers.
   EXPECT_EQ(trace.suppressed_total(0), 4);
-  EXPECT_EQ(trace.suppressed_total(1), 8);
+  EXPECT_EQ(trace.suppressed_total(1), 7);
   std::int64_t suppressed = 0;
   for (sim::ProcId s = 0; s < n; ++s) suppressed += trace.suppressed_total(s);
   EXPECT_EQ(static_cast<std::size_t>(suppressed), buf.dropped_count());

@@ -11,7 +11,7 @@ namespace {
 using sim::Execution;
 using sim::kBot;
 
-Execution make_exec(int n, int t, const std::vector<int>& inputs,
+Execution make_exec(int t, const std::vector<int>& inputs,
                     std::uint64_t seed) {
   return Execution(make_processes(ProtocolKind::Reset, t, inputs), seed);
 }
@@ -49,7 +49,7 @@ TEST(ResetProcess, UnanimousDecidesFirstWindow) {
   const int n = 12;
   const int t = 1;
   for (int v = 0; v <= 1; ++v) {
-    Execution e = make_exec(n, t, unanimous_inputs(n, v), 1);
+    Execution e = make_exec(t, unanimous_inputs(n, v), 1);
     adversary::FairWindowAdversary fair;
     sim::run_acceptable_window(e, fair, t);
     EXPECT_EQ(e.decided_count(), n);
@@ -60,7 +60,7 @@ TEST(ResetProcess, UnanimousDecidesFirstWindow) {
 TEST(ResetProcess, IgnoresNonVoteAndMalformedMessages) {
   const int n = 12;
   const int t = 1;
-  Execution e = make_exec(n, t, unanimous_inputs(n, 1), 1);
+  Execution e = make_exec(t, unanimous_inputs(n, 1), 1);
   // Inject garbage through a custom adversary? Simpler: direct unit probe.
   ResetProcess p(0, n, 1, canonical_thresholds(n, t));
   sim::Outbox out(n);
@@ -251,7 +251,7 @@ TEST(ResetProcess, DecidedProcessorKeepsParticipating) {
   // After deciding, the processor still votes (peers rely on its messages).
   const int n = 12;
   const int t = 1;
-  Execution e = make_exec(n, t, unanimous_inputs(n, 1), 1);
+  Execution e = make_exec(t, unanimous_inputs(n, 1), 1);
   adversary::FairWindowAdversary fair;
   sim::run_acceptable_window(e, fair, t);
   ASSERT_EQ(e.decided_count(), n);
@@ -262,7 +262,7 @@ TEST(ResetProcess, DecidedProcessorKeepsParticipating) {
 TEST(ResetProcess, EndToEndWithResetStormTerminatesAndAgrees) {
   const int n = 14;
   const int t = 2;
-  Execution e = make_exec(n, t, split_inputs(n, 0.5), 99);
+  Execution e = make_exec(t, split_inputs(n, 0.5), 99);
   adversary::ResetStormAdversary storm(t, Rng(5));
   const auto windows = sim::run_until_all_decided(e, storm, t, 200000);
   EXPECT_LT(windows, 200000);
@@ -283,7 +283,7 @@ class ResetFastPathTest : public ::testing::TestWithParam<FastPathParam> {};
 
 TEST_P(ResetFastPathTest, UnanimousDecidesInWindowOne) {
   const auto [n, t, v] = GetParam();
-  Execution e = make_exec(n, t, unanimous_inputs(n, v), 7);
+  Execution e = make_exec(t, unanimous_inputs(n, v), 7);
   adversary::SplitKeeperAdversary keeper;  // even adversarial ordering
   sim::run_acceptable_window(e, keeper, t);
   EXPECT_EQ(e.decided_count(), n);

@@ -78,9 +78,12 @@ MessageBuffer busy_buffer() {
       buf.add(s, r, Message{}, /*window=*/0, /*chain=*/1);
     }
   }
-  for (const MsgId id : buf.pending_to_ids(0)) {
-    EXPECT_NE(buf.deliver_lazy(id, 0), nullptr) << "id " << id;
-  }
+  // Receiver 0 holds one message per sender: one-slot segments.
+  std::vector<const Envelope*> views(4);
+  std::vector<std::int32_t> cursor{0, 1, 2, 3};
+  EXPECT_EQ(buf.deliver_window_run_to(0, /*w=*/0, nullptr, 0, views,
+                                      cursor.data()),
+            4);
   const std::vector<MsgId> to1 = buf.pending_to_ids(1);
   buf.mark_dropped(to1[0]);
   buf.mark_delivered(to1[1]);

@@ -1,19 +1,27 @@
-// Batched delivery (Execution::deliver_run + Process::on_receive_batch):
+// Batched delivery (Execution::deliver_plan_row + Process::on_receive_batch):
 //  * the default on_receive_batch (loop of on_receive) is observationally
 //    identical to the protocols' devirtualized overrides, for every
 //    protocol kind — checked by running the same seeded executions with
 //    the overrides masked behind a forwarding wrapper;
-//  * deliver_run itself matches a receiving_step-per-id loop (up to the
-//    documented end-of-run granularity of Decision step/chain stamps);
-//  * deliver_run edge cases (empty run, retired ids, wrong receiver).
+//  * deliver_plan_row's single list walk matches a receiving_step-per-id
+//    loop on ascending, permuted, full and partial rows: per-receiver
+//    delivery sequences, the event log, lens captures and audit() agree
+//    (up to the documented end-of-run granularity of Decision step/chain
+//    stamps);
+//  * deliver_plan_row edge cases (empty row, retired messages, bad sender,
+//    crashed receiver, no collected batch).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "adversary/window_adversaries.hpp"
+#include "lens/trace.hpp"
 #include "protocols/factory.hpp"
 #include "sim/window.hpp"
+#include "util/rng.hpp"
 
 namespace aa::sim {
 namespace {
@@ -118,58 +126,227 @@ TEST(BatchDelivery, OverridesMatchUnderAdversarialOrderAndResets) {
   }
 }
 
-TEST(BatchDelivery, DeliverRunMatchesPerIdReceivingSteps) {
-  const int n = 8;
-  const int t = 1;
-  Execution batched = make_exec(ProtocolKind::Reset, n, t, 7, false);
-  Execution per_id = make_exec(ProtocolKind::Reset, n, t, 7, false);
+/// Forwards everything to the wrapped process and logs every envelope it
+/// is handed — per-envelope or in a batch — as (receiver, id).
+class Recorder final : public Process {
+ public:
+  using Log = std::vector<std::pair<ProcId, MsgId>>;
+  Recorder(std::unique_ptr<Process> inner, ProcId self, Log* log)
+      : inner_(std::move(inner)), self_(self), log_(log) {}
 
-  auto send_all = [](Execution& e) {
-    std::vector<MsgId> ids;
-    for (ProcId p = 0; p < e.n(); ++p) {
-      for (MsgId id : e.sending_step(p)) ids.push_back(id);
-    }
-    return ids;
-  };
-  const std::vector<MsgId> ids_a = send_all(batched);
-  const std::vector<MsgId> ids_b = send_all(per_id);
-  ASSERT_EQ(ids_a, ids_b);
-
-  // Deliver receiver 3's messages: one deliver_run vs one receiving_step
-  // per id, same order.
-  std::vector<MsgId> to3;
-  for (MsgId id : ids_a) {
-    if (batched.buffer().get(id).receiver == 3) to3.push_back(id);
+  void on_start(Outbox& out) override { inner_->on_start(out); }
+  void on_receive(const Envelope& env, Rng& rng, Outbox& out) override {
+    log_->emplace_back(self_, env.id);
+    inner_->on_receive(env, rng, out);
   }
-  ASSERT_FALSE(to3.empty());
-  const int delivered = batched.deliver_run(3, to3);
-  EXPECT_EQ(delivered, static_cast<int>(to3.size()));
-  for (MsgId id : to3) per_id.receiving_step(id);
-  expect_same_state(batched, per_id);
+  void on_receive_batch(std::span<const Envelope* const> envs, Rng& rng,
+                        Outbox& out) override {
+    for (const Envelope* env : envs) log_->emplace_back(self_, env->id);
+    inner_->on_receive_batch(envs, rng, out);
+  }
+  void on_reset() override { inner_->on_reset(); }
+  [[nodiscard]] int input() const override { return inner_->input(); }
+  [[nodiscard]] int output() const override { return inner_->output(); }
+  [[nodiscard]] int round() const override { return inner_->round(); }
+  [[nodiscard]] int estimate() const override { return inner_->estimate(); }
+  [[nodiscard]] const char* protocol_name() const override {
+    return inner_->protocol_name();
+  }
 
-  // Every id in the run is now retired: a second run is a no-op.
-  EXPECT_EQ(batched.deliver_run(3, to3), 0);
+ private:
+  std::unique_ptr<Process> inner_;
+  ProcId self_;
+  Log* log_;
+};
+
+/// An execution with the event log, every-window audits and the lens on,
+/// whose processes log what they are handed.
+struct Recorded {
+  Recorder::Log log;
+  lens::WindowTrace trace;
+  std::unique_ptr<Execution> exec;
+
+  Recorded(ProtocolKind kind, int n, int t, std::uint64_t seed) {
+    auto procs =
+        protocols::make_processes(kind, t, protocols::split_inputs(n, 0.5));
+    for (ProcId p = 0; p < n; ++p) {
+      auto& slot = procs[static_cast<std::size_t>(p)];
+      slot = std::make_unique<Recorder>(std::move(slot), p, &log);
+    }
+    ExecutionConfig cfg;
+    cfg.record_events = true;
+    cfg.audit = true;
+    cfg.lens = &trace;
+    exec = std::make_unique<Execution>(std::move(procs), seed, cfg);
+  }
+};
+
+/// Row shapes: ascending full, ascending partial (t senders left out),
+/// permuted full, permuted partial.
+std::vector<ProcId> make_row(int n, int t, int shape, Rng& rng) {
+  std::vector<ProcId> row;
+  for (ProcId s = 0; s < n; ++s) row.push_back(s);
+  for (std::size_t j = 0; j + 1 < row.size(); ++j) {
+    const std::size_t k = j + rng.uniform_index(row.size() - j);
+    std::swap(row[j], row[k]);
+  }
+  if (shape % 2 == 1) row.resize(static_cast<std::size_t>(n - t));
+  if (shape < 2) std::sort(row.begin(), row.end());
+  return row;
 }
 
-TEST(BatchDelivery, DeliverRunEdgeCases) {
+void expect_same_lens(const lens::WindowTrace& a, const lens::WindowTrace& b) {
+  ASSERT_EQ(a.n(), b.n());
+  for (ProcId s = 0; s < a.n(); ++s) {
+    EXPECT_EQ(a.sent(s), b.sent(s)) << "sender " << s;
+    EXPECT_EQ(a.decision_window(s), b.decision_window(s)) << "proc " << s;
+    for (int k = 0; k < lens::WindowTrace::kBuckets; ++k) {
+      EXPECT_EQ(a.delivery_hist(s, k), b.delivery_hist(s, k));
+    }
+    for (ProcId r = 0; r < a.n(); ++r) {
+      EXPECT_EQ(a.delivered(s, r), b.delivered(s, r)) << s << "->" << r;
+      EXPECT_EQ(a.suppressed(s, r), b.suppressed(s, r)) << s << "->" << r;
+      EXPECT_EQ(a.first_heard_window(s, r), b.first_heard_window(s, r));
+      EXPECT_EQ(a.first_heard_step(s, r), b.first_heard_step(s, r));
+    }
+  }
+}
+
+void expect_same_events(const Execution& a, const Execution& b) {
+  ASSERT_EQ(a.events().size(), b.events().size());
+  for (std::size_t i = 0; i < a.events().size(); ++i) {
+    const Event& x = a.events()[i];
+    const Event& y = b.events()[i];
+    EXPECT_EQ(x.kind, y.kind) << "event " << i;
+    EXPECT_EQ(x.proc, y.proc) << "event " << i;
+    EXPECT_EQ(x.msg, y.msg) << "event " << i;
+    EXPECT_EQ(x.window, y.window) << "event " << i;
+  }
+}
+
+TEST(BatchDelivery, PlanRowMatchesPerIdReceivingSteps) {
+  // Every row shape, every window, against one receiving_step per id in
+  // plan order. Bracha stages several broadcasts per step, so its sender
+  // segments hold more than one message.
+  const int n = 10;
+  const int t = 2;
+  for (const ProtocolKind kind : {ProtocolKind::Reset, ProtocolKind::Bracha}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      Recorded batched(kind, n, t, seed);
+      Recorded per_id(kind, n, t, seed);
+      Execution& eb = *batched.exec;
+      Execution& er = *per_id.exec;
+      Rng rows_rng(seed * 31 + 7);
+      int multi_message_pairs = 0;
+      for (int w = 0; w < 12; ++w) {
+        eb.begin_window_batch();
+        er.begin_window_batch();
+        for (ProcId p = 0; p < n; ++p) {
+          eb.sending_step(p);
+          er.sending_step(p);
+        }
+        const WindowBatch batch = er.window_batch();
+        for (ProcId i = 0; i < n; ++i) {
+          const std::vector<ProcId> row =
+              make_row(n, t, (i + w) % 4, rows_rng);
+          int expected = 0;
+          for (const ProcId s : row) {
+            if (batch.count(s, i) > 1) ++multi_message_pairs;
+            for (const MsgId id : batch.from_to(s, i)) {
+              er.receiving_step(id);
+              ++expected;
+            }
+          }
+          EXPECT_EQ(eb.deliver_plan_row(i, row), expected)
+              << "window " << w << " receiver " << i;
+        }
+        EXPECT_NO_THROW(eb.audit());
+        EXPECT_NO_THROW(er.audit());
+        eb.end_window();
+        er.end_window();
+      }
+      EXPECT_EQ(batched.log, per_id.log);
+      expect_same_events(eb, er);
+      expect_same_lens(batched.trace, per_id.trace);
+      expect_same_state(eb, er);
+      EXPECT_EQ(eb.buffer().dropped_count(), er.buffer().dropped_count());
+      if (kind == ProtocolKind::Bracha) {
+        EXPECT_GT(multi_message_pairs, 0);
+      }
+    }
+  }
+}
+
+TEST(BatchDelivery, PlanRowEdgeCases) {
   const int n = 8;
   const int t = 1;
   Execution e = make_exec(ProtocolKind::Reset, n, t, 9, false);
-  std::vector<MsgId> batch;
-  for (ProcId p = 0; p < n; ++p) {
-    for (MsgId id : e.sending_step(p)) batch.push_back(id);
-  }
-  // Empty run: no-op.
-  EXPECT_EQ(e.deliver_run(2, {}), 0);
-  // A run containing another receiver's message is a driver bug, and the
-  // rejection happens BEFORE the message is consumed.
-  std::vector<MsgId> to0{batch[0]};  // proc 0's first message goes to 0
-  ASSERT_EQ(e.buffer().get(batch[0]).receiver, 0);
-  EXPECT_THROW(e.deliver_run(1, to0), std::logic_error);
-  EXPECT_TRUE(e.buffer().is_pending(batch[0]));
+  std::vector<ProcId> all;
+  for (ProcId s = 0; s < n; ++s) all.push_back(s);
+  // No batch collected for the current window.
+  EXPECT_THROW(e.deliver_plan_row(2, all), std::logic_error);
+
+  e.begin_window_batch();
+  for (ProcId p = 0; p < n; ++p) e.sending_step(p);
+  const std::size_t pending = e.buffer().pending_count();
+  // Empty row: no-op.
+  EXPECT_EQ(e.deliver_plan_row(2, {}), 0);
+  // A sender id out of range is rejected before any message is consumed.
+  const std::vector<ProcId> bad{0, 1, n};
+  EXPECT_THROW(e.deliver_plan_row(2, bad), std::invalid_argument);
+  EXPECT_EQ(e.buffer().pending_count(), pending);
+  // A repeated sender delivers its messages once.
+  const std::vector<ProcId> repeated{3, 1, 3};
+  EXPECT_EQ(e.deliver_plan_row(2, repeated), 2);
+  // Those messages are retired: a second run over them is a no-op, and the
+  // rest of the row still delivers.
+  EXPECT_EQ(e.deliver_plan_row(2, repeated), 0);
+  EXPECT_EQ(e.deliver_plan_row(2, all), n - 2);
+  EXPECT_EQ(e.buffer().pending_count(), pending - static_cast<std::size_t>(n));
+  EXPECT_NO_THROW(e.audit());
   // Delivery to a crashed receiver is a driver bug.
   e.crash(0);
-  EXPECT_THROW(e.deliver_run(0, to0), std::logic_error);
+  EXPECT_THROW(e.deliver_plan_row(0, all), std::logic_error);
+}
+
+TEST(BatchDelivery, PartlyDeliveredRowKeepsPlanOrder) {
+  // Messages of the row delivered earlier in the window leave their
+  // segments short; the rest must still arrive in plan order, gap-free.
+  const int n = 8;
+  const int t = 1;
+  ExecutionConfig cfg;
+  cfg.record_events = true;
+  Execution e(protocols::make_processes(ProtocolKind::Reset, t,
+                                        protocols::split_inputs(n, 0.5)),
+              4, cfg);
+  e.begin_window_batch();
+  for (ProcId p = 0; p < n; ++p) e.sending_step(p);
+  const WindowBatch batch = e.window_batch();
+  e.receiving_step(batch.from_to(5, 2)[0]);
+  e.receiving_step(batch.from_to(0, 2)[0]);
+  std::vector<ProcId> descending;
+  std::vector<MsgId> expected;
+  for (ProcId s = n - 1; s >= 0; --s) {
+    descending.push_back(s);
+    if (s != 5 && s != 0) expected.push_back(batch.from_to(s, 2)[0]);
+  }
+  const std::size_t before = e.events().size();
+  EXPECT_EQ(e.deliver_plan_row(2, descending), n - 2);
+  std::vector<MsgId> seen;
+  for (std::size_t i = before; i < e.events().size(); ++i) {
+    seen.push_back(e.events()[i].msg);
+  }
+  EXPECT_EQ(seen, expected);
+  EXPECT_NO_THROW(e.audit());
+}
+
+TEST(BatchDelivery, CollectionRequiresAnEmptyWindow) {
+  // The delivery walk takes every window message of a full-cover row, so
+  // arming collection after the window already published is refused.
+  const int n = 8;
+  Execution e = make_exec(ProtocolKind::Reset, n, 1, 3, false);
+  e.sending_step(0);
+  EXPECT_THROW(e.begin_window_batch(), std::logic_error);
 }
 
 }  // namespace

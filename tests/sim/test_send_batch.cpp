@@ -5,11 +5,12 @@
 //    straddle arena recycling boundaries (fragmented free list + growth);
 //  * the epoch-stamped pair counters never leak counts across windows
 //    (stale rows read as empty without any per-window reset);
-//  * deliver_plan_row's whole-list fast path produces bit-identical
-//    decisions and tallies to the per-message receiving_step path for
-//    Fair / Silencer / SplitKeeper at n = 32;
-//  * a crash mid-window and adversarially (non-ascending) ordered rows
-//    force the slow path, whose delivery ORDER is the plan order.
+//  * deliver_plan_row's single list walk produces bit-identical decisions
+//    and tallies to the per-message receiving_step path for Fair /
+//    Silencer / SplitKeeper at n = 32;
+//  * adversarially (non-ascending) ordered rows, also after a crash
+//    mid-window, come out of the walk in plan order: the delivery ORDER is
+//    the plan order.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -169,6 +170,113 @@ TEST(AddBatch, LiveSlotsStayBoundedAcross5kBatchedWindows) {
 }
 
 // ---------------------------------------------------------------------------
+// Broadcast-shaped runs
+// ---------------------------------------------------------------------------
+
+TEST(OutboxBroadcastRuns, CountsWholeBroadcastsUntilASend) {
+  Outbox out(4);
+  Message m;
+  m.kind = 1;
+  EXPECT_EQ(out.broadcast_runs(), 0);
+  out.broadcast(m);
+  out.broadcast(m);
+  EXPECT_EQ(out.broadcast_runs(), 2);
+  out.send(1, m);  // a point-to-point item voids the shape for good
+  EXPECT_EQ(out.broadcast_runs(), -1);
+  out.broadcast(m);
+  EXPECT_EQ(out.broadcast_runs(), -1);
+  out.clear();
+  EXPECT_EQ(out.broadcast_runs(), 0);
+  out.send(0, m);
+  EXPECT_EQ(out.broadcast_runs(), -1);
+  out.clear();
+  out.broadcast(m);
+  EXPECT_EQ(out.broadcast_runs(), 1);
+}
+
+/// Stages one send() at start and broadcasts once per received message.
+class SendThenBroadcast final : public Process {
+ public:
+  void on_start(Outbox& out) override { out.send(0, Message{}); }
+  void on_receive(const Envelope& /*env*/, Rng& /*rng*/, Outbox& out) override {
+    out.broadcast(Message{});
+  }
+  void on_reset() override {}
+  [[nodiscard]] int input() const override { return 0; }
+  [[nodiscard]] int output() const override { return kBot; }
+  [[nodiscard]] int round() const override { return 0; }
+  [[nodiscard]] int estimate() const override { return 0; }
+  [[nodiscard]] const char* protocol_name() const override {
+    return "send-then-broadcast";
+  }
+};
+
+TEST(OutboxBroadcastRuns, ResettingStepAndCrashResetTheCount) {
+  const int n = 3;
+  std::vector<std::unique_ptr<Process>> procs;
+  for (int p = 0; p < n; ++p) {
+    procs.push_back(std::make_unique<SendThenBroadcast>());
+  }
+  Execution e(std::move(procs), 1);
+  // Window 0: p0's send() run is erased by a reset; p1 publishes its send()
+  // run, and delivering it makes p0 stage one broadcast.
+  e.begin_window_batch();
+  e.resetting_step(0);
+  e.sending_step(1);
+  EXPECT_EQ(e.window_batch().broadcast_runs(1), -1);
+  e.receiving_step(e.buffer().pending_to_ids(0).front());
+  e.crash(2);  // p2's staged send() run is erased as well
+  e.end_window();
+  // Window 1: p0's run is whole broadcasts again; p2 publishes nothing.
+  e.begin_window_batch();
+  for (ProcId p = 0; p < n; ++p) e.sending_step(p);
+  const WindowBatch batch = e.window_batch();
+  EXPECT_EQ(batch.broadcast_runs(0), 1);
+  EXPECT_EQ(batch.broadcast_runs(2), 0);
+  for (ProcId r = 0; r < n; ++r) {
+    ASSERT_EQ(batch.from_to(0, r).size(), 1u);
+    EXPECT_EQ(e.buffer().get(batch.from_to(0, r)[0]).receiver, r);
+  }
+}
+
+TEST(WindowBatchIndex, BroadcastRunsMatchReceiverGrouping) {
+  // Multi-broadcast runs (Bracha stages several per step): a sender with
+  // broadcast_runs k has exactly k messages to every receiver, and every
+  // (sender, receiver) slice equals the ids the buffer lists for that
+  // pair, in send order.
+  const int n = 7;
+  const int t = 1;
+  Execution e(protocols::make_processes(ProtocolKind::Bracha, t,
+                                        protocols::split_inputs(n, 0.5)),
+              13);
+  int multi = 0;
+  for (int w = 0; w < 6; ++w) {
+    e.begin_window_batch();
+    for (ProcId p = 0; p < n; ++p) e.sending_step(p);
+    const WindowBatch batch = e.window_batch();
+    for (ProcId s = 0; s < n; ++s) {
+      const int k = batch.broadcast_runs(s);
+      if (k > 1) ++multi;
+      for (ProcId r = 0; r < n; ++r) {
+        EXPECT_EQ(std::vector<MsgId>(batch.from_to(s, r).begin(),
+                                     batch.from_to(s, r).end()),
+                  e.buffer().pending_from_to_ids(s, r));
+        if (k >= 0) {
+          EXPECT_EQ(batch.count(s, r), k);
+        }
+      }
+    }
+    for (ProcId i = 0; i < n; ++i) {
+      std::vector<ProcId> all;
+      for (ProcId s = 0; s < n; ++s) all.push_back(s);
+      e.deliver_plan_row(i, all);
+    }
+    e.end_window();
+  }
+  EXPECT_GT(multi, 0);
+}
+
+// ---------------------------------------------------------------------------
 // Epoch-stamped pair counters
 // ---------------------------------------------------------------------------
 
@@ -318,7 +426,7 @@ TEST(DeliverPlanRow, FastPathMatchesPerMessagePathAtN32) {
       }
       expect_same_outcome(fast, ref);
     }
-    // SplitKeeper: alternating vote order → slow path (gather + deliver_run).
+    // SplitKeeper: alternating vote order → walk scatters into plan order.
     {
       Execution fast = make_exec(ProtocolKind::Reset, n, t, seed);
       Execution ref = make_exec(ProtocolKind::Reset, n, t, seed);
@@ -335,9 +443,9 @@ TEST(DeliverPlanRow, FastPathMatchesPerMessagePathAtN32) {
 }
 
 TEST(DeliverPlanRow, NonAscendingRowDeliversInPlanOrder) {
-  // A descending row cannot take the whole-list path (list order would
-  // invert the plan order); the slow path must deliver exactly in plan
-  // order — observable through the recorded event sequence.
+  // A descending row's list order inverts its plan order; the walk must
+  // still emit exactly the plan order — observable through the recorded
+  // event sequence.
   const int n = 6;
   const int t = 1;
   Execution e(protocols::make_processes(ProtocolKind::Reset, t,
@@ -362,7 +470,7 @@ TEST(DeliverPlanRow, NonAscendingRowDeliversInPlanOrder) {
   EXPECT_EQ(seen, expected);  // descending sender blocks, not id order
 }
 
-TEST(DeliverPlanRow, CrashMidWindowForcesSlowPathAndStaysExact) {
+TEST(DeliverPlanRow, CrashMidWindowDescendingRowsStayExact) {
   // Crash a processor BETWEEN the sending phase and delivery: its
   // published messages stay deliverable, it takes no receiving steps, and
   // a non-ascending row over the remaining senders must still deliver in
@@ -378,8 +486,8 @@ TEST(DeliverPlanRow, CrashMidWindowForcesSlowPathAndStaysExact) {
     for (ProcId p = 0; p < n; ++p) e.sending_step(p);
     e.crash(crashed);  // mid-window: after publication, before delivery
     const WindowBatch batch = e.window_batch();
-    // Rows: receiver parity picks ascending (fast-eligible) or descending
-    // (slow) so both paths see the crash.
+    // Rows: receiver parity picks ascending or descending order so both
+    // see the crash.
     for (ProcId i = 0; i < n; ++i) {
       if (e.crashed(i)) continue;
       std::vector<ProcId> row;
