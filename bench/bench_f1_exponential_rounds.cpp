@@ -39,11 +39,15 @@ int main() {
     const auto th = protocols::canonical_thresholds(n, t);
     RunningStats stats;
     std::vector<double> samples;
+    const core::Runner runner(
+        core::Experiment{.kind = protocols::ProtocolKind::Reset,
+                         .inputs = protocols::split_inputs(n, 0.5),
+                         .t = t,
+                         .budget = 2'000'000});
     for (int trial = 0; trial < row.trials; ++trial) {
       adversary::SplitKeeperAdversary keeper;
-      const auto r = core::run_window_experiment(
-          protocols::ProtocolKind::Reset, protocols::split_inputs(n, 0.5), t,
-          keeper, 2'000'000, 1000 + static_cast<std::uint64_t>(trial));
+      const auto r =
+          runner.run_window(keeper, 1000 + static_cast<std::uint64_t>(trial));
       stats.add(static_cast<double>(r.windows_to_first));
       samples.push_back(static_cast<double>(r.windows_to_first));
     }

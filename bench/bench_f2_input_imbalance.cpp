@@ -5,6 +5,8 @@
 // adversary's leverage grows as the inputs approach an even split.
 #include <cstdio>
 #include <iostream>
+#include <utility>
+#include <vector>
 
 #include "core/api.hpp"
 
@@ -14,15 +16,18 @@ namespace {
 
 double mean_windows(sim::WindowAdversary& (*make)(), int n, int t, int ones,
                     int trials) {
+  std::vector<int> inputs(static_cast<std::size_t>(n), 0);
+  for (int i = 0; i < ones; ++i) inputs[static_cast<std::size_t>(i)] = 1;
+  const core::Runner runner(
+      core::Experiment{.kind = protocols::ProtocolKind::Reset,
+                       .inputs = std::move(inputs),
+                       .t = t,
+                       .budget = 500000});
   RunningStats stats;
   for (int trial = 0; trial < trials; ++trial) {
-    sim::WindowAdversary& adv = make();
-    std::vector<int> inputs(static_cast<std::size_t>(n), 0);
-    for (int i = 0; i < ones; ++i) inputs[static_cast<std::size_t>(i)] = 1;
-    const auto r = core::run_window_experiment(
-        protocols::ProtocolKind::Reset, inputs, t, adv, 500000,
-        4000 + static_cast<std::uint64_t>(trial) * 7 +
-            static_cast<std::uint64_t>(ones) * 1009);
+    const auto r = runner.run_window(
+        make(), 4000 + static_cast<std::uint64_t>(trial) * 7 +
+                    static_cast<std::uint64_t>(ones) * 1009);
     stats.add(static_cast<double>(r.windows_to_first));
   }
   return stats.mean();

@@ -37,12 +37,15 @@ int main() {
     const int t = 1;
     RunningStats rounds;
     RunningStats chain;
+    const core::Runner runner(
+        core::Experiment{.kind = protocols::ProtocolKind::Forgetful,
+                         .inputs = protocols::split_inputs(n, 0.5),
+                         .t = t,
+                         .budget = 500'000'000});
     for (int trial = 0; trial < row.trials; ++trial) {
       adversary::AsyncSplitKeeper keeper;
-      const auto r = core::run_async_experiment(
-          protocols::ProtocolKind::Forgetful, protocols::split_inputs(n, 0.5),
-          t, keeper, 500'000'000,
-          9000 + static_cast<std::uint64_t>(trial));
+      const auto r =
+          runner.run_async(keeper, 9000 + static_cast<std::uint64_t>(trial));
       if (!r.decided) continue;  // hit the (enormous) cap; skip
       // Rounds ≈ deliveries per round is n·T1; recover from chain instead:
       // each round adds 2 to the chain (vote + trigger), so chain/2 ≈ rounds.

@@ -28,11 +28,15 @@ int main() {
                                                              {14, 2}}) {
     // Collect windows-to-first-decision samples.
     std::vector<double> samples;
+    const core::Runner runner(
+        core::Experiment{.kind = protocols::ProtocolKind::Reset,
+                         .inputs = protocols::split_inputs(n, 0.5),
+                         .t = t,
+                         .budget = 1'000'000});
     for (int trial = 0; trial < trials; ++trial) {
       adversary::SplitKeeperAdversary keeper;
-      const auto r = core::run_window_experiment(
-          protocols::ProtocolKind::Reset, protocols::split_inputs(n, 0.5), t,
-          keeper, 1'000'000, 7000 + static_cast<std::uint64_t>(trial));
+      const auto r =
+          runner.run_window(keeper, 7000 + static_cast<std::uint64_t>(trial));
       samples.push_back(static_cast<double>(r.windows_to_first));
     }
 

@@ -95,8 +95,7 @@ Cell run_cell(protocols::ProtocolKind kind, Adv a, int n, int t, int trials,
       if (r.validity) ++p.valid;
     }
   };
-  if (ctx.pool() != nullptr) parallel_for_chunks(trials, par, body, *ctx.pool());
-  else parallel_for_chunks(trials, par, body);
+  parallel_for_chunks(trials, par, body, ctx.pool());
   Cell cell;
   for (const Cell& p : parts) cell.merge(p);
   return cell;

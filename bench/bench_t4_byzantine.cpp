@@ -45,12 +45,17 @@ int main() {
         int agree = 0;
         int valid = 0;
         int done = 0;
+        const core::Runner runner(core::Experiment{
+            .kind = row.kind,
+            .inputs = protocols::split_inputs(row.n, 0.5),
+            .t = row.t,
+            .budget = 1200,
+            .byzantine =
+                core::ByzantineSpec{.count = f, .strategy = strategy}});
         for (int trial = 0; trial < trials; ++trial) {
           adversary::FairWindowAdversary fair;
-          const auto r = core::run_byzantine_window_experiment(
-              row.kind, protocols::split_inputs(row.n, 0.5), row.t, f,
-              strategy, fair, /*max_windows=*/1200,
-              static_cast<std::uint64_t>(trial) * 11 + 3);
+          const auto r = runner.run_byzantine(
+              fair, static_cast<std::uint64_t>(trial) * 11 + 3);
           if (r.honest_agreement) ++agree;
           if (r.honest_validity) ++valid;
           if (r.honest_all_decided) ++done;

@@ -15,9 +15,13 @@ namespace {
 
 void run_one(const char* label, sim::WindowAdversary& adv,
              const std::vector<int>& inputs, int t, std::uint64_t seed) {
-  const core::WindowRunResult r = core::run_window_experiment(
-      protocols::ProtocolKind::Reset, inputs, t, adv,
-      /*max_windows=*/100000, seed, std::nullopt, /*until_all=*/true);
+  const core::WindowRunResult r =
+      core::Runner(core::Experiment{.kind = protocols::ProtocolKind::Reset,
+                                    .inputs = inputs,
+                                    .t = t,
+                                    .budget = 100000,
+                                    .stop = core::StopCondition::kAllDecided})
+          .run_window(adv, seed);
   std::printf("%-14s decided=%s value=%d windows_to_first=%lld resets=%lld "
               "agreement=%s validity=%s\n",
               label, r.decided ? "yes" : "no ", r.decision,

@@ -4,7 +4,8 @@
 //   * the §3 reset-tolerant agreement protocol and the baselines,
 //   * the acceptable-window and async simulation engines,
 //   * the adversary suite,
-//   * the experiment harness and measure-one checkers,
+//   * the Experiment + Runner API, the measure-one and exhaustive checkers,
+//     and the campaign engine,
 //   * the lower-bound machinery (Talagrand, Z-sets, Theorem 5 constants).
 #pragma once
 
@@ -13,10 +14,9 @@
 #include "core/campaign.hpp"
 #include "core/checker.hpp"
 #include "core/exhaustive.hpp"
-#include "core/report.hpp"
 #include "core/experiment.hpp"
-#include "core/harness.hpp"
 #include "core/lowerbound.hpp"
+#include "core/report.hpp"
 #include "core/zsets.hpp"
 #include "prob/binomial.hpp"
 #include "prob/hybrid.hpp"

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <system_error>
@@ -46,19 +47,9 @@ std::vector<std::string> split_list(const std::string& value) {
   return out;
 }
 
-long long parse_int(const std::string& value, int line) {
-  std::size_t pos = 0;
-  long long v = 0;
-  bool ok = true;
-  try {
-    v = std::stoll(value, &pos);
-  } catch (...) {
-    ok = false;
-  }
-  AA_REQUIRE(ok && pos == value.size(),
-             "campaign config line " + std::to_string(line) +
-                 ": expected an integer, got '" + value + "'");
-  return v;
+/// `where` argument of parse_campaign_int for config line `line`.
+std::string at_line(int line) {
+  return "campaign config line " + std::to_string(line);
 }
 
 double parse_double(const std::string& value, int line) {
@@ -87,7 +78,7 @@ bool parse_bool(const std::string& value, int line) {
 std::vector<int> parse_int_list(const std::string& value, int line) {
   std::vector<int> out;
   for (const std::string& item : split_list(value)) {
-    out.push_back(static_cast<int>(parse_int(item, line)));
+    out.push_back(static_cast<int>(parse_campaign_int(item, at_line(line))));
   }
   AA_REQUIRE(!out.empty(), "campaign config line " + std::to_string(line) +
                                ": empty list");
@@ -443,6 +434,25 @@ std::string lens_file_path(const CampaignConfig& config, int index) {
 
 }  // namespace
 
+long long parse_campaign_int(const std::string& value,
+                             const std::string& where, long long lo,
+                             long long hi) {
+  std::size_t pos = 0;
+  long long v = 0;
+  bool ok = true;
+  try {
+    v = std::stoll(value, &pos);
+  } catch (...) {
+    ok = false;
+  }
+  AA_REQUIRE(ok && pos == value.size(),
+             where + ": expected an integer, got '" + value + "'");
+  AA_REQUIRE(v >= lo && v <= hi,
+             where + ": " + value + " is out of range [" +
+                 std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  return v;
+}
+
 CampaignConfig parse_campaign_config(const std::string& text) {
   CampaignConfig cfg;
   std::stringstream ss(text);
@@ -468,6 +478,16 @@ CampaignConfig parse_campaign_config(const std::string& text) {
     AA_REQUIRE(inserted, "campaign config line " + std::to_string(line) +
                              ": duplicate key '" + key + "' (first set on line " +
                              std::to_string(it->second) + ")");
+    // Scalar integer keys: int-typed ones must fit in int, the int64 ones
+    // (budget, seeds, timeout) in long long — never silently narrowed.
+    const auto int_value = [&] {
+      return parse_campaign_int(value, at_line(line));
+    };
+    const auto int64_value = [&] {
+      return parse_campaign_int(value, at_line(line),
+                                std::numeric_limits<long long>::min(),
+                                std::numeric_limits<long long>::max());
+    };
 
     if (key == "name") {
       cfg.name = value;
@@ -494,59 +514,66 @@ CampaignConfig parse_campaign_config(const std::string& text) {
     } else if (key == "lens") {
       cfg.lens = parse_bool(value, line);
     } else if (key == "censor_target") {
-      cfg.censor_target = static_cast<int>(parse_int(value, line));
+      cfg.censor_target = static_cast<int>(int_value());
     } else if (key == "parallel_cells") {
       cfg.parallel_cells = parse_bool(value, line);
     } else if (key == "split") {
       cfg.split = parse_double(value, line);
     } else if (key == "trials") {
-      cfg.trials = static_cast<int>(parse_int(value, line));
+      cfg.trials = static_cast<int>(int_value());
     } else if (key == "budget") {
-      cfg.budget = parse_int(value, line);
+      cfg.budget = int64_value();
     } else if (key == "seed") {
-      cfg.seed = static_cast<std::uint64_t>(parse_int(value, line));
+      cfg.seed = static_cast<std::uint64_t>(int64_value());
     } else if (key == "threads") {
-      cfg.threads = static_cast<int>(parse_int(value, line));
+      cfg.threads = static_cast<int>(int_value());
     } else if (key == "chunk_size") {
-      cfg.chunk_size = static_cast<int>(parse_int(value, line));
+      cfg.chunk_size = static_cast<int>(int_value());
     } else if (key == "output_dir") {
       cfg.output_dir = value;
     } else if (key == "audit") {
       cfg.audit = parse_bool(value, line);
     } else if (key == "audit_every") {
-      cfg.audit_every = static_cast<int>(parse_int(value, line));
+      cfg.audit_every = static_cast<int>(int_value());
     } else if (key == "resume") {
       cfg.resume = parse_bool(value, line);
     } else if (key == "cell_timeout_ms") {
-      cfg.cell_timeout_ms = parse_int(value, line);
+      cfg.cell_timeout_ms = int64_value();
     } else if (key == "chaos_crash_prob") {
       cfg.chaos.crash_prob = parse_double(value, line);
     } else if (key == "chaos_crash_budget") {
-      cfg.chaos.crash_budget = static_cast<int>(parse_int(value, line));
+      cfg.chaos.crash_budget = static_cast<int>(int_value());
     } else if (key == "chaos_reset_prob") {
       cfg.chaos.reset_prob = parse_double(value, line);
     } else if (key == "chaos_censor_prob") {
       cfg.chaos.censor_prob = parse_double(value, line);
     } else if (key == "chaos_censor_target") {
-      cfg.chaos.censor_target =
-          static_cast<sim::ProcId>(parse_int(value, line));
+      cfg.chaos.censor_target = static_cast<sim::ProcId>(int_value());
     } else if (key == "chaos_duplicate_prob") {
       cfg.chaos.duplicate_row_prob = parse_double(value, line);
     } else if (key == "chaos_degenerate_prob") {
       cfg.chaos.degenerate_prob = parse_double(value, line);
     } else if (key == "chaos_seed") {
-      cfg.chaos.chaos_seed = static_cast<std::uint64_t>(parse_int(value, line));
+      cfg.chaos.chaos_seed = static_cast<std::uint64_t>(int64_value());
     } else {
       AA_REQUIRE(false, "campaign config line " + std::to_string(line) +
                             ": unknown key '" + key + "'");
     }
   }
+  validate_campaign_config(cfg);
+  return cfg;
+}
+
+void validate_campaign_config(const CampaignConfig& cfg) {
   AA_REQUIRE(cfg.trials > 0, "campaign config: trials must be positive");
   AA_REQUIRE(cfg.budget > 0, "campaign config: budget must be positive");
   AA_REQUIRE(cfg.cell_timeout_ms >= 0,
              "campaign config: cell_timeout_ms must be non-negative");
   AA_REQUIRE(cfg.audit_every >= 0,
              "campaign config: audit_every must be non-negative");
+  AA_REQUIRE(cfg.chunk_size >= 1, "campaign config: chunk_size must be >= 1");
+  AA_REQUIRE(cfg.threads >= 0,
+             "campaign config: threads must be non-negative (0 = hardware)");
   AA_REQUIRE(!cfg.n.empty() && !cfg.t.empty() && !cfg.protocols.empty() &&
                  !cfg.adversaries.empty() && !cfg.thresholds.empty() &&
                  !cfg.memory_k.empty() && !cfg.chaos_plan.empty(),
@@ -572,7 +599,6 @@ CampaignConfig parse_campaign_config(const std::string& text) {
                  "campaign config: censor_target must be < every swept n");
     }
   }
-  return cfg;
 }
 
 CampaignConfig load_campaign_config(const std::string& path) {
@@ -624,12 +650,11 @@ bool compute_cell(const CampaignConfig& config, CampaignContext& ctx,
         config.trials, w.cell.seed0, ctx, &acc, lat_ptr, inline_trials);
   }
   if (rep.trials != config.trials) return false;  // cancelled mid-cell
-  // Report the accumulator's exact-division mean (identical fresh vs
-  // resumed), and persist the integer metric sum so --resume can rebuild
-  // it.
+  // Persist the exact integer metric sum so --resume rebuilds the same
+  // report (the checker's mean is that sum's single exact division).
   w.acc = std::move(acc);
   w.cell.metric_sum = w.acc.metric_sum();
-  w.cell.report = w.acc.finalize(config.model == CampaignModel::kAsync);
+  w.cell.report = std::move(rep);
   if (config.lens) {
     w.cell.lens_report = lat.finalize(w.cell.t);
     // Lens artifact FIRST: resume keys on the cell artifact, so a cell
@@ -650,8 +675,8 @@ bool compute_cell(const CampaignConfig& config, CampaignContext& ctx,
 CampaignResult run_campaign(const CampaignConfig& config,
                             CampaignContext& ctx) {
   namespace fs = std::filesystem;
-  // Re-checked here (not just in the parser) because CLI overrides and
-  // programmatic configs can combine the two after parsing.
+  // Re-checked here (not just in validate_campaign_config) because
+  // programmatic configs never pass through the parser.
   AA_REQUIRE(!config.parallel_cells || config.cell_timeout_ms == 0,
              "run_campaign: parallel_cells and cell_timeout_ms are "
              "mutually exclusive");

@@ -8,9 +8,8 @@
 // seeded checker trials under one model (window or async). Cell order,
 // per-cell seed blocks, and the merged summary are functions of the config
 // ALONE: the same config produces byte-identical per-cell reports and
-// summary JSON at --threads 1 and --threads 8 (per-cell reports via the
-// checker's fixed-chunk merge, the summary via the exactly-associative
-// MeasureOneAccumulator — core/report.hpp).
+// summary JSON at --threads 1 and --threads 8 (both folded by the
+// exactly-associative MeasureOneAccumulator — core/report.hpp).
 //
 // Config files are flat `key = value` text: one key per line, lists
 // comma-separated, `#` starts a comment. See CampaignConfig for the keys
@@ -18,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -134,8 +134,25 @@ struct CampaignConfig {
 };
 
 /// Parse config text (`key = value` lines, `#` comments). Unknown keys and
-/// malformed values throw with a line-numbered message.
+/// malformed values throw with a line-numbered message; the result has
+/// passed validate_campaign_config.
 [[nodiscard]] CampaignConfig parse_campaign_config(const std::string& text);
+
+/// The one strict integer parser behind every integer config key, list
+/// item and CLI flag: the whole of `value` must be a base-10 integer in
+/// [lo, hi] (default: the int range), so nothing is silently truncated or
+/// wrapped. Throws std::invalid_argument prefixed with `where` (a config
+/// line or a flag name).
+[[nodiscard]] long long parse_campaign_int(
+    const std::string& value, const std::string& where,
+    long long lo = std::numeric_limits<int>::min(),
+    long long hi = std::numeric_limits<int>::max());
+
+/// The cross-field checks every config must pass (positive trials and
+/// budget, chunk_size >= 1, threads >= 0, non-empty axes, chaos and censor
+/// consistency, ...). parse_campaign_config runs it; a caller that edits a
+/// parsed config (the CLI's flag overrides) must run it again.
+void validate_campaign_config(const CampaignConfig& cfg);
 
 /// Read and parse a config file.
 [[nodiscard]] CampaignConfig load_campaign_config(const std::string& path);

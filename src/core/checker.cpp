@@ -1,30 +1,24 @@
 #include "core/checker.hpp"
 
-#include <algorithm>
-#include <utility>
-
-#include "util/stats.hpp"
+#include <vector>
 
 namespace aa::core {
 
 namespace {
 
 /// Shared trial engine: run `trial(seed0 + i, scratch)` for i in
-/// [0, trials), sharded into fixed chunks across the context's pool.
-/// Partial tallies are merged serially in chunk order, so the report —
-/// including the floating-point metric mean, which keeps the historical
-/// chunk-order RunningStats fold — is bit-identical at any thread count.
-/// When `acc_out` is non-null every verdict is also folded into it (the
-/// exactly-associative campaign path; see core/report.hpp for why the two
-/// aggregations coexist).
+/// [0, trials), sharded into fixed chunks across the context's pool (or
+/// inline). Per-chunk accumulators hold exact integers, so merging them
+/// gives the same report — one division for the mean, at finalize — at
+/// any thread count. `async_metric` selects finalize's async convention.
+/// When `acc_out` is non-null the merged tallies are also folded into it.
 template <typename RunTrial>
 MeasureOneReport run_measure_one(int trials, std::uint64_t seed0,
-                                 CampaignContext& ctx,
+                                 bool async_metric, CampaignContext& ctx,
                                  MeasureOneAccumulator* acc_out,
                                  lens::LatencyAccumulator* lat_out,
                                  bool inline_trials, const RunTrial& trial) {
   struct Partial {
-    RunningStats metric;
     MeasureOneAccumulator acc;
     lens::LatencyAccumulator lat;
   };
@@ -46,39 +40,19 @@ MeasureOneReport run_measure_one(int trials, std::uint64_t seed0,
       const std::uint64_t seed = seed0 + static_cast<std::uint64_t>(i);
       const TrialVerdict v = trial(seed, scratch);
       p.acc.add(seed, v);
-      if (v.decided) p.metric.add(static_cast<double>(v.metric));
       if (lat_out != nullptr && scratch.trace) p.lat.add(*scratch.trace);
     }
   };
-  if (inline_trials) {
-    // The whole check is already one task on the shared pool (the
-    // parallel-cells campaign path): run every chunk on THIS thread, in
-    // order. Spawning a nested pool here would hand other threads the
-    // same per-worker scratch this task is using. Chunk boundaries are
-    // identical to the pooled schedule, so the merged bytes match.
-    const std::int64_t chunk =
-        std::max(1, par.chunk_size);  // chunk_count's partition
-    for (int ci = 0; ci < static_cast<int>(parts.size()); ++ci) {
-      const std::int64_t begin = static_cast<std::int64_t>(ci) * chunk;
-      body(ci, begin, std::min<std::int64_t>(begin + chunk, trials));
-    }
-  } else if (ctx.pool() != nullptr) {
-    parallel_for_chunks(trials, par, body, *ctx.pool());
-  } else {
-    parallel_for_chunks(trials, par, body);
-  }
+  // inline_trials: the whole check is already one task on the shared pool
+  // (the parallel-cells campaign path), so run every chunk on THIS thread;
+  // re-sharding onto the pool this task occupies would hand other threads
+  // the per-worker scratch it is using. Chunk boundaries do not depend on
+  // the pool, so the merged bytes match.
+  parallel_for_chunks(trials, par, body, inline_trials ? nullptr : ctx.pool());
 
-  // Chunk-order merges. The accumulator part is order-independent anyway;
-  // the RunningStats part is exactly the historical reduction tree.
   MeasureOneAccumulator acc;
-  RunningStats metric;
-  for (const Partial& p : parts) {
-    acc.merge(p.acc);
-    metric.merge(p.metric);
-  }
-  MeasureOneReport rep = acc.finalize();
-  rep.mean_windows_to_first = metric.mean();
-  rep.mean_chain_at_decision = 0.0;
+  for (const Partial& p : parts) acc.merge(p.acc);
+  const MeasureOneReport rep = acc.finalize(async_metric);
   if (acc_out != nullptr) acc_out->merge(acc);
   if (lat_out != nullptr) {
     for (const Partial& p : parts) lat_out->merge(p.lat);
@@ -105,7 +79,7 @@ MeasureOneReport check_measure_one_window(
   if (lat != nullptr) s.lens = true;
   const Runner runner(s);
   return run_measure_one(
-      trials, seed0, ctx, acc, lat, inline_trials,
+      trials, seed0, /*async_metric=*/false, ctx, acc, lat, inline_trials,
       [&](std::uint64_t seed, WorkerScratch& scratch) {
         auto adv = make_adversary(seed);
         const WindowRunResult r = runner.run_window(*adv, seed, scratch);
@@ -127,8 +101,10 @@ MeasureOneReport check_measure_one_async(
   Experiment s = checker_spec(spec);
   if (lat != nullptr) s.lens = true;
   const Runner runner(s);
-  MeasureOneReport rep = run_measure_one(
-      trials, seed0, ctx, acc, lat, inline_trials,
+  // The async decision metric is the message-chain length; finalize also
+  // mirrors it into mean_windows_to_first, which campaign artifacts carry.
+  return run_measure_one(
+      trials, seed0, /*async_metric=*/true, ctx, acc, lat, inline_trials,
       [&](std::uint64_t seed, WorkerScratch& scratch) {
         auto adv = make_adversary(seed);
         const AsyncRunOutcome r = runner.run_async(*adv, seed, scratch);
@@ -140,40 +116,6 @@ MeasureOneReport check_measure_one_async(
         v.metric = r.chain_at_decision;
         return v;
       });
-  // The async decision metric is the message-chain length. It also stays in
-  // mean_windows_to_first, which older callers read.
-  rep.mean_chain_at_decision = rep.mean_windows_to_first;
-  return rep;
-}
-
-MeasureOneReport check_measure_one_window(
-    protocols::ProtocolKind kind, const std::vector<int>& inputs, int t,
-    const WindowAdversaryFactory& make_adversary, int trials,
-    std::int64_t max_windows, std::uint64_t seed0,
-    std::optional<protocols::Thresholds> th, const ParallelConfig& par) {
-  Experiment spec;
-  spec.kind = kind;
-  spec.inputs = inputs;
-  spec.t = t;
-  spec.budget = max_windows;
-  spec.thresholds = th;
-  CampaignContext ctx(par);
-  return check_measure_one_window(spec, make_adversary, trials, seed0, ctx);
-}
-
-MeasureOneReport check_measure_one_async(
-    protocols::ProtocolKind kind, const std::vector<int>& inputs, int t,
-    const AsyncAdversaryFactory& make_adversary, int trials,
-    std::int64_t max_deliveries, std::uint64_t seed0,
-    std::optional<protocols::Thresholds> th, const ParallelConfig& par) {
-  Experiment spec;
-  spec.kind = kind;
-  spec.inputs = inputs;
-  spec.t = t;
-  spec.budget = max_deliveries;
-  spec.thresholds = th;
-  CampaignContext ctx(par);
-  return check_measure_one_async(spec, make_adversary, trials, seed0, ctx);
 }
 
 }  // namespace aa::core

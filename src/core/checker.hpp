@@ -7,27 +7,21 @@
 // adversary factory and report every violation with its seed, so any
 // failure is exactly reproducible.
 //
-// Two call shapes per checker:
-//   * The CampaignContext shape is the primary engine: trials shard onto
-//     the context's long-lived work-stealing pool and every worker reuses
-//     its per-context Execution scratch across trials AND across checks —
-//     build one context per campaign and pass it to every check.
-//   * The ParallelConfig shape is the legacy convenience wrapper: it
-//     builds a throwaway context per call (the pre-campaign cost model).
-// Both produce bit-identical reports at any thread count: chunk boundaries
-// and the partial-merge order depend only on (trials, chunk_size), see
-// util/thread_pool.hpp.
+// Each checker takes an Experiment spec and a CampaignContext: trials
+// shard onto the context's long-lived work-stealing pool and every worker
+// reuses its per-context Execution scratch across trials AND across checks
+// — build one context per campaign and pass it to every check. Every
+// trial verdict folds into an exactly-associative MeasureOneAccumulator
+// (core/report.hpp), so the report — including its exact integer-quotient
+// means — is bit-identical at any thread count.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
-#include <vector>
 
-#include "core/harness.hpp"
+#include "core/experiment.hpp"
 #include "core/report.hpp"
-#include "util/thread_pool.hpp"
 
 namespace aa::core {
 
@@ -41,9 +35,9 @@ using AsyncAdversaryFactory =
 /// `spec` (budget = max acceptable windows; the stop condition is forced
 /// to kAllDecided), seeds seed0, seed0+1, ... Trials are sharded across
 /// the context's pool per ctx.parallel(); the report is bit-identical at
-/// any thread count. When `acc` is non-null the per-trial verdicts are
-/// ALSO folded into it (exactly-associative campaign aggregation — the
-/// report itself keeps the legacy chunk-order statistics fold).
+/// any thread count. When `acc` is non-null the check's tallies are ALSO
+/// merged into it (the campaign summary and --resume read its exact
+/// integer metric sum).
 ///
 /// When `lat` is non-null the lens is forced on (Experiment::lens) and
 /// every trial's WindowTrace is folded into it — the same associative
@@ -67,21 +61,5 @@ using AsyncAdversaryFactory =
     int trials, std::uint64_t seed0, CampaignContext& ctx,
     MeasureOneAccumulator* acc = nullptr,
     lens::LatencyAccumulator* lat = nullptr, bool inline_trials = false);
-
-/// Legacy wrapper: unpacked parameters, throwaway context per call.
-[[nodiscard]] MeasureOneReport check_measure_one_window(
-    protocols::ProtocolKind kind, const std::vector<int>& inputs, int t,
-    const WindowAdversaryFactory& make_adversary, int trials,
-    std::int64_t max_windows, std::uint64_t seed0,
-    std::optional<protocols::Thresholds> th = std::nullopt,
-    const ParallelConfig& par = {});
-
-/// Legacy wrapper, same shape.
-[[nodiscard]] MeasureOneReport check_measure_one_async(
-    protocols::ProtocolKind kind, const std::vector<int>& inputs, int t,
-    const AsyncAdversaryFactory& make_adversary, int trials,
-    std::int64_t max_deliveries, std::uint64_t seed0,
-    std::optional<protocols::Thresholds> th = std::nullopt,
-    const ParallelConfig& par = {});
 
 }  // namespace aa::core

@@ -145,11 +145,7 @@ ExhaustiveReport explore(int t, const protocols::Thresholds& th,
               s_choices, r_choices);
         }
       };
-      if (ctx.pool() != nullptr) {
-        parallel_for_chunks(count, gen, body, *ctx.pool());
-      } else {
-        parallel_for_chunks(count, gen, body);
-      }
+      parallel_for_chunks(count, gen, body, ctx.pool());
       for (std::vector<AbstractConfig>& candidates : produced) {
         for (AbstractConfig& next : candidates) {
           ++report.transitions;

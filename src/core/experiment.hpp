@@ -2,16 +2,18 @@
 //
 // An Experiment is a named-field specification of one agreement experiment —
 // protocol kind, inputs, fault budget, step/window budget, thresholds, stop
-// condition, and (optionally) a Byzantine corruption — everything the old
-// positional run_window_experiment / run_async_experiment /
-// run_byzantine_window_experiment trio threaded through long parameter
-// lists. A Runner executes the spec against an adversary, deterministically
-// in the seed. One spec can be reused across many seeded runs (the Runner
-// is immutable and its run methods are const and thread-safe), which is how
-// the measure-one checkers shard trials across workers.
+// condition, and (optionally) a Byzantine corruption. A Runner executes the
+// spec against an adversary, deterministically in the seed; it is the one
+// way to run a trial. With designated initializers a single run stays one
+// expression:
 //
-// The legacy run_*_experiment free functions survive in core/harness.hpp as
-// thin wrappers over this API.
+//   Runner(Experiment{.kind = ProtocolKind::Reset, .inputs = inputs,
+//                     .t = 2, .budget = 1000})
+//       .run_window(adversary, seed);
+//
+// One spec can be reused across many seeded runs (the Runner is immutable
+// and its run methods are const and thread-safe), which is how the
+// measure-one checkers (core/checker.hpp) shard trials across workers.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +44,7 @@ struct ByzantineSpec {
   int count = 0;
   protocols::ByzantineStrategy strategy =
       protocols::ByzantineStrategy::Equivocate;
-  std::vector<sim::ProcId> pre_crashed;
+  std::vector<sim::ProcId> pre_crashed{};
 };
 
 /// Declarative experiment specification (named fields; see file comment).
@@ -53,9 +55,9 @@ struct Experiment {
   std::vector<int> inputs;
   int t = 0;
   std::int64_t budget = 0;
-  std::optional<protocols::Thresholds> thresholds;
+  std::optional<protocols::Thresholds> thresholds{};
   StopCondition stop = StopCondition::kFirstDecision;
-  std::optional<ByzantineSpec> byzantine;
+  std::optional<ByzantineSpec> byzantine{};
   /// Bounded-memory knob for ProtocolKind::Forgetful (tallied-round
   /// look-ahead horizon; 0 = unbounded). Ignored by the other protocols.
   int memory_k = 0;

@@ -1,23 +1,18 @@
 // Measure-one trial reports and their hierarchical, exactly-associative
 // aggregation.
 //
-// Two aggregation paths coexist on purpose:
-//
-//  * The legacy checker path (core/checker.cpp) folds per-chunk
-//    RunningStats partials in chunk order. Welford merging is NOT
-//    associative in floating point, so that path pins one merge order
-//    (chunk order) to stay bit-identical across thread counts — but it
-//    cannot be re-sharded hierarchically (cell → campaign) without
-//    changing bits.
-//  * The campaign path below accumulates EXACT INTEGERS only: counter
-//    tallies plus an int64 sum of the decision metric (both measured
-//    metrics — windows-to-first-decision and chain-at-decision — are
-//    integers by construction). Integer addition is associative and
-//    commutative, and violating seeds are canonicalised by sorting at
-//    finalize, so ANY merge tree over any sharding of the same trial set
-//    finalizes to the same bytes. That is the contract the campaign
-//    engine's "merged summary is byte-identical at --threads 1 and 8,
-//    shards 1/4/16" tests pin down.
+// Every report — a checker's, a campaign cell's, a campaign summary — is
+// folded by one path, MeasureOneAccumulator, which holds EXACT INTEGERS
+// only: counter tallies plus an int64 sum of the decision metric (both
+// measured metrics — windows-to-first-decision and chain-at-decision — are
+// integers by construction). Integer addition is associative and
+// commutative, and violating seeds are canonicalised by sorting at
+// finalize, so ANY merge tree over any sharding of the same trial set
+// finalizes to the same bytes, and the reported mean is the correctly
+// rounded quotient of the integer sum by the deciding-trial count (exact
+// conversion while the sum stays below 2^53). That is
+// the contract behind "every report is byte-identical at --threads 1 and
+// 8" (checker chunks, campaign shards 1/4/16, fresh vs resumed cells).
 #pragma once
 
 #include <cstdint>
@@ -37,8 +32,8 @@ struct MeasureOneReport {
   int decided_runs = 0;        ///< trials where some processor decided
   int all_decided_runs = 0;    ///< trials where all live processors decided
   /// Mean windows to the first decision, over deciding runs (window model).
-  /// For compatibility the async checker also stores its mean chain length
-  /// here; prefer mean_chain_at_decision for async results.
+  /// Async reports mirror their mean chain length here (campaign cell
+  /// artifacts serialize this field); prefer mean_chain_at_decision there.
   double mean_windows_to_first = 0.0;
   /// Mean message-chain length at the first decision, over deciding runs
   /// (async model; 0 for window-model reports).

@@ -25,68 +25,6 @@ int chunk_count(std::int64_t total, const ParallelConfig& cfg) {
   return static_cast<int>(count);
 }
 
-ThreadPool::ThreadPool(int threads) {
-  AA_REQUIRE(threads >= 1, "ThreadPool: need at least one worker");
-  workers_.reserve(static_cast<std::size_t>(threads));
-  for (int i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    MutexLock lock(mu_);
-    stopping_ = true;
-  }
-  work_ready_.notify_all();
-  for (std::thread& w : workers_) w.join();
-}
-
-void ThreadPool::submit(std::function<void()> job) {
-  {
-    MutexLock lock(mu_);
-    AA_REQUIRE(!stopping_, "ThreadPool: submit after shutdown");
-    jobs_.push_back(std::move(job));
-  }
-  work_ready_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  MutexLock lock(mu_);
-  while (!jobs_.empty() || in_flight_ != 0) all_idle_.wait(lock);
-  if (first_error_) {
-    std::exception_ptr e = first_error_;
-    first_error_ = nullptr;
-    lock.unlock();
-    std::rethrow_exception(e);
-  }
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> job;
-    {
-      MutexLock lock(mu_);
-      while (!stopping_ && jobs_.empty()) work_ready_.wait(lock);
-      if (jobs_.empty()) return;  // stopping_ with a drained queue
-      job = std::move(jobs_.front());
-      jobs_.pop_front();
-      ++in_flight_;
-    }
-    try {
-      job();
-    } catch (...) {
-      MutexLock lock(mu_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-    {
-      MutexLock lock(mu_);
-      --in_flight_;
-      if (jobs_.empty() && in_flight_ == 0) all_idle_.notify_all();
-    }
-  }
-}
-
 namespace {
 
 /// Identity of the pool-worker thread this is, if any. Keyed per pool so
@@ -237,13 +175,12 @@ void WorkStealingPool::run_job(Job& job) {
 
 void WorkStealingPool::finish_job(TaskGroup* group,
                                   std::exception_ptr error) {
-  bool last = false;
-  {
-    MutexLock lock(group->mu_);
-    if (error && !group->first_error_) group->first_error_ = std::move(error);
-    last = --group->outstanding_ == 0;
-  }
-  if (last) group->done_.notify_all();
+  // Notify while still holding the lock: once outstanding_ reaches 0 the
+  // waiter may return and destroy the group (and its CondVar) as soon as
+  // it can take mu_, so nothing may touch the group after the unlock.
+  MutexLock lock(group->mu_);
+  if (error && !group->first_error_) group->first_error_ = std::move(error);
+  if (--group->outstanding_ == 0) group->done_.notify_all();
 }
 
 Watchdog::~Watchdog() {
@@ -305,7 +242,7 @@ void Watchdog::loop() {
 void parallel_for_chunks(
     std::int64_t total, const ParallelConfig& cfg,
     const std::function<void(int, std::int64_t, std::int64_t)>& body,
-    ThreadPool* pool) {
+    WorkStealingPool* pool) {
   const int chunks = chunk_count(total, cfg);
   if (chunks == 0) return;
   const std::int64_t chunk = std::max(1, cfg.chunk_size);
@@ -314,45 +251,13 @@ void parallel_for_chunks(
     const std::int64_t end = std::min(total, begin + chunk);
     body(ci, begin, end);
   };
-
-  const int workers = std::min(cfg.resolved_threads(), chunks);
-  if (workers <= 1) {
+  // Serial semantics: no pool, one thread asked for, or one chunk — run
+  // inline and in order, no pool traffic at all.
+  if (pool == nullptr || cfg.resolved_threads() <= 1 || chunks == 1) {
     for (int ci = 0; ci < chunks; ++ci) run_chunk(ci);
     return;
   }
-  const auto dispatch = [&](ThreadPool& p) {
-    for (int ci = 0; ci < chunks; ++ci) {
-      p.submit([&run_chunk, ci] { run_chunk(ci); });
-    }
-    p.wait_idle();
-  };
-  if (pool) {
-    dispatch(*pool);
-  } else {
-    ThreadPool local(workers);
-    dispatch(local);
-  }
-}
-
-void parallel_for_chunks(
-    std::int64_t total, const ParallelConfig& cfg,
-    const std::function<void(int, std::int64_t, std::int64_t)>& body,
-    WorkStealingPool& pool) {
-  const int chunks = chunk_count(total, cfg);
-  if (chunks == 0) return;
-  const std::int64_t chunk = std::max(1, cfg.chunk_size);
-  const auto run_chunk = [&](int ci) {
-    const std::int64_t begin = static_cast<std::int64_t>(ci) * chunk;
-    const std::int64_t end = std::min(total, begin + chunk);
-    body(ci, begin, end);
-  };
-  // Serial semantics when the config asks for one thread (or there is only
-  // one chunk): run inline, no pool traffic at all.
-  if (cfg.resolved_threads() <= 1 || chunks == 1) {
-    for (int ci = 0; ci < chunks; ++ci) run_chunk(ci);
-    return;
-  }
-  WorkStealingPool::TaskGroup group(pool);
+  WorkStealingPool::TaskGroup group(*pool);
   for (int ci = 0; ci < chunks; ++ci) {
     group.submit([&run_chunk, ci] { run_chunk(ci); });
   }

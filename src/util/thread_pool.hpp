@@ -1,6 +1,9 @@
 // Worker-thread pool and deterministic work sharding for the trial engines.
 //
-// Parallel Monte-Carlo here rests on two invariants:
+// One pool type (WorkStealingPool, long-lived, shared across every check
+// of a campaign) and one sharding entry point (parallel_for_chunks, which
+// runs inline when given no pool). Parallel Monte-Carlo rests on two
+// invariants:
 //
 //  1. Per-trial independence — trial i draws every bit of randomness from
 //     its own Rng(seed0 + i) stream (util/rng.hpp), so trials can run on
@@ -8,9 +11,9 @@
 //  2. Thread-count-independent merging — work is split into FIXED-SIZE
 //     chunks whose boundaries depend only on (total, chunk_size), never on
 //     the worker count, and per-chunk partial results are merged serially
-//     in chunk order. The floating-point reduction tree is therefore
-//     identical for 1, 2, or 64 threads, making reports bit-identical at
-//     any thread count.
+//     in chunk order. Any reduction — even a floating-point one — is
+//     therefore identical for 1, 2, or 64 threads, making reports
+//     bit-identical at any thread count.
 //
 // Lock discipline is statically checked: every mutex-guarded member below
 // carries AA_GUARDED_BY and internal helpers declare AA_REQUIRES
@@ -52,41 +55,10 @@ struct ParallelConfig {
 /// Throws if the count does not fit in int (raise chunk_size instead).
 [[nodiscard]] int chunk_count(std::int64_t total, const ParallelConfig& cfg);
 
-/// A plain FIFO thread pool: `submit` enqueues a job, `wait_idle` blocks
-/// until the queue is drained and every worker is between jobs. The first
-/// exception thrown by a job is captured and rethrown from wait_idle().
-class ThreadPool {
- public:
-  explicit ThreadPool(int threads);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  void submit(std::function<void()> job);
-  void wait_idle();
-
-  [[nodiscard]] int size() const noexcept {
-    return static_cast<int>(workers_.size());
-  }
-
- private:
-  void worker_loop();
-
-  Mutex mu_;
-  CondVar work_ready_;
-  CondVar all_idle_;
-  std::deque<std::function<void()>> jobs_ AA_GUARDED_BY(mu_);
-  std::vector<std::thread> workers_;  ///< written in the ctor only
-  std::exception_ptr first_error_ AA_GUARDED_BY(mu_);
-  std::size_t in_flight_ AA_GUARDED_BY(mu_) = 0;
-  bool stopping_ AA_GUARDED_BY(mu_) = false;
-};
-
 /// Long-lived work-stealing pool for campaign-scale workloads: one pool is
-/// created per campaign and shared across every check it runs, instead of a
-/// spawn/join cycle per check (the overhead that flattened BENCH_t1/t2's
-/// parallel speedup to ~1x).
+/// created per campaign (core::CampaignContext) and shared across every
+/// check it runs, instead of a spawn/join cycle per check (the overhead
+/// that flattened BENCH_t1/t2's parallel speedup to ~1x).
 ///
 /// Design:
 ///   * One mutex-protected deque per worker. submit() distributes jobs
@@ -230,27 +202,17 @@ class Watchdog {
 };
 
 /// Partition [0, total) into chunk_count(total, cfg) fixed chunks and call
-/// `body(chunk_index, begin, end)` once per chunk — inline and in order
-/// when cfg resolves to one thread, across a pool otherwise. Distinct
-/// chunks run concurrently; `body` must not touch another chunk's state.
-/// Rethrows the first exception any chunk raised.
-///
-/// Callers that invoke this in a loop should pass a long-lived `pool` to
-/// avoid a thread spawn/join cycle per call; the pool must not be shared
-/// with concurrent submitters (wait_idle waits for ALL of its jobs). With
-/// no pool a temporary one is created when cfg warrants it.
+/// `body(chunk_index, begin, end)` once per chunk. With a null `pool`, a
+/// config that resolves to one thread, or a single chunk, every chunk runs
+/// inline on the calling thread in chunk order. Otherwise the chunks are
+/// submitted to `pool` as one TaskGroup and the caller helps execute until
+/// they are done; many threads may call this on one pool concurrently
+/// (each call waits only for its own chunks). Distinct chunks may run
+/// concurrently, so `body` must not touch another chunk's state. Rethrows
+/// the first exception any chunk raised.
 void parallel_for_chunks(
     std::int64_t total, const ParallelConfig& cfg,
     const std::function<void(int, std::int64_t, std::int64_t)>& body,
-    ThreadPool* pool = nullptr);
-
-/// Same contract on a shared work-stealing pool: chunks are submitted as
-/// one TaskGroup and the caller helps execute until they are done. Safe to
-/// call from multiple threads on the same pool concurrently (each call
-/// waits only for its own chunks).
-void parallel_for_chunks(
-    std::int64_t total, const ParallelConfig& cfg,
-    const std::function<void(int, std::int64_t, std::int64_t)>& body,
-    WorkStealingPool& pool);
+    WorkStealingPool* pool);
 
 }  // namespace aa

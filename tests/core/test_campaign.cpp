@@ -140,6 +140,38 @@ TEST(CampaignConfig, RejectsMalformedInput) {
                std::invalid_argument);  // negative timeout
   EXPECT_THROW(parse_campaign_config("audit_every = -3"),
                std::invalid_argument);  // negative sampling period
+  // Integers must fit their field: no silent wrap through int.
+  EXPECT_THROW(parse_campaign_config("trials = 4294967297"),
+               std::invalid_argument);  // would wrap to 1 trial
+  EXPECT_THROW(parse_campaign_config("n = 4294967309"),
+               std::invalid_argument);  // list item, would wrap to 13
+  EXPECT_THROW(parse_campaign_config("n = 8, 4294967309"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_campaign_config("censor_target = -4294967295"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_campaign_config("budget = 99999999999999999999"),
+               std::invalid_argument);  // beyond int64
+  EXPECT_THROW(parse_campaign_config("chunk_size = 0"),
+               std::invalid_argument);  // used to become 1 silently
+  EXPECT_THROW(parse_campaign_config("threads = -1"),
+               std::invalid_argument);  // used to become 1 silently
+  // The strict parser the CLI flags share names where the value came from.
+  EXPECT_THROW((void)parse_campaign_int("abc", "--trials"),
+               std::invalid_argument);
+  try {
+    (void)parse_campaign_int("4294967297", "--trials");
+    ADD_FAILURE() << "out-of-range flag value accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--trials"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(parse_campaign_int("-7", "--x"), -7);
+  // Validation is callable on its own (the CLI reruns it after overrides).
+  CampaignConfig edited = parse_campaign_config("n = 8");
+  edited.censor_target = 99;
+  EXPECT_THROW(validate_campaign_config(edited), std::invalid_argument);
+  edited.censor_target = 3;
+  EXPECT_NO_THROW(validate_campaign_config(edited));
 }
 
 // ---- sweep structure -------------------------------------------------------

@@ -1,10 +1,9 @@
-// core::Experiment + core::Runner — the declarative experiment API — and
-// its equivalence with the legacy run_*_experiment wrappers.
+// core::Experiment + core::Runner — the declarative experiment API.
 #include <gtest/gtest.h>
 
 #include "adversary/async_adversaries.hpp"
 #include "adversary/window_adversaries.hpp"
-#include "core/harness.hpp"
+#include "core/experiment.hpp"
 
 namespace aa::core {
 namespace {
@@ -20,65 +19,6 @@ Experiment window_spec(int n, std::int64_t budget,
   spec.budget = budget;
   spec.stop = stop;
   return spec;
-}
-
-TEST(Runner, WindowMatchesLegacyWrapper) {
-  const Runner runner(window_spec(13, 100000, StopCondition::kAllDecided));
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    adversary::FairWindowAdversary fair_a;
-    adversary::FairWindowAdversary fair_b;
-    const WindowRunResult a = runner.run_window(fair_a, seed);
-    const WindowRunResult b = run_window_experiment(
-        ProtocolKind::Reset, protocols::split_inputs(13, 0.5), 2, fair_b,
-        100000, seed, std::nullopt, /*until_all_decided=*/true);
-    EXPECT_EQ(a.decided, b.decided);
-    EXPECT_EQ(a.all_decided, b.all_decided);
-    EXPECT_EQ(a.decision, b.decision);
-    EXPECT_EQ(a.windows_to_first, b.windows_to_first);
-    EXPECT_EQ(a.windows_total, b.windows_total);
-    EXPECT_EQ(a.steps, b.steps);
-    EXPECT_EQ(a.agreement, b.agreement);
-    EXPECT_EQ(a.validity, b.validity);
-  }
-}
-
-TEST(Runner, AsyncMatchesLegacyWrapper) {
-  Experiment spec;
-  spec.kind = ProtocolKind::BenOr;
-  spec.inputs = protocols::split_inputs(9, 0.5);
-  spec.t = 2;
-  spec.budget = 5'000'000;
-  const Runner runner(std::move(spec));
-  adversary::RandomAsyncScheduler sched_a(Rng(3));
-  adversary::RandomAsyncScheduler sched_b(Rng(3));
-  const AsyncRunOutcome a = runner.run_async(sched_a, 13);
-  const AsyncRunOutcome b = run_async_experiment(
-      ProtocolKind::BenOr, protocols::split_inputs(9, 0.5), 2, sched_b,
-      5'000'000, 13);
-  EXPECT_EQ(a.decided, b.decided);
-  EXPECT_EQ(a.decision, b.decision);
-  EXPECT_EQ(a.deliveries, b.deliveries);
-  EXPECT_EQ(a.chain_at_decision, b.chain_at_decision);
-  EXPECT_EQ(a.agreement, b.agreement);
-  EXPECT_EQ(a.validity, b.validity);
-}
-
-TEST(Runner, ByzantineMatchesLegacyWrapper) {
-  Experiment spec = window_spec(13, 100000);
-  spec.byzantine = ByzantineSpec{2, protocols::ByzantineStrategy::Equivocate,
-                                 {12}};
-  const Runner runner(std::move(spec));
-  adversary::FairWindowAdversary fair_a;
-  adversary::FairWindowAdversary fair_b;
-  const ByzantineRunResult a = runner.run_byzantine(fair_a, 7);
-  const ByzantineRunResult b = run_byzantine_window_experiment(
-      ProtocolKind::Reset, protocols::split_inputs(13, 0.5), 2, 2,
-      protocols::ByzantineStrategy::Equivocate, fair_b, 100000, 7, {12});
-  EXPECT_EQ(a.honest_decided, b.honest_decided);
-  EXPECT_EQ(a.honest_all_decided, b.honest_all_decided);
-  EXPECT_EQ(a.honest_agreement, b.honest_agreement);
-  EXPECT_EQ(a.honest_validity, b.honest_validity);
-  EXPECT_EQ(a.windows_total, b.windows_total);
 }
 
 TEST(Runner, StopConditionControlsRunLength) {

@@ -2,7 +2,7 @@
 
 #include "adversary/async_adversaries.hpp"
 #include "adversary/window_adversaries.hpp"
-#include "core/harness.hpp"
+#include "core/experiment.hpp"
 
 namespace aa::core {
 namespace {
@@ -11,9 +11,12 @@ using protocols::ProtocolKind;
 
 TEST(WindowHarness, UnanimousFastPath) {
   adversary::FairWindowAdversary fair;
-  const WindowRunResult r = run_window_experiment(
-      ProtocolKind::Reset, protocols::unanimous_inputs(12, 1), 1, fair, 100,
-      7);
+  const WindowRunResult r =
+      Runner(Experiment{.kind = ProtocolKind::Reset,
+                        .inputs = protocols::unanimous_inputs(12, 1),
+                        .t = 1,
+                        .budget = 100})
+          .run_window(fair, 7);
   EXPECT_TRUE(r.decided);
   EXPECT_EQ(r.decision, 1);
   EXPECT_EQ(r.windows_to_first, 1);
@@ -25,10 +28,20 @@ TEST(WindowHarness, UntilAllRunsLonger) {
   adversary::FairWindowAdversary fair1;
   adversary::FairWindowAdversary fair2;
   const auto inputs = protocols::split_inputs(12, 0.5);
-  const WindowRunResult first = run_window_experiment(
-      ProtocolKind::Reset, inputs, 1, fair1, 100000, 7, std::nullopt, false);
-  const WindowRunResult all = run_window_experiment(
-      ProtocolKind::Reset, inputs, 1, fair2, 100000, 7, std::nullopt, true);
+  const WindowRunResult first =
+      Runner(Experiment{.kind = ProtocolKind::Reset,
+                        .inputs = inputs,
+                        .t = 1,
+                        .budget = 100000,
+                        .stop = StopCondition::kFirstDecision})
+          .run_window(fair1, 7);
+  const WindowRunResult all =
+      Runner(Experiment{.kind = ProtocolKind::Reset,
+                        .inputs = inputs,
+                        .t = 1,
+                        .budget = 100000,
+                        .stop = StopCondition::kAllDecided})
+          .run_window(fair2, 7);
   EXPECT_TRUE(first.decided);
   EXPECT_TRUE(all.all_decided);
   EXPECT_GE(all.windows_total, first.windows_total);
@@ -36,17 +49,23 @@ TEST(WindowHarness, UntilAllRunsLonger) {
 
 TEST(WindowHarness, RespectsMaxWindows) {
   adversary::SplitKeeperAdversary keeper;
-  const WindowRunResult r = run_window_experiment(
-      ProtocolKind::Reset, protocols::split_inputs(20, 0.5), 3, keeper, 2, 7);
+  const WindowRunResult r =
+      Runner(Experiment{.kind = ProtocolKind::Reset,
+                        .inputs = protocols::split_inputs(20, 0.5),
+                        .t = 3,
+                        .budget = 2})
+          .run_window(keeper, 7);
   EXPECT_LE(r.windows_total, 2);
 }
 
 TEST(WindowHarness, DeterministicInSeed) {
   auto run = [](std::uint64_t seed) {
     adversary::FairWindowAdversary fair;
-    return run_window_experiment(ProtocolKind::Reset,
-                                 protocols::split_inputs(12, 0.5), 1, fair,
-                                 100000, seed)
+    return Runner(Experiment{.kind = ProtocolKind::Reset,
+                             .inputs = protocols::split_inputs(12, 0.5),
+                             .t = 1,
+                             .budget = 100000})
+        .run_window(fair, seed)
         .windows_to_first;
   };
   EXPECT_EQ(run(42), run(42));
@@ -60,17 +79,25 @@ TEST(WindowHarness, CustomThresholdsHonoured) {
                                  n - 2 * t - 3 - t};
   adversary::FairWindowAdversary fair;
   const WindowRunResult r =
-      run_window_experiment(ProtocolKind::Reset, protocols::split_inputs(n, 0.5),
-                            t, fair, 100000, 11, th, true);
+      Runner(Experiment{.kind = ProtocolKind::Reset,
+                        .inputs = protocols::split_inputs(n, 0.5),
+                        .t = t,
+                        .budget = 100000,
+                        .thresholds = th,
+                        .stop = StopCondition::kAllDecided})
+          .run_window(fair, 11);
   EXPECT_TRUE(r.all_decided);
   EXPECT_TRUE(r.agreement);
 }
 
 TEST(AsyncHarness, BenOrRunsToDecision) {
   adversary::RandomAsyncScheduler sched(Rng(3));
-  const AsyncRunOutcome r = run_async_experiment(
-      ProtocolKind::BenOr, protocols::split_inputs(9, 0.5), 2, sched,
-      5'000'000, 13);
+  const AsyncRunOutcome r =
+      Runner(Experiment{.kind = ProtocolKind::BenOr,
+                        .inputs = protocols::split_inputs(9, 0.5),
+                        .t = 2,
+                        .budget = 5'000'000})
+          .run_async(sched, 13);
   EXPECT_TRUE(r.decided);
   EXPECT_TRUE(r.agreement);
   EXPECT_TRUE(r.validity);
@@ -79,14 +106,18 @@ TEST(AsyncHarness, BenOrRunsToDecision) {
 
 TEST(AsyncHarness, ReportsStepLimit) {
   adversary::RandomAsyncScheduler sched(Rng(3));
-  const AsyncRunOutcome r = run_async_experiment(
-      ProtocolKind::BenOr, protocols::split_inputs(9, 0.5), 2, sched, 3, 13);
+  const AsyncRunOutcome r =
+      Runner(Experiment{.kind = ProtocolKind::BenOr,
+                        .inputs = protocols::split_inputs(9, 0.5),
+                        .t = 2,
+                        .budget = 3})
+          .run_async(sched, 13);
   EXPECT_TRUE(r.hit_limit);
   EXPECT_FALSE(r.decided);
 }
 
 TEST(CheckValidity, FlagsOutputNotAmongInputs) {
-  // check_validity is driven through the harness; unit-test the helper
+  // check_validity is driven through the Runner; unit-test the helper
   // against a crafted execution: every processor has input 0, then we fake
   // an output of 1 by running a unanimity-0 run (outputs must be 0) and
   // asserting validity against inputs "all ones" fails.
@@ -111,10 +142,16 @@ TEST(ByzantineHarness, CrashedHonestProcessorDoesNotBlockAllDecided) {
   const int n = 13;
   const int t = 2;
   adversary::FairWindowAdversary fair;
-  const ByzantineRunResult r = run_byzantine_window_experiment(
-      ProtocolKind::Reset, protocols::split_inputs(n, 0.5), t,
-      /*byz_count=*/0, protocols::ByzantineStrategy::Silent, fair,
-      /*max_windows=*/100000, /*seed=*/7, /*pre_crashed=*/{0});
+  const ByzantineRunResult r =
+      Runner(Experiment{.kind = ProtocolKind::Reset,
+                        .inputs = protocols::split_inputs(n, 0.5),
+                        .t = t,
+                        .budget = 100000,
+                        .byzantine = ByzantineSpec{
+                            .count = 0,
+                            .strategy = protocols::ByzantineStrategy::Silent,
+                            .pre_crashed = {0}}})
+          .run_byzantine(fair, /*seed=*/7);
   EXPECT_TRUE(r.honest_all_decided);
   EXPECT_EQ(r.honest_decided, n - 1);
   EXPECT_TRUE(r.honest_agreement);
@@ -127,10 +164,15 @@ TEST(ByzantineHarness, NoPreCrashStillCountsEveryone) {
   const int n = 13;
   const int t = 2;
   adversary::FairWindowAdversary fair;
-  const ByzantineRunResult r = run_byzantine_window_experiment(
-      ProtocolKind::Reset, protocols::split_inputs(n, 0.5), t,
-      /*byz_count=*/0, protocols::ByzantineStrategy::Silent, fair,
-      /*max_windows=*/100000, /*seed=*/7);
+  const ByzantineRunResult r =
+      Runner(Experiment{.kind = ProtocolKind::Reset,
+                        .inputs = protocols::split_inputs(n, 0.5),
+                        .t = t,
+                        .budget = 100000,
+                        .byzantine = ByzantineSpec{
+                            .count = 0,
+                            .strategy = protocols::ByzantineStrategy::Silent}})
+          .run_byzantine(fair, /*seed=*/7);
   EXPECT_TRUE(r.honest_all_decided);
   EXPECT_EQ(r.honest_decided, n);
 }

@@ -4,7 +4,7 @@
 
 #include "adversary/async_adversaries.hpp"
 #include "adversary/window_adversaries.hpp"
-#include "core/harness.hpp"
+#include "core/experiment.hpp"
 #include "protocols/committee.hpp"
 #include "util/stats.hpp"
 
@@ -25,17 +25,23 @@ TEST(CrossModel, ResetToleratesResetStormButBenOrMayNot) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     {
       adversary::ResetStormAdversary storm(t, Rng(seed));
-      const auto r = run_window_experiment(ProtocolKind::Reset,
-                                           protocols::split_inputs(n, 0.5), t,
-                                           storm, horizon, seed);
+      const auto r =
+          Runner(Experiment{.kind = ProtocolKind::Reset,
+                            .inputs = protocols::split_inputs(n, 0.5),
+                            .t = t,
+                            .budget = horizon})
+              .run_window(storm, seed);
       if (r.decided) ++reset_done;
       EXPECT_TRUE(r.agreement);
     }
     {
       adversary::ResetStormAdversary storm(t, Rng(seed));
-      const auto r = run_window_experiment(ProtocolKind::BenOr,
-                                           protocols::split_inputs(n, 0.5), t,
-                                           storm, horizon, seed);
+      const auto r =
+          Runner(Experiment{.kind = ProtocolKind::BenOr,
+                            .inputs = protocols::split_inputs(n, 0.5),
+                            .t = t,
+                            .budget = horizon})
+              .run_window(storm, seed);
       if (r.decided) ++benor_done;
       EXPECT_TRUE(r.agreement);  // safety can survive; liveness is the issue
     }
@@ -54,9 +60,11 @@ TEST(CrossModel, SplitKeeperIsLegalInBothModels) {
   const int t = 3;
   {
     adversary::SplitKeeperAdversary keeper;
-    const auto r = run_window_experiment(ProtocolKind::Reset,
-                                         protocols::split_inputs(n, 0.5), t,
-                                         keeper, 50, 3);
+    const auto r = Runner(Experiment{.kind = ProtocolKind::Reset,
+                                     .inputs = protocols::split_inputs(n, 0.5),
+                                     .t = t,
+                                     .budget = 50})
+                       .run_window(keeper, 3);
     EXPECT_FALSE(r.decided);
   }
   {
@@ -65,9 +73,11 @@ TEST(CrossModel, SplitKeeperIsLegalInBothModels) {
     // probability is larger; pin a shorter horizon here (the exponential
     // scaling itself is measured in bench_f5_crash_lower_bound).
     adversary::AsyncSplitKeeper keeper;
-    const auto r = run_async_experiment(ProtocolKind::Forgetful,
-                                        protocols::split_inputs(n, 0.5), t,
-                                        keeper, 8 * n * n, 3);
+    const auto r = Runner(Experiment{.kind = ProtocolKind::Forgetful,
+                                     .inputs = protocols::split_inputs(n, 0.5),
+                                     .t = t,
+                                     .budget = 8 * n * n})
+                       .run_async(keeper, 3);
     EXPECT_FALSE(r.decided);
   }
 }
@@ -79,9 +89,11 @@ TEST(CrossModel, ChainLengthTracksRoundsForForgetful) {
   const int n = 12;
   const int t = 1;
   adversary::RandomAsyncScheduler sched(Rng(5));
-  const auto r = run_async_experiment(ProtocolKind::Forgetful,
-                                      protocols::split_inputs(n, 0.5), t,
-                                      sched, 5'000'000, 7);
+  const auto r = Runner(Experiment{.kind = ProtocolKind::Forgetful,
+                                   .inputs = protocols::split_inputs(n, 0.5),
+                                   .t = t,
+                                   .budget = 5'000'000})
+                     .run_async(sched, 7);
   ASSERT_TRUE(r.decided);
   EXPECT_GE(r.chain_at_decision, 1);
 }
@@ -123,9 +135,12 @@ TEST(CrossModel, WindowCountVsStepCountConsistency) {
   const int n = 10;
   const int t = 1;
   adversary::FairWindowAdversary fair;
-  const auto r = run_window_experiment(ProtocolKind::Reset,
-                                       protocols::split_inputs(n, 0.5), t,
-                                       fair, 100000, 21, std::nullopt, true);
+  const auto r = Runner(Experiment{.kind = ProtocolKind::Reset,
+                                   .inputs = protocols::split_inputs(n, 0.5),
+                                   .t = t,
+                                   .budget = 100000,
+                                   .stop = StopCondition::kAllDecided})
+                     .run_window(fair, 21);
   ASSERT_TRUE(r.all_decided);
   // Each window costs n sends + up to n² receives (+ resets): steps are
   // bounded accordingly.
@@ -136,9 +151,12 @@ TEST(CrossModel, WindowCountVsStepCountConsistency) {
 TEST(CrossModel, SameSeedSameOutcomeAcrossInvocations) {
   auto once = [] {
     adversary::SplitKeeperAdversary keeper;
-    return run_window_experiment(ProtocolKind::Reset,
-                                 protocols::split_inputs(14, 0.5), 2, keeper,
-                                 1'000'000, 12345, std::nullopt, true);
+    return Runner(Experiment{.kind = ProtocolKind::Reset,
+                             .inputs = protocols::split_inputs(14, 0.5),
+                             .t = 2,
+                             .budget = 1'000'000,
+                             .stop = StopCondition::kAllDecided})
+        .run_window(keeper, 12345);
   };
   const auto a = once();
   const auto b = once();

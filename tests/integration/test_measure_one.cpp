@@ -23,13 +23,17 @@ class ResetMeasureOneTest : public ::testing::TestWithParam<WindowCase> {};
 
 TEST_P(ResetMeasureOneTest, CleanUnderRandomWindows) {
   const WindowCase wc = GetParam();
+  CampaignContext ctx(ParallelConfig{});
   const MeasureOneReport rep = check_measure_one_window(
-      ProtocolKind::Reset, protocols::split_inputs(wc.n, wc.ones), wc.t,
+      Experiment{.kind = ProtocolKind::Reset,
+                 .inputs = protocols::split_inputs(wc.n, wc.ones),
+                 .t = wc.t,
+                 .budget = 300000},
       [&wc](std::uint64_t seed) {
         return std::make_unique<adversary::RandomWindowAdversary>(wc.t, 0.25,
                                                                   Rng(seed));
       },
-      /*trials=*/15, /*max_windows=*/300000, /*seed0=*/9000);
+      /*trials=*/15, /*seed0=*/9000, ctx);
   EXPECT_TRUE(rep.clean()) << wc.label;
   EXPECT_EQ(rep.all_decided_runs, 15) << wc.label << ": termination failed";
 }
@@ -51,12 +55,16 @@ TEST(MeasureOne, ResetSurvivesSplitKeeperEventually) {
   // (measure one termination); at n = 12 the wait is affordable.
   const int n = 12;
   const int t = 1;
+  CampaignContext ctx(ParallelConfig{});
   const MeasureOneReport rep = check_measure_one_window(
-      ProtocolKind::Reset, protocols::split_inputs(n, 0.5), t,
+      Experiment{.kind = ProtocolKind::Reset,
+                 .inputs = protocols::split_inputs(n, 0.5),
+                 .t = t,
+                 .budget = 1'000'000},
       [](std::uint64_t) {
         return std::make_unique<adversary::SplitKeeperAdversary>();
       },
-      10, 1'000'000, 100);
+      10, 100, ctx);
   EXPECT_TRUE(rep.clean());
   EXPECT_EQ(rep.all_decided_runs, 10);
 }
@@ -65,13 +73,17 @@ TEST(MeasureOne, ResetSurvivesSilencerForever) {
   // A fixed t-set silenced for the whole run: the classical crash schedule.
   const int n = 13;
   const int t = 2;
+  CampaignContext ctx(ParallelConfig{});
   const MeasureOneReport rep = check_measure_one_window(
-      ProtocolKind::Reset, protocols::split_inputs(n, 0.5), t,
+      Experiment{.kind = ProtocolKind::Reset,
+                 .inputs = protocols::split_inputs(n, 0.5),
+                 .t = t,
+                 .budget = 300000},
       [](std::uint64_t) {
         return std::make_unique<adversary::SilencerWindowAdversary>(
             std::vector<sim::ProcId>{0, 1});
       },
-      15, 300000, 200);
+      15, 200, ctx);
   EXPECT_TRUE(rep.clean());
   // The SILENCED processors still hear everything and decide; all 13 finish.
   EXPECT_EQ(rep.all_decided_runs, 15);
@@ -80,12 +92,16 @@ TEST(MeasureOne, ResetSurvivesSilencerForever) {
 TEST(MeasureOne, BrachaCleanUnderFairWindows) {
   const int n = 10;
   const int t = 3;
+  CampaignContext ctx(ParallelConfig{});
   const MeasureOneReport rep = check_measure_one_window(
-      ProtocolKind::Bracha, protocols::split_inputs(n, 0.5), t,
+      Experiment{.kind = ProtocolKind::Bracha,
+                 .inputs = protocols::split_inputs(n, 0.5),
+                 .t = t,
+                 .budget = 500000},
       [](std::uint64_t) {
         return std::make_unique<adversary::FairWindowAdversary>();
       },
-      10, 500000, 300);
+      10, 300, ctx);
   EXPECT_TRUE(rep.clean());
   EXPECT_EQ(rep.all_decided_runs, 10);
 }
@@ -93,8 +109,12 @@ TEST(MeasureOne, BrachaCleanUnderFairWindows) {
 TEST(MeasureOne, BenOrCleanUnderCrashSchedules) {
   const int n = 11;
   const int t = 3;
+  CampaignContext ctx(ParallelConfig{});
   const MeasureOneReport rep = check_measure_one_async(
-      ProtocolKind::BenOr, protocols::split_inputs(n, 0.5), t,
+      Experiment{.kind = ProtocolKind::BenOr,
+                 .inputs = protocols::split_inputs(n, 0.5),
+                 .t = t,
+                 .budget = 5'000'000},
       [n, t](std::uint64_t seed) {
         // Crash a random t-subset at random times via seed-derived choices.
         Rng r(seed);
@@ -109,7 +129,7 @@ TEST(MeasureOne, BenOrCleanUnderCrashSchedules) {
         return std::make_unique<adversary::FixedCrashScheduler>(victims,
                                                                 Rng(seed));
       },
-      12, 5'000'000, 400);
+      12, 400, ctx);
   EXPECT_TRUE(rep.clean());
   EXPECT_EQ(rep.all_decided_runs, 12);
 }
@@ -119,12 +139,16 @@ TEST(MeasureOne, ForgetfulCleanUnderSplitKeeperShortHorizon) {
   // never induce an agreement/validity violation.
   const int n = 16;
   const int t = 2;
+  CampaignContext ctx(ParallelConfig{});
   const MeasureOneReport rep = check_measure_one_async(
-      ProtocolKind::Forgetful, protocols::split_inputs(n, 0.5), t,
+      Experiment{.kind = ProtocolKind::Forgetful,
+                 .inputs = protocols::split_inputs(n, 0.5),
+                 .t = t,
+                 .budget = 20000},
       [](std::uint64_t) {
         return std::make_unique<adversary::AsyncSplitKeeper>();
       },
-      10, 20000, 500);
+      10, 500, ctx);
   EXPECT_TRUE(rep.clean());
 }
 
@@ -134,12 +158,16 @@ TEST(MeasureOne, ValidityUnderUnanimityForAllProtocols) {
     for (int v = 0; v <= 1; ++v) {
       const int n = 10;
       const int t = kind == ProtocolKind::Reset ? 1 : 3;
+      CampaignContext ctx(ParallelConfig{});
       const MeasureOneReport rep = check_measure_one_window(
-          kind, protocols::unanimous_inputs(n, v), t,
+          Experiment{.kind = kind,
+                     .inputs = protocols::unanimous_inputs(n, v),
+                     .t = t,
+                     .budget = 100000},
           [](std::uint64_t) {
             return std::make_unique<adversary::FairWindowAdversary>();
           },
-          5, 100000, 600 + static_cast<std::uint64_t>(v));
+          5, 600 + static_cast<std::uint64_t>(v), ctx);
       EXPECT_TRUE(rep.clean()) << protocols::protocol_kind_name(kind)
                                << " v=" << v;
       EXPECT_EQ(rep.all_decided_runs, 5);

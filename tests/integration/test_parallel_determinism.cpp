@@ -1,9 +1,9 @@
-// Satellite of the parallel-trial-engine PR: the same (seed0, trials) must
-// produce a bit-identical MeasureOneReport — counts, exact floating-point
-// means, and the violating_seeds vector — at every thread count, for both
-// checkers and for the exhaustive explorer. This is the contract that makes
-// parallel Monte-Carlo results replayable (DESIGN.md decision D3 extended
-// to the merge tree: fixed chunking + in-order merge).
+// The same (seed0, trials) must produce a bit-identical MeasureOneReport —
+// counts, exact integer-quotient means, and the violating_seeds vector — at
+// every thread count, for both checkers and for the exhaustive explorer.
+// This is the contract that makes parallel Monte-Carlo results replayable
+// (DESIGN.md decision D3 extended to the merge tree: fixed chunking + an
+// exactly-associative merge).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -41,14 +41,17 @@ TEST(ParallelDeterminism, WindowCheckerBitIdenticalAcrossThreadCounts) {
   const int n = 13;
   const int t = 2;
   const auto run = [&](int threads) {
+    CampaignContext ctx(ParallelConfig{.threads = threads, .chunk_size = 4});
     return check_measure_one_window(
-        ProtocolKind::Reset, protocols::split_inputs(n, 0.5), t,
+        Experiment{.kind = ProtocolKind::Reset,
+                   .inputs = protocols::split_inputs(n, 0.5),
+                   .t = t,
+                   .budget = 100000},
         [t](std::uint64_t seed) {
           return std::make_unique<adversary::RandomWindowAdversary>(t, 0.2,
                                                                     Rng(seed));
         },
-        /*trials=*/24, /*max_windows=*/100000, /*seed0=*/1000, std::nullopt,
-        ParallelConfig{.threads = threads, .chunk_size = 4});
+        /*trials=*/24, /*seed0=*/1000, ctx);
   };
   const MeasureOneReport serial = run(1);
   EXPECT_EQ(serial.all_decided_runs, 24);
@@ -66,14 +69,18 @@ TEST(ParallelDeterminism, WindowCheckerViolatingSeedsIdenticalAndSorted) {
   const protocols::Thresholds broken{6, 4, 4};
   ASSERT_FALSE(protocols::thresholds_valid(n, t, broken));
   const auto run = [&](int threads) {
+    CampaignContext ctx(ParallelConfig{.threads = threads, .chunk_size = 8});
     return check_measure_one_window(
-        ProtocolKind::Reset, protocols::split_inputs(n, 0.5), t,
+        Experiment{.kind = ProtocolKind::Reset,
+                   .inputs = protocols::split_inputs(n, 0.5),
+                   .t = t,
+                   .budget = 2000,
+                   .thresholds = broken},
         [t](std::uint64_t seed) {
           return std::make_unique<adversary::RandomWindowAdversary>(t, 0.0,
                                                                     Rng(seed));
         },
-        /*trials=*/40, /*max_windows=*/2000, /*seed0=*/3000, broken,
-        ParallelConfig{.threads = threads, .chunk_size = 8});
+        /*trials=*/40, /*seed0=*/3000, ctx);
   };
   const MeasureOneReport serial = run(1);
   ASSERT_GT(serial.agreement_violations, 0);
@@ -88,19 +95,22 @@ TEST(ParallelDeterminism, AsyncCheckerBitIdenticalAcrossThreadCounts) {
   const int n = 9;
   const int t = 2;
   const auto run = [&](int threads) {
+    CampaignContext ctx(ParallelConfig{.threads = threads, .chunk_size = 2});
     return check_measure_one_async(
-        ProtocolKind::BenOr, protocols::split_inputs(n, 0.5), t,
+        Experiment{.kind = ProtocolKind::BenOr,
+                   .inputs = protocols::split_inputs(n, 0.5),
+                   .t = t,
+                   .budget = 5'000'000},
         [](std::uint64_t seed) {
           return std::make_unique<adversary::RandomAsyncScheduler>(Rng(seed));
         },
-        /*trials=*/12, /*max_deliveries=*/5'000'000, /*seed0=*/4000,
-        std::nullopt, ParallelConfig{.threads = threads, .chunk_size = 2});
+        /*trials=*/12, /*seed0=*/4000, ctx);
   };
   const MeasureOneReport serial = run(1);
   EXPECT_EQ(serial.decided_runs, 12);
   EXPECT_GT(serial.mean_chain_at_decision, 0.0);
-  // Compatibility: the async checker mirrors its chain metric into the
-  // legacy field.
+  // The async checker mirrors its chain metric into mean_windows_to_first
+  // (the field campaign artifacts serialize).
   EXPECT_EQ(serial.mean_chain_at_decision, serial.mean_windows_to_first);
   for (const int threads : {2, 8}) {
     expect_identical(serial, run(threads), threads);

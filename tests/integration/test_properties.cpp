@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "adversary/window_adversaries.hpp"
-#include "core/harness.hpp"
+#include "core/experiment.hpp"
 
 namespace aa::core {
 namespace {
@@ -86,9 +86,13 @@ TEST_P(ResetGridTest, InvariantsHoldForEveryCell) {
   // not demand a decision there — only the safety invariants.
   const bool slow_cell = g.adv == AdvKind::SplitKeeper && g.ones == 0.5;
   const std::int64_t max_windows = slow_cell ? 3000 : 500000;
-  const WindowRunResult r = run_window_experiment(
-      ProtocolKind::Reset, protocols::split_inputs(g.n, g.ones), g.t, *adv,
-      max_windows, g.seed, std::nullopt, /*until_all=*/true);
+  const WindowRunResult r =
+      Runner(Experiment{.kind = ProtocolKind::Reset,
+                        .inputs = protocols::split_inputs(g.n, g.ones),
+                        .t = g.t,
+                        .budget = max_windows,
+                        .stop = StopCondition::kAllDecided})
+          .run_window(*adv, g.seed);
 
   EXPECT_TRUE(r.agreement) << "agreement violated";
   EXPECT_TRUE(r.validity) << "validity violated";
@@ -121,9 +125,13 @@ TEST_P(InputFractionTest, DecidesSomeInputValue) {
   std::vector<int> inputs(static_cast<std::size_t>(n), 0);
   for (int i = 0; i < ones_count; ++i) inputs[static_cast<std::size_t>(i)] = 1;
   adversary::FairWindowAdversary fair;
-  const WindowRunResult r = run_window_experiment(
-      ProtocolKind::Reset, inputs, t, fair, 500000,
-      static_cast<std::uint64_t>(ones_count) + 50, std::nullopt, true);
+  const WindowRunResult r =
+      Runner(Experiment{.kind = ProtocolKind::Reset,
+                        .inputs = inputs,
+                        .t = t,
+                        .budget = 500000,
+                        .stop = StopCondition::kAllDecided})
+          .run_window(fair, static_cast<std::uint64_t>(ones_count) + 50);
   ASSERT_TRUE(r.all_decided);
   EXPECT_TRUE(r.validity);
   if (ones_count == 0) {

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "adversary/window_adversaries.hpp"
-#include "core/harness.hpp"
+#include "core/experiment.hpp"
 #include "protocols/byzantine.hpp"
 #include "protocols/reset_agreement.hpp"
 
@@ -107,9 +107,16 @@ TEST(ByzantineRun, BrachaSurvivesEquivocators) {
   for (int f = 1; f <= t; ++f) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
       adversary::FairWindowAdversary fair;
-      const auto r = core::run_byzantine_window_experiment(
-          ProtocolKind::Bracha, split_inputs(n, 0.5), t, f,
-          ByzantineStrategy::Equivocate, fair, 300000, seed);
+      const auto r =
+          core::Runner(core::Experiment{
+                           .kind = ProtocolKind::Bracha,
+                           .inputs = split_inputs(n, 0.5),
+                           .t = t,
+                           .budget = 300000,
+                           .byzantine = core::ByzantineSpec{
+                               .count = f,
+                               .strategy = ByzantineStrategy::Equivocate}})
+              .run_byzantine(fair, seed);
       EXPECT_TRUE(r.honest_agreement) << "f=" << f << " seed=" << seed;
       EXPECT_TRUE(r.honest_validity) << "f=" << f << " seed=" << seed;
       EXPECT_TRUE(r.honest_all_decided) << "f=" << f << " seed=" << seed;
@@ -123,9 +130,15 @@ TEST(ByzantineRun, BrachaSurvivesSilenceAndRandomLies) {
   for (const auto strategy :
        {ByzantineStrategy::RandomLie, ByzantineStrategy::Silent}) {
     adversary::FairWindowAdversary fair;
-    const auto r = core::run_byzantine_window_experiment(
-        ProtocolKind::Bracha, split_inputs(n, 0.5), t, t, strategy, fair,
-        300000, 5);
+    const auto r =
+        core::Runner(core::Experiment{
+                         .kind = ProtocolKind::Bracha,
+                         .inputs = split_inputs(n, 0.5),
+                         .t = t,
+                         .budget = 300000,
+                         .byzantine = core::ByzantineSpec{
+                             .count = t, .strategy = strategy}})
+            .run_byzantine(fair, 5);
     EXPECT_TRUE(r.honest_agreement) << byzantine_strategy_name(strategy);
     EXPECT_TRUE(r.honest_all_decided) << byzantine_strategy_name(strategy);
   }
@@ -139,9 +152,15 @@ TEST(ByzantineRun, BrachaFlipAllKeepsSafetyButStallsWithoutValidation) {
   const int n = 10;
   const int t = 3;
   adversary::FairWindowAdversary fair;
-  const auto r = core::run_byzantine_window_experiment(
-      ProtocolKind::Bracha, split_inputs(n, 0.5), t, t,
-      ByzantineStrategy::FlipAll, fair, 2000, 5);
+  const auto r =
+      core::Runner(core::Experiment{
+                       .kind = ProtocolKind::Bracha,
+                       .inputs = split_inputs(n, 0.5),
+                       .t = t,
+                       .budget = 2000,
+                       .byzantine = core::ByzantineSpec{
+                           .count = t, .strategy = ByzantineStrategy::FlipAll}})
+          .run_byzantine(fair, 5);
   EXPECT_TRUE(r.honest_agreement);
   EXPECT_TRUE(r.honest_validity);
   EXPECT_FALSE(r.honest_all_decided);
@@ -158,9 +177,16 @@ TEST(ByzantineRun, ResetAgreementVulnerableToLying) {
   const int trials = 6;
   for (std::uint64_t seed = 1; seed <= trials; ++seed) {
     adversary::FairWindowAdversary fair;
-    const auto r = core::run_byzantine_window_experiment(
-        ProtocolKind::Reset, split_inputs(n, 0.5), t, t,
-        ByzantineStrategy::Equivocate, fair, 2000, seed);
+    const auto r =
+        core::Runner(core::Experiment{
+                         .kind = ProtocolKind::Reset,
+                         .inputs = split_inputs(n, 0.5),
+                         .t = t,
+                         .budget = 2000,
+                         .byzantine = core::ByzantineSpec{
+                             .count = t,
+                             .strategy = ByzantineStrategy::Equivocate}})
+            .run_byzantine(fair, seed);
     if (r.honest_agreement && r.honest_validity && r.honest_all_decided)
       ++clean;
   }

@@ -172,12 +172,13 @@ TEST(PlanReuse, CheckerReportsBitIdenticalAcrossThreadsAndModes) {
       return std::make_unique<adversary::ReplanEveryWindow>(
           std::make_unique<adversary::FairWindowAdversary>());
     };
-    ParallelConfig par;
-    par.threads = threads;
-    return core::check_measure_one_window(ProtocolKind::Reset, inputs, 1,
-                                          factory, /*trials=*/48,
-                                          /*max_windows=*/100000,
-                                          /*seed0=*/500, std::nullopt, par);
+    core::CampaignContext ctx(ParallelConfig{.threads = threads});
+    return core::check_measure_one_window(
+        core::Experiment{.kind = ProtocolKind::Reset,
+                         .inputs = inputs,
+                         .t = 1,
+                         .budget = 100000},
+        factory, /*trials=*/48, /*seed0=*/500, ctx);
   };
   const core::MeasureOneReport base = run(/*reuse=*/true, 1);
   EXPECT_GT(base.all_decided_runs, 0);

@@ -1,12 +1,14 @@
-// report_probe: deterministic dump of checker / exhaustive / harness
-// reports, used to verify that engine refactors keep every report
-// bit-identical across commits and thread counts.
+// report_probe: deterministic dump of checker / exhaustive / single-run
+// (Runner) / campaign reports, used to verify that engine refactors keep
+// every report bit-identical across commits and thread counts.
 //
 //   ./build/tests/tools/report_probe [threads...]
 //
 // Prints one line per (component, config, thread-count) with every report
 // field at full precision. Diff the output of two builds to prove
-// equivalence; the driver runs it at threads 1/2/8.
+// equivalence across commits; strip `threads=N` and diff the thread-count
+// blocks against each other to prove thread invariance (CI does this at
+// threads 1 and 8).
 #include <cinttypes>
 #include <cstdio>
 #include <memory>
@@ -82,6 +84,7 @@ int main(int argc, char** argv) {
   for (const int threads : thread_counts) {
     aa::ParallelConfig par;
     par.threads = threads;
+    core::CampaignContext ctx(par);
 
     // ---- window-model checker, every adversary ----
     for (const auto& k : kinds) {
@@ -90,9 +93,11 @@ int main(int argc, char** argv) {
         const int n = 16;
         const int t = 2;
         const auto rep = core::check_measure_one_window(
-            k.kind, protocols::split_inputs(n, 0.5), t,
-            window_factory(adv, t), /*trials=*/40, /*max_windows=*/600,
-            /*seed0=*/1000, std::nullopt, par);
+            core::Experiment{.kind = k.kind,
+                             .inputs = protocols::split_inputs(n, 0.5),
+                             .t = t,
+                             .budget = 600},
+            window_factory(adv, t), /*trials=*/40, /*seed0=*/1000, ctx);
         std::printf("window %s %s ", k.kname, adv);
         print_measure_one("", threads, rep);
       }
@@ -104,9 +109,11 @@ int main(int argc, char** argv) {
         const int n = 10;
         const int t = 2;
         const auto rep = core::check_measure_one_async(
-            k.kind, protocols::split_inputs(n, 0.5), t, async_factory(adv, t),
-            /*trials=*/30, /*max_deliveries=*/40000, /*seed0=*/500,
-            std::nullopt, par);
+            core::Experiment{.kind = k.kind,
+                             .inputs = protocols::split_inputs(n, 0.5),
+                             .t = t,
+                             .budget = 40000},
+            async_factory(adv, t), /*trials=*/30, /*seed0=*/500, ctx);
         std::printf("async %s %s ", k.kname, adv);
         print_measure_one("", threads, rep);
       }
@@ -128,16 +135,19 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- harness experiments (thread-independent single runs) ----
+  // ---- single Runner runs (thread-independent) ----
   for (const auto& k : kinds) {
     for (const char* adv :
          {"fair", "silencer", "split-keeper", "reset-storm", "random"}) {
       const int n = 16;
       const int t = 2;
       auto a = window_factory(adv, t)(7);
-      const auto r = core::run_window_experiment(
-          k.kind, protocols::split_inputs(n, 0.5), t, *a,
-          /*max_windows=*/500, /*seed=*/77);
+      const auto r = core::Runner(core::Experiment{
+                                      .kind = k.kind,
+                                      .inputs = protocols::split_inputs(n, 0.5),
+                                      .t = t,
+                                      .budget = 500})
+                         .run_window(*a, /*seed=*/77);
       std::printf("harness-window %s %s decided=%d all=%d val=%d wtf=%" PRId64
                   " wins=%" PRId64 " steps=%" PRId64 " resets=%" PRId64
                   " agree=%d valid=%d\n",
@@ -149,9 +159,12 @@ int main(int argc, char** argv) {
       const int n = 10;
       const int t = 2;
       auto a = async_factory(adv, t)(11);
-      const auto r = core::run_async_experiment(
-          k.kind, protocols::split_inputs(n, 0.5), t, *a,
-          /*max_deliveries=*/60000, /*seed=*/33);
+      const auto r = core::Runner(core::Experiment{
+                                      .kind = k.kind,
+                                      .inputs = protocols::split_inputs(n, 0.5),
+                                      .t = t,
+                                      .budget = 60000})
+                         .run_async(*a, /*seed=*/33);
       std::printf("harness-async %s %s decided=%d all=%d val=%d deliv=%" PRId64
                   " chain=%" PRId64 " crashes=%" PRId64
                   " limit=%d agree=%d valid=%d\n",
@@ -162,15 +175,23 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- Byzantine harness ----
+  // ---- Byzantine runs ----
   for (const char* adv : {"fair", "silencer", "split-keeper"}) {
     const int n = 16;
     const int t = 2;
     auto a = window_factory(adv, t)(3);
-    const auto r = core::run_byzantine_window_experiment(
-        protocols::ProtocolKind::Reset, protocols::split_inputs(n, 0.5), t,
-        /*byz_count=*/2, protocols::ByzantineStrategy::Equivocate, *a,
-        /*max_windows=*/500, /*seed=*/13, /*pre_crashed=*/{5});
+    const auto r =
+        core::Runner(
+            core::Experiment{
+                .kind = protocols::ProtocolKind::Reset,
+                .inputs = protocols::split_inputs(n, 0.5),
+                .t = t,
+                .budget = 500,
+                .byzantine = core::ByzantineSpec{
+                    .count = 2,
+                    .strategy = protocols::ByzantineStrategy::Equivocate,
+                    .pre_crashed = {5}}})
+            .run_byzantine(*a, /*seed=*/13);
     std::printf("harness-byz %s hd=%d had=%d ha=%d hv=%d wins=%" PRId64 "\n",
                 adv, r.honest_decided, r.honest_all_decided ? 1 : 0,
                 r.honest_agreement ? 1 : 0, r.honest_validity ? 1 : 0,

@@ -1,42 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/thread_pool.hpp"
 
 namespace aa {
 namespace {
-
-TEST(ThreadPool, RunsEverySubmittedJob) {
-  ThreadPool pool(4);
-  std::atomic<int> hits{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&hits] { hits.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(hits.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> hits{0};
-  pool.submit([&hits] { ++hits; });
-  pool.wait_idle();
-  EXPECT_EQ(hits.load(), 1);
-  pool.submit([&hits] { ++hits; });
-  pool.submit([&hits] { ++hits; });
-  pool.wait_idle();
-  EXPECT_EQ(hits.load(), 3);
-}
-
-TEST(ThreadPool, PropagatesJobException) {
-  ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-}
 
 TEST(ParallelConfig, ResolvesThreadCounts) {
   EXPECT_EQ(ParallelConfig{}.resolved_threads(), 1);
@@ -58,28 +32,38 @@ TEST(ParallelForChunks, ChunkingDependsOnlyOnTotalAndChunkSize) {
 }
 
 TEST(ParallelForChunks, CoversEveryIndexExactlyOnce) {
-  for (const int threads : {1, 3, 8}) {
-    const ParallelConfig cfg{.threads = threads, .chunk_size = 7};
-    const std::int64_t total = 95;
-    std::vector<std::atomic<int>> visits(static_cast<std::size_t>(total));
-    parallel_for_chunks(total, cfg,
-                        [&](int, std::int64_t begin, std::int64_t end) {
-                          for (std::int64_t i = begin; i < end; ++i) {
-                            ++visits[static_cast<std::size_t>(i)];
-                          }
-                        });
-    for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
+  WorkStealingPool pool(4);
+  for (WorkStealingPool* p : {static_cast<WorkStealingPool*>(nullptr), &pool}) {
+    for (const ParallelConfig cfg :
+         {ParallelConfig{.threads = 4, .chunk_size = 7},
+          ParallelConfig{.threads = 4, .chunk_size = 1},
+          ParallelConfig{.threads = 1, .chunk_size = 5}}) {
+      const std::int64_t total = 95;
+      std::vector<std::atomic<int>> visits(static_cast<std::size_t>(total));
+      parallel_for_chunks(
+          total, cfg,
+          [&](int, std::int64_t begin, std::int64_t end) {
+            for (std::int64_t i = begin; i < end; ++i) {
+              ++visits[static_cast<std::size_t>(i)];
+            }
+          },
+          p);
+      for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
+    }
   }
 }
 
 TEST(ParallelForChunks, ChunkIndexMatchesRange) {
+  WorkStealingPool pool(4);
   const ParallelConfig cfg{.threads = 4, .chunk_size = 10};
   std::vector<std::pair<std::int64_t, std::int64_t>> ranges(
       static_cast<std::size_t>(chunk_count(42, cfg)));
-  parallel_for_chunks(42, cfg,
-                      [&](int ci, std::int64_t begin, std::int64_t end) {
-                        ranges[static_cast<std::size_t>(ci)] = {begin, end};
-                      });
+  parallel_for_chunks(
+      42, cfg,
+      [&](int ci, std::int64_t begin, std::int64_t end) {
+        ranges[static_cast<std::size_t>(ci)] = {begin, end};
+      },
+      &pool);
   ASSERT_EQ(ranges.size(), 5u);
   for (std::size_t ci = 0; ci < ranges.size(); ++ci) {
     EXPECT_EQ(ranges[ci].first, static_cast<std::int64_t>(ci) * 10);
@@ -88,14 +72,36 @@ TEST(ParallelForChunks, ChunkIndexMatchesRange) {
   }
 }
 
+TEST(ParallelForChunks, NullPoolRunsInlineInChunkOrder) {
+  // No pool means serial semantics whatever cfg.threads says: every chunk
+  // on the calling thread, in ascending chunk order.
+  const ParallelConfig cfg{.threads = 8, .chunk_size = 3};
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> order;
+  parallel_for_chunks(
+      20, cfg,
+      [&](int ci, std::int64_t, std::int64_t) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        order.push_back(ci);
+      },
+      nullptr);
+  std::vector<int> expected(static_cast<std::size_t>(chunk_count(20, cfg)));
+  std::iota(expected.begin(), expected.end(), 0);
+  EXPECT_EQ(order, expected);
+}
+
 TEST(ParallelForChunks, PropagatesBodyException) {
+  WorkStealingPool pool(4);
   const ParallelConfig cfg{.threads = 4, .chunk_size = 1};
-  EXPECT_THROW(
-      parallel_for_chunks(16, cfg,
-                          [](int ci, std::int64_t, std::int64_t) {
-                            if (ci == 7) throw std::runtime_error("chunk 7");
-                          }),
-      std::runtime_error);
+  for (WorkStealingPool* p : {static_cast<WorkStealingPool*>(nullptr), &pool}) {
+    EXPECT_THROW(parallel_for_chunks(
+                     16, cfg,
+                     [](int ci, std::int64_t, std::int64_t) {
+                       if (ci == 7) throw std::runtime_error("chunk 7");
+                     },
+                     p),
+                 std::runtime_error);
+  }
 }
 
 // ---- WorkStealingPool ------------------------------------------------------
@@ -174,38 +180,6 @@ TEST(WorkStealingPool, WaitRethrowsFirstError) {
     });
   }
   EXPECT_THROW(group.wait(), std::runtime_error);
-}
-
-TEST(ParallelForChunks, WorkStealingOverloadVisitsEveryIndexOnce) {
-  WorkStealingPool pool(4);
-  for (const ParallelConfig cfg :
-       {ParallelConfig{.threads = 4, .chunk_size = 7},
-        ParallelConfig{.threads = 4, .chunk_size = 1},
-        ParallelConfig{.threads = 1, .chunk_size = 5}}) {
-    const std::int64_t total = 95;
-    std::vector<std::atomic<int>> visits(static_cast<std::size_t>(total));
-    parallel_for_chunks(
-        total, cfg,
-        [&](int, std::int64_t begin, std::int64_t end) {
-          for (std::int64_t i = begin; i < end; ++i) {
-            ++visits[static_cast<std::size_t>(i)];
-          }
-        },
-        pool);
-    for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
-  }
-}
-
-TEST(ParallelForChunks, WorkStealingOverloadPropagatesException) {
-  WorkStealingPool pool(4);
-  const ParallelConfig cfg{.threads = 4, .chunk_size = 1};
-  EXPECT_THROW(parallel_for_chunks(
-                   16, cfg,
-                   [](int ci, std::int64_t, std::int64_t) {
-                     if (ci == 7) throw std::runtime_error("chunk 7");
-                   },
-                   pool),
-               std::runtime_error);
 }
 
 }  // namespace

@@ -34,8 +34,9 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
+#include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "core/campaign.hpp"
@@ -76,23 +77,40 @@ int main(int argc, char** argv) {
         }
         return argv[++i];
       };
-      if (arg == "--threads") cfg.threads = std::atoi(next());
-      else if (arg == "--trials") cfg.trials = std::atoi(next());
+      // Integer flags go through the config's strict parser, so a bad
+      // value fails with the flag's name instead of becoming 0.
+      const auto int_flag = [&] {
+        return static_cast<int>(core::parse_campaign_int(next(), arg));
+      };
+      const auto int64_flag = [&] {
+        return core::parse_campaign_int(
+            next(), arg, std::numeric_limits<long long>::min(),
+            std::numeric_limits<long long>::max());
+      };
+      if (arg == "--threads") cfg.threads = int_flag();
+      else if (arg == "--trials") cfg.trials = int_flag();
       else if (arg == "--seed")
-        cfg.seed = static_cast<std::uint64_t>(std::atoll(next()));
+        cfg.seed = static_cast<std::uint64_t>(int64_flag());
       else if (arg == "--output-dir") cfg.output_dir = next();
       else if (arg == "--resume") cfg.resume = true;
-      else if (arg == "--cell-timeout-ms") cfg.cell_timeout_ms = std::atoll(next());
+      else if (arg == "--cell-timeout-ms") cfg.cell_timeout_ms = int64_flag();
       else if (arg == "--audit") cfg.audit = true;
-      else if (arg == "--audit-every") cfg.audit_every = std::atoi(next());
+      else if (arg == "--audit-every") cfg.audit_every = int_flag();
       else if (arg == "--lens") cfg.lens = true;
-      else if (arg == "--censor-target") cfg.censor_target = std::atoi(next());
+      else if (arg == "--censor-target") cfg.censor_target = int_flag();
       else if (arg == "--parallel-cells") cfg.parallel_cells = true;
       else if (arg == "--print-summary") print_summary = true;
       else if (arg == "--print-cells") print_cells = true;
       else {
         usage(argv[0]);
         return 2;
+      }
+      // Overrides get the same checks the config file got (it already
+      // passed them), so a failure here is this flag's: name it.
+      try {
+        core::validate_campaign_config(cfg);
+      } catch (const std::invalid_argument& e) {
+        throw std::invalid_argument(arg + ": " + e.what());
       }
     }
 
