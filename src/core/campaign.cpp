@@ -1,5 +1,6 @@
 #include "core/campaign.hpp"
 
+#include <atomic>
 #include <cctype>
 #include <chrono>
 #include <cinttypes>
@@ -10,6 +11,8 @@
 #include <fstream>
 #include <limits>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <sstream>
 #include <system_error>
 #include <utility>
@@ -515,8 +518,6 @@ CampaignConfig parse_campaign_config(const std::string& text) {
       cfg.lens = parse_bool(value, line);
     } else if (key == "censor_target") {
       cfg.censor_target = static_cast<int>(int_value());
-    } else if (key == "parallel_cells") {
-      cfg.parallel_cells = parse_bool(value, line);
     } else if (key == "split") {
       cfg.split = parse_double(value, line);
     } else if (key == "trials") {
@@ -567,8 +568,10 @@ CampaignConfig parse_campaign_config(const std::string& text) {
 void validate_campaign_config(const CampaignConfig& cfg) {
   AA_REQUIRE(cfg.trials > 0, "campaign config: trials must be positive");
   AA_REQUIRE(cfg.budget > 0, "campaign config: budget must be positive");
-  AA_REQUIRE(cfg.cell_timeout_ms >= 0,
-             "campaign config: cell_timeout_ms must be non-negative");
+  AA_REQUIRE(cfg.cell_timeout_ms >= 0 &&
+                 cfg.cell_timeout_ms <= kMaxCellTimeoutMs,
+             "campaign config: cell_timeout_ms must be in [0, " +
+                 std::to_string(kMaxCellTimeoutMs) + "]");
   AA_REQUIRE(cfg.audit_every >= 0,
              "campaign config: audit_every must be non-negative");
   AA_REQUIRE(cfg.chunk_size >= 1, "campaign config: chunk_size must be >= 1");
@@ -589,10 +592,6 @@ void validate_campaign_config(const CampaignConfig& cfg) {
     // Rejects unknown preset names and validates each resolved plan.
     sim::validate_fault_plan(chaos_plan_preset(cfg, plan));
   }
-  AA_REQUIRE(!cfg.parallel_cells || cfg.cell_timeout_ms == 0,
-             "campaign config: parallel_cells and cell_timeout_ms are "
-             "mutually exclusive (one watchdog token cannot bound "
-             "concurrent cells)");
   if (cfg.censor_target >= 0) {
     for (const int n : cfg.n) {
       AA_REQUIRE(cfg.censor_target < n,
@@ -611,12 +610,24 @@ CampaignConfig load_campaign_config(const std::string& path) {
 
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
+/// The campaign's one clock read: per-cell deadlines and the timing
+/// sidecar. Neither ever feeds a cell or summary artifact.
+Clock::time_point now() {
+  // aa-lint: clock-ok(per-cell deadlines and sidecar-only throughput)
+  return std::chrono::steady_clock::now();
+}
+
+double elapsed_ms(Clock::time_point t0, Clock::time_point t1) {
+  return std::chrono::duration<double, std::milli>(t1 - t0).count();
+}
+
 /// One enumerated sweep cell awaiting compute (or restored by resume):
 /// the cell's coordinates and spec, its resolved chaos preset, its output
 /// paths, and its private accumulator slot for the index-order summary
 /// merge. Slots make the merge order a function of the config alone, so
-/// the sequential and parallel-cells schedules produce the same summary
-/// bytes.
+/// the summary bytes do not depend on the order in which cells land.
 struct CellWork {
   CampaignCell cell;
   Experiment spec;
@@ -625,49 +636,93 @@ struct CellWork {
   std::string lens_path;  ///< lens artifact ("" = not writing or no lens)
   MeasureOneAccumulator acc;
   bool done = false;
-};
-
-/// Run one cell's trials on the calling thread's chunk engine and fill its
-/// slot. `inline_trials` is set on the parallel-cells path, where the cell
-/// IS the pool job and must not re-shard onto the pool it occupies — chunk
-/// boundaries depend only on (trials, chunk_size), so the report bytes are
-/// unchanged. Returns false iff the check came back partial (cancelled).
-bool compute_cell(const CampaignConfig& config, CampaignContext& ctx,
-                  CellWork& w, bool inline_trials) {
-  MeasureOneAccumulator acc;
-  lens::LatencyAccumulator lat;
-  lens::LatencyAccumulator* lat_ptr = config.lens ? &lat : nullptr;
-  MeasureOneReport rep;
-  if (config.model == CampaignModel::kWindow) {
-    rep = check_measure_one_window(
-        w.spec,
-        cell_window_factory(config, w.chaos, w.cell.adversary, w.cell.t),
-        config.trials, w.cell.seed0, ctx, &acc, lat_ptr, inline_trials);
-  } else {
-    rep = check_measure_one_async(
-        w.spec,
-        cell_async_factory(config, w.chaos, w.cell.adversary, w.cell.t),
-        config.trials, w.cell.seed0, ctx, &acc, lat_ptr, inline_trials);
-  }
-  if (rep.trials != config.trials) return false;  // cancelled mid-cell
-  // Persist the exact integer metric sum so --resume rebuilds the same
-  // report (the checker's mean is that sum's single exact division).
-  w.acc = std::move(acc);
-  w.cell.metric_sum = w.acc.metric_sum();
-  w.cell.report = std::move(rep);
-  if (config.lens) {
-    w.cell.lens_report = lat.finalize(w.cell.t);
-    // Lens artifact FIRST: resume keys on the cell artifact, so a cell
-    // artifact on disk implies its lens sidecar landed too.
-    if (!w.lens_path.empty()) {
-      write_file_atomic(w.lens_path,
-                        latency_report_json(w.cell.lens_report));
+  /// Throughput for the timing sidecar, from the cell's wall_ms.
+  void set_wall_ms(double ms, int trials) {
+    cell.wall_ms = ms;
+    if (done && ms > 0.0) {
+      cell.trials_per_s = static_cast<double>(trials) * 1000.0 / ms;
     }
   }
-  if (!w.path.empty()) {
-    write_file_atomic(w.path, campaign_cell_json(config, w.cell));
+};
+
+/// One pending cell's state for one compute round. The first of its
+/// chunks to start builds the check, sizes the chunk tallies and starts
+/// the clock; the last to finish lands the cell. Chunks share nothing
+/// else: each writes only its own tally.
+struct CellRound {
+  std::once_flag started;
+  std::unique_ptr<MeasureOneCheck> check;
+  std::vector<TrialTally> parts;  ///< one per chunk, merged in chunk order
+  Clock::time_point t0;
+  std::atomic<bool> expired{false};
+  std::atomic<int> finished{0};  ///< chunks done (run or skipped)
+};
+
+/// Land a cell whose last chunk just finished: merge its chunk tallies in
+/// chunk order, release the round's check and tallies, then write the
+/// lens sidecar and THEN the cell artifact (resume keys on the cell
+/// artifact, so one on disk implies its sidecar landed too). An expired
+/// round lands nothing: the cell stays pending.
+void land_cell(const CampaignConfig& config, CellWork& w, CellRound& r) {
+  TrialTally total;
+  for (const TrialTally& p : r.parts) total.merge(p);
+  r.check.reset();
+  r.parts = std::vector<TrialTally>();  // frees the buffer; `= {}` keeps it
+  if (!r.expired.load(std::memory_order_relaxed)) {
+    w.cell.report = total.acc.finalize(config.model == CampaignModel::kAsync);
+    // Persist the exact integer metric sum so --resume rebuilds the same
+    // report (the mean is that sum's single exact division).
+    w.cell.metric_sum = total.acc.metric_sum();
+    w.acc = std::move(total.acc);
+    if (config.lens) {
+      w.cell.lens_report = total.lat.finalize(w.cell.t);
+      if (!w.lens_path.empty()) {
+        write_file_atomic(w.lens_path,
+                          latency_report_json(w.cell.lens_report));
+      }
+    }
+    if (!w.path.empty()) {
+      write_file_atomic(w.path, campaign_cell_json(config, w.cell));
+    }
+    w.done = true;
   }
-  return true;
+  w.set_wall_ms(elapsed_ms(r.t0, now()), config.trials);
+}
+
+/// The one campaign job: chunk `ci` of cell `w` in round `r`. The deadline
+/// is checked when the chunk starts — a chunk that starts in time runs to
+/// its end, one that starts late is skipped and expires the round.
+void run_cell_chunk(const CampaignConfig& config, CampaignContext& ctx,
+                    CellWork& w, CellRound& r, int ci, int chunks,
+                    std::chrono::milliseconds timeout) {
+  std::call_once(r.started, [&] {
+    r.t0 = now();
+    if (config.model == CampaignModel::kWindow) {
+      r.check = std::make_unique<MeasureOneCheck>(
+          w.spec,
+          cell_window_factory(config, w.chaos, w.cell.adversary, w.cell.t),
+          w.cell.seed0, config.lens);
+    } else {
+      r.check = std::make_unique<MeasureOneCheck>(
+          w.spec,
+          cell_async_factory(config, w.chaos, w.cell.adversary, w.cell.t),
+          w.cell.seed0, config.lens);
+    }
+    r.parts.resize(static_cast<std::size_t>(chunks));
+  });
+  if (timeout.count() > 0 && !r.expired.load(std::memory_order_relaxed) &&
+      now() - r.t0 > timeout) {
+    r.expired.store(true, std::memory_order_relaxed);
+  }
+  if (!r.expired.load(std::memory_order_relaxed)) {
+    const ChunkRange range = chunk_range(ci, config.trials, ctx.parallel());
+    r.check->run_trials(range.begin, range.end, ctx.worker_scratch(),
+                        r.parts[static_cast<std::size_t>(ci)]);
+  }
+  // acq_rel: the last chunk sees every other chunk's tally and expiry.
+  if (r.finished.fetch_add(1, std::memory_order_acq_rel) + 1 == chunks) {
+    land_cell(config, w, r);
+  }
 }
 
 }  // namespace
@@ -675,11 +730,8 @@ bool compute_cell(const CampaignConfig& config, CampaignContext& ctx,
 CampaignResult run_campaign(const CampaignConfig& config,
                             CampaignContext& ctx) {
   namespace fs = std::filesystem;
-  // Re-checked here (not just in validate_campaign_config) because
-  // programmatic configs never pass through the parser.
-  AA_REQUIRE(!config.parallel_cells || config.cell_timeout_ms == 0,
-             "run_campaign: parallel_cells and cell_timeout_ms are "
-             "mutually exclusive");
+  // Programmatic configs never pass through the parser.
+  validate_campaign_config(config);
   CampaignResult result;
   result.config = config;
 
@@ -748,77 +800,40 @@ CampaignResult run_campaign(const CampaignConfig& config,
   // into their slots before any compute is scheduled.
   if (config.resume && writing) {
     for (CellWork& w : work) {
-      // aa-lint: clock-ok(throughput metric, sidecar-only output)
-      const auto t0 = std::chrono::steady_clock::now();
-      if (try_resume_cell(config, w.cell, w.path, w.lens_path, w.acc)) {
-        w.done = true;
-        // aa-lint: clock-ok(throughput metric, sidecar-only output)
-        const auto t1 = std::chrono::steady_clock::now();
-        w.cell.wall_ms =
-            std::chrono::duration<double, std::milli>(t1 - t0).count();
-        if (w.cell.wall_ms > 0.0) {
-          w.cell.trials_per_s =
-              static_cast<double>(config.trials) * 1000.0 / w.cell.wall_ms;
-        }
-      }
+      const Clock::time_point t0 = now();
+      w.done = try_resume_cell(config, w.cell, w.path, w.lens_path, w.acc);
+      if (w.done) w.set_wall_ms(elapsed_ms(t0, now()), config.trials);
     }
   }
 
-  // Phase 3 — compute the remaining cells.
-  if (config.parallel_cells && ctx.pool() != nullptr) {
-    // Whole cells as pool jobs: each job runs its trials inline
-    // (compute_cell inline_trials), write_file_atomic targets distinct
-    // paths, and every result lands in the job's own slot — nothing is
-    // shared between jobs but the pool and the per-worker scratch.
-    // parse_campaign_config rejects cell_timeout_ms here, so there is no
-    // watchdog and a check never comes back partial.
-    WorkStealingPool::TaskGroup group(*ctx.pool());
+  // Phase 3 — compute the pending cells. Every (cell, chunk) pair is one
+  // job of ONE job list, cell-major, so a sweep of many small cells keeps
+  // the pool as busy as a sweep of a few large ones. Without a pool the
+  // jobs run inline in list order: cell by cell, each landing right after
+  // its last chunk. With cell_timeout_ms set, the cells that expired are
+  // recomputed in a second round at twice the timeout (validation bounds
+  // it, so the doubling cannot overflow) and fail if that expires too.
+  const int chunks = chunk_count(config.trials, ctx.parallel());
+  ParallelConfig jobs = ctx.parallel();
+  jobs.chunk_size = 1;
+  const int rounds = config.cell_timeout_ms > 0 ? 2 : 1;
+  for (int round = 0; round < rounds; ++round) {
+    std::vector<CellWork*> pending;
     for (CellWork& w : work) {
-      if (w.done) continue;
-      group.submit([&config, &ctx, &w] {
-        // aa-lint: clock-ok(throughput metric, sidecar-only output)
-        const auto t0 = std::chrono::steady_clock::now();
-        w.done = compute_cell(config, ctx, w, /*inline_trials=*/true);
-        // aa-lint: clock-ok(throughput metric, sidecar-only output)
-        const auto t1 = std::chrono::steady_clock::now();
-        w.cell.wall_ms =
-            std::chrono::duration<double, std::milli>(t1 - t0).count();
-        if (w.done && w.cell.wall_ms > 0.0) {
-          w.cell.trials_per_s =
-              static_cast<double>(config.trials) * 1000.0 / w.cell.wall_ms;
-        }
-      });
+      if (!w.done) pending.push_back(&w);
     }
-    group.wait();
-  } else {
-    Watchdog watchdog;
-    CancelToken& cancel = ctx.cancel_token();
-    for (CellWork& w : work) {
-      if (w.done) continue;
-      // aa-lint: clock-ok(throughput metric, sidecar-only output)
-      const auto t0 = std::chrono::steady_clock::now();
-      // Up to two attempts — the retry doubles the watchdog deadline, so a
-      // cell that merely straddled the timeout still lands (the recompute
-      // is deterministic, only the wall clock differs).
-      for (int attempt = 0; attempt < 2 && !w.done; ++attempt) {
-        cancel.reset();
-        if (config.cell_timeout_ms > 0) {
-          watchdog.arm(cancel, std::chrono::milliseconds(
-                                   config.cell_timeout_ms << attempt));
-        }
-        w.done = compute_cell(config, ctx, w, /*inline_trials=*/false);
-        if (config.cell_timeout_ms > 0) watchdog.disarm();
-      }
-      cancel.reset();
-      // aa-lint: clock-ok(throughput metric, sidecar-only output)
-      const auto t1 = std::chrono::steady_clock::now();
-      w.cell.wall_ms =
-          std::chrono::duration<double, std::milli>(t1 - t0).count();
-      if (w.done && w.cell.wall_ms > 0.0) {
-        w.cell.trials_per_s =
-            static_cast<double>(config.trials) * 1000.0 / w.cell.wall_ms;
-      }
-    }
+    if (pending.empty()) break;
+    const std::chrono::milliseconds timeout(config.cell_timeout_ms *
+                                            (round + 1));
+    std::vector<CellRound> state(pending.size());
+    parallel_for_chunks(
+        static_cast<std::int64_t>(pending.size()) * chunks, jobs,
+        [&](int job, std::int64_t, std::int64_t) {
+          const auto c = static_cast<std::size_t>(job / chunks);
+          run_cell_chunk(config, ctx, *pending[c], state[c], job % chunks,
+                         chunks, timeout);
+        },
+        ctx.pool());
   }
 
   // Phase 4 — merge the summary in canonical index order (the accumulator
@@ -933,36 +948,6 @@ std::string campaign_timing_json(const CampaignResult& result) {
   out += result.cells.empty() ? "]\n" : "\n  ]\n";
   out += "}\n";
   return out;
-}
-
-void write_campaign_json(const CampaignResult& result,
-                         const std::string& dir) {
-  namespace fs = std::filesystem;
-  AA_REQUIRE(!dir.empty(), "write_campaign_json: empty output directory");
-  fs::create_directories(dir);
-  for (const CampaignCell& cell : result.cells) {
-    if (cell.failed) continue;  // no artifact may masquerade as a result
-    // Lens sidecar first (same ordering contract as run_campaign). A
-    // resumed cell carries no in-memory lens report; its sidecar already
-    // exists from the run that computed it.
-    if (result.config.lens && cell.lens_report.n > 0) {
-      write_file_atomic(
-          (fs::path(dir) / (result.config.name + "_cell_" +
-                            std::to_string(cell.index) + "_lens.json"))
-              .string(),
-          latency_report_json(cell.lens_report));
-    }
-    write_file_atomic((fs::path(dir) / (result.config.name + "_cell_" +
-                                        std::to_string(cell.index) + ".json"))
-                          .string(),
-                      campaign_cell_json(result.config, cell));
-  }
-  write_file_atomic(
-      (fs::path(dir) / (result.config.name + "_summary.json")).string(),
-      campaign_summary_json(result));
-  write_file_atomic(
-      (fs::path(dir) / (result.config.name + "_timing.json")).string(),
-      campaign_timing_json(result));
 }
 
 void write_file_atomic(const std::string& path, const std::string& body) {

@@ -1,6 +1,9 @@
 // Campaign engine: config-file-driven sweeps over the measure-one
 // checkers, sharing ONE CampaignContext (work-stealing pool + per-worker
-// Execution scratch) across every cell.
+// Execution scratch) across every cell. There is one schedule: every
+// pending cell's trial chunks go to the pool as one job list (in order,
+// inline, without a pool), and a cell lands — artifacts written — the
+// moment its last chunk finishes.
 //
 // A campaign is a cross product of sweep axes — n × t × protocol ×
 // thresholds-preset × memory-K × adversary × chaos-plan — where each cell
@@ -92,11 +95,13 @@ struct CampaignConfig {
   /// enabled() the cell adversaries are wrapped in the chaos layer; when
   /// disabled (the default) the factories are untouched — zero drift.
   sim::FaultPlan chaos;
-  /// Per-cell wall-clock timeout in milliseconds (0 = none). A watchdog
-  /// cancels the cell's remaining chunks once it elapses; the cell is
-  /// retried once with a doubled timeout and marked failed if the retry
-  /// also times out. Failed cells are skipped by the summary merge and
-  /// listed in its `cells_failed` array.
+  /// Per-cell wall-clock timeout in milliseconds (0 = none; at most
+  /// kMaxCellTimeoutMs). The clock starts when the cell's first chunk
+  /// starts, and every chunk checks the deadline when it starts: a chunk
+  /// that starts late is skipped, and so is the cell's result. Expired
+  /// cells are recomputed in a second round at twice the timeout and
+  /// marked failed if that round expires too. Failed cells are skipped by
+  /// the summary merge and listed in its `cells_failed` array.
   std::int64_t cell_timeout_ms = 0;
   /// Resume a killed sweep (`resume = true` or --resume): a cell whose
   /// output JSON exists and byte-matches its canonical re-serialization is
@@ -124,14 +129,12 @@ struct CampaignConfig {
   /// bound. −1 (the default) disables. The wrapper is OUTERMOST (it
   /// censors whatever the chaos layer planned).
   int censor_target = -1;
-  /// Distribute whole CELLS across the context's work-stealing pool
-  /// instead of sharding each cell's trials. Cell jobs run their trials
-  /// inline (checker `inline_trials`), so chunk boundaries — and every
-  /// artifact byte — match the sequential order exactly. Mutually
-  /// exclusive with cell_timeout_ms (one watchdog token cannot bound
-  /// concurrent cells).
-  bool parallel_cells = false;
 };
+
+/// Largest accepted cell_timeout_ms (10^12 ms, about 31 years): twice it
+/// in nanoseconds still fits in int64, so the retry round's deadline
+/// cannot overflow.
+inline constexpr std::int64_t kMaxCellTimeoutMs = 1'000'000'000'000;
 
 /// Parse config text (`key = value` lines, `#` comments). Unknown keys and
 /// malformed values throw with a line-numbered message; the result has
@@ -149,9 +152,11 @@ struct CampaignConfig {
     long long hi = std::numeric_limits<int>::max());
 
 /// The cross-field checks every config must pass (positive trials and
-/// budget, chunk_size >= 1, threads >= 0, non-empty axes, chaos and censor
-/// consistency, ...). parse_campaign_config runs it; a caller that edits a
-/// parsed config (the CLI's flag overrides) must run it again.
+/// budget, chunk_size >= 1, threads >= 0, cell_timeout_ms in
+/// [0, kMaxCellTimeoutMs], non-empty axes, chaos and censor consistency,
+/// ...). parse_campaign_config and run_campaign run it; a caller that
+/// edits a parsed config (the CLI's flag overrides) should run it again to
+/// fail before anything runs.
 void validate_campaign_config(const CampaignConfig& cfg);
 
 /// Read and parse a config file.
@@ -177,10 +182,15 @@ struct CampaignCell {
   std::int64_t metric_sum = 0;
   bool failed = false;   ///< timed out twice; excluded from the summary
   bool resumed = false;  ///< restored from an existing artifact
-  /// Wall-clock spent computing (or restoring) this cell, and the derived
-  /// trials/second throughput. Timing is intrinsically nondeterministic,
-  /// so it is NEVER part of the cell/summary JSON (the byte-identity
-  /// surface) — it is reported in the separate <name>_timing.json sidecar
+  /// Wall-clock from the start of the cell's first chunk to the end of its
+  /// last, in the round that landed it (a failed cell: its last round),
+  /// or the time spent restoring it; plus the derived trials/second. On a
+  /// pool the cells' chunks interleave, so this span also covers the
+  /// neighbours' chunks that ran meanwhile: it is the cell's latency, not
+  /// its CPU time, and the cells' spans overlap (their sum can exceed the
+  /// sweep's wall clock). Timing is intrinsically nondeterministic, so it
+  /// is NEVER part of the cell/summary JSON (the byte-identity surface) —
+  /// it is reported in the separate <name>_timing.json sidecar
   /// (campaign_timing_json), which resume and the cross-thread-count
   /// diffs deliberately ignore.
   double wall_ms = 0.0;
@@ -200,18 +210,19 @@ struct CampaignResult {
   MeasureOneReport summary;
 };
 
-/// Run every cell of `config`'s sweep on the shared context. Cells are
-/// enumerated in canonical order (n, t, protocol, thresholds, memory_k,
-/// adversary, chaos_plan nesting, outermost first); by default each cell's
-/// trials shard onto ctx's pool, while config.parallel_cells instead
-/// schedules whole cells as pool jobs (trials inline) — either way every
-/// cell report, lens artifact, and the summary are byte-identical to the
-/// serial order. With config.output_dir set, every completed cell's JSON
-/// is written ATOMICALLY (temp + rename) as soon as it finishes and the
-/// summary at the end — a SIGKILL mid-sweep leaves only whole-cell
-/// artifacts, which config.resume restores on the next run.
-/// config.cell_timeout_ms bounds each cell's wall clock via a watchdog on
-/// ctx.cancel_token().
+/// Run every cell of `config`'s sweep on the shared context (config is
+/// validated first: validate_campaign_config). Cells are enumerated in
+/// canonical order (n, t, protocol, thresholds, memory_k, adversary,
+/// chaos_plan nesting, outermost first). Every pending (cell, chunk) pair
+/// goes to ctx's pool in one job list, cell-major; without a pool the
+/// chunks run inline in exactly that order, cell by cell. The last chunk
+/// of a cell to finish merges the cell's chunk tallies in chunk order, so
+/// every cell report, lens artifact, and the summary are byte-identical
+/// at any thread count. With config.output_dir set, that chunk writes the
+/// cell's lens sidecar and then its JSON ATOMICALLY (temp + rename), and
+/// the summary is written at the end — a SIGKILL mid-sweep leaves only
+/// whole-cell artifacts, which config.resume restores on the next run.
+/// config.cell_timeout_ms bounds each cell's wall clock (see there).
 [[nodiscard]] CampaignResult run_campaign(const CampaignConfig& config,
                                           CampaignContext& ctx);
 
@@ -231,12 +242,6 @@ struct CampaignResult {
 /// wall-clock. Kept OUT of the cell/summary artifacts so the byte-identity
 /// surface (threads 1 vs N, fresh vs resumed) stays timing-free.
 [[nodiscard]] std::string campaign_timing_json(const CampaignResult& result);
-
-/// Write one JSON file per cell plus the merged summary under `dir`
-/// (created if missing): <name>_cell_<index>.json, <name>_summary.json.
-/// Every file is written atomically (write_file_atomic). Failed cells get
-/// no artifact (a stale valid artifact must not mask a failed recompute).
-void write_campaign_json(const CampaignResult& result, const std::string& dir);
 
 /// Crash-safe text-file write: stream `body` to `<path>.tmp`, flush, then
 /// rename over `path`. Readers never observe a torn file — they see the

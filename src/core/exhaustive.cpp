@@ -190,7 +190,7 @@ ExhaustiveReport exhaustive_check(int t, const protocols::Thresholds& th,
 ExhaustiveReport exhaustive_check(int t, const protocols::Thresholds& th,
                                   const std::vector<int>& inputs,
                                   const ExhaustiveOptions& options) {
-  CampaignContext ctx(options.parallel);
+  CampaignContext ctx(ParallelConfig{});
   return exhaustive_check(t, th, inputs, options, ctx);
 }
 
@@ -206,7 +206,7 @@ ExhaustiveReport exhaustive_check_from(int t, const protocols::Thresholds& th,
                                        const AbstractConfig& start,
                                        const std::array<bool, 2>& valid_values,
                                        const ExhaustiveOptions& options) {
-  CampaignContext ctx(options.parallel);
+  CampaignContext ctx(ParallelConfig{});
   return exhaustive_check_from(t, th, start, valid_values, options, ctx);
 }
 

@@ -18,13 +18,13 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
 #include "core/zsets.hpp"
 #include "protocols/thresholds.hpp"
-#include "util/thread_pool.hpp"
 
 namespace aa::core {
 
@@ -33,11 +33,6 @@ class CampaignContext;  // core/experiment.hpp
 struct ExhaustiveOptions {
   int max_depth = 3;                  ///< windows to unroll
   std::size_t max_configs = 200000;   ///< exploration budget (dedup'd)
-  /// Successor generation (the expensive part) is sharded across these
-  /// workers; dedup + invariant checking stays serial in canonical order,
-  /// so the report is bit-identical at any thread count. Ignored by the
-  /// CampaignContext overloads, which shard per the context's config.
-  ParallelConfig parallel = {};
 };
 
 struct ExhaustiveReport {
@@ -56,9 +51,10 @@ struct ExhaustiveReport {
 
 /// Explore every execution from the initial configuration given by
 /// `inputs`. Validity is judged against `inputs`. The CampaignContext
-/// overload shards successor generation onto the context's long-lived
-/// pool (the campaign path); the other builds a throwaway context from
-/// options.parallel per call. Reports are bit-identical either way.
+/// overload shards successor generation (the expensive part) onto the
+/// context's pool; dedup and invariant checking stay serial in canonical
+/// order, so the report is bit-identical at any thread count. The other
+/// overload runs on one thread.
 [[nodiscard]] ExhaustiveReport exhaustive_check(
     int t, const protocols::Thresholds& th, const std::vector<int>& inputs,
     const ExhaustiveOptions& options, CampaignContext& ctx);

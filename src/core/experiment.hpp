@@ -12,8 +12,10 @@
 //       .run_window(adversary, seed);
 //
 // One spec can be reused across many seeded runs (the Runner is immutable
-// and its run methods are const and thread-safe), which is how the
-// measure-one checkers (core/checker.hpp) shard trials across workers.
+// and its run methods are const and thread-safe), which is how a
+// measure-one check (core/checker.hpp's MeasureOneCheck) runs its trial
+// chunks on many workers — for one checker call or for every cell of a
+// campaign at once.
 #pragma once
 
 #include <cstdint>
@@ -140,7 +142,9 @@ struct WorkerScratch {
 /// pool's workers plus the caller (TaskGroup::wait has the calling thread
 /// help run chunks). Build ONE context and thread it through every checker
 /// / exhaustive / campaign call; the pool spawn/join cycle per check is
-/// exactly the overhead that flattened the benches' parallel speedup.
+/// exactly the overhead that flattened the benches' parallel speedup. A
+/// campaign puts all of its pending cells' chunks on the pool as one job
+/// list, so one cell's chunks interleave with its neighbours'.
 ///
 /// Thread-safety: worker_scratch() hands out distinct slots to distinct
 /// pool workers and a dedicated slot to off-pool callers, so at most ONE
@@ -160,18 +164,10 @@ class CampaignContext {
   /// other thread the extra caller slot.
   [[nodiscard]] WorkerScratch& worker_scratch() noexcept;
 
-  /// Cooperative cancellation flag polled by the checkers at chunk
-  /// boundaries (see run_measure_one): once cancelled, remaining chunks
-  /// are skipped and the check returns a partial report (trials < asked).
-  /// The campaign runner arms a Watchdog against this token to bound each
-  /// cell's wall-clock time; reset() it before reusing the context.
-  [[nodiscard]] CancelToken& cancel_token() noexcept { return cancel_; }
-
  private:
   ParallelConfig par_;
   std::unique_ptr<WorkStealingPool> pool_;  ///< null when serial
   std::vector<WorkerScratch> scratch_;      ///< pool workers + 1 caller slot
-  CancelToken cancel_;
 };
 
 /// Executes an Experiment spec. Immutable; every run method is const,

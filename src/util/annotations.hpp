@@ -1,9 +1,8 @@
 // Clang thread-safety annotations + annotated synchronization wrappers.
 //
 // The parallel engine's determinism story (util/thread_pool.hpp, file
-// comment) depends on a small amount of lock discipline: pool queues,
-// task-group completion counters, and the watchdog deadline are all
-// mutex-guarded, and a missed lock there turns "bit-identical at any
+// comment) depends on a small amount of lock discipline: pool queues and
+// task-group completion counters are mutex-guarded, and a missed lock there turns "bit-identical at any
 // thread count" into a data race. Clang's -Wthread-safety analysis can
 // prove the discipline at compile time — but only for lock types that
 // carry capability attributes, which libstdc++'s std::mutex does not.

@@ -25,6 +25,12 @@ int chunk_count(std::int64_t total, const ParallelConfig& cfg) {
   return static_cast<int>(count);
 }
 
+ChunkRange chunk_range(int ci, std::int64_t total, const ParallelConfig& cfg) {
+  const std::int64_t chunk = std::max(1, cfg.chunk_size);
+  const std::int64_t begin = static_cast<std::int64_t>(ci) * chunk;
+  return {begin, std::min(total, begin + chunk)};
+}
+
 namespace {
 
 /// Identity of the pool-worker thread this is, if any. Keyed per pool so
@@ -165,10 +171,12 @@ bool WorkStealingPool::try_pop(int home, Job& out) {
 
 void WorkStealingPool::run_job(Job& job) {
   std::exception_ptr error;
-  try {
-    job.fn();
-  } catch (...) {
-    error = std::current_exception();
+  if (!job.group->failed_.load(std::memory_order_relaxed)) {
+    try {
+      job.fn();
+    } catch (...) {
+      error = std::current_exception();
+    }
   }
   finish_job(job.group, std::move(error));
 }
@@ -179,64 +187,11 @@ void WorkStealingPool::finish_job(TaskGroup* group,
   // waiter may return and destroy the group (and its CondVar) as soon as
   // it can take mu_, so nothing may touch the group after the unlock.
   MutexLock lock(group->mu_);
-  if (error && !group->first_error_) group->first_error_ = std::move(error);
+  if (error && !group->first_error_) {
+    group->first_error_ = std::move(error);
+    group->failed_.store(true, std::memory_order_relaxed);
+  }
   if (--group->outstanding_ == 0) group->done_.notify_all();
-}
-
-Watchdog::~Watchdog() {
-  {
-    MutexLock lock(mu_);
-    stopping_ = true;
-    token_ = nullptr;
-    ++generation_;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-}
-
-void Watchdog::arm(CancelToken& token, std::chrono::milliseconds timeout) {
-  {
-    MutexLock lock(mu_);
-    token_ = &token;
-    // aa-lint: clock-ok(watchdog deadline — wall-clock by design; never
-    // feeds a report)
-    deadline_ = std::chrono::steady_clock::now() + timeout;
-    ++generation_;
-    if (!thread_.joinable()) thread_ = std::thread([this] { loop(); });
-  }
-  cv_.notify_all();
-}
-
-void Watchdog::disarm() {
-  {
-    MutexLock lock(mu_);
-    token_ = nullptr;
-    ++generation_;
-  }
-  cv_.notify_all();
-}
-
-void Watchdog::loop() {
-  MutexLock lock(mu_);
-  for (;;) {
-    while (!stopping_ && token_ == nullptr) cv_.wait(lock);
-    if (stopping_) return;
-    const std::uint64_t gen = generation_;
-    const auto deadline = deadline_;
-    // Sleep to the deadline; wake early on re-arm/disarm/shutdown (all
-    // bump generation_ or raise stopping_).
-    while (generation_ == gen && !stopping_) {
-      if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) break;
-    }
-    if (stopping_) return;
-    if (generation_ != gen) continue;  // superseded — nothing fired
-    // aa-lint: clock-ok(watchdog expiry check — wall-clock by design)
-    if (std::chrono::steady_clock::now() >= deadline && token_ != nullptr) {
-      token_->cancel();
-      token_ = nullptr;  // one shot per arm
-      ++generation_;
-    }
-  }
 }
 
 void parallel_for_chunks(
@@ -245,11 +200,9 @@ void parallel_for_chunks(
     WorkStealingPool* pool) {
   const int chunks = chunk_count(total, cfg);
   if (chunks == 0) return;
-  const std::int64_t chunk = std::max(1, cfg.chunk_size);
   const auto run_chunk = [&](int ci) {
-    const std::int64_t begin = static_cast<std::int64_t>(ci) * chunk;
-    const std::int64_t end = std::min(total, begin + chunk);
-    body(ci, begin, end);
+    const ChunkRange r = chunk_range(ci, total, cfg);
+    body(ci, r.begin, r.end);
   };
   // Serial semantics: no pool, one thread asked for, or one chunk — run
   // inline and in order, no pool traffic at all.

@@ -15,6 +15,11 @@
 //     therefore identical for 1, 2, or 64 threads, making reports
 //     bit-identical at any thread count.
 //
+// The pool reads no clock and runs no background thread of its own: the
+// campaign's per-cell timeout is a deadline its chunk body checks at chunk
+// start (core/campaign.cpp), so a whole sweep is one parallel_for_chunks
+// call over (cell, chunk) jobs.
+//
 // Lock discipline is statically checked: every mutex-guarded member below
 // carries AA_GUARDED_BY and internal helpers declare AA_REQUIRES
 // (util/annotations.hpp), so a clang build with -Wthread-safety — the CI
@@ -24,7 +29,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -54,6 +58,15 @@ struct ParallelConfig {
 /// Number of chunks parallel_for_chunks will produce for `total` items.
 /// Throws if the count does not fit in int (raise chunk_size instead).
 [[nodiscard]] int chunk_count(std::int64_t total, const ParallelConfig& cfg);
+
+/// Items [begin, end) of chunk `ci` of that partition — the range
+/// parallel_for_chunks hands to body(ci, begin, end).
+struct ChunkRange {
+  std::int64_t begin = 0;
+  std::int64_t end = 0;
+};
+[[nodiscard]] ChunkRange chunk_range(int ci, std::int64_t total,
+                                     const ParallelConfig& cfg);
 
 /// Long-lived work-stealing pool for campaign-scale workloads: one pool is
 /// created per campaign (core::CampaignContext) and shared across every
@@ -105,7 +118,8 @@ class WorkStealingPool {
 
     /// Run pool jobs on the calling thread until every job submitted to
     /// THIS group has finished, then rethrow the first exception any of
-    /// them raised.
+    /// them raised. Once a job has thrown, the group's jobs that have not
+    /// started yet are skipped: the error ends the batch anyway.
     void wait();
 
    private:
@@ -116,6 +130,10 @@ class WorkStealingPool {
     CondVar done_;
     std::exception_ptr first_error_ AA_GUARDED_BY(mu_);
     std::size_t outstanding_ AA_GUARDED_BY(mu_) = 0;
+    /// Raised with first_error_; read lock-free before each job starts.
+    /// Relaxed suffices: it only lets later jobs skip, and wait() learns
+    /// the error itself under mu_.
+    std::atomic<bool> failed_{false};
   };
 
  private:
@@ -141,66 +159,6 @@ class WorkStealingPool {
   bool stopping_ AA_GUARDED_BY(mu_) = false;
 };
 
-/// Cooperative cancellation flag shared between a watchdog (or any
-/// controller thread) and workers. Workers poll cancelled() at safe points
-/// (chunk boundaries) and skip remaining work; nothing is interrupted
-/// mid-trial, so results produced before the flag rose stay deterministic.
-/// Relaxed atomics suffice: the flag carries no data dependency — it only
-/// makes workers stop early, and the controller detects the effect through
-/// its own synchronization (TaskGroup::wait).
-class CancelToken {
- public:
-  void cancel() noexcept { flag_.store(true, std::memory_order_relaxed); }
-  void reset() noexcept { flag_.store(false, std::memory_order_relaxed); }
-  [[nodiscard]] bool cancelled() const noexcept {
-    return flag_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<bool> flag_{false};
-};
-
-/// Wall-clock watchdog: arm(token, timeout) cancels the token if disarm()
-/// is not called within the timeout. One lazily started background thread
-/// serves successive arms (a generation counter makes a stale deadline
-/// harmless: it only ever cancels the token it was armed with, and only
-/// while still the current generation). Used by the campaign runner's
-/// per-cell timeout; a fire that races a cell's completion at worst cancels
-/// an already-finished check, which the runner treats as a no-op because
-/// the report is complete.
-class Watchdog {
- public:
-  Watchdog() = default;
-  ~Watchdog();
-
-  Watchdog(const Watchdog&) = delete;
-  Watchdog& operator=(const Watchdog&) = delete;
-
-  /// Start (or re-target) the countdown: `token` is cancelled once
-  /// `timeout` elapses unless disarm() intervenes. Re-arming supersedes
-  /// any previous arm.
-  void arm(CancelToken& token, std::chrono::milliseconds timeout);
-
-  /// Stop the countdown. Idempotent; safe when never armed.
-  void disarm();
-
- private:
-  void loop();
-
-  Mutex mu_;
-  CondVar cv_;
-  /// Started by the first arm() (under mu_), joined by the destructor
-  /// after the loop observed stopping_. Not AA_GUARDED_BY(mu_): the
-  /// destructor must read it outside the lock to join, which is safe —
-  /// any arm() happens-before the destructor by the caller's contract
-  /// (no concurrent arm/destroy on one Watchdog).
-  std::thread thread_;
-  CancelToken* token_ AA_GUARDED_BY(mu_) = nullptr;  ///< null = disarmed
-  std::chrono::steady_clock::time_point deadline_ AA_GUARDED_BY(mu_){};
-  std::uint64_t generation_ AA_GUARDED_BY(mu_) = 0;  ///< bumped per arm/disarm
-  bool stopping_ AA_GUARDED_BY(mu_) = false;
-};
-
 /// Partition [0, total) into chunk_count(total, cfg) fixed chunks and call
 /// `body(chunk_index, begin, end)` once per chunk. With a null `pool`, a
 /// config that resolves to one thread, or a single chunk, every chunk runs
@@ -209,7 +167,8 @@ class Watchdog {
 /// they are done; many threads may call this on one pool concurrently
 /// (each call waits only for its own chunks). Distinct chunks may run
 /// concurrently, so `body` must not touch another chunk's state. Rethrows
-/// the first exception any chunk raised.
+/// the first exception any chunk raised; chunks that have not started by
+/// then are skipped, inline or pooled.
 void parallel_for_chunks(
     std::int64_t total, const ParallelConfig& cfg,
     const std::function<void(int, std::int64_t, std::int64_t)>& body,

@@ -138,6 +138,12 @@ TEST(CampaignConfig, RejectsMalformedInput) {
                std::invalid_argument);  // non-boolean
   EXPECT_THROW(parse_campaign_config("cell_timeout_ms = -5"),
                std::invalid_argument);  // negative timeout
+  // Timeouts whose doubled deadline would overflow int64 nanoseconds.
+  EXPECT_THROW(parse_campaign_config("cell_timeout_ms = 9223372036854775807"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_campaign_config("cell_timeout_ms = 1000000000001"),
+               std::invalid_argument);
+  EXPECT_NO_THROW(parse_campaign_config("cell_timeout_ms = 1000000000000"));
   EXPECT_THROW(parse_campaign_config("audit_every = -3"),
                std::invalid_argument);  // negative sampling period
   // Integers must fit their field: no silent wrap through int.
@@ -172,6 +178,13 @@ TEST(CampaignConfig, RejectsMalformedInput) {
   EXPECT_THROW(validate_campaign_config(edited), std::invalid_argument);
   edited.censor_target = 3;
   EXPECT_NO_THROW(validate_campaign_config(edited));
+  // run_campaign validates too: programmatic configs skip the parser.
+  CampaignConfig programmatic;
+  programmatic.cell_timeout_ms = kMaxCellTimeoutMs + 1;
+  EXPECT_THROW((void)run_campaign(programmatic), std::invalid_argument);
+  programmatic.cell_timeout_ms = 0;
+  programmatic.trials = 0;
+  EXPECT_THROW((void)run_campaign(programmatic), std::invalid_argument);
 }
 
 // ---- sweep structure -------------------------------------------------------

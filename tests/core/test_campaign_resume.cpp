@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/campaign.hpp"
@@ -72,28 +73,39 @@ TEST(CampaignResume, WritesArtifactsAtomicallyWithNoTmpLeftovers) {
 }
 
 TEST(CampaignResume, ResumedSummaryByteIdenticalAfterPartialKill) {
-  // Simulate a SIGKILL mid-sweep: keep cell 0's artifact, lose cell 1's and
-  // the summary. The resumed run must restore cell 0 (no recompute) and
-  // produce byte-identical cells and summary — at 1 and 8 threads.
+  // Simulate a SIGKILL mid-sweep: keep half the cell artifacts, lose the
+  // other half and the summary. The resumed run must restore the kept
+  // cells (no recompute) and produce byte-identical cells and summary — at
+  // 1, 4 and 8 threads, where the recomputed cells' chunks interleave.
   const fs::path dir = fresh_dir("kill");
   CampaignConfig cfg = two_cell_config(dir.string());
-  const CampaignResult full = run_campaign(cfg);
+  cfg.adversaries = {"fair", "random", "reset-storm", "split-keeper"};
+  (void)run_campaign(cfg);
   const std::string want_summary = read_file(dir / "resume_summary.json");
-  const std::string want_cell0 = read_file(dir / "resume_cell_0.json");
-  const std::string want_cell1 = read_file(dir / "resume_cell_1.json");
+  std::vector<std::string> want_cells;
+  for (int i = 0; i < 4; ++i) {
+    want_cells.push_back(
+        read_file(dir / ("resume_cell_" + std::to_string(i) + ".json")));
+  }
 
-  for (const int threads : {1, 8}) {
+  for (const int threads : {1, 4, 8}) {
     fs::remove(dir / "resume_cell_1.json");
+    fs::remove(dir / "resume_cell_3.json");
     fs::remove(dir / "resume_summary.json");
     cfg.threads = threads;
     cfg.resume = true;
     const CampaignResult resumed = run_campaign(cfg);
-    EXPECT_TRUE(resumed.cells[0].resumed) << "threads " << threads;
-    EXPECT_FALSE(resumed.cells[1].resumed) << "threads " << threads;
+    ASSERT_EQ(resumed.cells.size(), 4u);
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_EQ(resumed.cells[static_cast<std::size_t>(i)].resumed, i % 2 == 0)
+          << "threads " << threads << " cell " << i;
+      EXPECT_EQ(
+          read_file(dir / ("resume_cell_" + std::to_string(i) + ".json")),
+          want_cells[static_cast<std::size_t>(i)])
+          << "threads " << threads << " cell " << i;
+    }
     EXPECT_EQ(read_file(dir / "resume_summary.json"), want_summary)
         << "threads " << threads;
-    EXPECT_EQ(read_file(dir / "resume_cell_0.json"), want_cell0);
-    EXPECT_EQ(read_file(dir / "resume_cell_1.json"), want_cell1);
     EXPECT_EQ(campaign_summary_json(resumed), want_summary);
   }
   EXPECT_TRUE(tmp_leftovers(dir).empty());
@@ -223,38 +235,53 @@ TEST(CampaignResume, LensOffResumeIgnoresSidecars) {
 }
 
 TEST(CampaignResume, CellTimeoutMarksFailedAndSummarySkipsIt) {
-  // One cell whose trials cannot finish inside the watchdog deadline:
-  // split-keeper against split inputs keeps the run undecided, so every
-  // trial burns the whole 5000-window budget — far beyond 1 ms.
-  const fs::path dir = fresh_dir("timeout");
-  CampaignConfig cfg;
-  cfg.name = "slow";
-  cfg.model = CampaignModel::kWindow;
-  cfg.n = {16};
-  cfg.t = {2};
-  cfg.protocols = {"reset"};
-  cfg.thresholds = {"default"};
-  cfg.memory_k = {0};
-  cfg.adversaries = {"split-keeper"};
-  cfg.trials = 8;
-  cfg.budget = 5000;
-  cfg.seed = 1;
-  cfg.threads = 1;
-  cfg.chunk_size = 1;
-  cfg.output_dir = dir.string();
-  cfg.cell_timeout_ms = 1;
+  // A fast cell beside one whose chunks cannot all start inside the
+  // deadline. Cell 0 (benor) decides every trial within a few windows.
+  // Cell 1 (reset against split-keeper at n = 28) leaves most trials
+  // undecided, so they burn the 10000-window budget: a quarter second
+  // each, far past twice the 50 ms timeout. Its first chunks run; the
+  // chunks that start after the deadline are skipped, in both rounds.
+  const auto run = [](int threads) {
+    const fs::path dir = fresh_dir("timeout" + std::to_string(threads));
+    CampaignConfig cfg;
+    cfg.name = "slow";
+    cfg.model = CampaignModel::kWindow;
+    cfg.n = {28};
+    cfg.t = {3};
+    cfg.protocols = {"benor", "reset"};
+    cfg.thresholds = {"default"};
+    cfg.memory_k = {0};
+    cfg.adversaries = {"split-keeper"};
+    cfg.trials = 8;
+    cfg.budget = 10000;
+    cfg.seed = 1;
+    cfg.threads = threads;
+    cfg.chunk_size = 1;
+    cfg.output_dir = dir.string();
+    cfg.cell_timeout_ms = 50;
+    const CampaignResult result = run_campaign(cfg);
+    return std::make_pair(dir, result);
+  };
 
-  const CampaignResult result = run_campaign(cfg);
-  ASSERT_EQ(result.cells.size(), 1u);
-  EXPECT_TRUE(result.cells[0].failed);
-  EXPECT_EQ(result.summary.trials, 0);  // failed cell excluded from merge
-  // No artifact for the failed cell; the summary lists it.
-  EXPECT_FALSE(fs::exists(dir / "slow_cell_0.json"));
-  const std::string summary = read_file(dir / "slow_summary.json");
-  EXPECT_NE(summary.find("\"cells_failed\": [0]"), std::string::npos)
-      << summary;
-  EXPECT_TRUE(tmp_leftovers(dir).empty());
-  fs::remove_all(dir);
+  const auto [dir1, ref] = run(1);
+  const std::string fast_cell = read_file(dir1 / "slow_cell_0.json");
+  for (const int threads : {1, 4}) {
+    const auto [dir, result] = threads == 1 ? std::make_pair(dir1, ref)
+                                            : run(threads);
+    ASSERT_EQ(result.cells.size(), 2u);
+    EXPECT_FALSE(result.cells[0].failed) << "threads " << threads;
+    EXPECT_TRUE(result.cells[1].failed) << "threads " << threads;
+    // The fast cell landed with the same bytes at any thread count; the
+    // failed cell is excluded from the merge and gets no artifact.
+    EXPECT_EQ(read_file(dir / "slow_cell_0.json"), fast_cell);
+    EXPECT_EQ(result.summary.trials, 8);
+    EXPECT_FALSE(fs::exists(dir / "slow_cell_1.json"));
+    const std::string summary = read_file(dir / "slow_summary.json");
+    EXPECT_NE(summary.find("\"cells_failed\": [1]"), std::string::npos)
+        << summary;
+    EXPECT_TRUE(tmp_leftovers(dir).empty());
+    fs::remove_all(dir);
+  }
 }
 
 }  // namespace

@@ -121,12 +121,10 @@ TEST(ParallelDeterminism, ExhaustiveReportIdenticalAcrossThreadCounts) {
   const int n = 7;
   const int t = 1;
   const auto run = [&](int threads) {
-    return exhaustive_check(
-        t, protocols::canonical_thresholds(n, t),
-        protocols::split_inputs(n, 4.0 / 7),
-        {.max_depth = 2,
-         .max_configs = 150000,
-         .parallel = ParallelConfig{.threads = threads}});
+    CampaignContext ctx(ParallelConfig{.threads = threads});
+    return exhaustive_check(t, protocols::canonical_thresholds(n, t),
+                            protocols::split_inputs(n, 4.0 / 7),
+                            {.max_depth = 2, .max_configs = 150000}, ctx);
   };
   const ExhaustiveReport serial = run(1);
   EXPECT_TRUE(serial.clean());
@@ -150,11 +148,10 @@ TEST(ParallelDeterminism, ExhaustiveViolationWitnessIdentical) {
   start.x = {0, 1, 1, 1, 1, 1, 1};
   start.out = {0, -1, -1, -1, -1, -1, -1};
   const auto run = [&](int threads) {
-    return exhaustive_check_from(
-        t, broken, start, {true, true},
-        {.max_depth = 1,
-         .max_configs = 100000,
-         .parallel = ParallelConfig{.threads = threads}});
+    CampaignContext ctx(ParallelConfig{.threads = threads});
+    return exhaustive_check_from(t, broken, start, {true, true},
+                                 {.max_depth = 1, .max_configs = 100000},
+                                 ctx);
   };
   const ExhaustiveReport serial = run(1);
   ASSERT_TRUE(serial.violation.has_value());

@@ -193,10 +193,10 @@ TEST(LatencyAccumulator, LensNeverChangesTheMeasureOneReport) {
   }
 }
 
-TEST(LatencyAccumulator, InlineTrialsProduceIdenticalBytes) {
-  // The parallel-cells campaign path runs whole cells with inline trials;
-  // chunk boundaries depend only on (trials, chunk_size), so the bytes
-  // must match the pooled schedule exactly.
+TEST(LatencyAccumulator, ChunksRunInAnyOrderProduceIdenticalBytes) {
+  // A campaign runs each check's chunks (MeasureOneCheck::run_trials)
+  // interleaved with other cells' chunks, in whatever order the pool picks
+  // them; merged in chunk order, the tallies must match the checker's.
   const core::Experiment spec = checker_spec();
   const int trials = 64;
   ParallelConfig par;
@@ -207,14 +207,21 @@ TEST(LatencyAccumulator, InlineTrialsProduceIdenticalBytes) {
   const core::MeasureOneReport pooled = core::check_measure_one_window(
       spec, random_factory(spec.t), trials, 6000, pooled_ctx, nullptr,
       &pooled_lat);
-  core::CampaignContext inline_ctx(par);
-  LatencyAccumulator inline_lat;
-  const core::MeasureOneReport inlined = core::check_measure_one_window(
-      spec, random_factory(spec.t), trials, 6000, inline_ctx, nullptr,
-      &inline_lat, /*inline_trials=*/true);
-  expect_measure_reports_identical(pooled, inlined);
+
+  const core::MeasureOneCheck check(spec, random_factory(spec.t), 6000,
+                                    /*lens=*/true);
+  core::WorkerScratch scratch;
+  std::vector<core::TrialTally> parts(trials / 8);
+  for (int ci = trials / 8 - 1; ci >= 0; --ci) {
+    check.run_trials(ci * 8, ci * 8 + 8, scratch,
+                     parts[static_cast<std::size_t>(ci)]);
+  }
+  core::TrialTally total;
+  for (const core::TrialTally& p : parts) total.merge(p);
+  expect_measure_reports_identical(pooled,
+                                   total.acc.finalize(check.async()));
   EXPECT_EQ(core::latency_report_json(pooled_lat.finalize(spec.t)),
-            core::latency_report_json(inline_lat.finalize(spec.t)));
+            core::latency_report_json(total.lat.finalize(spec.t)));
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // aa_lint self-test fixture: must produce ZERO findings.
 //
 // Each block below would trip a rule, but carries the rule's waiver with a
-// reason — exactly the escape hatch real code uses (e.g. the Watchdog
-// deadline, the atomic-write primitives). Also exercises the lexer: rule
+// reason — exactly the escape hatch real code uses (e.g. the campaign's
+// per-cell deadline clock, the atomic-write primitives). Also exercises the lexer: rule
 // patterns inside comments and string literals must never fire.
 #include <chrono>
 #include <cstdio>
@@ -17,7 +17,7 @@ inline const char* kDoc =
     "calls like time(nullptr) and fopen(path) in strings do not count";
 
 inline long long waived_deadline() {
-  // aa-lint: clock-ok(fixture: mirrors the Watchdog deadline waiver)
+  // aa-lint: clock-ok(fixture: mirrors the campaign deadline waiver)
   return std::chrono::steady_clock::now().time_since_epoch().count();
 }
 

@@ -123,10 +123,9 @@ int main(int argc, char** argv) {
     {
       core::ExhaustiveOptions opt;
       opt.max_depth = 3;
-      opt.parallel = par;
       const auto th = protocols::canonical_thresholds(8, 1);
-      const auto rep =
-          core::exhaustive_check(1, th, protocols::split_inputs(8, 0.5), opt);
+      const auto rep = core::exhaustive_check(
+          1, th, protocols::split_inputs(8, 0.5), opt, ctx);
       std::printf("exhaustive threads=%d configs=%" PRId64 " transitions=%" PRId64
                   " depth=%d budget=%d agree=%d valid=%d\n",
                   threads, rep.configs_explored, rep.transitions,

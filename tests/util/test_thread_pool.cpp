@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
@@ -69,6 +70,11 @@ TEST(ParallelForChunks, ChunkIndexMatchesRange) {
     EXPECT_EQ(ranges[ci].first, static_cast<std::int64_t>(ci) * 10);
     EXPECT_EQ(ranges[ci].second,
               std::min<std::int64_t>(42, (static_cast<std::int64_t>(ci) + 1) * 10));
+    // chunk_range is the same partition, for callers that schedule the
+    // chunks themselves (the campaign's cross-cell job list).
+    const ChunkRange r = chunk_range(static_cast<int>(ci), 42, cfg);
+    EXPECT_EQ(r.begin, ranges[ci].first);
+    EXPECT_EQ(r.end, ranges[ci].second);
   }
 }
 
@@ -102,6 +108,34 @@ TEST(ParallelForChunks, PropagatesBodyException) {
                      p),
                  std::runtime_error);
   }
+}
+
+TEST(ParallelForChunks, SkipsChunksNotStartedAfterAThrow) {
+  // A campaign is one job list; an error in one cell must end the sweep,
+  // not run every other cell first. Chunk 1 holds its thread until chunk 0
+  // has thrown and a little longer, so the error is recorded before the
+  // next chunk starts.
+  WorkStealingPool pool(1);
+  const ParallelConfig cfg{.threads = 2, .chunk_size = 1};
+  std::atomic<bool> thrown{false};
+  std::atomic<int> ran{0};
+  EXPECT_THROW(parallel_for_chunks(
+                   1000, cfg,
+                   [&](int ci, std::int64_t, std::int64_t) {
+                     ran.fetch_add(1, std::memory_order_relaxed);
+                     if (ci == 0) {
+                       thrown.store(true);
+                       throw std::runtime_error("chunk 0");
+                     }
+                     if (ci == 1) {
+                       while (!thrown.load()) std::this_thread::yield();
+                       std::this_thread::sleep_for(
+                           std::chrono::milliseconds(20));
+                     }
+                   },
+                   &pool),
+               std::runtime_error);
+  EXPECT_LT(ran.load(), 100);
 }
 
 // ---- WorkStealingPool ------------------------------------------------------

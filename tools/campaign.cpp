@@ -7,15 +7,15 @@
 //   --seed S             override the base seed
 //   --output-dir DIR     override (or enable) JSON output
 //   --resume             skip cells whose output JSON exists and validates
-//   --cell-timeout-ms N  per-cell wall-clock watchdog (retries once at 2N)
+//   --cell-timeout-ms N  per-cell wall-clock deadline, checked at chunk
+//                        start; an expired cell is retried once at 2N,
+//                        then marked failed (N <= 10^12)
 //   --audit              run the engine invariant auditor every window
 //   --audit-every N      sampled auditor: every Nth window boundary
 //   --lens               capture the latency & accountability lens per cell
 //                        (writes <name>_cell_<i>_lens.json sidecars)
 //   --censor-target K    wrap every cell adversary in the targeted censor
 //                        aimed at processor K
-//   --parallel-cells     distribute whole cells across the pool (byte-
-//                        identical artifacts; excludes --cell-timeout-ms)
 //   --print-summary      print the merged-summary JSON to stdout
 //   --print-cells        print one line per finished cell
 //
@@ -23,12 +23,13 @@
 // comments); see src/core/campaign.hpp for every key and
 // examples/campaign_smoke.cfg for a worked example. One CampaignContext —
 // work-stealing pool plus per-worker Execution scratch — is shared across
-// every cell, and the merged summary is byte-identical at any --threads
+// every cell: all cells' trial chunks run on it as one job list. Every
+// artifact but the timing sidecar is byte-identical at any --threads
 // value (the determinism contract core/report.hpp documents).
 //
 // Crash safety: with an output dir set, each finished cell's JSON is
 // written atomically the moment it completes, so a SIGKILL mid-sweep loses
-// at most the in-flight cell. Re-running with --resume restores the
+// at most the in-flight cells. Re-running with --resume restores the
 // completed cells from their artifacts and produces a summary byte-
 // identical to an uninterrupted run's.
 #include <cinttypes>
@@ -48,7 +49,7 @@ void usage(const char* argv0) {
                "usage: %s <config-file> [--threads N] [--trials N] "
                "[--seed S] [--output-dir DIR] [--resume] "
                "[--cell-timeout-ms N] [--audit] [--audit-every N] "
-               "[--lens] [--censor-target K] [--parallel-cells] "
+               "[--lens] [--censor-target K] "
                "[--print-summary] [--print-cells]\n",
                argv0);
 }
@@ -98,7 +99,6 @@ int main(int argc, char** argv) {
       else if (arg == "--audit-every") cfg.audit_every = int_flag();
       else if (arg == "--lens") cfg.lens = true;
       else if (arg == "--censor-target") cfg.censor_target = int_flag();
-      else if (arg == "--parallel-cells") cfg.parallel_cells = true;
       else if (arg == "--print-summary") print_summary = true;
       else if (arg == "--print-cells") print_cells = true;
       else {
