@@ -3,11 +3,11 @@
 // be tracked across PRs (CI uploads these as artifacts).
 //
 // Usage:
-//   BenchJson j("m2_window_horizon");
-//   j.set("config.n", 32);
-//   j.set("arena.windows_per_sec", 1.2e6);
-//   j.set("smoke", false);
-//   j.write();                       // → BENCH_m2_window_horizon.json
+//   BenchJson j("t1_threshold_sweep");
+//   j.set("config.n", 16);
+//   j.set("parallel.trials_per_sec", 1.2e4);
+//   j.set("reports_bit_identical", true);
+//   j.write();                       // → BENCH_t1_threshold_sweep.json
 //
 // Dotted keys nest ("config.n" → {"config": {"n": ...}}). Insertion order
 // is preserved. No external dependencies, header-only.

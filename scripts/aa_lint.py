@@ -153,7 +153,7 @@ RULES = [
         allow=("src/sim/buffer.cpp",),
         why="MsgIdMap::erase is buffer-internal — ids >= direct_base_ are "
             "not in the map; route retirement through the buffer's "
-            "mark_delivered/mark_dropped/drop_pending_in_window",
+            "mark_delivered/drop_pending_in_window",
     ),
 ]
 

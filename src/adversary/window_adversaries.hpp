@@ -161,8 +161,9 @@ class SplitKeeperAdversary final : public sim::WindowAdversary {
 /// A/B wrapper that strips plan reuse from `inner`: its cache is
 /// invalidated before every window, so every plan_window_into refills the
 /// plan and returns kUpdated — the pre-reuse (replan + revalidate every
-/// window) engine behaviour. Used by benches and the reuse-equivalence
-/// tests; plans are bit-identical to the reusing inner adversary's.
+/// window) engine behaviour. The reference the plan-reuse equivalence
+/// tests compare against; plans are bit-identical to the reusing inner
+/// adversary's.
 class ReplanEveryWindow final : public sim::WindowAdversary {
  public:
   explicit ReplanEveryWindow(std::unique_ptr<sim::WindowAdversary> inner);

@@ -21,7 +21,6 @@
 #include "adversary/censor.hpp"
 #include "adversary/chaos.hpp"
 #include "adversary/window_adversaries.hpp"
-#include "core/checker.hpp"
 #include "lens/accountability.hpp"
 #include "util/check.hpp"
 
@@ -114,53 +113,6 @@ std::optional<protocols::Thresholds> threshold_preset(const std::string& name,
   return std::nullopt;
 }
 
-/// The same named adversary menus report_probe and the examples use.
-WindowAdversaryFactory window_factory(const std::string& name, int t) {
-  AA_REQUIRE(name == "fair" || name == "silencer" || name == "split-keeper" ||
-                 name == "reset-storm" || name == "random",
-             "campaign: unknown window adversary '" + name +
-                 "' (want fair|silencer|split-keeper|reset-storm|random)");
-  return [name, t](std::uint64_t seed) -> std::unique_ptr<sim::WindowAdversary> {
-    if (name == "fair") {
-      return std::make_unique<adversary::FairWindowAdversary>();
-    }
-    if (name == "silencer") {
-      std::vector<sim::ProcId> silenced;
-      for (int i = 0; i < t; ++i) silenced.push_back(i);
-      return std::make_unique<adversary::SilencerWindowAdversary>(silenced);
-    }
-    if (name == "split-keeper") {
-      return std::make_unique<adversary::SplitKeeperAdversary>();
-    }
-    if (name == "reset-storm") {
-      return std::make_unique<adversary::ResetStormAdversary>(
-          t, Rng(seed * 7 + 1));
-    }
-    return std::make_unique<adversary::RandomWindowAdversary>(
-        t, 0.1, Rng(seed * 9 + 2));
-  };
-}
-
-AsyncAdversaryFactory async_factory(const std::string& name, int t) {
-  AA_REQUIRE(name == "random-async" || name == "fixed-crash" ||
-                 name == "async-split",
-             "campaign: unknown async adversary '" + name +
-                 "' (want random-async|fixed-crash|async-split)");
-  return [name, t](std::uint64_t seed) -> std::unique_ptr<sim::AsyncAdversary> {
-    if (name == "random-async") {
-      return std::make_unique<adversary::RandomAsyncScheduler>(
-          Rng(seed * 3 + 1));
-    }
-    if (name == "fixed-crash") {
-      std::vector<sim::ProcId> crash;
-      for (int i = 0; i < t; ++i) crash.push_back(i);
-      return std::make_unique<adversary::FixedCrashScheduler>(
-          crash, Rng(seed * 5 + 3));
-    }
-    return std::make_unique<adversary::AsyncSplitKeeper>();
-  };
-}
-
 /// Chaos presets for the `chaos_plan` sweep axis. "none" resolves to the
 /// config's own chaos knobs — the default axis value is exactly the
 /// pre-axis behavior — and the named presets inherit the config's censor
@@ -202,7 +154,7 @@ constexpr int kCampaignStarveBound = 8;
 WindowAdversaryFactory cell_window_factory(const CampaignConfig& config,
                                            const sim::FaultPlan& fp,
                                            const std::string& name, int t) {
-  WindowAdversaryFactory f = window_factory(name, t);
+  WindowAdversaryFactory f = window_adversary_factory(name, t);
   if (fp.enabled()) {
     f = [inner = std::move(f),
          fp](std::uint64_t seed) -> std::unique_ptr<sim::WindowAdversary> {
@@ -224,7 +176,7 @@ WindowAdversaryFactory cell_window_factory(const CampaignConfig& config,
 AsyncAdversaryFactory cell_async_factory(const CampaignConfig& config,
                                          const sim::FaultPlan& fp,
                                          const std::string& name, int t) {
-  AsyncAdversaryFactory f = async_factory(name, t);
+  AsyncAdversaryFactory f = async_adversary_factory(name, t);
   if (fp.enabled()) {
     f = [inner = std::move(f),
          fp](std::uint64_t seed) -> std::unique_ptr<sim::AsyncAdversary> {
@@ -437,6 +389,53 @@ std::string lens_file_path(const CampaignConfig& config, int index) {
 
 }  // namespace
 
+WindowAdversaryFactory window_adversary_factory(const std::string& name,
+                                                int t) {
+  AA_REQUIRE(name == "fair" || name == "silencer" || name == "split-keeper" ||
+                 name == "reset-storm" || name == "random",
+             "campaign: unknown window adversary '" + name +
+                 "' (want fair|silencer|split-keeper|reset-storm|random)");
+  return [name, t](std::uint64_t seed) -> std::unique_ptr<sim::WindowAdversary> {
+    if (name == "fair") {
+      return std::make_unique<adversary::FairWindowAdversary>();
+    }
+    if (name == "silencer") {
+      std::vector<sim::ProcId> silenced;
+      for (int i = 0; i < t; ++i) silenced.push_back(i);
+      return std::make_unique<adversary::SilencerWindowAdversary>(silenced);
+    }
+    if (name == "split-keeper") {
+      return std::make_unique<adversary::SplitKeeperAdversary>();
+    }
+    if (name == "reset-storm") {
+      return std::make_unique<adversary::ResetStormAdversary>(
+          t, Rng(seed * 7 + 1));
+    }
+    return std::make_unique<adversary::RandomWindowAdversary>(
+        t, 0.1, Rng(seed * 9 + 2));
+  };
+}
+
+AsyncAdversaryFactory async_adversary_factory(const std::string& name, int t) {
+  AA_REQUIRE(name == "random-async" || name == "fixed-crash" ||
+                 name == "async-split",
+             "campaign: unknown async adversary '" + name +
+                 "' (want random-async|fixed-crash|async-split)");
+  return [name, t](std::uint64_t seed) -> std::unique_ptr<sim::AsyncAdversary> {
+    if (name == "random-async") {
+      return std::make_unique<adversary::RandomAsyncScheduler>(
+          Rng(seed * 3 + 1));
+    }
+    if (name == "fixed-crash") {
+      std::vector<sim::ProcId> crash;
+      for (int i = 0; i < t; ++i) crash.push_back(i);
+      return std::make_unique<adversary::FixedCrashScheduler>(
+          crash, Rng(seed * 5 + 3));
+    }
+    return std::make_unique<adversary::AsyncSplitKeeper>();
+  };
+}
+
 long long parse_campaign_int(const std::string& value,
                              const std::string& where, long long lo,
                              long long hi) {
@@ -581,6 +580,23 @@ void validate_campaign_config(const CampaignConfig& cfg) {
                  !cfg.adversaries.empty() && !cfg.thresholds.empty() &&
                  !cfg.memory_k.empty() && !cfg.chaos_plan.empty(),
              "campaign config: every sweep axis needs at least one value");
+  for (const int n : cfg.n) {
+    AA_REQUIRE(n >= 1, "campaign config: n must be >= 1 (got " +
+                           std::to_string(n) + ")");
+  }
+  for (const int t : cfg.t) {
+    AA_REQUIRE(t >= 0, "campaign config: t must be non-negative (got " +
+                           std::to_string(t) + ")");
+  }
+  for (const int k : cfg.memory_k) {
+    AA_REQUIRE(k >= 0, "campaign config: memory_k must be non-negative (got " +
+                           std::to_string(k) + ")");
+  }
+  // Written so that NaN fails too.
+  AA_REQUIRE(cfg.split >= 0.0 && cfg.split <= 1.0,
+             "campaign config: split must be in [0, 1]");
+  AA_REQUIRE(cfg.censor_target >= -1,
+             "campaign config: censor_target must be >= -1 (-1 = off)");
   sim::validate_fault_plan(cfg.chaos);
   const bool default_plan =
       cfg.chaos_plan.size() == 1 && cfg.chaos_plan[0] == "none";
@@ -736,12 +752,14 @@ CampaignResult run_campaign(const CampaignConfig& config,
   result.config = config;
 
   const bool writing = !config.output_dir.empty();
-  if (writing) fs::create_directories(config.output_dir);
 
   // Phase 1 — enumerate the sweep serially into canonical-order slots:
   // outermost n, innermost chaos_plan. The per-cell seed block
   // [seed + index*trials, ...) depends only on the config, so cell
-  // identities — and every report — are thread-count-independent.
+  // identities — and every report — are thread-count-independent. Each
+  // (n, t, protocol, thresholds, memory_k) combination builds its
+  // processes once here, so a combination the protocol rejects fails
+  // with its coordinates before output_dir is touched.
   std::vector<CellWork> work;
   int index = 0;
   for (const int n : config.n) {
@@ -756,6 +774,26 @@ CampaignResult run_campaign(const CampaignConfig& config,
                   : 1;
           for (std::size_t ki = 0; ki < k_count; ++ki) {
             const int memory_k = config.memory_k[ki];
+            Experiment spec;
+            try {
+              spec.kind = kind;
+              spec.inputs = protocols::split_inputs(n, config.split);
+              spec.t = t;
+              spec.budget = config.budget;
+              spec.thresholds = threshold_preset(th_name, n, t);
+              spec.memory_k = memory_k;
+              spec.audit = config.audit;
+              spec.audit_every = config.audit_every;
+              (void)protocols::make_processes(kind, t, spec.inputs,
+                                              spec.thresholds, memory_k);
+            } catch (const std::invalid_argument& e) {
+              throw std::invalid_argument(
+                  "campaign: cannot build cell (n=" + std::to_string(n) +
+                  ", t=" + std::to_string(t) + ", protocol=" + proto +
+                  ", thresholds=" + th_name +
+                  ", memory_k=" + std::to_string(memory_k) + "): " +
+                  e.what());
+            }
             for (const std::string& adv : config.adversaries) {
               for (const std::string& plan_name : config.chaos_plan) {
                 CellWork w;
@@ -772,15 +810,7 @@ CampaignResult run_campaign(const CampaignConfig& config,
                                       static_cast<std::uint64_t>(
                                           config.trials);
 
-                w.spec.kind = kind;
-                w.spec.inputs = protocols::split_inputs(n, config.split);
-                w.spec.t = t;
-                w.spec.budget = config.budget;
-                w.spec.thresholds = threshold_preset(th_name, n, t);
-                w.spec.memory_k = memory_k;
-                w.spec.audit = config.audit;
-                w.spec.audit_every = config.audit_every;
-
+                w.spec = spec;
                 w.chaos = chaos_plan_preset(config, plan_name);
                 if (writing) {
                   w.path = cell_file_path(config, index);
@@ -795,6 +825,8 @@ CampaignResult run_campaign(const CampaignConfig& config,
       }
     }
   }
+
+  if (writing) fs::create_directories(config.output_dir);
 
   // Phase 2 — serial resume: restore whole cells from validated artifacts
   // into their slots before any compute is scheduled.

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "core/checker.hpp"
 #include "core/experiment.hpp"
 #include "core/report.hpp"
 #include "sim/fault.hpp"
@@ -161,6 +162,18 @@ void validate_campaign_config(const CampaignConfig& cfg);
 
 /// Read and parse a config file.
 [[nodiscard]] CampaignConfig load_campaign_config(const std::string& path);
+
+/// The campaign's named window-adversary menu (the `adversaries` values of
+/// a window-model config): fair, silencer (silences ids 0..t-1),
+/// split-keeper, reset-storm (Rng(seed*7+1)) and random (reset probability
+/// 0.1, Rng(seed*9+2)). Throws std::invalid_argument for any other name.
+[[nodiscard]] WindowAdversaryFactory window_adversary_factory(
+    const std::string& name, int t);
+
+/// The async menu: random-async (Rng(seed*3+1)), fixed-crash (crashes ids
+/// 0..t-1, Rng(seed*5+3)) and async-split. Throws for any other name.
+[[nodiscard]] AsyncAdversaryFactory async_adversary_factory(
+    const std::string& name, int t);
 
 /// One finished sweep cell: its axis coordinates plus the checker report.
 struct CampaignCell {

@@ -16,7 +16,7 @@
 //               plus a per-sender histogram of delivery lag
 //               (delivery window − send window);
 //   suppression — per-(sender, receiver) counts of messages the window
-//               sweep (or an explicit drop) discarded undelivered;
+//               sweep discarded undelivered;
 //   decision  — each processor's decision window/step; at that moment the
 //               per-sender confirmation spans (decision − first-heard, in
 //               windows and in steps) are folded into per-sender sums and
@@ -66,7 +66,7 @@ class WindowTrace {
                   std::int64_t step);
 
   /// The buffer discarded a pending (sender → receiver) message
-  /// undelivered: the end-of-window sweep or an explicit drop.
+  /// undelivered at the end-of-window sweep.
   void on_suppress(sim::ProcId sender, sim::ProcId receiver);
 
   /// Processor `p` wrote its decision in `window` at step `step`.

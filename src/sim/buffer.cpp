@@ -315,18 +315,6 @@ int MessageBuffer::deliver_window_run_to(ProcId receiver, std::int64_t w,
   return delivered;
 }
 
-void MessageBuffer::mark_dropped(MsgId id) {
-  const std::int32_t s = slot_of(id);
-  AA_CHECK(s != kNoSlot, "mark_dropped: message not pending");
-  if (trace_ != nullptr) {
-    const auto si = static_cast<std::size_t>(s);
-    trace_->on_suppress(meta_[si].sender, meta_[si].receiver);
-  }
-  retire(s);
-  --pending_;
-  ++dropped_;
-}
-
 std::size_t MessageBuffer::drop_pending_in_window(std::int64_t w) {
   if (w < win_base_ ||
       w >= win_base_ + static_cast<std::int64_t>(win_count_)) {

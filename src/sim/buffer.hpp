@@ -2,10 +2,11 @@
 // slot arena.
 //
 // The adversary has full information: it can inspect every pending envelope.
-// Delivery and drops are explicit engine events; a message is in exactly one
-// of three states: pending, delivered, dropped. (Dropping models the
+// A message is in exactly one of three states: pending, delivered, dropped.
+// Delivery is an explicit engine event; the end-of-window sweep
+// (drop_pending_in_window) is the only drop path. (Dropping models the
 // acceptable-window semantics where messages from silenced senders are never
-// delivered; the async crash model never drops except to crashed receivers.)
+// delivered; the async crash model never drops.)
 //
 // Arena design (the O(live) rewrite, now SoA):
 //   * MsgIds stay monotonically increasing — the adversary-visible identity
@@ -263,10 +264,6 @@ class MessageBuffer {
                             std::span<const Envelope*> out,
                             std::int32_t* cursor);
 
-  /// Transition pending → dropped and recycle the slot. Precondition:
-  /// pending.
-  void mark_dropped(MsgId id);
-
   /// Drop every still-pending message sent during window `w` by walking
   /// only that window's own pending list. Returns the number dropped.
   /// Range retirement: when the sweep leaves NO pending message anywhere
@@ -286,18 +283,17 @@ class MessageBuffer {
   void spill_direct_index();
 
   /// Install (or clear, with nullptr) the accountability lens: every drop
-  /// of a still-PENDING message — mark_dropped or the end-of-window sweep —
-  /// reports (sender, receiver) to trace->on_suppress. Lazily-delivered
-  /// slots recycled by the sweep are NOT suppressions. The trace outlives
-  /// the buffer's run; Execution re-installs it on construction and reset.
+  /// of a still-PENDING message by the end-of-window sweep reports
+  /// (sender, receiver) to trace->on_suppress. Lazily-delivered slots
+  /// recycled by the sweep are NOT suppressions. The trace outlives the
+  /// buffer's run; Execution re-installs it on construction and reset.
   void set_trace(lens::WindowTrace* trace) noexcept { trace_ = trace; }
 
   // ---- allocation-free iteration (ascending-id order) --------------------
   //
   // Ranges yield `const Envelope&`. Iterators prefetch their successor, so
-  // retiring the CURRENT element (mark_delivered / mark_dropped) while
-  // iterating is safe; retiring any other element or adding messages
-  // mid-iteration is not.
+  // retiring the CURRENT element (mark_delivered) while iterating is safe;
+  // retiring any other element or adding messages mid-iteration is not.
 
   class PendingIterator {
    public:
@@ -402,8 +398,6 @@ class MessageBuffer {
   [[nodiscard]] std::size_t dropped_count() const noexcept { return dropped_; }
   [[nodiscard]] int n() const noexcept { return n_; }
 
-  /// Number of live (pending) messages — the arena's working set.
-  [[nodiscard]] std::size_t live_count() const noexcept { return pending_; }
   /// Slots ever materialized — the arena's high-water mark. Stays flat once
   /// the peak live load is reached, no matter how long the run is.
   [[nodiscard]] std::size_t slot_capacity() const noexcept {

@@ -89,16 +89,16 @@ void Execution::reset(std::vector<std::unique_ptr<Process>> procs,
   }
 }
 
-SentBatch Execution::sending_step(ProcId p) {
+std::span<const MsgId> Execution::sending_step(ProcId p) {
   AA_REQUIRE(p >= 0 && p < n_, "sending_step: bad proc id");
   record(StepKind::Send, p);
   published_.clear();
-  if (crashed_[static_cast<std::size_t>(p)]) return SentBatch(p, published_);
+  if (crashed_[static_cast<std::size_t>(p)]) return published_;
   Outbox& out = staged_[static_cast<std::size_t>(p)];
   // Complete-response semantics: an empty outbox means the step is a no-op.
   const auto& items = out.items();
   const std::size_t m = items.size();
-  if (m == 0) return SentBatch(p, published_);
+  if (m == 0) return published_;
   const MsgId first = buffer_.add_batch(
       p, items, window_, chain_[static_cast<std::size_t>(p)] + 1);
   if (cfg_.lens != nullptr) cfg_.lens->on_publish(p, items, window_);
@@ -108,7 +108,7 @@ SentBatch Execution::sending_step(ProcId p) {
   }
   if (scratch_.collect_window != window_) {
     out.clear();
-    return SentBatch(p, published_);
+    return published_;
   }
 
   // Window collection armed: fold this step's receiver grouping into the
@@ -145,11 +145,7 @@ SentBatch Execution::sending_step(ProcId p) {
     }
   }
   out.clear();
-  return SentBatch(
-      p, published_,
-      std::span<const std::int32_t>(sc.pair_begin).subspan(
-          row, static_cast<std::size_t>(n_) + 1),
-      sc.pair_ids);
+  return published_;
 }
 
 void Execution::begin_window_batch() {

@@ -99,14 +99,13 @@ class Execution {
   // ---- the three step kinds of §2 (+ crash for §5) ----
 
   /// Sending step: publish `p`'s staged messages into the buffer in one
-  /// MessageBuffer::add_batch run. Returns a SentBatch view of the ids
-  /// published (empty when the step is a no-op); while a window batch is
-  /// being collected (begin_window_batch) the step also folds the sender's
-  /// receiver grouping into the window pair index and the SentBatch
-  /// exposes it via to(r). The view aliases reusable internal buffers — it
-  /// is invalidated by the next sending step, so copy it out if it must
-  /// outlive one step.
-  SentBatch sending_step(ProcId p);
+  /// MessageBuffer::add_batch run. Returns the ids published, in staging
+  /// order (empty when the step is a no-op); while a window batch is being
+  /// collected (begin_window_batch) the step also folds the sender's
+  /// receiver grouping into the window pair index. The span aliases a
+  /// reusable internal buffer — it is invalidated by the next sending step,
+  /// so copy it out if it must outlive one step.
+  std::span<const MsgId> sending_step(ProcId p);
 
   /// Receiving step: deliver pending message `id` to its recipient and run
   /// the (randomized) local computation.

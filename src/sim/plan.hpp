@@ -1,9 +1,9 @@
 // WindowPlan — the adversary's choice for one acceptable window — plus the
 // bulk-publication types: WindowScratch (the reusable workspace that makes a
-// steady-state window allocation-free, owned by Execution), SentBatch (the
-// view one sending step returns), and WindowBatch (the incrementally built
-// (sender, receiver) pair index the adversary and the delivery phase
-// consume, replacing the per-window counting-sort rebuild).
+// steady-state window allocation-free, owned by Execution) and WindowBatch
+// (the incrementally built (sender, receiver) pair index the adversary and
+// the delivery phase consume, replacing the per-window counting-sort
+// rebuild).
 //
 // Id contract with the buffer: a window batch's ids are contiguous and
 // ascending in publication order, so every pair_ids segment is ascending
@@ -117,50 +117,6 @@ struct WindowScratch {
   int planner_t = -1;
   bool plan_validated = false;
   std::int64_t plan_liveness_epoch = -1;
-};
-
-/// View of the messages one sending step just published. `ids` is in
-/// staging order (consecutive, ascending). While the execution is
-/// collecting a window batch, the sender's pair-index row is additionally
-/// exposed: to(r) is the slice of this step's ids addressed to receiver r.
-/// All spans alias reusable Execution/WindowScratch storage and are
-/// invalidated by the next sending step.
-class SentBatch {
- public:
-  SentBatch() = default;
-  SentBatch(ProcId sender, std::span<const MsgId> ids)
-      : sender_(sender), ids_(ids) {}
-  SentBatch(ProcId sender, std::span<const MsgId> ids,
-            std::span<const std::int32_t> row,
-            std::span<const MsgId> pair_ids)
-      : sender_(sender), ids_(ids), row_(row), pair_ids_(pair_ids) {}
-
-  [[nodiscard]] ProcId sender() const noexcept { return sender_; }
-  [[nodiscard]] std::span<const MsgId> ids() const noexcept { return ids_; }
-  [[nodiscard]] std::size_t size() const noexcept { return ids_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return ids_.empty(); }
-  [[nodiscard]] MsgId operator[](std::size_t i) const { return ids_[i]; }
-  [[nodiscard]] auto begin() const noexcept { return ids_.begin(); }
-  [[nodiscard]] auto end() const noexcept { return ids_.end(); }
-
-  /// True iff the per-receiver view below is populated (window collection
-  /// was armed when the step ran and the step published something).
-  [[nodiscard]] bool indexed() const noexcept { return !row_.empty(); }
-  /// This step's ids addressed to receiver r (staging order). Empty view
-  /// unless indexed().
-  [[nodiscard]] std::span<const MsgId> to(ProcId r) const {
-    if (row_.empty()) return {};
-    const auto i = static_cast<std::size_t>(r);
-    return pair_ids_.subspan(
-        static_cast<std::size_t>(row_[i]),
-        static_cast<std::size_t>(row_[i + 1] - row_[i]));
-  }
-
- private:
-  ProcId sender_ = -1;
-  std::span<const MsgId> ids_;
-  std::span<const std::int32_t> row_;  ///< n+1 offsets into pair_ids_
-  std::span<const MsgId> pair_ids_;    ///< the whole window pair_ids array
 };
 
 /// Read-only view of one collected window's publication batch, indexed by

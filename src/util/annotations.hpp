@@ -23,9 +23,6 @@
 //   AA_GUARDED_BY(mu)   — data member readable/writable only with mu held
 //   AA_REQUIRES(mu)     — function callable only with mu already held
 //   AA_ACQUIRE()/AA_RELEASE() — function acquires/releases the capability
-//   AA_EXCLUDES(mu)     — function must NOT be called with mu held
-//   AA_NO_THREAD_SAFETY_ANALYSIS — opt a definition out (last resort;
-//                         every use should explain why in a comment)
 //
 // Wait-predicate idiom: clang analyzes lambda bodies as separate
 // functions, so the usual `cv.wait(lock, [this]{ return guarded_; })`
@@ -48,23 +45,9 @@
 #define AA_CAPABILITY(x) AA_TS_ATTRIBUTE(capability(x))
 #define AA_SCOPED_CAPABILITY AA_TS_ATTRIBUTE(scoped_lockable)
 #define AA_GUARDED_BY(x) AA_TS_ATTRIBUTE(guarded_by(x))
-#define AA_PT_GUARDED_BY(x) AA_TS_ATTRIBUTE(pt_guarded_by(x))
-#define AA_ACQUIRED_BEFORE(...) AA_TS_ATTRIBUTE(acquired_before(__VA_ARGS__))
-#define AA_ACQUIRED_AFTER(...) AA_TS_ATTRIBUTE(acquired_after(__VA_ARGS__))
 #define AA_REQUIRES(...) AA_TS_ATTRIBUTE(requires_capability(__VA_ARGS__))
-#define AA_REQUIRES_SHARED(...) \
-  AA_TS_ATTRIBUTE(requires_shared_capability(__VA_ARGS__))
 #define AA_ACQUIRE(...) AA_TS_ATTRIBUTE(acquire_capability(__VA_ARGS__))
-#define AA_ACQUIRE_SHARED(...) \
-  AA_TS_ATTRIBUTE(acquire_shared_capability(__VA_ARGS__))
 #define AA_RELEASE(...) AA_TS_ATTRIBUTE(release_capability(__VA_ARGS__))
-#define AA_RELEASE_SHARED(...) \
-  AA_TS_ATTRIBUTE(release_shared_capability(__VA_ARGS__))
-#define AA_TRY_ACQUIRE(...) AA_TS_ATTRIBUTE(try_acquire_capability(__VA_ARGS__))
-#define AA_EXCLUDES(...) AA_TS_ATTRIBUTE(locks_excluded(__VA_ARGS__))
-#define AA_ASSERT_CAPABILITY(x) AA_TS_ATTRIBUTE(assert_capability(x))
-#define AA_RETURN_CAPABILITY(x) AA_TS_ATTRIBUTE(lock_returned(x))
-#define AA_NO_THREAD_SAFETY_ANALYSIS AA_TS_ATTRIBUTE(no_thread_safety_analysis)
 
 namespace aa {
 
@@ -78,7 +61,6 @@ class AA_CAPABILITY("mutex") Mutex {
 
   void lock() AA_ACQUIRE() { m_.lock(); }
   void unlock() AA_RELEASE() { m_.unlock(); }
-  [[nodiscard]] bool try_lock() AA_TRY_ACQUIRE(true) { return m_.try_lock(); }
 
   /// The wrapped mutex, for interop (CondVar waits through it).
   [[nodiscard]] std::mutex& native() noexcept { return m_; }
@@ -126,13 +108,6 @@ class CondVar {
   /// the capability is held across the call — which matches what the
   /// caller may assume before and after.
   void wait(MutexLock& lock) { cv_.wait(lock.native()); }
-
-  template <typename Clock, typename Duration>
-  std::cv_status wait_until(
-      MutexLock& lock,
-      const std::chrono::time_point<Clock, Duration>& deadline) {
-    return cv_.wait_until(lock.native(), deadline);
-  }
 
  private:
   std::condition_variable cv_;

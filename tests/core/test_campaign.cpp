@@ -161,6 +161,24 @@ TEST(CampaignConfig, RejectsMalformedInput) {
                std::invalid_argument);  // used to become 1 silently
   EXPECT_THROW(parse_campaign_config("threads = -1"),
                std::invalid_argument);  // used to become 1 silently
+  // Axis values no cell can be built from, rejected by key before any run.
+  EXPECT_THROW(parse_campaign_config("n = 8, 0"), std::invalid_argument);
+  EXPECT_THROW(parse_campaign_config("t = -1"), std::invalid_argument);
+  EXPECT_THROW(parse_campaign_config("memory_k = 0, -2"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_campaign_config("split = 1.5"), std::invalid_argument);
+  EXPECT_THROW(parse_campaign_config("split = -0.1"), std::invalid_argument);
+  EXPECT_THROW(parse_campaign_config("split = nan"), std::invalid_argument);
+  EXPECT_THROW(parse_campaign_config("censor_target = -2"),
+               std::invalid_argument);
+  EXPECT_NO_THROW(parse_campaign_config("censor_target = -1"));
+  try {
+    (void)parse_campaign_config("t = 1, -3");
+    ADD_FAILURE() << "negative t accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("t must be"), std::string::npos)
+        << e.what();
+  }
   // The strict parser the CLI flags share names where the value came from.
   EXPECT_THROW((void)parse_campaign_int("abc", "--trials"),
                std::invalid_argument);
@@ -185,6 +203,32 @@ TEST(CampaignConfig, RejectsMalformedInput) {
   programmatic.cell_timeout_ms = 0;
   programmatic.trials = 0;
   EXPECT_THROW((void)run_campaign(programmatic), std::invalid_argument);
+}
+
+TEST(Campaign, UnbuildableCellFailsBeforeAnyArtifact) {
+  // n = 8, t = 3 gives canonical thresholds the reset protocol rejects. The
+  // n = 20 cell before it is fine, and used to land its artifact before
+  // the sweep died on the second cell with a message naming no cell.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "aa_campaign_unbuildable";
+  fs::remove_all(dir);
+  const CampaignConfig cfg = parse_campaign_config(
+      "name = h\nn = 20, 8\nt = 3\ntrials = 2\nbudget = 5\n"
+      "adversaries = fair\noutput_dir = " +
+      dir.string() + "\n");
+  try {
+    (void)run_campaign(cfg);
+    ADD_FAILURE() << "unbuildable cell accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("n=8, t=3, protocol=reset, thresholds=default, "
+                        "memory_k=0"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("ResetProcess"), std::string::npos) << what;
+  }
+  EXPECT_FALSE(fs::exists(dir));
+  fs::remove_all(dir);
 }
 
 // ---- sweep structure -------------------------------------------------------

@@ -194,8 +194,7 @@ TEST(WindowTrace, SuppressHooksExactAcrossStraddlingRunsAndSpill) {
             2);
   EXPECT_EQ(views[0]->id, first1 + 3);
   EXPECT_EQ(views[1]->id, first1 + 7);
-  buf.mark_dropped(first1 + 2);                     // explicit suppression
-  EXPECT_EQ(buf.drop_pending_in_window(1), 6u);
+  EXPECT_EQ(buf.drop_pending_in_window(1), 7u);
   EXPECT_EQ(buf.pending_count(), 0u);
 
   // Sender 0 published 6 in window 0 (2 delivered) and sender 1 published

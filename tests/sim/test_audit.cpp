@@ -70,7 +70,7 @@ namespace {
 
 // A buffer exercising every slot state the auditor distinguishes: pending
 // (receiver + window lists), lazy-parked (window list only, id unmapped),
-// and free (retired via mark_delivered / mark_dropped).
+// and free (retired via mark_delivered).
 MessageBuffer busy_buffer() {
   MessageBuffer buf(4);
   for (ProcId s = 0; s < 4; ++s) {
@@ -85,7 +85,7 @@ MessageBuffer busy_buffer() {
                                       cursor.data()),
             4);
   const std::vector<MsgId> to1 = buf.pending_to_ids(1);
-  buf.mark_dropped(to1[0]);
+  buf.mark_delivered(to1[0]);
   buf.mark_delivered(to1[1]);
   return buf;
 }

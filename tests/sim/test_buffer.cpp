@@ -43,20 +43,11 @@ TEST(MessageBuffer, DeliverTransitions) {
   EXPECT_EQ(b.pending_count(), 0u);
 }
 
-TEST(MessageBuffer, DropTransitions) {
-  MessageBuffer b(2);
-  const MsgId id = b.add(0, 1, msg(1, 0), 0, 1);
-  b.mark_dropped(id);
-  EXPECT_FALSE(b.is_pending(id));
-  EXPECT_EQ(b.dropped_count(), 1u);
-}
-
 TEST(MessageBuffer, DoubleDeliverThrows) {
   MessageBuffer b(2);
   const MsgId id = b.add(0, 1, msg(1, 0), 0, 1);
   b.mark_delivered(id);
   EXPECT_THROW(b.mark_delivered(id), std::logic_error);
-  EXPECT_THROW(b.mark_dropped(id), std::logic_error);
 }
 
 TEST(MessageBuffer, RetiredIdLookupThrows) {

@@ -12,7 +12,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/api.hpp"
@@ -33,37 +32,6 @@ void print_measure_one(const char* tag, int threads,
     std::printf("%s%" PRIu64, i ? "," : "", r.violating_seeds[i]);
   }
   std::printf("]\n");
-}
-
-core::WindowAdversaryFactory window_factory(const std::string& name, int t) {
-  return [name, t](std::uint64_t seed) -> std::unique_ptr<sim::WindowAdversary> {
-    if (name == "fair") return std::make_unique<adversary::FairWindowAdversary>();
-    if (name == "silencer") {
-      std::vector<sim::ProcId> silenced;
-      for (int i = 0; i < t; ++i) silenced.push_back(i);
-      return std::make_unique<adversary::SilencerWindowAdversary>(silenced);
-    }
-    if (name == "split-keeper")
-      return std::make_unique<adversary::SplitKeeperAdversary>();
-    if (name == "reset-storm")
-      return std::make_unique<adversary::ResetStormAdversary>(t, Rng(seed * 7 + 1));
-    return std::make_unique<adversary::RandomWindowAdversary>(t, 0.1,
-                                                              Rng(seed * 9 + 2));
-  };
-}
-
-core::AsyncAdversaryFactory async_factory(const std::string& name, int t) {
-  return [name, t](std::uint64_t seed) -> std::unique_ptr<sim::AsyncAdversary> {
-    if (name == "random-async")
-      return std::make_unique<adversary::RandomAsyncScheduler>(Rng(seed * 3 + 1));
-    if (name == "fixed-crash") {
-      std::vector<sim::ProcId> crash;
-      for (int i = 0; i < t; ++i) crash.push_back(i);
-      return std::make_unique<adversary::FixedCrashScheduler>(crash,
-                                                              Rng(seed * 5 + 3));
-    }
-    return std::make_unique<adversary::AsyncSplitKeeper>();
-  };
 }
 
 }  // namespace
@@ -97,7 +65,8 @@ int main(int argc, char** argv) {
                              .inputs = protocols::split_inputs(n, 0.5),
                              .t = t,
                              .budget = 600},
-            window_factory(adv, t), /*trials=*/40, /*seed0=*/1000, ctx);
+            core::window_adversary_factory(adv, t), /*trials=*/40,
+            /*seed0=*/1000, ctx);
         std::printf("window %s %s ", k.kname, adv);
         print_measure_one("", threads, rep);
       }
@@ -113,7 +82,8 @@ int main(int argc, char** argv) {
                              .inputs = protocols::split_inputs(n, 0.5),
                              .t = t,
                              .budget = 40000},
-            async_factory(adv, t), /*trials=*/30, /*seed0=*/500, ctx);
+            core::async_adversary_factory(adv, t), /*trials=*/30,
+            /*seed0=*/500, ctx);
         std::printf("async %s %s ", k.kname, adv);
         print_measure_one("", threads, rep);
       }
@@ -140,7 +110,7 @@ int main(int argc, char** argv) {
          {"fair", "silencer", "split-keeper", "reset-storm", "random"}) {
       const int n = 16;
       const int t = 2;
-      auto a = window_factory(adv, t)(7);
+      auto a = core::window_adversary_factory(adv, t)(7);
       const auto r = core::Runner(core::Experiment{
                                       .kind = k.kind,
                                       .inputs = protocols::split_inputs(n, 0.5),
@@ -157,7 +127,7 @@ int main(int argc, char** argv) {
     for (const char* adv : {"random-async", "fixed-crash", "async-split"}) {
       const int n = 10;
       const int t = 2;
-      auto a = async_factory(adv, t)(11);
+      auto a = core::async_adversary_factory(adv, t)(11);
       const auto r = core::Runner(core::Experiment{
                                       .kind = k.kind,
                                       .inputs = protocols::split_inputs(n, 0.5),
@@ -178,7 +148,7 @@ int main(int argc, char** argv) {
   for (const char* adv : {"fair", "silencer", "split-keeper"}) {
     const int n = 16;
     const int t = 2;
-    auto a = window_factory(adv, t)(3);
+    auto a = core::window_adversary_factory(adv, t)(3);
     const auto r =
         core::Runner(
             core::Experiment{
