@@ -18,13 +18,13 @@ namespace {
 
 void BM_BufferAddDeliver(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
+  sim::Message m;
+  m.kind = 1;
+  std::vector<sim::StagedMessage> broadcast;
+  for (int r = 0; r < n; ++r) broadcast.push_back({r, m});
   for (auto _ : state) {
     sim::MessageBuffer buf(n);
-    sim::Message m;
-    m.kind = 1;
-    for (int s = 0; s < n; ++s) {
-      for (int r = 0; r < n; ++r) buf.add(s, r, m, 0, 1);
-    }
+    for (int s = 0; s < n; ++s) buf.add_batch(s, broadcast, 0, 1);
     for (int r = 0; r < n; ++r) {
       for (const sim::Envelope& env : buf.pending_to(r))
         buf.mark_delivered(env.id);

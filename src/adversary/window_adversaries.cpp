@@ -165,9 +165,7 @@ std::vector<sim::ProcId> balance_votes(
   return order;
 }
 
-bool SplitKeeperAdversary::broadcast_shaped(const sim::Execution& exec,
-                                            const sim::WindowBatch& batch) {
-  if (exec.buffer().pending_count() != batch.size()) return false;
+bool SplitKeeperAdversary::broadcast_shaped(const sim::WindowBatch& batch) {
   // Every run whole broadcasts, and run starts ascending with the sender
   // id — then id order is sender order on every receiver's list.
   sim::MsgId last = sim::kNoMsg;
@@ -218,7 +216,7 @@ sim::PlanDecision SplitKeeperAdversary::plan_window_into(
     present_.assign(static_cast<std::size_t>(n), 0);
   }
 
-  if (broadcast_shaped(exec, batch)) {
+  if (broadcast_shaped(batch)) {
     // Every receiver's pending list is the same broadcast sequence (sender
     // ascending, then broadcast order), so read one envelope per broadcast,
     // balance once, and hand every receiver the same row.
@@ -237,9 +235,8 @@ sim::PlanDecision SplitKeeperAdversary::plan_window_into(
   }
 
   // General path, per receiver: walk its pending list directly (during
-  // the planning phase it holds this window's batch plus any older
-  // leftovers, in id order) and split votes from everything else. No
-  // per-id buffer lookups.
+  // the planning phase it holds exactly this window's batch, in id order)
+  // and split votes from everything else. No per-id buffer lookups.
   for (int i = 0; i < n; ++i) {
     votes_.clear();
     non_votes_.clear();

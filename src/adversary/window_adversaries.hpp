@@ -128,8 +128,8 @@ struct BalanceScratch {
 /// pending list carries the same (sender, payload) sequence, so the plan
 /// is one balanced row copied to all n receivers — exactly the rows the
 /// per-receiver path would build. Otherwise (Byzantine send() runs,
-/// keep-pending leftovers, senders published out of order) each receiver
-/// is planned from its own pending list.
+/// senders published out of order) each receiver is planned from its own
+/// pending list.
 class SplitKeeperAdversary final : public sim::WindowAdversary {
  public:
   sim::PlanDecision plan_window_into(const sim::Execution& exec,
@@ -138,10 +138,10 @@ class SplitKeeperAdversary final : public sim::WindowAdversary {
   [[nodiscard]] std::string name() const override { return "split-keeper"; }
 
   /// True iff one plan row serves every receiver: every sender's run is
-  /// whole broadcasts (or empty), the senders published in ascending id
-  /// order, and nothing older than the batch is pending.
-  [[nodiscard]] static bool broadcast_shaped(const sim::Execution& exec,
-                                             const sim::WindowBatch& batch);
+  /// whole broadcasts (or empty) and the senders published in ascending
+  /// id order. (The batch is everything pending: the engine opens each
+  /// window on an empty buffer.)
+  [[nodiscard]] static bool broadcast_shaped(const sim::WindowBatch& batch);
 
  private:
   /// Append env to votes_ (a 0/1 vote) or non_votes_ (anything else).

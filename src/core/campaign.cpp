@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cctype>
+#include <charconv>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -13,7 +14,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <sstream>
+#include <string_view>
 #include <system_error>
 #include <utility>
 
@@ -283,14 +286,130 @@ bool json_find_seeds(const std::string& text, std::vector<std::uint64_t>& out) {
   return true;
 }
 
-/// Structural validity check for a cell's lens sidecar. The lens report is
-/// not resumable from its artifact (LatencyAccumulator has no restore), so
+/// Cursor over an artifact's bytes for the strict sidecar reader. Every
+/// step consumes exactly what the writer emits at that point or marks the
+/// text malformed; after the first mismatch nothing more is consumed.
+class StrictReader {
+ public:
+  explicit StrictReader(const std::string& text) : text_(text) {}
+
+  [[nodiscard]] bool ok() const { return ok_; }
+  [[nodiscard]] bool at_end() const { return ok_ && pos_ == text_.size(); }
+
+  /// Consume `lit` verbatim.
+  void expect(std::string_view lit) {
+    if (!accept(lit)) ok_ = false;
+  }
+  /// Consume `lit` if it comes next; reports whether it did.
+  bool accept(std::string_view lit) {
+    if (!ok_ || text_.compare(pos_, lit.size(), lit) != 0) return false;
+    pos_ += lit.size();
+    return true;
+  }
+  [[nodiscard]] bool next_is(char c) const {
+    return ok_ && pos_ < text_.size() && text_[pos_] == c;
+  }
+  /// Consume a number with std::from_chars (no whitespace, no '+'); the
+  /// caller's canonical re-serialization rejects any other spelling.
+  template <typename T>
+  T number() {
+    T v{};
+    if (!ok_) return v;
+    const char* begin = text_.data() + pos_;
+    const auto [end, ec] = std::from_chars(begin, text_.data() + text_.size(), v);
+    if (ec != std::errc{}) {
+      ok_ = false;
+      return T{};
+    }
+    pos_ += static_cast<std::size_t>(end - begin);
+    return v;
+  }
+
+ private:
+  const std::string& text_;
+  std::size_t pos_ = 0;
+  bool ok_ = true;
+};
+
+/// Read latency_report_json's exact layout for an `n`-processor cell: the
+/// identity header, n sender rows numbered 0..n−1 in order (every field,
+/// both histograms at full width), both blamed_* lists, and the closing
+/// "}\n". Returns false on any deviation.
+bool read_latency_report(const std::string& text, int n,
+                         lens::LatencyReport& rep) {
+  StrictReader in(text);
+  in.expect("{\n  \"n\": ");
+  rep.n = in.number<int>();
+  if (!in.ok() || rep.n != n) return false;
+  in.expect(",\n  \"t\": ");
+  rep.t = in.number<int>();
+  in.expect(",\n  \"trials\": ");
+  rep.trials = in.number<std::int64_t>();
+  in.expect(",\n  \"deciders\": ");
+  rep.deciders = in.number<std::int64_t>();
+  in.expect(",\n  \"blame_threshold\": ");
+  rep.blame_threshold = in.number<double>();
+  in.expect(",\n  \"senders\": [\n");
+  const auto hist = [&](std::span<std::int64_t> bins) {
+    for (std::size_t b = 0; b < bins.size(); ++b) {
+      if (b != 0) in.expect(", ");
+      bins[b] = in.number<std::int64_t>();
+    }
+  };
+  rep.senders.assign(static_cast<std::size_t>(n), lens::SenderLatency{});
+  for (int s = 0; s < n && in.ok(); ++s) {
+    lens::SenderLatency& row = rep.senders[static_cast<std::size_t>(s)];
+    in.expect("    {\"sender\": ");
+    if (in.number<int>() != s) return false;
+    in.expect(", \"sent\": ");
+    row.sent = in.number<std::int64_t>();
+    in.expect(", \"equivocations\": ");
+    row.equivocations = in.number<std::int64_t>();
+    in.expect(", \"delivered\": ");
+    row.delivered = in.number<std::int64_t>();
+    in.expect(", \"suppressed\": ");
+    row.suppressed = in.number<std::int64_t>();
+    in.expect(", \"confirm_count\": ");
+    row.confirm_count = in.number<std::int64_t>();
+    in.expect(", \"mean_confirm_windows\": ");
+    row.mean_confirm_windows = in.number<double>();
+    in.expect(", \"mean_confirm_steps\": ");
+    row.mean_confirm_steps = in.number<double>();
+    in.expect(", \"delivered_share\": ");
+    row.delivered_share = in.number<double>();
+    in.expect(", \"confirmed_share\": ");
+    row.confirmed_share = in.number<double>();
+    in.expect(", \"censorship_score\": ");
+    row.censorship_score = in.number<double>();
+    in.expect(", \"delivery_hist\": [");
+    hist(row.delivery_hist);
+    in.expect("], \"confirm_hist\": [");
+    hist(row.confirm_hist);
+    in.expect(s + 1 != n ? "]},\n" : "]}\n");
+  }
+  const auto procs = [&](std::vector<sim::ProcId>& out) {
+    out.clear();
+    if (in.next_is(']')) return;
+    do {
+      out.push_back(in.number<sim::ProcId>());
+    } while (in.ok() && in.accept(", "));
+  };
+  in.expect("  ],\n  \"blamed_equivocators\": [");
+  procs(rep.blamed_equivocators);
+  in.expect("],\n  \"blamed_censored\": [");
+  procs(rep.blamed_censored);
+  in.expect("]\n}\n");
+  return in.at_end();
+}
+
+/// Validity check for a cell's lens sidecar. The lens report is not
+/// resumable from its artifact (LatencyAccumulator has no restore), so
 /// resume can only accept a cell whose sidecar is already complete and
-/// belongs to THIS cell: the file must exist, parse far enough to yield the
-/// identity keys, match the cell's (n, t) and the config's trial count, and
-/// end in the closing brace latency_report_json always emits — a truncated
-/// write dies on that check. Anything else forces a recompute, which
-/// rewrites the sidecar before the cell artifact.
+/// belongs to THIS cell: the file must read back through
+/// read_latency_report (the writer's exact shape, so a truncated, hollow
+/// or reordered file fails), match the cell's (n, t) and the config's
+/// trial count, and re-serialize to the same bytes. Anything else forces
+/// a recompute, which rewrites the sidecar before the cell artifact.
 bool lens_sidecar_valid(const CampaignConfig& config, const CampaignCell& cell,
                         const std::string& lens_path) {
   std::ifstream in(lens_path, std::ios::binary);
@@ -298,22 +417,11 @@ bool lens_sidecar_valid(const CampaignConfig& config, const CampaignCell& cell,
   std::stringstream ss;
   ss << in.rdbuf();
   const std::string text = ss.str();
-  std::size_t end = text.size();
-  while (end > 0 && std::isspace(static_cast<unsigned char>(text[end - 1]))) {
-    --end;
-  }
-  if (end == 0 || text[end - 1] != '}') return false;  // empty or truncated
-  long long n = 0;
-  long long t = 0;
-  long long trials = 0;
-  if (!json_find_int(text, "n", n) || !json_find_int(text, "t", t) ||
-      !json_find_int(text, "trials", trials)) {
-    return false;
-  }
-  if (text.find("\"senders\"") == std::string::npos) return false;
-  return n == static_cast<long long>(cell.n) &&
-         t == static_cast<long long>(cell.t) &&
-         trials == static_cast<long long>(config.trials);
+  lens::LatencyReport rep;
+  if (!read_latency_report(text, cell.n, rep)) return false;
+  return rep.t == cell.t &&
+         rep.trials == static_cast<std::int64_t>(config.trials) &&
+         latency_report_json(rep) == text;
 }
 
 /// Restore `cell` from an existing artifact at `path`. The artifact is

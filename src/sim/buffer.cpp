@@ -14,9 +14,6 @@ MessageBuffer::MessageBuffer(int n)
       rcv_head_(static_cast<std::size_t>(n), kNoSlot),
       rcv_tail_(static_cast<std::size_t>(n), kNoSlot) {
   AA_REQUIRE(n > 0, "MessageBuffer: n must be positive");
-  win_ring_.assign(1, WinList{});
-  win_mask_ = 0;
-  win_count_ = 1;
 }
 
 void MessageBuffer::reset(int n) {
@@ -33,34 +30,21 @@ void MessageBuffer::reset(int n) {
   direct_slots_.clear();
   rcv_head_.assign(static_cast<std::size_t>(n), kNoSlot);
   rcv_tail_.assign(static_cast<std::size_t>(n), kNoSlot);
-  // Ring capacity (and mask) survive; only the active span is rewound.
-  if (win_ring_.empty()) {
-    win_ring_.assign(1, WinList{});
-    win_mask_ = 0;
-  }
-  win_begin_ = 0;
-  win_ring_[0] = WinList{};
-  win_count_ = 1;
-  win_base_ = 0;
+  sent_head_ = kNoSlot;
+  sent_tail_ = kNoSlot;
   pending_ = 0;
   delivered_ = 0;
   dropped_ = 0;
-}
-
-MsgId MessageBuffer::add(ProcId sender, ProcId receiver,
-                         const Message& payload, std::int64_t window,
-                         std::int64_t chain) {
-  const StagedMessage item{receiver, payload};
-  return add_batch(sender, std::span<const StagedMessage>(&item, 1), window,
-                   chain);
 }
 
 MsgId MessageBuffer::add_batch(ProcId sender,
                                std::span<const StagedMessage> items,
                                std::int64_t window, std::int64_t chain) {
   AA_REQUIRE(sender >= 0 && sender < n_, "MessageBuffer::add_batch: bad sender");
-  AA_REQUIRE(window >= win_base_,
-             "MessageBuffer::add_batch: window counter moved backwards");
+  AA_REQUIRE(sent_head_ == kNoSlot ||
+                 envs_[static_cast<std::size_t>(sent_head_)].window == window,
+             "MessageBuffer::add_batch: another window's messages are still "
+             "in the buffer");
   const MsgId first = next_id_;
   if (items.empty()) return first;
   for (const StagedMessage& item : items) {
@@ -68,12 +52,10 @@ MsgId MessageBuffer::add_batch(ProcId sender,
                "MessageBuffer::add_batch: bad receiver");
   }
   if (direct_slots_.size() >= kDirectSpillLimit) spill_direct_index();
-  reserve_window(window);
-  // The window ring and win_list reference stay stable across the loop
-  // (one window, reserved once); the slot arrays may still grow, so all
-  // links go through indices.
-  std::int32_t win_prev = win_list(window).tail;
-  std::int32_t win_head = win_list(window).head;
+  // The slot arrays may grow inside the loop, so all links go through
+  // indices; the send list's ends are threaded locally and stored once.
+  std::int32_t sent_head = sent_head_;
+  std::int32_t sent_tail = sent_tail_;
   for (const StagedMessage& item : items) {
     const MsgId id = next_id_++;
     std::int32_t s;
@@ -101,32 +83,19 @@ MsgId MessageBuffer::add_batch(ProcId sender,
     }
     rcv_tail_[static_cast<std::size_t>(item.to)] = s;
 
-    // Thread the run onto the window list locally; head/tail attach once
-    // after the loop.
-    lk.prev_win = win_prev;
-    lk.next_win = kNoSlot;
-    if (win_prev != kNoSlot) {
-      links_[static_cast<std::size_t>(win_prev)].next_win = s;
+    lk.prev_sent = sent_tail;
+    lk.next_sent = kNoSlot;
+    if (sent_tail != kNoSlot) {
+      links_[static_cast<std::size_t>(sent_tail)].next_sent = s;
     } else {
-      win_head = s;
+      sent_head = s;
     }
-    win_prev = s;
+    sent_tail = s;
 
     direct_slots_.push_back(s);
   }
-  WinList& wl = win_list(window);
-  wl.head = win_head;
-  wl.tail = win_prev;
-  // Extend the list's id range; interleaved publication into ANOTHER window
-  // (raw buffer usage only — the engine publishes one window at a time)
-  // breaks contiguity and demotes the range to a conservative bound.
-  if (wl.first_id == kNoMsg) {
-    wl.first_id = first;
-    wl.contiguous = true;
-  } else if (first != wl.last_id + 1) {
-    wl.contiguous = false;
-  }
-  wl.last_id = next_id_ - 1;
+  sent_head_ = sent_head;
+  sent_tail_ = sent_tail;
   pending_ += items.size();
   return first;
 }
@@ -168,63 +137,30 @@ void MessageBuffer::unlink_receiver(std::int32_t s) {
   }
 }
 
-void MessageBuffer::unlink_window(std::int32_t s) {
+void MessageBuffer::unlink_sent(std::int32_t s) {
   Link& lk = links_[static_cast<std::size_t>(s)];
-  WinList& wl = win_list(envs_[static_cast<std::size_t>(s)].window);
-  if (lk.prev_win != kNoSlot) {
-    links_[static_cast<std::size_t>(lk.prev_win)].next_win = lk.next_win;
+  if (lk.prev_sent != kNoSlot) {
+    links_[static_cast<std::size_t>(lk.prev_sent)].next_sent = lk.next_sent;
   } else {
-    wl.head = lk.next_win;
+    sent_head_ = lk.next_sent;
   }
-  if (lk.next_win != kNoSlot) {
-    links_[static_cast<std::size_t>(lk.next_win)].prev_win = lk.prev_win;
+  if (lk.next_sent != kNoSlot) {
+    links_[static_cast<std::size_t>(lk.next_sent)].prev_sent = lk.prev_sent;
   } else {
-    wl.tail = lk.prev_win;
+    sent_tail_ = lk.prev_sent;
   }
 }
 
 void MessageBuffer::retire(std::int32_t s) {
   const auto si = static_cast<std::size_t>(s);
   unlink_receiver(s);
-  unlink_window(s);
+  unlink_sent(s);
   const MsgId id = meta_[si].id;
   if (id < direct_base_) id_map_.erase(id);
   meta_[si].id = kNoMsg;
   envs_[si].id = kNoMsg;
   links_[si].next_rcv = free_head_;
   free_head_ = s;
-  trim_window_ring();
-}
-
-void MessageBuffer::trim_window_ring() {
-  while (win_count_ > 1 && win_ring_[win_begin_].head == kNoSlot) {
-    win_ring_[win_begin_] = WinList{};
-    win_begin_ = (win_begin_ + 1) & win_mask_;
-    ++win_base_;
-    --win_count_;
-  }
-}
-
-void MessageBuffer::reserve_window(std::int64_t w) {
-  if (w < win_base_ + static_cast<std::int64_t>(win_count_)) return;
-  const std::size_t need =
-      static_cast<std::size_t>(w - win_base_) + 1;
-  if (need > win_ring_.size()) {
-    // Grow to the next power of two and linearize the ring.
-    std::size_t cap = win_ring_.empty() ? 1 : win_ring_.size();
-    while (cap < need) cap *= 2;
-    std::vector<WinList> bigger(cap);
-    for (std::size_t i = 0; i < win_count_; ++i) {
-      bigger[i] = win_ring_[(win_begin_ + i) & win_mask_];
-    }
-    win_ring_ = std::move(bigger);
-    win_begin_ = 0;
-    win_mask_ = cap - 1;
-  }
-  while (static_cast<std::size_t>(w - win_base_) >= win_count_) {
-    win_ring_[(win_begin_ + win_count_) & win_mask_] = WinList{};
-    ++win_count_;
-  }
 }
 
 void MessageBuffer::spill_direct_index() {
@@ -250,24 +186,13 @@ void MessageBuffer::mark_delivered(MsgId id) {
   ++delivered_;
 }
 
-int MessageBuffer::deliver_window_run_to(ProcId receiver, std::int64_t w,
+int MessageBuffer::deliver_window_run_to(ProcId receiver,
                                          const std::uint64_t* sender_stamp,
                                          std::uint64_t epoch,
                                          std::span<const Envelope*> out,
                                          std::int32_t* cursor) {
   AA_REQUIRE(receiver >= 0 && receiver < n_,
              "deliver_window_run_to: bad receiver");
-  if (w < win_base_ ||
-      w >= win_base_ + static_cast<std::int64_t>(win_count_)) {
-    return 0;  // no list for w, so nothing pending in it
-  }
-  const WinList& wl = win_list(w);
-  if (wl.head == kNoSlot) return 0;
-  // Window test: the list's id range when exact, the envelope field as the
-  // cold fallback (only reachable through raw interleaved-window usage).
-  const bool ranged = wl.contiguous;
-  const MsgId lo = wl.first_id;
-  const MsgId hi = wl.last_id;
   std::int32_t s = rcv_head_[static_cast<std::size_t>(receiver)];
   std::int32_t prev_kept = kNoSlot;
   std::int32_t new_head = kNoSlot;
@@ -277,15 +202,12 @@ int MessageBuffer::deliver_window_run_to(ProcId receiver, std::int64_t w,
     Link& lk = links_[si];
     Meta& mt = meta_[si];
     const std::int32_t next = lk.next_rcv;
-    const bool in_window =
-        ranged ? (mt.id >= lo && mt.id <= hi) : envs_[si].window == w;
     const bool take =
-        in_window &&
-        (sender_stamp == nullptr ||
-         sender_stamp[static_cast<std::size_t>(mt.sender)] == epoch);
+        sender_stamp == nullptr ||
+        sender_stamp[static_cast<std::size_t>(mt.sender)] == epoch;
     if (take) {
       // Park the slot: off the receiver list and the live index now,
-      // recycled by the caller's eventual window-w sweep.
+      // recycled by the caller's eventual sweep.
       if (mt.id < direct_base_) id_map_.erase(mt.id);
       mt.id = kNoMsg;
       std::int32_t& at = cursor[static_cast<std::size_t>(mt.sender)];
@@ -315,22 +237,17 @@ int MessageBuffer::deliver_window_run_to(ProcId receiver, std::int64_t w,
   return delivered;
 }
 
-std::size_t MessageBuffer::drop_pending_in_window(std::int64_t w) {
-  if (w < win_base_ ||
-      w >= win_base_ + static_cast<std::int64_t>(win_count_)) {
-    return 0;
-  }
+std::size_t MessageBuffer::drop_pending() {
   std::size_t dropped = 0;
-  std::int32_t s = win_list(w).head;
+  std::int32_t s = sent_head_;
   while (s != kNoSlot) {
     const auto si = static_cast<std::size_t>(s);
-    const std::int32_t next = links_[si].next_win;
-    if (meta_[si].id == kNoMsg) {
-      // Parked: the delivery walk already unlinked and unindexed
-      // it — just recycle the slot.
-    } else {
+    const std::int32_t next = links_[si].next_sent;
+    if (meta_[si].id != kNoMsg) {
       // A still-pending slot swept at the window edge is exactly the
       // model's suppression event: the adversary never let it deliver.
+      // (Parked slots were already unlinked and unindexed by the delivery
+      // walk — they are just recycled.)
       if (trace_ != nullptr) {
         trace_->on_suppress(meta_[si].sender, meta_[si].receiver);
       }
@@ -344,19 +261,17 @@ std::size_t MessageBuffer::drop_pending_in_window(std::int64_t w) {
     free_head_ = s;
     s = next;
   }
-  win_list(w) = WinList{};
-  trim_window_ring();
+  sent_head_ = kNoSlot;
+  sent_tail_ = kNoSlot;
   pending_ -= dropped;
   dropped_ += dropped;
-  if (pending_ == 0) {
-    // Range retirement: nothing is pending anywhere, so every direct-index
-    // entry is stale and the straggler map is necessarily empty — the whole
-    // id range [direct_base_, next_id_) retires in O(1). In the
-    // acceptable-window regime this fires at EVERY window edge, which is
-    // what removes the per-message hash erases from the steady state.
-    direct_base_ = next_id_;
-    direct_slots_.clear();
-  }
+  // Range retirement: nothing is pending any more, so every direct-index
+  // entry is stale and the straggler map is empty — the whole id range
+  // [direct_base_, next_id_) retires in O(1). This fires at EVERY window
+  // edge, which is what removes the per-message hash erases from the
+  // acceptable-window steady state.
+  direct_base_ = next_id_;
+  direct_slots_.clear();
   return dropped;
 }
 
@@ -364,9 +279,9 @@ std::size_t MessageBuffer::drop_pending_in_window(std::int64_t w) {
 
 void MessageBuffer::audit() const {
   // Per-slot lifecycle classification discovered by walking the structures:
-  // 0 = unseen, 1 = on a receiver list (pending, window membership not yet
-  // confirmed), 2 = parked on a window list, 3 = pending confirmed on both
-  // lists, 4 = on the free list. Every slot must end in {2, 3, 4}.
+  // 0 = unseen, 1 = on a receiver list (pending, send-list membership not
+  // yet confirmed), 2 = parked on the send list, 3 = pending confirmed on
+  // both lists, 4 = on the free list. Every slot must end in {2, 3, 4}.
   const std::size_t cap = envs_.size();
   AA_CHECK(meta_.size() == cap && links_.size() == cap,
            "audit: SoA slot arrays out of lockstep");
@@ -407,10 +322,6 @@ void MessageBuffer::audit() const {
                "audit: slot metadata sender disagrees with its envelope");
       AA_CHECK(mt.id > last_id,
                "audit: receiver list ids not strictly ascending");
-      AA_CHECK(env.window >= win_base_ &&
-                   env.window <
-                       win_base_ + static_cast<std::int64_t>(win_count_),
-               "audit: pending slot's window outside the live ring");
       if (mt.id >= direct_base_) {
         AA_CHECK(direct_slots_[static_cast<std::size_t>(
                      mt.id - direct_base_)] == s,
@@ -450,33 +361,29 @@ void MessageBuffer::audit() const {
              "audit: id map key disagrees with the slot's id");
   });
 
-  // Window lists: doubly-linked, acyclic, ascending-id, window-consistent,
-  // ids inside the list's recorded range. Pending members must be exactly
-  // the receiver-list population; parked members (metadata id cleared, the
-  // envelope still carrying the id) must already be out of the live index.
-  std::size_t pending_on_win_lists = 0;
-  for (std::int64_t w = win_base_;
-       w < win_base_ + static_cast<std::int64_t>(win_count_); ++w) {
-    const WinList& wl = win_list(w);
-    std::int32_t s = wl.head;
+  // Send list: doubly-linked, acyclic, ascending-id, one window. Pending
+  // members must be exactly the receiver-list population; parked members
+  // (metadata id cleared, the envelope still carrying the id) must already
+  // be out of the live index.
+  std::size_t pending_on_sent_list = 0;
+  {
+    std::int32_t s = sent_head_;
     std::int32_t prev = kNoSlot;
     MsgId last_id = kNoMsg;
     std::size_t steps = 0;
     while (s != kNoSlot) {
       AA_CHECK(s >= 0 && static_cast<std::size_t>(s) < cap,
-               "audit: window list points outside the slot arena");
-      AA_CHECK(++steps <= cap, "audit: window list has a cycle");
+               "audit: send list points outside the slot arena");
+      AA_CHECK(++steps <= cap, "audit: send list has a cycle");
       const auto si = static_cast<std::size_t>(s);
       const Envelope& env = envs_[si];
-      AA_CHECK(links_[si].prev_win == prev,
-               "audit: window list prev link disagrees with walk");
-      AA_CHECK(env.id != kNoMsg, "audit: retired slot on a window list");
-      AA_CHECK(env.window == w, "audit: slot on the wrong window list");
-      AA_CHECK(env.id > last_id,
-               "audit: window list ids not strictly ascending");
-      AA_CHECK(wl.first_id != kNoMsg && env.id >= wl.first_id &&
-                   env.id <= wl.last_id,
-               "audit: window list id outside the list's recorded range");
+      AA_CHECK(links_[si].prev_sent == prev,
+               "audit: send list prev link disagrees with walk");
+      AA_CHECK(env.id != kNoMsg, "audit: retired slot on the send list");
+      AA_CHECK(env.window ==
+                   envs_[static_cast<std::size_t>(sent_head_)].window,
+               "audit: send list holds more than one window");
+      AA_CHECK(env.id > last_id, "audit: send list ids not strictly ascending");
       if (meta_[si].id == kNoMsg) {
         // Parked: off the receiver lists, and its id must no longer
         // resolve (the direct tier disarms via the metadata id; the map
@@ -492,19 +399,19 @@ void MessageBuffer::audit() const {
         AA_CHECK(meta_[si].id == env.id,
                  "audit: slot metadata id disagrees with its envelope");
         AA_CHECK(state[si] == 1,
-                 "audit: window-list slot missing from its receiver list");
+                 "audit: send-list slot missing from its receiver list");
         state[si] = 3;
-        ++pending_on_win_lists;
+        ++pending_on_sent_list;
       }
       last_id = env.id;
       prev = s;
-      s = links_[si].next_win;
+      s = links_[si].next_sent;
     }
-    AA_CHECK(wl.tail == prev,
-             "audit: window tail does not match the last list element");
+    AA_CHECK(sent_tail_ == prev,
+             "audit: send list tail does not match the last list element");
   }
-  AA_CHECK(pending_on_win_lists == pending_,
-           "audit: window lists do not cover the pending population");
+  AA_CHECK(pending_on_sent_list == pending_,
+           "audit: send list does not cover the pending population");
 
   // Free list (linked through next_rcv): acyclic, all members retired in
   // BOTH arrays (a freed slot carries no id anywhere).
@@ -526,7 +433,7 @@ void MessageBuffer::audit() const {
   }
 
   // Exactly-one-home: no slot may be leaked (unreachable) or stranded on a
-  // receiver list without window membership.
+  // receiver list without send-list membership.
   for (std::size_t i = 0; i < cap; ++i) {
     AA_CHECK(state[i] == 2 || state[i] == 3 || state[i] == 4,
              "audit: slot not in exactly one of pending/parked/free");
@@ -544,92 +451,40 @@ const Envelope& MessageBuffer::PendingIterator::operator*() const {
   return buf_->envs_[static_cast<std::size_t>(cur_)];
 }
 
-void MessageBuffer::PendingIterator::skip_non_matching() {
-  if (sender_ < 0) return;
-  while (cur_ >= 0 &&
-         buf_->meta_[static_cast<std::size_t>(cur_)].sender != sender_) {
-    cur_ = buf_->links_[static_cast<std::size_t>(cur_)].next_rcv;
-  }
-}
-
 void MessageBuffer::PendingIterator::prefetch() {
-  if (cur_ < 0) {
-    next_ = kNoSlot;
-    return;
-  }
-  std::int32_t s = buf_->links_[static_cast<std::size_t>(cur_)].next_rcv;
-  if (sender_ >= 0) {
-    while (s >= 0 &&
-           buf_->meta_[static_cast<std::size_t>(s)].sender != sender_) {
-      s = buf_->links_[static_cast<std::size_t>(s)].next_rcv;
-    }
-  }
-  next_ = s;
+  next_ = cur_ < 0 ? kNoSlot
+                   : buf_->links_[static_cast<std::size_t>(cur_)].next_rcv;
 }
 
-const Envelope& MessageBuffer::WindowIterator::operator*() const {
+std::int32_t MessageBuffer::skip_parked(std::int32_t s) const {
+  while (s >= 0 && meta_[static_cast<std::size_t>(s)].id == kNoMsg) {
+    s = links_[static_cast<std::size_t>(s)].next_sent;
+  }
+  return s;
+}
+
+const Envelope& MessageBuffer::SendOrderIterator::operator*() const {
   return buf_->envs_[static_cast<std::size_t>(cur_)];
 }
 
-void MessageBuffer::WindowIterator::advance_to_nonempty_window() {
-  const std::int64_t end =
-      buf_->win_base_ + static_cast<std::int64_t>(buf_->win_count_);
-  if (window_ < buf_->win_base_) window_ = buf_->win_base_ - 1;
-  while (cur_ < 0 && ++window_ < end) {
-    cur_ = buf_->win_list(window_).head;
-    skip_lazy();  // a list of only-parked slots counts as empty
-  }
-}
-
-void MessageBuffer::WindowIterator::skip_lazy() {
-  while (cur_ >= 0 && buf_->meta_[static_cast<std::size_t>(cur_)].id == kNoMsg) {
-    cur_ = buf_->links_[static_cast<std::size_t>(cur_)].next_win;
-  }
-}
-
-void MessageBuffer::WindowIterator::prefetch() {
-  std::int32_t s = cur_ < 0 ? kNoSlot
-                            : buf_->links_[static_cast<std::size_t>(cur_)]
-                                  .next_win;
-  while (s >= 0 && buf_->meta_[static_cast<std::size_t>(s)].id == kNoMsg) {
-    s = buf_->links_[static_cast<std::size_t>(s)].next_win;
-  }
-  next_ = s;
+void MessageBuffer::SendOrderIterator::prefetch() {
+  next_ = cur_ < 0 ? kNoSlot
+                   : buf_->skip_parked(
+                         buf_->links_[static_cast<std::size_t>(cur_)]
+                             .next_sent);
 }
 
 MessageBuffer::Range<MessageBuffer::PendingIterator> MessageBuffer::pending_to(
     ProcId receiver) const {
   AA_REQUIRE(receiver >= 0 && receiver < n_, "pending_to: bad receiver");
-  return {PendingIterator(this, rcv_head_[static_cast<std::size_t>(receiver)],
-                          -1),
-          PendingIterator(this, kNoSlot, -1)};
+  return {PendingIterator(this, rcv_head_[static_cast<std::size_t>(receiver)]),
+          PendingIterator(this, kNoSlot)};
 }
 
-MessageBuffer::Range<MessageBuffer::PendingIterator>
-MessageBuffer::pending_from_to(ProcId sender, ProcId receiver) const {
-  AA_REQUIRE(receiver >= 0 && receiver < n_, "pending_from_to: bad receiver");
-  AA_REQUIRE(sender >= 0 && sender < n_, "pending_from_to: bad sender");
-  return {PendingIterator(this, rcv_head_[static_cast<std::size_t>(receiver)],
-                          sender),
-          PendingIterator(this, kNoSlot, sender)};
-}
-
-MessageBuffer::Range<MessageBuffer::WindowIterator>
-MessageBuffer::pending_in_window(std::int64_t w) const {
-  std::int32_t head = kNoSlot;
-  if (w >= win_base_ && w < win_base_ + static_cast<std::int64_t>(win_count_)) {
-    head = win_list(w).head;
-  }
-  return {WindowIterator(this, head, w, /*all_windows=*/false),
-          WindowIterator(this, kNoSlot, w, /*all_windows=*/false)};
-}
-
-MessageBuffer::Range<MessageBuffer::WindowIterator> MessageBuffer::all_pending()
-    const {
-  return {WindowIterator(this, kNoSlot, win_base_ - 1, /*all_windows=*/true),
-          WindowIterator(this, kNoSlot,
-                         win_base_ + static_cast<std::int64_t>(win_count_),
-                         /*all_windows=*/false)};
+MessageBuffer::Range<MessageBuffer::SendOrderIterator>
+MessageBuffer::all_pending() const {
+  return {SendOrderIterator(this, sent_head_),
+          SendOrderIterator(this, kNoSlot)};
 }
 
 // ---- allocating conveniences ----------------------------------------------
@@ -637,20 +492,6 @@ MessageBuffer::Range<MessageBuffer::WindowIterator> MessageBuffer::all_pending()
 std::vector<MsgId> MessageBuffer::pending_to_ids(ProcId receiver) const {
   std::vector<MsgId> out;
   for (const Envelope& e : pending_to(receiver)) out.push_back(e.id);
-  return out;
-}
-
-std::vector<MsgId> MessageBuffer::pending_from_to_ids(ProcId sender,
-                                                      ProcId receiver) const {
-  std::vector<MsgId> out;
-  for (const Envelope& e : pending_from_to(sender, receiver))
-    out.push_back(e.id);
-  return out;
-}
-
-std::vector<MsgId> MessageBuffer::pending_in_window_ids(std::int64_t w) const {
-  std::vector<MsgId> out;
-  for (const Envelope& e : pending_in_window(w)) out.push_back(e.id);
   return out;
 }
 

@@ -3,10 +3,16 @@
 //
 // The adversary has full information: it can inspect every pending envelope.
 // A message is in exactly one of three states: pending, delivered, dropped.
-// Delivery is an explicit engine event; the end-of-window sweep
-// (drop_pending_in_window) is the only drop path. (Dropping models the
-// acceptable-window semantics where messages from silenced senders are never
-// delivered; the async crash model never drops.)
+// Delivery is an explicit engine event; the window-edge sweep (drop_pending)
+// is the only drop path. (Dropping models the acceptable-window semantics
+// where messages from silenced senders are never delivered; the async crash
+// model never drops.)
+//
+// One window at a time: Definition 1 delivers only "the messages just
+// sent" and drops the rest at the window edge, and the §5 async model has
+// no window edges at all, so the buffer never holds messages from two
+// windows. add_batch enforces it; Execution::begin_window_batch checks
+// that nothing is pending when a window opens.
 //
 // Arena design (the O(live) rewrite, now SoA):
 //   * MsgIds stay monotonically increasing — the adversary-visible identity
@@ -24,42 +30,37 @@
 //     — in the window regime, every id of the current window — resolve
 //     through a dense direct-index array (one bounds-checked load, no
 //     hashing). Older ids ("stragglers": async-regime messages that
-//     outlive many window advances) live in an open-addressing table
-//     (linear probing with backward-shift deletion). The window-edge sweep
-//     retires the whole direct range in O(1) — see drop_pending_in_window —
-//     so the acceptable-window hot path performs NO per-message hash
-//     erases at all; the incremental erase path survives only for spilled
+//     outlive a spill of the direct index) live in an open-addressing
+//     table (linear probing with backward-shift deletion). The window-edge
+//     sweep retires the whole direct range in O(1) — see drop_pending — so
+//     the acceptable-window hot path performs NO per-message hash erases
+//     at all; the incremental erase path survives only for spilled
 //     stragglers.
-//   * Slots are threaded onto two intrusive doubly-linked lists — one per
-//     receiver and one per send-window — kept in ascending-id (send) order.
-//     pending_to / pending_from_to / pending_in_window / all_pending iterate
-//     those lists in O(result), and drop_pending_in_window retires exactly
-//     the window's own leftovers. Each window list additionally records its
-//     member id range ([first_id, last_id], plus a contiguity flag), which
-//     the bulk delivery run uses as a branch-free window test.
+//   * Slots are threaded onto intrusive doubly-linked lists kept in
+//     ascending-id (send) order: one per receiver, and one send list that
+//     holds every pending or parked slot. pending_to and all_pending
+//     iterate those lists in O(result), and drop_pending empties the send
+//     list in one walk.
 //
 // Because slots recycle, envelope lookups are only valid for PENDING ids:
 // querying a retired id throws (std::logic_error), and is_pending(id) is the
 // only question that can be asked about the whole history.
 //
-// Envelope-view invalidation contract (batch API, SoA edition): references
-// returned by get()/iteration and the views handed out by
-// deliver_window_run_to point into the envelope array `envs_` and are
-// invalidated by
-//   (1) the next publication — a single add() OR any add_batch(), which may
-//       grow the envelope array (SoA does not change this: all three arrays
-//       grow together), and
-//   (2) for delivered (parked) slots, the drop_pending_in_window sweep of
-//       their send window, which recycles the slot; the parked id becomes
-//       REUSABLE arena space at that sweep, not before.
+// Envelope-view invalidation contract (SoA arena): references returned by
+// get()/iteration and the views handed out by deliver_window_run_to point
+// into the envelope array `envs_` and are invalidated by
+//   (1) the next add_batch, which may grow the envelope array (all three
+//       SoA arrays grow together), and
+//   (2) for delivered (parked) slots, the drop_pending sweep, which
+//       recycles the slot; the parked id becomes REUSABLE arena space at
+//       that sweep, not before.
 // Range retirement does NOT add an invalidation point: rewinding the direct
-// index (the O(1) window-edge id retirement, or an explicit
-// spill_direct_index()) moves only id→slot bookkeeping and never touches
-// envelope storage. Within one acceptable window the engine publishes first
-// and delivers after, so views collected during the delivery phase stay
-// valid until the window's end_window sweep; holders that outlive a
-// publication (anything keeping a view across sending steps) must copy the
-// envelope out.
+// index (the O(1) window-edge id retirement, or spill_direct_index) moves
+// only id→slot bookkeeping and never touches envelope storage. Within one
+// acceptable window the engine publishes first and delivers after, so
+// views collected during the delivery phase stay valid until the window's
+// end_window sweep; holders that outlive a publication (anything keeping a
+// view across sending steps) must copy the envelope out.
 #pragma once
 
 #include <cstddef>
@@ -205,25 +206,20 @@ class MessageBuffer {
 
   /// Restore the freshly-constructed state for `n` processors while
   /// KEEPING every capacity the previous run grew (slot arena, id-map
-  /// table, direct index, receiver lists, window ring) — the campaign
-  /// trial-reuse path: after the first trial warms a worker's buffer up,
-  /// later same-shape trials allocate nothing. Observable behaviour is
-  /// identical to a fresh MessageBuffer(n): ids restart at 0 and every
-  /// list is empty.
+  /// table, direct index, receiver lists) — the campaign trial-reuse path:
+  /// after the first trial warms a worker's buffer up, later same-shape
+  /// trials allocate nothing. Observable behaviour is identical to a fresh
+  /// MessageBuffer(n): ids restart at 0 and every list is empty.
   void reset(int n);
 
-  /// Add a new in-flight message; returns its id.
-  MsgId add(ProcId sender, ProcId receiver, const Message& payload,
-            std::int64_t window, std::int64_t chain);
-
-  /// Bulk publication: add `sender`'s staged run in staging order, exactly
-  /// as items.size() consecutive add() calls would — ids are consecutive
-  /// starting at the returned value, receiver lists stay ascending-id, and
-  /// every iteration order is unchanged. One pass allocates the slot run,
-  /// splices the whole run onto the window list in a single attach, and
-  /// extends the dense direct index (no hash inserts at all).
-  /// Returns the first id of the run (== total_sent() before the call,
-  /// also for an empty run).
+  /// Publication: add `sender`'s staged run in staging order. Ids are
+  /// consecutive starting at the returned value (== total_sent() before
+  /// the call, also for an empty run), and receiver lists stay
+  /// ascending-id. One pass allocates the slot run, appends it to the
+  /// send list and extends the dense direct index (no hash inserts).
+  /// Precondition: the buffer holds one window at a time, so `window` must
+  /// match the window of every slot still on the send list — publish into
+  /// a new window only after drop_pending swept the previous one.
   MsgId add_batch(ProcId sender, std::span<const StagedMessage> items,
                   std::int64_t window, std::int64_t chain);
 
@@ -240,50 +236,46 @@ class MessageBuffer {
 
   /// Whole-list delivery run — the acceptable-window delivery path. Walks
   /// `receiver`'s pending list once, in list (id) order, and delivers
-  /// every message sent in window `w` whose sender is selected: all of
-  /// them when `sender_stamp` is null, else exactly those with
-  /// sender_stamp[sender] == epoch. The window test is the window list's
-  /// recorded id range when its ids are contiguous (one metadata compare,
-  /// no envelope touch), the envelope's window field otherwise. Delivered
-  /// slots are PARKED, not recycled: is_pending flips to false and the ids
-  /// leave the live index without any hash work, but each slot stays on
-  /// its window list until drop_pending_in_window(w) sweeps it onto the
-  /// free list in one bulk walk — so the caller MUST eventually drop
-  /// window w (run_acceptable_window's end_window does). Window iteration
-  /// skips parked slots, so mid-window queries stay exact. Unselected
-  /// messages stay pending, relinked in one pass. Each delivery's
-  /// envelope view (valid until the next publication or the window sweep)
-  /// is written to out[cursor[sender]++]: the caller lays out one segment
-  /// per sender (cursor[s] = the segment's start), so a single walk
-  /// emits the run in any per-sender order while each sender's messages
-  /// keep their send order. Writing past `out` throws std::logic_error.
-  /// Returns the number delivered.
-  int deliver_window_run_to(ProcId receiver, std::int64_t w,
-                            const std::uint64_t* sender_stamp,
+  /// every message whose sender is selected: all of them when
+  /// `sender_stamp` is null, else exactly those with
+  /// sender_stamp[sender] == epoch. Every pending message belongs to the
+  /// one window the buffer holds, so the walk needs no window test.
+  /// Delivered slots are PARKED, not recycled: is_pending flips to false
+  /// and the ids leave the live index without any hash work, but each
+  /// slot stays on the send list until drop_pending sweeps it onto the
+  /// free list in one bulk walk — so the caller MUST eventually sweep
+  /// (run_acceptable_window's end_window does). Send-order iteration skips
+  /// parked slots, so mid-window queries stay exact. Unselected messages
+  /// stay pending, relinked in one pass. Each delivery's envelope view
+  /// (valid until the next publication or the sweep) is written to
+  /// out[cursor[sender]++]: the caller lays out one segment per sender
+  /// (cursor[s] = the segment's start), so a single walk emits the run in
+  /// any per-sender order while each sender's messages keep their send
+  /// order. Writing past `out` throws std::logic_error. Returns the number
+  /// delivered.
+  int deliver_window_run_to(ProcId receiver, const std::uint64_t* sender_stamp,
                             std::uint64_t epoch,
                             std::span<const Envelope*> out,
                             std::int32_t* cursor);
 
-  /// Drop every still-pending message sent during window `w` by walking
-  /// only that window's own pending list. Returns the number dropped.
-  /// Range retirement: when the sweep leaves NO pending message anywhere
-  /// (the steady state of the acceptable-window regime, where every window
-  /// ends empty), the whole direct index [direct_base_, next_id_) is
-  /// retired in O(1) — direct_base_ jumps to next_id_ — replacing the
-  /// per-id backward-shift hash erases the sweep used to pay for.
-  std::size_t drop_pending_in_window(std::int64_t w);
+  /// The window-edge sweep: drop every still-pending message and recycle
+  /// every parked slot in one walk of the send list, leaving the buffer
+  /// empty. Returns the number dropped. Because nothing is pending
+  /// afterwards, the whole direct index [direct_base_, next_id_) retires
+  /// in O(1) — direct_base_ jumps to next_id_ — with no per-id hash erase
+  /// for any id that never spilled.
+  std::size_t drop_pending();
 
   /// Migrate every live directly-indexed id into the straggler hash map and
   /// rewind the direct index to start at the current id watermark. Purely
   /// an id→slot bookkeeping move: no envelope storage is touched, no view
-  /// is invalidated, and every query answers identically. Called by the
-  /// engine when a window advances while messages stay pending (the async /
-  /// keep-pending regimes, where no sweep will ever empty the window), and
-  /// internally when the direct index outgrows its size bound.
+  /// is invalidated, and every query answers identically. add_batch calls
+  /// it when the direct index outgrows its size bound (long async runs,
+  /// where no window sweep ever rewinds the index).
   void spill_direct_index();
 
   /// Install (or clear, with nullptr) the accountability lens: every drop
-  /// of a still-PENDING message by the end-of-window sweep reports
+  /// of a still-PENDING message by the window-edge sweep reports
   /// (sender, receiver) to trace->on_suppress. Lazily-delivered slots
   /// recycled by the sweep are NOT suppressions. The trace outlives the
   /// buffer's run; Execution re-installs it on construction and reset.
@@ -295,11 +287,11 @@ class MessageBuffer {
   // retiring the CURRENT element (mark_delivered) while iterating is safe;
   // retiring any other element or adding messages mid-iteration is not.
 
+  /// Walks one receiver's pending list.
   class PendingIterator {
    public:
-    PendingIterator(const MessageBuffer* buf, std::int32_t slot, ProcId sender)
-        : buf_(buf), cur_(slot), sender_(sender) {
-      skip_non_matching();
+    PendingIterator(const MessageBuffer* buf, std::int32_t slot)
+        : buf_(buf), cur_(slot) {
       prefetch();
     }
     const Envelope& operator*() const;
@@ -312,44 +304,39 @@ class MessageBuffer {
     bool operator==(const PendingIterator& o) const { return cur_ == o.cur_; }
 
    private:
-    void skip_non_matching();
     void prefetch();
 
     const MessageBuffer* buf_;
     std::int32_t cur_;
     std::int32_t next_ = -1;
-    ProcId sender_;  ///< -1: no sender filter
   };
 
-  class WindowIterator {
+  /// Walks the send list, skipping parked slots.
+  class SendOrderIterator {
    public:
-    WindowIterator(const MessageBuffer* buf, std::int32_t slot,
-                   std::int64_t window, bool all_windows)
-        : buf_(buf), cur_(slot), window_(window), all_windows_(all_windows) {
-      skip_lazy();
-      if (all_windows_) advance_to_nonempty_window();
+    SendOrderIterator(const MessageBuffer* buf, std::int32_t slot)
+        : buf_(buf), cur_(buf->skip_parked(slot)) {
       prefetch();
     }
     const Envelope& operator*() const;
-    WindowIterator& operator++() {
+    SendOrderIterator& operator++() {
       cur_ = next_;
-      if (all_windows_ && cur_ < 0) advance_to_nonempty_window();
       prefetch();
       return *this;
     }
-    bool operator!=(const WindowIterator& o) const { return cur_ != o.cur_; }
-    bool operator==(const WindowIterator& o) const { return cur_ == o.cur_; }
+    bool operator!=(const SendOrderIterator& o) const {
+      return cur_ != o.cur_;
+    }
+    bool operator==(const SendOrderIterator& o) const {
+      return cur_ == o.cur_;
+    }
 
    private:
-    void advance_to_nonempty_window();
-    void skip_lazy();
     void prefetch();
 
     const MessageBuffer* buf_;
     std::int32_t cur_;
     std::int32_t next_ = -1;
-    std::int64_t window_;  ///< window of cur_ (all_windows) or the filter
-    bool all_windows_;
   };
 
   template <typename Iter>
@@ -368,22 +355,12 @@ class MessageBuffer {
   /// All pending messages addressed to `receiver` (send order).
   [[nodiscard]] Range<PendingIterator> pending_to(ProcId receiver) const;
 
-  /// Pending messages to `receiver` from `sender` (send order).
-  [[nodiscard]] Range<PendingIterator> pending_from_to(ProcId sender,
-                                                       ProcId receiver) const;
-
-  /// All pending messages sent during window `w` (send order).
-  [[nodiscard]] Range<WindowIterator> pending_in_window(std::int64_t w) const;
-
   /// Every pending message (send order).
-  [[nodiscard]] Range<WindowIterator> all_pending() const;
+  [[nodiscard]] Range<SendOrderIterator> all_pending() const;
 
   // ---- allocating conveniences (diagnostics / tests) ---------------------
 
   [[nodiscard]] std::vector<MsgId> pending_to_ids(ProcId receiver) const;
-  [[nodiscard]] std::vector<MsgId> pending_from_to_ids(ProcId sender,
-                                                       ProcId receiver) const;
-  [[nodiscard]] std::vector<MsgId> pending_in_window_ids(std::int64_t w) const;
   [[nodiscard]] std::vector<MsgId> all_pending_ids() const;
 
   // ---- counters and arena introspection ----------------------------------
@@ -410,15 +387,15 @@ class MessageBuffer {
     return envs_.capacity();
   }
 
-  /// Opt-in invariant auditor: verify the full arena state — receiver and
-  /// window lists (doubly-linked, acyclic, ascending-id, field-consistent,
-  /// ids within the window list's recorded range), two-tier id resolution
-  /// (every pending id at or above the direct base resolves through the
-  /// direct index, every older one through the straggler map, and both
-  /// structures hold nothing else), SoA lockstep (metadata id mirrors the
-  /// envelope id on every live slot), lazy-parked slot accounting,
-  /// free-list integrity, and that every slot is in exactly one of
-  /// {pending, parked, free} with the lifecycle counters summing to
+  /// Opt-in invariant auditor: verify the full arena state — receiver lists
+  /// and the send list (doubly-linked, acyclic, ascending-id,
+  /// field-consistent, one window on the send list), two-tier id
+  /// resolution (every pending id at or above the direct base resolves
+  /// through the direct index, every older one through the straggler map,
+  /// and both structures hold nothing else), SoA lockstep (metadata id
+  /// mirrors the envelope id on every live slot), lazy-parked slot
+  /// accounting, free-list integrity, and that every slot is in exactly
+  /// one of {pending, parked, free} with the lifecycle counters summing to
   /// total_sent(). Throws std::logic_error on the first violation.
   /// O(slots) with scratch allocation — meant for window boundaries under
   /// ExecutionConfig::audit, self-tests, and post-reset validation, not the
@@ -427,7 +404,7 @@ class MessageBuffer {
 
  private:
   friend class PendingIterator;
-  friend class WindowIterator;
+  friend class SendOrderIterator;
   friend struct AuditTestAccess;
 
   /// Intrusive list links, one entry per slot (SoA: kept apart from the
@@ -435,33 +412,18 @@ class MessageBuffer {
   struct Link {
     std::int32_t prev_rcv = -1;
     std::int32_t next_rcv = -1;  ///< doubles as the free-list link
-    std::int32_t prev_win = -1;
-    std::int32_t next_win = -1;
+    std::int32_t prev_sent = -1;
+    std::int32_t next_sent = -1;
   };
 
   /// Hot 16-byte per-slot metadata: everything the delivery walk and the
   /// plan-validation scan filter on. `id == kNoMsg` means the slot is NOT
-  /// pending — either parked (delivered, awaiting its window sweep; the
-  /// envelope still carries the id) or free (envelope id is kNoMsg too).
+  /// pending — either parked (delivered, awaiting the sweep; the envelope
+  /// still carries the id) or free (envelope id is kNoMsg too).
   struct Meta {
     MsgId id = kNoMsg;
     ProcId receiver = -1;
     ProcId sender = -1;
-  };
-
-  /// One send-window's pending list plus its member id range. `first_id` /
-  /// `last_id` bound every id ever linked onto the list; while
-  /// `contiguous` holds (no other window's ids were interleaved between
-  /// this window's batches — always true under the engine's
-  /// one-window-at-a-time publication), membership in [first_id, last_id]
-  /// is EXACT for pending slots, giving deliver_window_run_to a window
-  /// test that never touches the envelope.
-  struct WinList {
-    std::int32_t head = -1;
-    std::int32_t tail = -1;
-    MsgId first_id = kNoMsg;
-    MsgId last_id = kNoMsg;
-    bool contiguous = true;
   };
 
   /// Direct index size bound: past this many entries add_batch spills the
@@ -477,21 +439,9 @@ class MessageBuffer {
   /// Unlink from both lists, erase the id mapping, push onto the free list.
   void retire(std::int32_t slot);
   void unlink_receiver(std::int32_t slot);
-  void unlink_window(std::int32_t slot);
-  /// Pop leading empty window lists (the newest list always survives so a
-  /// re-send into the current window can extend it).
-  void trim_window_ring();
-
-  [[nodiscard]] WinList& win_list(std::int64_t w) {
-    return win_ring_[static_cast<std::size_t>(
-        (win_begin_ + static_cast<std::size_t>(w - win_base_)) & win_mask_)];
-  }
-  [[nodiscard]] const WinList& win_list(std::int64_t w) const {
-    return win_ring_[static_cast<std::size_t>(
-        (win_begin_ + static_cast<std::size_t>(w - win_base_)) & win_mask_)];
-  }
-  /// Ensure the ring covers window w (extending with empty lists).
-  void reserve_window(std::int64_t w);
+  void unlink_sent(std::int32_t slot);
+  /// First non-parked slot at or after `slot` on the send list.
+  [[nodiscard]] std::int32_t skip_parked(std::int32_t slot) const;
 
   int n_;
   // SoA slot arena: three lockstep arrays (see Link / Meta above; envs_ is
@@ -514,13 +464,9 @@ class MessageBuffer {
   std::vector<std::int32_t> rcv_head_;
   std::vector<std::int32_t> rcv_tail_;
 
-  // Circular buffer of per-window pending lists for windows
-  // [win_base_, win_base_ + win_count_).
-  std::vector<WinList> win_ring_;
-  std::size_t win_begin_ = 0;
-  std::size_t win_mask_ = 0;
-  std::size_t win_count_ = 0;
-  std::int64_t win_base_ = 0;
+  // The send list: every pending or parked slot, in ascending-id order.
+  std::int32_t sent_head_ = -1;
+  std::int32_t sent_tail_ = -1;
 
   std::size_t pending_ = 0;
   std::size_t delivered_ = 0;

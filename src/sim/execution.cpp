@@ -151,10 +151,10 @@ std::span<const MsgId> Execution::sending_step(ProcId p) {
 void Execution::begin_window_batch() {
   WindowScratch& sc = scratch_;
   const auto n = static_cast<std::size_t>(n_);
-  // deliver_plan_row walks the receiver's whole window list, so the batch
-  // must be everything the window holds.
-  AA_CHECK(buffer_.pending_in_window(window_).empty(),
-           "begin_window_batch: messages already published in this window");
+  // deliver_plan_row walks the receiver's whole pending list, so the batch
+  // must be everything the buffer holds.
+  AA_CHECK(buffer_.pending_count() == 0,
+           "begin_window_batch: messages are already pending");
   if (sc.row_stamp.size() != n) {
     sc.row_stamp.assign(n, 0);
     sc.rcv_stamp.assign(n, 0);
@@ -231,8 +231,8 @@ int Execution::deliver_plan_row(ProcId receiver, std::span<const ProcId> row) {
   const bool full = covered == batch.count_to(receiver);
   run_envs_.resize(static_cast<std::size_t>(covered));
   const int delivered = buffer_.deliver_window_run_to(
-      receiver, window_, full ? nullptr : sc.member_stamp.data(),
-      member_epoch, run_envs_, sc.seg_end.data());
+      receiver, full ? nullptr : sc.member_stamp.data(), member_epoch,
+      run_envs_, sc.seg_end.data());
   if (delivered == 0) return 0;
   if (delivered != covered) close_segment_gaps(row);
   const std::span<const Envelope* const> run(
@@ -296,17 +296,7 @@ void Execution::crash(ProcId p) {
 
 void Execution::end_window() {
   if (audit_due()) audit();
-  buffer_.drop_pending_in_window(window_);
-  ++window_;
-}
-
-void Execution::advance_window_keep_pending() {
-  if (audit_due()) audit();
-  // The window advances with messages still pending, so no sweep will ever
-  // range-retire their ids: migrate them to the straggler map now and keep
-  // the direct index anchored at the current watermark. Pure id→slot
-  // bookkeeping — no delivery order or envelope view changes.
-  buffer_.spill_direct_index();
+  buffer_.drop_pending();
   ++window_;
 }
 

@@ -52,7 +52,7 @@ struct Decision {
 struct ExecutionConfig {
   bool record_events = false;  ///< keep the full step log (memory-heavy)
   /// Run the invariant auditor (Execution::audit) at every window boundary
-  /// (end_window / advance_window_keep_pending). Opt-in: O(slots) per
+  /// (end_window). Opt-in: O(slots) per
   /// window, meant for chaos runs, CI sanitizer jobs and debugging.
   bool audit = false;
   /// Sampled auditing: audit at every Nth window boundary (those where
@@ -116,11 +116,12 @@ class Execution {
   /// Arm window-batch collection for the CURRENT window: clears the
   /// scratch batch and pair index and stamps a fresh batch epoch, so the
   /// following sending steps build the (sender, receiver) pair index
-  /// incrementally instead of the driver re-walking the window list.
+  /// incrementally instead of the driver re-walking the buffer.
   /// Collection disarms automatically when the window counter advances.
-  /// Preconditions (checked): nothing is pending from the current window
-  /// yet, and each sender takes at most one non-empty sending step per
-  /// collected window — exactly what Definition 1's sending phase does.
+  /// Preconditions (checked): nothing is pending — the previous window's
+  /// end_window swept it — and each sender takes at most one non-empty
+  /// sending step per collected window — exactly what Definition 1's
+  /// sending phase does.
   void begin_window_batch();
 
   /// View of the batch collected since begin_window_batch (ids + pair
@@ -159,14 +160,12 @@ class Execution {
   /// Current acceptable-window index (starts at 0).
   [[nodiscard]] std::int64_t window() const noexcept { return window_; }
 
-  /// Close the current window: drop all still-pending messages that were
-  /// sent in it (silenced senders' messages are never delivered under the
-  /// acceptable-window regime) and advance the window counter.
+  /// Close the current window: drop every still-pending message (all of
+  /// them were sent in it; silenced senders' messages are never delivered
+  /// under the acceptable-window regime) and advance the window counter.
+  /// The async driver never calls this — its messages stay eligible for
+  /// eventual delivery.
   void end_window();
-
-  /// Advance the window counter WITHOUT dropping (async/crash model, where
-  /// every message must remain eligible for eventual delivery).
-  void advance_window_keep_pending();
 
   // ---- full-information views ----
 

@@ -7,11 +7,12 @@
 //
 // Id contract with the buffer: a window batch's ids are contiguous and
 // ascending in publication order, so every pair_ids segment is ascending
-// too. MessageBuffer::add_batch assigns that range against its dense
-// direct index (no hash inserts), and drop_pending_in_window retires the
-// whole range in one sweep once the window drains — callers must not
-// cache ids across a window edge (see buffer.hpp's envelope-view
-// invalidation contract).
+// too. The batch is everything the buffer holds (begin_window_batch
+// checks that nothing is pending when the window opens).
+// MessageBuffer::add_batch assigns that range against its dense direct
+// index (no hash inserts), and the end_window sweep (drop_pending) retires
+// the whole range at once — callers must not cache ids across a window
+// edge (see buffer.hpp's envelope-view invalidation contract).
 #pragma once
 
 #include <cstdint>
@@ -122,8 +123,8 @@ struct WindowScratch {
 /// Read-only view of one collected window's publication batch, indexed by
 /// (sender, receiver). Built incrementally as sending steps publish —
 /// handed to WindowAdversary::plan_window_into and consumed by the
-/// delivery phase, so the driver never re-walks the window list to build
-/// a counting sort. Aliases the execution's WindowScratch: valid only
+/// delivery phase, so the driver never re-walks the buffer to build a
+/// counting sort. Aliases the execution's WindowScratch: valid only
 /// until the window ends (or the next begin_window_batch).
 class WindowBatch {
  public:

@@ -64,7 +64,7 @@ int run_acceptable_window(Execution& exec, WindowAdversary& adv, int t) {
   // collection — each step publishes its whole outbox in one add_batch and
   // folds its receiver grouping into the (sender, receiver) pair index, so
   // the index is ready the moment the last step returns (no extra walks
-  // over the window list, no per-window counter reset).
+  // over the buffer, no per-window counter reset).
   exec.begin_window_batch();
   for (ProcId p = 0; p < n; ++p) exec.sending_step(p);
 

@@ -24,7 +24,7 @@
 //     sending step publishes its whole outbox in one
 //     MessageBuffer::add_batch and folds its receiver grouping into the
 //     window's (sender, receiver) pair index as it goes — the driver never
-//     re-walks the window list to build a counting sort. It also records
+//     re-walks the buffer to build a counting sort. It also records
 //     how many whole broadcast() calls each run was (every protocol here
 //     except Byzantine send() equivocators stages only broadcasts), and
 //     WindowBatch::broadcast_runs exposes that shape, so an adversary can
@@ -41,6 +41,9 @@
 //     receiver's pending list in one whole-list walk (bulk lazy delivery,
 //     a single Process::on_receive_batch) that scatters each message into
 //     its sender's plan-order segment.
+//   * end_window sweeps the buffer empty: every undelivered message is
+//     dropped, so each window opens with nothing pending and the batch is
+//     the whole buffer.
 #pragma once
 
 #include <span>

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -211,6 +212,118 @@ TEST(CampaignResume, LensSidecarValidatedOnResume) {
     EXPECT_TRUE(resumed.cells[1].resumed);
     EXPECT_EQ(read_file(dir / "resume_cell_0_lens.json"), want_lens0);
   }
+
+  // Hollow sidecars: the identity keys match this cell, "senders" is
+  // present and the file ends in a brace, but the sender rows and blamed_*
+  // lists are missing — or one sender's row is. Must recompute.
+  const std::string row3 = "    {\"sender\": 3,";
+  const std::size_t row3_at = want_lens0.find(row3);
+  ASSERT_NE(row3_at, std::string::npos);
+  const std::string missing_row =
+      want_lens0.substr(0, row3_at) +
+      want_lens0.substr(want_lens0.find('\n', row3_at) + 1);
+  for (const std::string& hollow :
+       {std::string("{\"n\": 8, \"t\": 1, \"trials\": 6, \"senders\": [ ]}"),
+        missing_row}) {
+    {
+      std::ofstream out(dir / "resume_cell_0_lens.json", std::ios::binary);
+      out << hollow;
+    }
+    const CampaignResult resumed = run_campaign(cfg);
+    EXPECT_FALSE(resumed.cells[0].resumed);
+    EXPECT_TRUE(resumed.cells[1].resumed);
+    EXPECT_EQ(read_file(dir / "resume_cell_0_lens.json"), want_lens0);
+    EXPECT_EQ(read_file(dir / "resume_summary.json"), want_summary);
+  }
+  EXPECT_TRUE(tmp_leftovers(dir).empty());
+  fs::remove_all(dir);
+}
+
+TEST(CampaignResume, MutatedArtifactsRecomputeOrResumeByteIdentical) {
+  // Deterministic mutations of one cell artifact and of its lens sidecar:
+  // truncation at a fixed stride of offsets, single-byte flips at a fixed
+  // stride, one duplicated key line, and two swapped key lines. Every case
+  // must end with the uninterrupted run's cell, sidecar and summary bytes:
+  // a mutation the readers miss would resume the mutated file and fail.
+  // The flips toggle one of the high four bits (0x10..0x80, in turn), so a
+  // digit never turns into another digit: changing one digit of a value
+  // keeps the text well formed, and only a checksum, which the artifact
+  // format does not carry, could tell it apart.
+  const fs::path dir = fresh_dir("mutate");
+  CampaignConfig cfg = two_cell_config(dir.string());
+  cfg.adversaries = {"fair"};
+  cfg.trials = 2;
+  cfg.lens = true;
+  (void)run_campaign(cfg);
+  const fs::path cell = dir / "resume_cell_0.json";
+  const fs::path lens = dir / "resume_cell_0_lens.json";
+  const fs::path summary = dir / "resume_summary.json";
+  const std::string want_cell = read_file(cell);
+  const std::string want_lens = read_file(lens);
+  const std::string want_summary = read_file(summary);
+  cfg.resume = true;
+
+  const auto write = [](const fs::path& path, const std::string& text) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << text;
+  };
+  int cases = 0;
+  int recomputed = 0;
+  const auto run = [&](const fs::path& target, const std::string& text,
+                       const std::string& what) {
+    write(cell, want_cell);
+    write(lens, want_lens);
+    write(target, text);
+    fs::remove(summary);
+    const CampaignResult result = run_campaign(cfg);
+    ASSERT_EQ(result.cells.size(), 1u);
+    ++cases;
+    if (!result.cells[0].resumed) ++recomputed;
+    EXPECT_EQ(read_file(cell), want_cell) << what;
+    EXPECT_EQ(read_file(lens), want_lens) << what;
+    EXPECT_EQ(read_file(summary), want_summary) << what;
+  };
+
+  // Control: the intact pair resumes.
+  run(cell, want_cell, "intact");
+  ASSERT_EQ(recomputed, 0);
+
+  for (const auto& [target, want, stride] :
+       {std::make_tuple(cell, want_cell, std::size_t{7}),
+        std::make_tuple(lens, want_lens, std::size_t{31})}) {
+    const std::string name = target.filename().string();
+    for (std::size_t len = 0; len < want.size(); len += stride) {
+      run(target, want.substr(0, len),
+          name + " truncated to " + std::to_string(len));
+    }
+    for (std::size_t i = 0; i < want.size(); i += stride / 2) {
+      std::string flipped = want;
+      flipped[i] = static_cast<char>(flipped[i] ^ (0x10 << (i % 4)));
+      run(target, flipped, name + " flipped at " + std::to_string(i));
+    }
+    // Key lines: the top-level `  "key": value` lines.
+    std::vector<std::string> lines;
+    std::vector<std::size_t> keys;
+    std::istringstream split(want);
+    for (std::string line; std::getline(split, line);) {
+      if (line.rfind("  \"", 0) == 0) keys.push_back(lines.size());
+      lines.push_back(line + "\n");
+    }
+    ASSERT_GE(keys.size(), 3u) << name;
+    const auto join = [](const std::vector<std::string>& parts) {
+      std::string out;
+      for (const std::string& p : parts) out += p;
+      return out;
+    };
+    std::vector<std::string> dup = lines;
+    dup.insert(dup.begin() + static_cast<std::ptrdiff_t>(keys[1]),
+               lines[keys[1]]);
+    run(target, join(dup), name + " duplicated key line");
+    std::vector<std::string> swapped = lines;
+    std::swap(swapped[keys[1]], swapped[keys[2]]);
+    run(target, join(swapped), name + " swapped key lines");
+  }
+  EXPECT_EQ(recomputed, cases - 1);  // every mutation recomputed
   EXPECT_TRUE(tmp_leftovers(dir).empty());
   fs::remove_all(dir);
 }

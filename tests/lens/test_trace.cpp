@@ -166,14 +166,14 @@ TEST(WindowTrace, SuppressHooksExactAcrossStraddlingRunsAndSpill) {
   // sender, so one output segment starting at 0.
   std::vector<const sim::Envelope*> views(3);
   std::vector<std::int32_t> cursor(n, 0);
-  ASSERT_EQ(buf.deliver_window_run_to(/*receiver=*/2, 0, nullptr, 0, views,
+  ASSERT_EQ(buf.deliver_window_run_to(/*receiver=*/2, nullptr, 0, views,
                                       cursor.data()),
             1);
   cursor.assign(n, 0);
-  ASSERT_EQ(buf.deliver_window_run_to(/*receiver=*/3, 0, nullptr, 0, views,
+  ASSERT_EQ(buf.deliver_window_run_to(/*receiver=*/3, nullptr, 0, views,
                                       cursor.data()),
             1);
-  EXPECT_EQ(buf.drop_pending_in_window(0), 4u);
+  EXPECT_EQ(buf.drop_pending(), 4u);
   EXPECT_EQ(trace.suppressed_total(0), 4);
 
   // Window 1: a run of 9 straddles the 6 recycled slots + fresh growth;
@@ -189,12 +189,12 @@ TEST(WindowTrace, SuppressHooksExactAcrossStraddlingRunsAndSpill) {
   // Receiver 3's two messages park via the straggler-map tier (the spill
   // moved their ids there).
   cursor.assign(n, 0);
-  ASSERT_EQ(buf.deliver_window_run_to(/*receiver=*/3, 1, nullptr, 0, views,
+  ASSERT_EQ(buf.deliver_window_run_to(/*receiver=*/3, nullptr, 0, views,
                                       cursor.data()),
             2);
   EXPECT_EQ(views[0]->id, first1 + 3);
   EXPECT_EQ(views[1]->id, first1 + 7);
-  EXPECT_EQ(buf.drop_pending_in_window(1), 7u);
+  EXPECT_EQ(buf.drop_pending(), 7u);
   EXPECT_EQ(buf.pending_count(), 0u);
 
   // Sender 0 published 6 in window 0 (2 delivered) and sender 1 published

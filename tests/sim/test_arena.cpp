@@ -1,9 +1,9 @@
 // Arena regression tests: the recycling MessageBuffer must keep live memory
 // bounded over long horizons and preserve the append-only store's
-// ascending-id iteration order exactly (checker reports depend on it).
+// ascending-id iteration order exactly (checker reports depend on it),
+// through both id tiers, lazy run delivery and window-edge sweeps.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
 #include "adversary/window_adversaries.hpp"
@@ -40,43 +40,38 @@ TEST(Arena, LiveSlotsStayBoundedAcross5kWindows) {
             5000u * static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
 }
 
-/// Reference model: the seed's append-only semantics, kept naive on purpose.
+/// Reference model: an append-only log with a pending flag per message,
+/// kept naive on purpose. The buffer holds one window at a time, so the
+/// window-edge sweep is "every pending message is dropped".
 struct NaiveModel {
   struct Entry {
     MsgId id;
     ProcId sender;
     ProcId receiver;
-    std::int64_t window;
     bool pending = true;
   };
   std::vector<Entry> all;
 
-  void add(MsgId id, ProcId s, ProcId r, std::int64_t w) {
-    all.push_back(Entry{id, s, r, w, true});
+  void add(MsgId id, ProcId s, ProcId r) {
+    all.push_back(Entry{id, s, r, true});
   }
   void retire(MsgId id) {
     for (Entry& e : all) {
       if (e.id == id) e.pending = false;
     }
   }
+  std::size_t drop_all() {
+    std::size_t dropped = 0;
+    for (Entry& e : all) {
+      if (e.pending) ++dropped;
+      e.pending = false;
+    }
+    return dropped;
+  }
   [[nodiscard]] std::vector<MsgId> pending_to(ProcId r) const {
     std::vector<MsgId> out;
     for (const Entry& e : all) {
       if (e.pending && e.receiver == r) out.push_back(e.id);
-    }
-    return out;
-  }
-  [[nodiscard]] std::vector<MsgId> pending_from_to(ProcId s, ProcId r) const {
-    std::vector<MsgId> out;
-    for (const Entry& e : all) {
-      if (e.pending && e.sender == s && e.receiver == r) out.push_back(e.id);
-    }
-    return out;
-  }
-  [[nodiscard]] std::vector<MsgId> pending_in_window(std::int64_t w) const {
-    std::vector<MsgId> out;
-    for (const Entry& e : all) {
-      if (e.pending && e.window == w) out.push_back(e.id);
     }
     return out;
   }
@@ -90,10 +85,11 @@ struct NaiveModel {
 };
 
 TEST(Arena, IterationOrderMatchesSeedIdOrderUnderChurn) {
-  // Random interleaving of sends, deliveries, drops and window advances,
-  // with long-lived stragglers (messages that stay pending for many
-  // windows, async-style). After every mutation batch, every query must
-  // agree with the naive ascending-id model — order included.
+  // Random interleaving of publication, per-id deliveries, lazy run
+  // deliveries filtered by a random sender set, direct-index spills (the
+  // async regime's long-lived ids) and window-edge sweeps. After every
+  // mutation batch, every query must agree with the naive ascending-id
+  // model — order included — and the arena must pass its audit.
   const int n = 6;
   MessageBuffer buf(n);
   NaiveModel model;
@@ -102,46 +98,76 @@ TEST(Arena, IterationOrderMatchesSeedIdOrderUnderChurn) {
   m.kind = 1;
 
   std::int64_t window = 0;
+  std::size_t dropped = 0;
+  std::vector<std::uint64_t> stamp(n, 0);
+  std::vector<std::int32_t> cursor(n, 0);
   for (int step = 0; step < 400; ++step) {
-    // Send a few messages in the current window.
+    // One sender publishes a run in the current window.
+    const auto s = static_cast<ProcId>(rng.uniform_index(n));
+    std::vector<StagedMessage> items;
     const int sends = 1 + static_cast<int>(rng.uniform_index(5));
     for (int k = 0; k < sends; ++k) {
-      const auto s = static_cast<ProcId>(rng.uniform_index(n));
-      const auto r = static_cast<ProcId>(rng.uniform_index(n));
-      const MsgId id = buf.add(s, r, m, window, 1);
-      model.add(id, s, r, window);
+      items.push_back({static_cast<ProcId>(rng.uniform_index(n)), m});
     }
-    // Deliver a random subset of what's pending (leaves stragglers behind).
-    const auto pending = buf.all_pending_ids();
-    for (MsgId id : pending) {
-      if (rng.uniform_index(3) == 0) {
+    const MsgId first = buf.add_batch(s, items, window, 1);
+    for (std::size_t k = 0; k < items.size(); ++k) {
+      model.add(first + static_cast<MsgId>(k), s, items[k].to);
+    }
+    // Deliver a random subset of what's pending, one id at a time.
+    for (MsgId id : buf.all_pending_ids()) {
+      if (rng.uniform_index(4) == 0) {
         buf.mark_delivered(id);
         model.retire(id);
       }
     }
-    // Occasionally close the window seed-style (drop its leftovers) or
-    // advance keeping everything pending.
+    // Lazily deliver one receiver's run from a random sender subset: the
+    // run comes out grouped by sender (ascending), send order within.
+    if (rng.uniform_index(3) == 0) {
+      const auto r = static_cast<ProcId>(rng.uniform_index(n));
+      const auto epoch = static_cast<std::uint64_t>(step + 1);
+      for (ProcId q = 0; q < n; ++q) {
+        if (rng.uniform_index(2) == 0) stamp[static_cast<std::size_t>(q)] = epoch;
+      }
+      std::vector<MsgId> expect;
+      for (ProcId q = 0; q < n; ++q) {
+        cursor[static_cast<std::size_t>(q)] =
+            static_cast<std::int32_t>(expect.size());
+        if (stamp[static_cast<std::size_t>(q)] != epoch) continue;
+        for (const NaiveModel::Entry& e : model.all) {
+          if (e.pending && e.receiver == r && e.sender == q) {
+            expect.push_back(e.id);
+          }
+        }
+      }
+      std::vector<const Envelope*> views(expect.size());
+      ASSERT_EQ(buf.deliver_window_run_to(r, stamp.data(), epoch, views,
+                                          cursor.data()),
+                static_cast<int>(expect.size()));
+      for (std::size_t k = 0; k < expect.size(); ++k) {
+        EXPECT_EQ(views[k]->id, expect[k]);
+        model.retire(expect[k]);
+      }
+    }
+    // Occasionally move the live ids to the straggler tier, or close the
+    // window: the sweep drops everything still pending.
+    if (rng.uniform_index(6) == 0) buf.spill_direct_index();
     if (rng.uniform_index(4) == 0) {
-      for (MsgId id : buf.pending_in_window_ids(window)) model.retire(id);
-      buf.drop_pending_in_window(window);
-      ++window;
-    } else if (rng.uniform_index(4) == 0) {
+      const std::size_t want = model.drop_all();
+      EXPECT_EQ(buf.drop_pending(), want);
+      dropped += want;
       ++window;
     }
 
     EXPECT_EQ(buf.all_pending_ids(), model.all_pending());
     for (ProcId r = 0; r < n; ++r) {
       EXPECT_EQ(buf.pending_to_ids(r), model.pending_to(r));
-      for (ProcId s = 0; s < n; ++s) {
-        EXPECT_EQ(buf.pending_from_to_ids(s, r), model.pending_from_to(s, r));
-      }
-    }
-    for (std::int64_t w = window > 8 ? window - 8 : 0; w <= window; ++w) {
-      EXPECT_EQ(buf.pending_in_window_ids(w), model.pending_in_window(w));
     }
     EXPECT_EQ(buf.pending_count(), model.all_pending().size());
+    EXPECT_EQ(buf.dropped_count(), dropped);
+    ASSERT_NO_THROW(buf.audit()) << "step " << step;
   }
   EXPECT_GT(buf.total_sent(), 400u);
+  EXPECT_GT(window, 50);
 }
 
 TEST(Arena, RecycledSlotsKeepIdsDistinct) {
@@ -150,9 +176,11 @@ TEST(Arena, RecycledSlotsKeepIdsDistinct) {
   MessageBuffer buf(2);
   Message m;
   m.kind = 1;
-  const MsgId a = buf.add(0, 1, m, 0, 1);
+  const std::vector<StagedMessage> to1{{1, m}};
+  const std::vector<StagedMessage> to0{{0, m}};
+  const MsgId a = buf.add_batch(0, to1, 0, 1);
   buf.mark_delivered(a);
-  const MsgId b = buf.add(1, 0, m, 0, 1);  // reuses a's slot
+  const MsgId b = buf.add_batch(1, to0, 0, 1);  // reuses a's slot
   EXPECT_NE(a, b);
   EXPECT_FALSE(buf.is_pending(a));
   EXPECT_TRUE(buf.is_pending(b));

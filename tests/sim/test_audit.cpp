@@ -69,20 +69,19 @@ struct AuditTestAccess {
 namespace {
 
 // A buffer exercising every slot state the auditor distinguishes: pending
-// (receiver + window lists), lazy-parked (window list only, id unmapped),
+// (receiver + send lists), lazy-parked (send list only, id unmapped),
 // and free (retired via mark_delivered).
 MessageBuffer busy_buffer() {
   MessageBuffer buf(4);
+  const std::vector<StagedMessage> broadcast{
+      {0, Message{}}, {1, Message{}}, {2, Message{}}, {3, Message{}}};
   for (ProcId s = 0; s < 4; ++s) {
-    for (ProcId r = 0; r < 4; ++r) {
-      buf.add(s, r, Message{}, /*window=*/0, /*chain=*/1);
-    }
+    buf.add_batch(s, broadcast, /*window=*/0, /*chain=*/1);
   }
   // Receiver 0 holds one message per sender: one-slot segments.
   std::vector<const Envelope*> views(4);
   std::vector<std::int32_t> cursor{0, 1, 2, 3};
-  EXPECT_EQ(buf.deliver_window_run_to(0, /*w=*/0, nullptr, 0, views,
-                                      cursor.data()),
+  EXPECT_EQ(buf.deliver_window_run_to(0, nullptr, 0, views, cursor.data()),
             4);
   const std::vector<MsgId> to1 = buf.pending_to_ids(1);
   buf.mark_delivered(to1[0]);
@@ -91,7 +90,7 @@ MessageBuffer busy_buffer() {
 }
 
 // One live (pending) message id addressed to receiver 2 — a slot on both
-// the receiver and the window list, the richest corruption target.
+// the receiver and the send list, the richest corruption target.
 MsgId live_id(MessageBuffer& buf) {
   const std::vector<MsgId> ids = buf.pending_to_ids(2);
   EXPECT_FALSE(ids.empty());
@@ -102,7 +101,7 @@ TEST(BufferAudit, CleanBufferPasses) {
   MessageBuffer buf = busy_buffer();
   EXPECT_NO_THROW(buf.audit());
   // And stays clean across the window sweep that recycles parked slots.
-  buf.drop_pending_in_window(0);
+  buf.drop_pending();
   EXPECT_NO_THROW(buf.audit());
 }
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "sim/buffer.hpp"
 
 namespace aa::sim {
@@ -13,17 +16,25 @@ Message msg(int round, int value) {
   return m;
 }
 
+/// Publish one message as a one-item run; returns its id.
+MsgId add1(MessageBuffer& b, ProcId sender, ProcId receiver, const Message& m,
+           std::int64_t window, std::int64_t chain) {
+  const StagedMessage item{receiver, m};
+  return b.add_batch(sender, std::span<const StagedMessage>(&item, 1), window,
+                     chain);
+}
+
 TEST(MessageBuffer, AddAssignsSequentialIds) {
   MessageBuffer b(3);
-  EXPECT_EQ(b.add(0, 1, msg(1, 0), 0, 1), 0);
-  EXPECT_EQ(b.add(1, 2, msg(1, 1), 0, 1), 1);
+  EXPECT_EQ(add1(b, 0, 1, msg(1, 0), 0, 1), 0);
+  EXPECT_EQ(add1(b, 1, 2, msg(1, 1), 0, 1), 1);
   EXPECT_EQ(b.total_sent(), 2u);
   EXPECT_EQ(b.pending_count(), 2u);
 }
 
 TEST(MessageBuffer, GetReturnsEnvelope) {
   MessageBuffer b(3);
-  const MsgId id = b.add(2, 0, msg(5, 1), 7, 3);
+  const MsgId id = add1(b, 2, 0, msg(5, 1), 7, 3);
   const Envelope& e = b.get(id);
   EXPECT_EQ(e.sender, 2);
   EXPECT_EQ(e.receiver, 0);
@@ -35,7 +46,7 @@ TEST(MessageBuffer, GetReturnsEnvelope) {
 
 TEST(MessageBuffer, DeliverTransitions) {
   MessageBuffer b(2);
-  const MsgId id = b.add(0, 1, msg(1, 0), 0, 1);
+  const MsgId id = add1(b, 0, 1, msg(1, 0), 0, 1);
   EXPECT_TRUE(b.is_pending(id));
   b.mark_delivered(id);
   EXPECT_FALSE(b.is_pending(id));
@@ -45,14 +56,14 @@ TEST(MessageBuffer, DeliverTransitions) {
 
 TEST(MessageBuffer, DoubleDeliverThrows) {
   MessageBuffer b(2);
-  const MsgId id = b.add(0, 1, msg(1, 0), 0, 1);
+  const MsgId id = add1(b, 0, 1, msg(1, 0), 0, 1);
   b.mark_delivered(id);
   EXPECT_THROW(b.mark_delivered(id), std::logic_error);
 }
 
 TEST(MessageBuffer, RetiredIdLookupThrows) {
   MessageBuffer b(2);
-  const MsgId id = b.add(0, 1, msg(1, 0), 0, 1);
+  const MsgId id = add1(b, 0, 1, msg(1, 0), 0, 1);
   b.mark_delivered(id);
   // The slot recycled; the envelope is gone but the id stays recognizably
   // retired (not "never issued").
@@ -62,47 +73,28 @@ TEST(MessageBuffer, RetiredIdLookupThrows) {
 
 TEST(MessageBuffer, PendingToFiltersByReceiverInSendOrder) {
   MessageBuffer b(3);
-  const MsgId a = b.add(0, 2, msg(1, 0), 0, 1);
-  b.add(0, 1, msg(1, 0), 0, 1);
-  const MsgId c = b.add(1, 2, msg(1, 1), 0, 1);
+  const MsgId a = add1(b, 0, 2, msg(1, 0), 0, 1);
+  add1(b, 0, 1, msg(1, 0), 0, 1);
+  const MsgId c = add1(b, 1, 2, msg(1, 1), 0, 1);
   const auto ids = b.pending_to_ids(2);
   ASSERT_EQ(ids.size(), 2u);
   EXPECT_EQ(ids[0], a);
   EXPECT_EQ(ids[1], c);
 }
 
-TEST(MessageBuffer, PendingFromToFiltersBySender) {
-  MessageBuffer b(3);
-  b.add(0, 2, msg(1, 0), 0, 1);
-  const MsgId c = b.add(1, 2, msg(1, 1), 0, 1);
-  const auto ids = b.pending_from_to_ids(1, 2);
-  ASSERT_EQ(ids.size(), 1u);
-  EXPECT_EQ(ids[0], c);
-}
-
-TEST(MessageBuffer, PendingInWindow) {
-  MessageBuffer b(2);
-  b.add(0, 1, msg(1, 0), 0, 1);
-  const MsgId w1 = b.add(0, 1, msg(2, 0), 1, 1);
-  const auto ids = b.pending_in_window_ids(1);
-  ASSERT_EQ(ids.size(), 1u);
-  EXPECT_EQ(ids[0], w1);
-}
-
 TEST(MessageBuffer, DeliveredExcludedFromQueries) {
   MessageBuffer b(2);
-  const MsgId id = b.add(0, 1, msg(1, 0), 0, 1);
+  const MsgId id = add1(b, 0, 1, msg(1, 0), 0, 1);
   b.mark_delivered(id);
   EXPECT_TRUE(b.pending_to_ids(1).empty());
   EXPECT_TRUE(b.all_pending_ids().empty());
-  EXPECT_TRUE(b.pending_in_window_ids(0).empty());
 }
 
 TEST(MessageBuffer, RangesYieldEnvelopesInSendOrder) {
   MessageBuffer b(3);
-  b.add(0, 2, msg(1, 0), 0, 1);
-  b.add(1, 2, msg(1, 1), 0, 1);
-  b.add(2, 0, msg(1, 0), 0, 1);
+  add1(b, 0, 2, msg(1, 0), 0, 1);
+  add1(b, 1, 2, msg(1, 1), 0, 1);
+  add1(b, 2, 0, msg(1, 0), 0, 1);
   MsgId prev = kNoMsg;
   int seen = 0;
   for (const Envelope& e : b.all_pending()) {
@@ -121,7 +113,7 @@ TEST(MessageBuffer, RangesYieldEnvelopesInSendOrder) {
 
 TEST(MessageBuffer, DeliveringCurrentElementDuringIterationIsSafe) {
   MessageBuffer b(2);
-  for (int k = 0; k < 5; ++k) b.add(0, 1, msg(1, k % 2), 0, 1);
+  for (int k = 0; k < 5; ++k) add1(b, 0, 1, msg(1, k % 2), 0, 1);
   std::size_t delivered = 0;
   for (const Envelope& e : b.pending_to(1)) {
     b.mark_delivered(e.id);
@@ -131,25 +123,51 @@ TEST(MessageBuffer, DeliveringCurrentElementDuringIterationIsSafe) {
   EXPECT_EQ(b.pending_count(), 0u);
 }
 
-TEST(MessageBuffer, DropPendingInWindowDropsOnlyThatWindow) {
+TEST(MessageBuffer, DropPendingEmptiesTheBuffer) {
+  // The window-edge sweep drops what is still pending and recycles the
+  // slots delivered through the lazy walk, leaving nothing behind.
+  MessageBuffer b(3);
+  for (ProcId s = 0; s < 3; ++s) {
+    for (ProcId r = 0; r < 3; ++r) add1(b, s, r, msg(1, 0), 0, 1);
+  }
+  std::vector<const Envelope*> views(3);
+  std::vector<std::int32_t> cursor{0, 1, 2};
+  ASSERT_EQ(b.deliver_window_run_to(0, nullptr, 0, views, cursor.data()), 3);
+  b.mark_delivered(b.pending_to_ids(1).front());
+  EXPECT_EQ(b.drop_pending(), 5u);
+  EXPECT_EQ(b.pending_count(), 0u);
+  EXPECT_EQ(b.delivered_count(), 4u);
+  EXPECT_EQ(b.dropped_count(), 5u);
+  EXPECT_TRUE(b.all_pending_ids().empty());
+  for (ProcId r = 0; r < 3; ++r) EXPECT_TRUE(b.pending_to_ids(r).empty());
+  EXPECT_NO_THROW(b.audit());
+  // An empty buffer sweeps to nothing.
+  EXPECT_EQ(b.drop_pending(), 0u);
+}
+
+TEST(MessageBuffer, HoldsOneWindowAtATime) {
   MessageBuffer b(2);
-  b.add(0, 1, msg(1, 0), 0, 1);
-  b.add(1, 0, msg(1, 0), 0, 1);
-  const MsgId keep = b.add(0, 1, msg(2, 0), 1, 1);
-  EXPECT_EQ(b.drop_pending_in_window(0), 2u);
-  EXPECT_EQ(b.dropped_count(), 2u);
-  EXPECT_EQ(b.pending_count(), 1u);
-  EXPECT_TRUE(b.is_pending(keep));
-  // Already-empty / unknown windows are no-ops.
-  EXPECT_EQ(b.drop_pending_in_window(0), 0u);
-  EXPECT_EQ(b.drop_pending_in_window(57), 0u);
+  const MsgId id = add1(b, 0, 1, msg(1, 0), 0, 1);
+  // Another window cannot publish while window 0's message is pending,
+  // nor while its delivered slot is parked awaiting the sweep.
+  EXPECT_THROW(add1(b, 0, 1, msg(1, 0), 1, 1), std::invalid_argument);
+  std::vector<const Envelope*> views(1);
+  std::vector<std::int32_t> cursor{0, 0};
+  ASSERT_EQ(b.deliver_window_run_to(1, nullptr, 0, views, cursor.data()), 1);
+  EXPECT_FALSE(b.is_pending(id));
+  EXPECT_THROW(add1(b, 0, 1, msg(1, 0), 1, 1), std::invalid_argument);
+  EXPECT_EQ(b.total_sent(), 1u);
+  // After the sweep the next window publishes.
+  b.drop_pending();
+  EXPECT_EQ(add1(b, 0, 1, msg(2, 0), 1, 1), 1);
+  EXPECT_NO_THROW(b.audit());
 }
 
 TEST(MessageBuffer, SlotsRecycleAcrossWindows) {
   MessageBuffer b(4);
   for (std::int64_t w = 0; w < 200; ++w) {
     for (int s = 0; s < 4; ++s) {
-      for (int r = 0; r < 4; ++r) b.add(s, r, msg(1, 0), w, 1);
+      for (int r = 0; r < 4; ++r) add1(b, s, r, msg(1, 0), w, 1);
     }
     // Deliver half, drop the rest at the window edge.
     for (int r = 0; r < 4; ++r) {
@@ -158,7 +176,7 @@ TEST(MessageBuffer, SlotsRecycleAcrossWindows) {
         if (k++ % 2 == 0) b.mark_delivered(e.id);
       }
     }
-    b.drop_pending_in_window(w);
+    b.drop_pending();
   }
   EXPECT_EQ(b.pending_count(), 0u);
   EXPECT_EQ(b.total_sent(), 200u * 16u);
@@ -168,8 +186,8 @@ TEST(MessageBuffer, SlotsRecycleAcrossWindows) {
 
 TEST(MessageBuffer, BadArgumentsThrow) {
   MessageBuffer b(2);
-  EXPECT_THROW(b.add(-1, 0, msg(1, 0), 0, 1), std::invalid_argument);
-  EXPECT_THROW(b.add(0, 2, msg(1, 0), 0, 1), std::invalid_argument);
+  EXPECT_THROW(add1(b, -1, 0, msg(1, 0), 0, 1), std::invalid_argument);
+  EXPECT_THROW(add1(b, 0, 2, msg(1, 0), 0, 1), std::invalid_argument);
   EXPECT_THROW((void)b.get(0), std::invalid_argument);
   EXPECT_THROW((void)b.pending_to(5), std::invalid_argument);
   EXPECT_THROW(MessageBuffer(0), std::invalid_argument);

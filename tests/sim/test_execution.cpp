@@ -182,14 +182,6 @@ TEST(Execution, EndWindowDropsPendingOfThatWindow) {
   EXPECT_EQ(e.buffer().dropped_count(), 2u);
 }
 
-TEST(Execution, AdvanceWindowKeepsPending) {
-  Execution e(echo_procs(2), 1);
-  e.sending_step(0);
-  e.advance_window_keep_pending();
-  EXPECT_EQ(e.window(), 1);
-  EXPECT_EQ(e.buffer().pending_count(), 2u);
-}
-
 TEST(Execution, ChainDepthPropagates) {
   Execution e(echo_procs(2), 1);
   e.sending_step(0);  // chain 1 messages
