@@ -20,24 +20,24 @@ across resume/chaos/replay — rests on invariants no compiler checks:
   banned-api           Removed/superseded APIs must not reappear:
                        plan_window( was replaced by plan_window_into(
                        (scratch-reusing planning, PR 3).
-  envelope-member      No raw Envelope* stored in a data member: envelope
-                       views are invalidated by publication and window
-                       sweeps (the buffer.hpp contract), so a held pointer
-                       is a use-after-recycle waiting to happen. Members in
-                       this codebase end in '_', which is what the check
-                       keys on.
+  envelope-member      No raw Envelope* stored in a data member: arena
+                       envelope views are invalidated by publication and
+                       delivery (the buffer.hpp contract), so a held
+                       pointer is a use-after-recycle waiting to happen.
+                       Members in this codebase end in '_', which is what
+                       the check keys on.
   file-write           Every file-writing call site (std::ofstream,
                        std::fstream, fopen) must route through the atomic
                        writers (core::write_file_atomic / bench_json's
                        write) so a SIGKILL never leaves a torn artifact.
                        std::ifstream (read-only) is always fine.
   idmap-erase          No direct MsgIdMap::erase outside sim/buffer.cpp.
-                       Since the window-mode retirement PR the straggler
-                       map holds only ids below direct_base_; every retire
-                       path must erase CONDITIONALLY (id < direct_base_) or
-                       the map/direct-tier partition drifts and the audit
-                       throws. Only the buffer's own retire helpers know
-                       the watermark, so the raw erase is theirs alone.
+                       The straggler map holds only ids below
+                       direct_base_; the retire path must erase
+                       CONDITIONALLY (id < direct_base_) or the
+                       map/direct-tier partition drifts and the audit
+                       throws. Only the buffer's own retire helper knows
+                       the watermark, so the raw erase is its alone.
 
 Waivers: a finding is suppressed when its line (or the line above) carries
     // aa-lint: <rule-waiver>(<reason>)
@@ -125,8 +125,8 @@ RULES = [
         ),
         dirs=("src/",),
         allow=(),
-        why="envelope views die at the next publication/window sweep "
-            "(buffer.hpp) — store MsgId instead",
+        why="arena envelope views die at the next publication or "
+            "delivery (buffer.hpp) — store MsgId instead",
     ),
     Rule(
         name="file-write",
@@ -147,13 +147,13 @@ RULES = [
         waiver="erase-ok",
         # The straggler map holds only ids below direct_base_; a raw erase
         # anywhere else cannot know the watermark and desyncs the two-tier
-        # id index. buffer.cpp's retire helpers are the sole owner.
+        # id index. buffer.cpp's retire helper is the sole owner.
         pattern=re.compile(r"\bid_map_\s*\.\s*erase\s*\("),
         dirs=("src/", "tools/", "bench/", "examples/"),
         allow=("src/sim/buffer.cpp",),
         why="MsgIdMap::erase is buffer-internal — ids >= direct_base_ are "
-            "not in the map; route retirement through the buffer's "
-            "mark_delivered/drop_pending",
+            "not in the map; route retirement through "
+            "MessageBuffer::mark_delivered",
     ),
 ]
 

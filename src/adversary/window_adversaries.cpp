@@ -167,7 +167,7 @@ std::vector<sim::ProcId> balance_votes(
 
 bool SplitKeeperAdversary::broadcast_shaped(const sim::WindowBatch& batch) {
   // Every run whole broadcasts, and run starts ascending with the sender
-  // id — then id order is sender order on every receiver's list.
+  // id — then id order is sender order for every receiver.
   sim::MsgId last = sim::kNoMsg;
   for (sim::ProcId s = 0; s < batch.n(); ++s) {
     const int k = batch.broadcast_runs(s);
@@ -217,14 +217,14 @@ sim::PlanDecision SplitKeeperAdversary::plan_window_into(
   }
 
   if (broadcast_shaped(batch)) {
-    // Every receiver's pending list is the same broadcast sequence (sender
-    // ascending, then broadcast order), so read one envelope per broadcast,
-    // balance once, and hand every receiver the same row.
+    // Every receiver's window messages are the same broadcast sequence
+    // (sender ascending, then broadcast order), so read one envelope per
+    // broadcast, balance once, and hand every receiver the same row.
     votes_.clear();
     non_votes_.clear();
     for (sim::ProcId s = 0; s < n; ++s) {
       const std::span<const sim::MsgId> copies = batch.from_to(s, 0);
-      for (const sim::MsgId id : copies) classify(exec.buffer().get(id));
+      for (const sim::MsgId id : copies) classify(batch.envelope(id));
     }
     std::vector<sim::ProcId>& first = plan.delivery_order[0];
     build_row(n, first);
@@ -234,13 +234,17 @@ sim::PlanDecision SplitKeeperAdversary::plan_window_into(
     return sim::PlanDecision::kUpdated;
   }
 
-  // General path, per receiver: walk its pending list directly (during
-  // the planning phase it holds exactly this window's batch, in id order)
-  // and split votes from everything else. No per-id buffer lookups.
+  // General path, per receiver: its window messages in id order (senders
+  // in publication order, each sender's messages in send order), votes
+  // split from everything else.
   for (int i = 0; i < n; ++i) {
     votes_.clear();
     non_votes_.clear();
-    for (const sim::Envelope& env : exec.buffer().pending_to(i)) classify(env);
+    for (const sim::ProcId s : batch.senders()) {
+      for (const sim::MsgId id : batch.from_to(s, i)) {
+        classify(batch.envelope(id));
+      }
+    }
     build_row(n, plan.delivery_order[static_cast<std::size_t>(i)]);
   }
   return sim::PlanDecision::kUpdated;

@@ -125,11 +125,11 @@ struct BalanceScratch {
 /// adversary and a legal crash-model adversary with zero crashes.
 ///
 /// Planning cost: when the window is broadcast_shaped, every receiver's
-/// pending list carries the same (sender, payload) sequence, so the plan
+/// window messages carry the same (sender, payload) sequence, so the plan
 /// is one balanced row copied to all n receivers — exactly the rows the
 /// per-receiver path would build. Otherwise (Byzantine send() runs,
 /// senders published out of order) each receiver is planned from its own
-/// pending list.
+/// window messages, read in id order.
 class SplitKeeperAdversary final : public sim::WindowAdversary {
  public:
   sim::PlanDecision plan_window_into(const sim::Execution& exec,
@@ -139,8 +139,7 @@ class SplitKeeperAdversary final : public sim::WindowAdversary {
 
   /// True iff one plan row serves every receiver: every sender's run is
   /// whole broadcasts (or empty) and the senders published in ascending
-  /// id order. (The batch is everything pending: the engine opens each
-  /// window on an empty buffer.)
+  /// id order.
   [[nodiscard]] static bool broadcast_shaped(const sim::WindowBatch& batch);
 
  private:

@@ -41,20 +41,25 @@ std::string trim(const std::string& s) {
   return s.substr(b, e - b);
 }
 
-std::vector<std::string> split_list(const std::string& value) {
-  std::vector<std::string> out;
-  std::string item;
-  std::stringstream ss(value);
-  while (std::getline(ss, item, ',')) {
-    item = trim(item);
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
 /// `where` argument of parse_campaign_int for config line `line`.
 std::string at_line(int line) {
   return "campaign config line " + std::to_string(line);
+}
+
+/// The comma-separated items of a list value, trimmed. An empty item (a
+/// stray, leading or trailing comma) is an error, not silently skipped.
+std::vector<std::string> split_list(const std::string& value, int line) {
+  std::vector<std::string> out;
+  std::size_t begin = 0;
+  while (true) {
+    const std::size_t comma = value.find(',', begin);
+    const std::size_t end = comma == std::string::npos ? value.size() : comma;
+    out.push_back(trim(value.substr(begin, end - begin)));
+    AA_REQUIRE(!out.back().empty(),
+               at_line(line) + ": empty item in list '" + value + "'");
+    if (comma == std::string::npos) return out;
+    begin = comma + 1;
+  }
 }
 
 double parse_double(const std::string& value, int line) {
@@ -82,11 +87,9 @@ bool parse_bool(const std::string& value, int line) {
 
 std::vector<int> parse_int_list(const std::string& value, int line) {
   std::vector<int> out;
-  for (const std::string& item : split_list(value)) {
+  for (const std::string& item : split_list(value, line)) {
     out.push_back(static_cast<int>(parse_campaign_int(item, at_line(line))));
   }
-  AA_REQUIRE(!out.empty(), "campaign config line " + std::to_string(line) +
-                               ": empty list");
   return out;
 }
 
@@ -612,15 +615,15 @@ CampaignConfig parse_campaign_config(const std::string& text) {
     } else if (key == "t") {
       cfg.t = parse_int_list(value, line);
     } else if (key == "protocols") {
-      cfg.protocols = split_list(value);
+      cfg.protocols = split_list(value, line);
     } else if (key == "thresholds") {
-      cfg.thresholds = split_list(value);
+      cfg.thresholds = split_list(value, line);
     } else if (key == "memory_k") {
       cfg.memory_k = parse_int_list(value, line);
     } else if (key == "adversaries") {
-      cfg.adversaries = split_list(value);
+      cfg.adversaries = split_list(value, line);
     } else if (key == "chaos_plan") {
-      cfg.chaos_plan = split_list(value);
+      cfg.chaos_plan = split_list(value, line);
     } else if (key == "lens") {
       cfg.lens = parse_bool(value, line);
     } else if (key == "censor_target") {
@@ -691,6 +694,10 @@ void validate_campaign_config(const CampaignConfig& cfg) {
   for (const int n : cfg.n) {
     AA_REQUIRE(n >= 1, "campaign config: n must be >= 1 (got " +
                            std::to_string(n) + ")");
+    AA_REQUIRE(n <= kMaxCampaignN,
+               "campaign config: n = " + std::to_string(n) +
+                   " exceeds the limit of " + std::to_string(kMaxCampaignN) +
+                   " processors");
   }
   for (const int t : cfg.t) {
     AA_REQUIRE(t >= 0, "campaign config: t must be non-negative (got " +

@@ -137,6 +137,13 @@ struct CampaignConfig {
 /// cannot overflow.
 inline constexpr std::int64_t kMaxCellTimeoutMs = 1'000'000'000'000;
 
+/// Largest accepted n. A window-model worker holds an n·(n+1) int32 pair
+/// index and the lens n² tallies, and one window moves n² messages, so an
+/// unbounded n would exhaust memory (or run for hours) before any message
+/// said why. 1024 keeps every in-repo use (up to n = 512) with headroom:
+/// about 4 MiB of pair index and 1M messages per window.
+inline constexpr int kMaxCampaignN = 1024;
+
 /// Parse config text (`key = value` lines, `#` comments). Unknown keys and
 /// malformed values throw with a line-numbered message; the result has
 /// passed validate_campaign_config.
@@ -152,10 +159,10 @@ inline constexpr std::int64_t kMaxCellTimeoutMs = 1'000'000'000'000;
     long long lo = std::numeric_limits<int>::min(),
     long long hi = std::numeric_limits<int>::max());
 
-/// The cross-field checks every config must pass (positive trials and
-/// budget, chunk_size >= 1, threads >= 0, cell_timeout_ms in
-/// [0, kMaxCellTimeoutMs], non-empty axes, chaos and censor consistency,
-/// ...). parse_campaign_config and run_campaign run it; a caller that
+/// The cross-field checks every config must pass (every n in
+/// [1, kMaxCampaignN], positive trials and budget, chunk_size >= 1,
+/// threads >= 0, cell_timeout_ms in [0, kMaxCellTimeoutMs], non-empty
+/// axes, chaos and censor consistency, ...). parse_campaign_config and run_campaign run it; a caller that
 /// edits a parsed config (the CLI's flag overrides) should run it again to
 /// fail before anything runs.
 void validate_campaign_config(const CampaignConfig& cfg);

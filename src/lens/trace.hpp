@@ -15,8 +15,8 @@
 //               window/step at which each receiver heard each sender,
 //               plus a per-sender histogram of delivery lag
 //               (delivery window − send window);
-//   suppression — per-(sender, receiver) counts of messages the window
-//               sweep discarded undelivered;
+//   suppression — per-(sender, receiver) counts of window messages
+//               dropped undelivered when the window closed;
 //   decision  — each processor's decision window/step; at that moment the
 //               per-sender confirmation spans (decision − first-heard, in
 //               windows and in steps) are folded into per-sender sums and
@@ -65,8 +65,8 @@ class WindowTrace {
   void on_deliver(const sim::Envelope& env, std::int64_t window,
                   std::int64_t step);
 
-  /// The buffer discarded a pending (sender → receiver) message
-  /// undelivered at the end-of-window sweep.
+  /// A (sender → receiver) window message was dropped undelivered when
+  /// the window closed (Execution::end_window).
   void on_suppress(sim::ProcId sender, sim::ProcId receiver);
 
   /// Processor `p` wrote its decision in `window` at step `step`.

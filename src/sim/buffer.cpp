@@ -1,6 +1,5 @@
 #include "sim/buffer.hpp"
 
-#include "lens/trace.hpp"
 #include "util/check.hpp"
 
 namespace aa::sim {
@@ -33,6 +32,7 @@ void MessageBuffer::reset(int n) {
   sent_head_ = kNoSlot;
   sent_tail_ = kNoSlot;
   pending_ = 0;
+  claimed_ = 0;
   delivered_ = 0;
   dropped_ = 0;
 }
@@ -41,10 +41,6 @@ MsgId MessageBuffer::add_batch(ProcId sender,
                                std::span<const StagedMessage> items,
                                std::int64_t window, std::int64_t chain) {
   AA_REQUIRE(sender >= 0 && sender < n_, "MessageBuffer::add_batch: bad sender");
-  AA_REQUIRE(sent_head_ == kNoSlot ||
-                 envs_[static_cast<std::size_t>(sent_head_)].window == window,
-             "MessageBuffer::add_batch: another window's messages are still "
-             "in the buffer");
   const MsgId first = next_id_;
   if (items.empty()) return first;
   for (const StagedMessage& item : items) {
@@ -186,93 +182,25 @@ void MessageBuffer::mark_delivered(MsgId id) {
   ++delivered_;
 }
 
-int MessageBuffer::deliver_window_run_to(ProcId receiver,
-                                         const std::uint64_t* sender_stamp,
-                                         std::uint64_t epoch,
-                                         std::span<const Envelope*> out,
-                                         std::int32_t* cursor) {
-  AA_REQUIRE(receiver >= 0 && receiver < n_,
-             "deliver_window_run_to: bad receiver");
-  std::int32_t s = rcv_head_[static_cast<std::size_t>(receiver)];
-  std::int32_t prev_kept = kNoSlot;
-  std::int32_t new_head = kNoSlot;
-  int delivered = 0;
-  while (s != kNoSlot) {
-    const auto si = static_cast<std::size_t>(s);
-    Link& lk = links_[si];
-    Meta& mt = meta_[si];
-    const std::int32_t next = lk.next_rcv;
-    const bool take =
-        sender_stamp == nullptr ||
-        sender_stamp[static_cast<std::size_t>(mt.sender)] == epoch;
-    if (take) {
-      // Park the slot: off the receiver list and the live index now,
-      // recycled by the caller's eventual sweep.
-      if (mt.id < direct_base_) id_map_.erase(mt.id);
-      mt.id = kNoMsg;
-      std::int32_t& at = cursor[static_cast<std::size_t>(mt.sender)];
-      const auto pos = static_cast<std::size_t>(at++);
-      AA_CHECK(pos < out.size(),
-               "deliver_window_run_to: sender segment overflows the output");
-      out[pos] = &envs_[si];
-      ++delivered;
-    } else {
-      lk.prev_rcv = prev_kept;
-      if (prev_kept == kNoSlot) {
-        new_head = s;
-      } else {
-        links_[static_cast<std::size_t>(prev_kept)].next_rcv = s;
-      }
-      prev_kept = s;
-    }
-    s = next;
-  }
-  if (prev_kept != kNoSlot) {
-    links_[static_cast<std::size_t>(prev_kept)].next_rcv = kNoSlot;
-  }
-  rcv_head_[static_cast<std::size_t>(receiver)] = new_head;
-  rcv_tail_[static_cast<std::size_t>(receiver)] = prev_kept;
-  pending_ -= static_cast<std::size_t>(delivered);
-  delivered_ += static_cast<std::size_t>(delivered);
-  return delivered;
-}
-
-std::size_t MessageBuffer::drop_pending() {
-  std::size_t dropped = 0;
-  std::int32_t s = sent_head_;
-  while (s != kNoSlot) {
-    const auto si = static_cast<std::size_t>(s);
-    const std::int32_t next = links_[si].next_sent;
-    if (meta_[si].id != kNoMsg) {
-      // A still-pending slot swept at the window edge is exactly the
-      // model's suppression event: the adversary never let it deliver.
-      // (Parked slots were already unlinked and unindexed by the delivery
-      // walk — they are just recycled.)
-      if (trace_ != nullptr) {
-        trace_->on_suppress(meta_[si].sender, meta_[si].receiver);
-      }
-      unlink_receiver(s);
-      if (meta_[si].id < direct_base_) id_map_.erase(meta_[si].id);
-      meta_[si].id = kNoMsg;
-      ++dropped;
-    }
-    envs_[si].id = kNoMsg;
-    links_[si].next_rcv = free_head_;
-    free_head_ = s;
-    s = next;
-  }
-  sent_head_ = kNoSlot;
-  sent_tail_ = kNoSlot;
-  pending_ -= dropped;
-  dropped_ += dropped;
-  // Range retirement: nothing is pending any more, so every direct-index
-  // entry is stale and the straggler map is empty — the whole id range
-  // [direct_base_, next_id_) retires in O(1). This fires at EVERY window
-  // edge, which is what removes the per-message hash erases from the
-  // acceptable-window steady state.
+MsgId MessageBuffer::claim_ids(std::size_t count) {
+  AA_REQUIRE(pending_ == 0,
+             "MessageBuffer::claim_ids: the arena holds pending messages");
+  const MsgId first = next_id_;
+  next_id_ += static_cast<MsgId>(count);
+  claimed_ += count;
+  // Nothing is pending, so every direct-index entry is stale and the
+  // straggler map is empty: the index restarts at the new watermark.
   direct_base_ = next_id_;
   direct_slots_.clear();
-  return dropped;
+  return first;
+}
+
+void MessageBuffer::retire_claimed(std::size_t delivered, std::size_t dropped) {
+  AA_CHECK(delivered + dropped <= claimed_,
+           "MessageBuffer::retire_claimed: more than was claimed");
+  claimed_ -= delivered + dropped;
+  delivered_ += delivered;
+  dropped_ += dropped;
 }
 
 // ---- invariant auditor -----------------------------------------------------
@@ -280,8 +208,8 @@ std::size_t MessageBuffer::drop_pending() {
 void MessageBuffer::audit() const {
   // Per-slot lifecycle classification discovered by walking the structures:
   // 0 = unseen, 1 = on a receiver list (pending, send-list membership not
-  // yet confirmed), 2 = parked on the send list, 3 = pending confirmed on
-  // both lists, 4 = on the free list. Every slot must end in {2, 3, 4}.
+  // yet confirmed), 2 = pending confirmed on both lists, 3 = on the free
+  // list. Every slot must end in {2, 3}.
   const std::size_t cap = envs_.size();
   AA_CHECK(meta_.size() == cap && links_.size() == cap,
            "audit: SoA slot arrays out of lockstep");
@@ -310,8 +238,7 @@ void MessageBuffer::audit() const {
       const Envelope& env = envs_[si];
       AA_CHECK(links_[si].prev_rcv == prev,
                "audit: receiver list prev link disagrees with walk");
-      AA_CHECK(mt.id != kNoMsg,
-               "audit: parked or retired slot on a receiver list");
+      AA_CHECK(mt.id != kNoMsg, "audit: retired slot on a receiver list");
       AA_CHECK(mt.id < next_id_,
                "audit: slot id beyond the issued-id watermark");
       AA_CHECK(env.id == mt.id,
@@ -361,10 +288,8 @@ void MessageBuffer::audit() const {
              "audit: id map key disagrees with the slot's id");
   });
 
-  // Send list: doubly-linked, acyclic, ascending-id, one window. Pending
-  // members must be exactly the receiver-list population; parked members
-  // (metadata id cleared, the envelope still carrying the id) must already
-  // be out of the live index.
+  // Send list: doubly-linked, acyclic, ascending-id, one window, and
+  // exactly the receiver-list population.
   std::size_t pending_on_sent_list = 0;
   {
     std::int32_t s = sent_head_;
@@ -379,30 +304,16 @@ void MessageBuffer::audit() const {
       const Envelope& env = envs_[si];
       AA_CHECK(links_[si].prev_sent == prev,
                "audit: send list prev link disagrees with walk");
-      AA_CHECK(env.id != kNoMsg, "audit: retired slot on the send list");
+      AA_CHECK(env.id != kNoMsg && meta_[si].id == env.id,
+               "audit: retired slot on the send list");
       AA_CHECK(env.window ==
                    envs_[static_cast<std::size_t>(sent_head_)].window,
                "audit: send list holds more than one window");
       AA_CHECK(env.id > last_id, "audit: send list ids not strictly ascending");
-      if (meta_[si].id == kNoMsg) {
-        // Parked: off the receiver lists, and its id must no longer
-        // resolve (the direct tier disarms via the metadata id; the map
-        // tier must have been erased explicitly).
-        AA_CHECK(state[si] == 0,
-                 "audit: parked slot also reachable from a receiver list");
-        if (env.id < direct_base_) {
-          AA_CHECK(id_map_.find(env.id) == detail::MsgIdMap::kAbsent,
-                   "audit: parked slot's id still resolves in the id map");
-        }
-        state[si] = 2;
-      } else {
-        AA_CHECK(meta_[si].id == env.id,
-                 "audit: slot metadata id disagrees with its envelope");
-        AA_CHECK(state[si] == 1,
-                 "audit: send-list slot missing from its receiver list");
-        state[si] = 3;
-        ++pending_on_sent_list;
-      }
+      AA_CHECK(state[si] == 1,
+               "audit: send-list slot missing from its receiver list");
+      state[si] = 2;
+      ++pending_on_sent_list;
       last_id = env.id;
       prev = s;
       s = links_[si].next_sent;
@@ -427,7 +338,7 @@ void MessageBuffer::audit() const {
                "audit: free-list slot also reachable from a live list");
       AA_CHECK(meta_[si].id == kNoMsg && envs_[si].id == kNoMsg,
                "audit: free-list slot still carries a live id");
-      state[si] = 4;
+      state[si] = 3;
       s = links_[si].next_rcv;
     }
   }
@@ -435,12 +346,13 @@ void MessageBuffer::audit() const {
   // Exactly-one-home: no slot may be leaked (unreachable) or stranded on a
   // receiver list without send-list membership.
   for (std::size_t i = 0; i < cap; ++i) {
-    AA_CHECK(state[i] == 2 || state[i] == 3 || state[i] == 4,
-             "audit: slot not in exactly one of pending/parked/free");
+    AA_CHECK(state[i] == 2 || state[i] == 3,
+             "audit: slot neither pending nor free");
   }
 
-  // Lifecycle counters partition the full send history.
-  AA_CHECK(pending_ + delivered_ + dropped_ ==
+  // Lifecycle counters partition the full send history, claimed ids
+  // included.
+  AA_CHECK(pending_ + claimed_ + delivered_ + dropped_ ==
                static_cast<std::size_t>(next_id_),
            "audit: lifecycle counters do not sum to total_sent");
 }
@@ -456,22 +368,13 @@ void MessageBuffer::PendingIterator::prefetch() {
                    : buf_->links_[static_cast<std::size_t>(cur_)].next_rcv;
 }
 
-std::int32_t MessageBuffer::skip_parked(std::int32_t s) const {
-  while (s >= 0 && meta_[static_cast<std::size_t>(s)].id == kNoMsg) {
-    s = links_[static_cast<std::size_t>(s)].next_sent;
-  }
-  return s;
-}
-
 const Envelope& MessageBuffer::SendOrderIterator::operator*() const {
   return buf_->envs_[static_cast<std::size_t>(cur_)];
 }
 
 void MessageBuffer::SendOrderIterator::prefetch() {
   next_ = cur_ < 0 ? kNoSlot
-                   : buf_->skip_parked(
-                         buf_->links_[static_cast<std::size_t>(cur_)]
-                             .next_sent);
+                   : buf_->links_[static_cast<std::size_t>(cur_)].next_sent;
 }
 
 MessageBuffer::Range<MessageBuffer::PendingIterator> MessageBuffer::pending_to(

@@ -1,66 +1,52 @@
-// MessageBuffer: the in-flight message store of §2, backed by a recycling
-// slot arena.
+// MessageBuffer: the in-flight message store of the §5 async model, backed
+// by a recycling slot arena — and the id space and lifecycle counters that
+// both message stores share.
 //
-// The adversary has full information: it can inspect every pending envelope.
-// A message is in exactly one of three states: pending, delivered, dropped.
-// Delivery is an explicit engine event; the window-edge sweep (drop_pending)
-// is the only drop path. (Dropping models the acceptable-window semantics
-// where messages from silenced senders are never delivered; the async crash
-// model never drops.)
+// There is one store per model. The acceptable-window model keeps each
+// window's messages in its senders' runs (the window store, plan.hpp):
+// it only CLAIMS their ids here (claim_ids) and reports how many were
+// delivered and dropped (retire_claimed), so total_sent, delivered_count
+// and dropped_count cover both models. The async model publishes into the
+// arena (add_batch) and delivers one message at a time (mark_delivered);
+// it never drops anything, so the arena has no drop path at all.
 //
-// One window at a time: Definition 1 delivers only "the messages just
-// sent" and drops the rest at the window edge, and the §5 async model has
-// no window edges at all, so the buffer never holds messages from two
-// windows. add_batch enforces it; Execution::begin_window_batch checks
-// that nothing is pending when a window opens.
+// The adversary has full information: it can inspect every pending
+// envelope. A message is in exactly one of three states: pending,
+// delivered, dropped.
 //
 // Arena design (the O(live) rewrite, now SoA):
 //   * MsgIds stay monotonically increasing — the adversary-visible identity
 //     and all iteration orders are unchanged from the append-only store.
-//   * Each live (pending) message occupies one reusable slot; delivered and
-//     dropped messages release their slot immediately, so memory is
-//     O(peak live messages), independent of execution length.
+//   * Each live (pending) message occupies one reusable slot; a delivered
+//     message releases its slot immediately, so memory is O(peak live
+//     messages), independent of execution length.
 //   * Slot storage is struct-of-arrays: the intrusive list links (`links_`),
-//     the 16-byte hot metadata the delivery walk filters on (`meta_`: id,
+//     the 16-byte hot metadata the receiver walks filter on (`meta_`: id,
 //     receiver, sender), and the full envelopes (`envs_`) live in three
-//     lockstep arrays. The per-receiver delivery walk and the plan
-//     validation scan touch one metadata cache line per four messages
-//     instead of a full Envelope each.
+//     lockstep arrays.
 //   * Ids resolve to slots in two tiers. Ids at or above `direct_base_`
-//     — in the window regime, every id of the current window — resolve
-//     through a dense direct-index array (one bounds-checked load, no
-//     hashing). Older ids ("stragglers": async-regime messages that
-//     outlive a spill of the direct index) live in an open-addressing
-//     table (linear probing with backward-shift deletion). The window-edge
-//     sweep retires the whole direct range in O(1) — see drop_pending — so
-//     the acceptable-window hot path performs NO per-message hash erases
-//     at all; the incremental erase path survives only for spilled
-//     stragglers.
+//     resolve through a dense direct-index array (one bounds-checked load,
+//     no hashing). Older ids ("stragglers": messages that outlive a spill
+//     of the direct index) live in an open-addressing table (linear probing
+//     with backward-shift deletion). A claim rewinds the direct index to
+//     the id watermark in O(1), since it requires an empty arena.
 //   * Slots are threaded onto intrusive doubly-linked lists kept in
 //     ascending-id (send) order: one per receiver, and one send list that
-//     holds every pending or parked slot. pending_to and all_pending
-//     iterate those lists in O(result), and drop_pending empties the send
-//     list in one walk.
+//     holds every pending slot. pending_to and all_pending iterate those
+//     lists in O(result).
 //
-// Because slots recycle, envelope lookups are only valid for PENDING ids:
-// querying a retired id throws (std::logic_error), and is_pending(id) is the
-// only question that can be asked about the whole history.
+// Because slots recycle, envelope lookups are only valid for PENDING arena
+// ids: querying a retired id throws (std::logic_error), and is_pending(id)
+// is the only question that can be asked about the whole history (claimed
+// ids answer false: they are not the arena's).
 //
-// Envelope-view invalidation contract (SoA arena): references returned by
-// get()/iteration and the views handed out by deliver_window_run_to point
-// into the envelope array `envs_` and are invalidated by
-//   (1) the next add_batch, which may grow the envelope array (all three
-//       SoA arrays grow together), and
-//   (2) for delivered (parked) slots, the drop_pending sweep, which
-//       recycles the slot; the parked id becomes REUSABLE arena space at
-//       that sweep, not before.
-// Range retirement does NOT add an invalidation point: rewinding the direct
-// index (the O(1) window-edge id retirement, or spill_direct_index) moves
-// only id→slot bookkeeping and never touches envelope storage. Within one
-// acceptable window the engine publishes first and delivers after, so
-// views collected during the delivery phase stay valid until the window's
-// end_window sweep; holders that outlive a publication (anything keeping a
-// view across sending steps) must copy the envelope out.
+// Envelope-view invalidation contract: references returned by get() and
+// iteration point into the envelope array `envs_` and are invalidated by
+// the next add_batch (which may grow all three SoA arrays) and by the
+// delivery of that message (which recycles its slot). Rewinding or
+// spilling the direct index moves only id→slot bookkeeping and never
+// touches envelope storage. Holders that outlive a publication must copy
+// the envelope out.
 #pragma once
 
 #include <cstddef>
@@ -70,10 +56,6 @@
 
 #include "sim/types.hpp"
 
-namespace aa::lens {
-class WindowTrace;
-}  // namespace aa::lens
-
 namespace aa::sim {
 
 namespace detail {
@@ -81,8 +63,7 @@ namespace detail {
 /// Open-addressing MsgId → slot-index map (linear probing, power-of-two
 /// capacity, backward-shift deletion — no tombstones, so steady-state
 /// insert/erase churn never degrades or reallocates). Holds only the
-/// SPILLED tier of ids (below MessageBuffer's direct-index base); the
-/// window-regime hot path never touches it.
+/// SPILLED tier of ids (below MessageBuffer's direct-index base).
 class MsgIdMap {
  public:
   static constexpr std::uint32_t kAbsent = 0xffffffffu;
@@ -135,9 +116,9 @@ class MsgIdMap {
     }
   }
 
-  /// Precondition: key present. Outside MessageBuffer's own implementation
-  /// this is never the right call — the window-edge range retirement is the
-  /// sanctioned bulk-retire path (enforced by aa_lint's idmap-erase rule).
+  /// Precondition: key present. Outside MessageBuffer's own retire path
+  /// this is never the right call: ids at or above the direct base are not
+  /// in the map (enforced by aa_lint's idmap-erase rule).
   void erase(MsgId key) noexcept {
     std::size_t i = home(key);
     while (cells_[i].key != key) i = (i + 1) & mask_;
@@ -163,10 +144,10 @@ class MsgIdMap {
   };
 
   // Fibonacci (multiplicative) hashing. Identity hashing looks ideal for
-  // monotonically assigned keys, but it packs a window's live ids into ONE
+  // monotonically assigned keys, but it packs a spill's live ids into ONE
   // contiguous probe run — and backward-shift deletion of ascending ids
   // then rescans the whole remaining run per erase, an O(live²) pathology
-  // per window. Mixing the key keeps probe runs O(1) for every access
+  // per spill. Mixing the key keeps probe runs O(1) for every access
   // pattern, erase included.
   [[nodiscard]] std::size_t home(MsgId key) const noexcept {
     return static_cast<std::size_t>(
@@ -217,69 +198,36 @@ class MessageBuffer {
   /// the call, also for an empty run), and receiver lists stay
   /// ascending-id. One pass allocates the slot run, appends it to the
   /// send list and extends the dense direct index (no hash inserts).
-  /// Precondition: the buffer holds one window at a time, so `window` must
-  /// match the window of every slot still on the send list — publish into
-  /// a new window only after drop_pending swept the previous one.
   MsgId add_batch(ProcId sender, std::span<const StagedMessage> items,
                   std::int64_t window, std::int64_t chain);
 
   /// Envelope lookup. Valid for PENDING ids only (retired slots recycle).
   [[nodiscard]] const Envelope& get(MsgId id) const;
 
-  /// True iff `id` is live. Retired (delivered/dropped) ids return false;
-  /// ids never issued throw.
+  /// True iff `id` is a live arena message. Retired (delivered) and
+  /// claimed ids return false; ids never issued throw.
   [[nodiscard]] bool is_pending(MsgId id) const;
 
   /// Transition pending → delivered and recycle the slot. Precondition:
   /// pending (a retired id throws std::logic_error).
   void mark_delivered(MsgId id);
 
-  /// Whole-list delivery run — the acceptable-window delivery path. Walks
-  /// `receiver`'s pending list once, in list (id) order, and delivers
-  /// every message whose sender is selected: all of them when
-  /// `sender_stamp` is null, else exactly those with
-  /// sender_stamp[sender] == epoch. Every pending message belongs to the
-  /// one window the buffer holds, so the walk needs no window test.
-  /// Delivered slots are PARKED, not recycled: is_pending flips to false
-  /// and the ids leave the live index without any hash work, but each
-  /// slot stays on the send list until drop_pending sweeps it onto the
-  /// free list in one bulk walk — so the caller MUST eventually sweep
-  /// (run_acceptable_window's end_window does). Send-order iteration skips
-  /// parked slots, so mid-window queries stay exact. Unselected messages
-  /// stay pending, relinked in one pass. Each delivery's envelope view
-  /// (valid until the next publication or the sweep) is written to
-  /// out[cursor[sender]++]: the caller lays out one segment per sender
-  /// (cursor[s] = the segment's start), so a single walk emits the run in
-  /// any per-sender order while each sender's messages keep their send
-  /// order. Writing past `out` throws std::logic_error. Returns the number
-  /// delivered.
-  int deliver_window_run_to(ProcId receiver, const std::uint64_t* sender_stamp,
-                            std::uint64_t epoch,
-                            std::span<const Envelope*> out,
-                            std::int32_t* cursor);
+  /// Issue `count` consecutive ids to a store outside the arena (the
+  /// window store) and return the first. They count as pending until
+  /// retire_claimed settles them. Precondition: the arena holds nothing
+  /// pending, so the direct index rewinds to the new watermark in O(1).
+  MsgId claim_ids(std::size_t count);
 
-  /// The window-edge sweep: drop every still-pending message and recycle
-  /// every parked slot in one walk of the send list, leaving the buffer
-  /// empty. Returns the number dropped. Because nothing is pending
-  /// afterwards, the whole direct index [direct_base_, next_id_) retires
-  /// in O(1) — direct_base_ jumps to next_id_ — with no per-id hash erase
-  /// for any id that never spilled.
-  std::size_t drop_pending();
+  /// Settle claimed ids: `delivered` of them were delivered and `dropped`
+  /// dropped. Precondition: at most claimed_count() in total.
+  void retire_claimed(std::size_t delivered, std::size_t dropped);
 
   /// Migrate every live directly-indexed id into the straggler hash map and
   /// rewind the direct index to start at the current id watermark. Purely
   /// an id→slot bookkeeping move: no envelope storage is touched, no view
   /// is invalidated, and every query answers identically. add_batch calls
-  /// it when the direct index outgrows its size bound (long async runs,
-  /// where no window sweep ever rewinds the index).
+  /// it when the direct index outgrows its size bound (long async runs).
   void spill_direct_index();
-
-  /// Install (or clear, with nullptr) the accountability lens: every drop
-  /// of a still-PENDING message by the window-edge sweep reports
-  /// (sender, receiver) to trace->on_suppress. Lazily-delivered slots
-  /// recycled by the sweep are NOT suppressions. The trace outlives the
-  /// buffer's run; Execution re-installs it on construction and reset.
-  void set_trace(lens::WindowTrace* trace) noexcept { trace_ = trace; }
 
   // ---- allocation-free iteration (ascending-id order) --------------------
   //
@@ -311,11 +259,11 @@ class MessageBuffer {
     std::int32_t next_ = -1;
   };
 
-  /// Walks the send list, skipping parked slots.
+  /// Walks the send list.
   class SendOrderIterator {
    public:
     SendOrderIterator(const MessageBuffer* buf, std::int32_t slot)
-        : buf_(buf), cur_(buf->skip_parked(slot)) {
+        : buf_(buf), cur_(slot) {
       prefetch();
     }
     const Envelope& operator*() const;
@@ -368,7 +316,13 @@ class MessageBuffer {
   [[nodiscard]] std::size_t total_sent() const noexcept {
     return static_cast<std::size_t>(next_id_);
   }
-  [[nodiscard]] std::size_t pending_count() const noexcept { return pending_; }
+  /// Messages published and neither delivered nor dropped: the arena's
+  /// pending messages plus the claimed ids not yet settled.
+  [[nodiscard]] std::size_t pending_count() const noexcept {
+    return pending_ + claimed_;
+  }
+  /// Claimed ids not yet settled by retire_claimed.
+  [[nodiscard]] std::size_t claimed_count() const noexcept { return claimed_; }
   [[nodiscard]] std::size_t delivered_count() const noexcept {
     return delivered_;
   }
@@ -393,13 +347,12 @@ class MessageBuffer {
   /// resolution (every pending id at or above the direct base resolves
   /// through the direct index, every older one through the straggler map,
   /// and both structures hold nothing else), SoA lockstep (metadata id
-  /// mirrors the envelope id on every live slot), lazy-parked slot
-  /// accounting, free-list integrity, and that every slot is in exactly
-  /// one of {pending, parked, free} with the lifecycle counters summing to
-  /// total_sent(). Throws std::logic_error on the first violation.
-  /// O(slots) with scratch allocation — meant for window boundaries under
-  /// ExecutionConfig::audit, self-tests, and post-reset validation, not the
-  /// hot path.
+  /// mirrors the envelope id on every live slot), free-list integrity, that
+  /// every slot is either pending or free, and that the lifecycle counters
+  /// (claimed ids included) sum to total_sent(). Throws std::logic_error on
+  /// the first violation. O(slots) with scratch allocation — meant for
+  /// window boundaries under ExecutionConfig::audit, self-tests, and
+  /// post-reset validation, not the hot path.
   void audit() const;
 
  private:
@@ -416,10 +369,8 @@ class MessageBuffer {
     std::int32_t next_sent = -1;
   };
 
-  /// Hot 16-byte per-slot metadata: everything the delivery walk and the
-  /// plan-validation scan filter on. `id == kNoMsg` means the slot is NOT
-  /// pending — either parked (delivered, awaiting the sweep; the envelope
-  /// still carries the id) or free (envelope id is kNoMsg too).
+  /// Hot 16-byte per-slot metadata: everything a receiver walk filters on.
+  /// `id == kNoMsg` means the slot is free (its envelope id is kNoMsg too).
   struct Meta {
     MsgId id = kNoMsg;
     ProcId receiver = -1;
@@ -427,9 +378,9 @@ class MessageBuffer {
   };
 
   /// Direct index size bound: past this many entries add_batch spills the
-  /// live ones into the straggler map (async regime, where no window sweep
-  /// ever rewinds the index). 64Ki entries = 256 KiB — far above any
-  /// window-regime working set, far below the horizon of a long async run.
+  /// live ones into the straggler map (a long async run never rewinds the
+  /// index). 64Ki entries = 256 KiB — far below the horizon of a long
+  /// async run.
   static constexpr std::size_t kDirectSpillLimit = std::size_t{1} << 16;
 
   /// Slot index for a live id; kAbsentSlot when retired. Throws on ids
@@ -440,8 +391,6 @@ class MessageBuffer {
   void retire(std::int32_t slot);
   void unlink_receiver(std::int32_t slot);
   void unlink_sent(std::int32_t slot);
-  /// First non-parked slot at or after `slot` on the send list.
-  [[nodiscard]] std::int32_t skip_parked(std::int32_t slot) const;
 
   int n_;
   // SoA slot arena: three lockstep arrays (see Link / Meta above; envs_ is
@@ -464,16 +413,14 @@ class MessageBuffer {
   std::vector<std::int32_t> rcv_head_;
   std::vector<std::int32_t> rcv_tail_;
 
-  // The send list: every pending or parked slot, in ascending-id order.
+  // The send list: every pending slot, in ascending-id order.
   std::int32_t sent_head_ = -1;
   std::int32_t sent_tail_ = -1;
 
-  std::size_t pending_ = 0;
+  std::size_t pending_ = 0;   ///< arena messages on the lists
+  std::size_t claimed_ = 0;   ///< claimed ids not yet settled
   std::size_t delivered_ = 0;
   std::size_t dropped_ = 0;
-
-  /// Accountability lens (owned by the caller; null = lens off).
-  lens::WindowTrace* trace_ = nullptr;
 };
 
 }  // namespace aa::sim

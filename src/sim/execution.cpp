@@ -26,7 +26,6 @@ Execution::Execution(std::vector<std::unique_ptr<Process>> procs,
     rngs_.push_back(root.fork(static_cast<std::uint64_t>(p)));
     staged_.emplace_back(n_);
   }
-  buffer_.set_trace(cfg_.lens);
   if (cfg_.lens != nullptr) cfg_.lens->begin_trial(n_);
   for (ProcId p = 0; p < n_; ++p) {
     procs_[static_cast<std::size_t>(p)]->on_start(
@@ -66,7 +65,6 @@ void Execution::reset(std::vector<std::unique_ptr<Process>> procs,
   decisions_.clear();
   events_.clear();
   published_.clear();
-  run_envs_.clear();
   // Scratch arrays keep their (epoch-stamped) contents; only the run-scoped
   // bookkeeping must forget the previous trial. collect_window = -1 disarms
   // batch collection (window_ restarts at 0), and clearing the planner
@@ -81,7 +79,6 @@ void Execution::reset(std::vector<std::unique_ptr<Process>> procs,
   total_resets_ = 0;
   liveness_epoch_ = 0;
   crashed_count_ = 0;
-  buffer_.set_trace(cfg_.lens);
   if (cfg_.lens != nullptr) cfg_.lens->begin_trial(n_);
   for (ProcId p = 0; p < n_; ++p) {
     procs_[static_cast<std::size_t>(p)]->on_start(
@@ -99,6 +96,9 @@ std::span<const MsgId> Execution::sending_step(ProcId p) {
   const auto& items = out.items();
   const std::size_t m = items.size();
   if (m == 0) return published_;
+  if (scratch_.collect_window == window_) return publish_run(p, out);
+
+  // Outside a collected window (the async model): publish into the arena.
   const MsgId first = buffer_.add_batch(
       p, items, window_, chain_[static_cast<std::size_t>(p)] + 1);
   if (cfg_.lens != nullptr) cfg_.lens->on_publish(p, items, window_);
@@ -106,24 +106,25 @@ std::span<const MsgId> Execution::sending_step(ProcId p) {
   for (std::size_t i = 0; i < m; ++i) {
     published_[i] = first + static_cast<MsgId>(i);
   }
-  if (scratch_.collect_window != window_) {
-    out.clear();
-    return published_;
-  }
+  out.clear();
+  return published_;
+}
 
-  // Window collection armed: fold this step's receiver grouping into the
-  // incremental pair index. Ids are assigned in staging order, so the
-  // stable grouping preserves per-pair send order — appending sender rows
-  // in step order reproduces the old counting-sort layout exactly.
+std::span<const MsgId> Execution::publish_run(ProcId p, Outbox& out) {
   WindowScratch& sc = scratch_;
-  AA_CHECK(sc.row_stamp[static_cast<std::size_t>(p)] != sc.batch_epoch,
+  const auto ps = static_cast<std::size_t>(p);
+  AA_CHECK(sc.row_stamp[ps] != sc.batch_epoch,
            "sending_step: one non-empty publication per sender per "
            "collected window");
+  const std::size_t m = out.items().size();
+  const MsgId first = buffer_.claim_ids(m);
+  if (cfg_.lens != nullptr) cfg_.lens->on_publish(p, out.items(), window_);
+
+  // Fold the run's receiver grouping into the pair index. Ids are assigned
+  // in staging order, so the stable grouping keeps per-pair send order.
   out.index_by_receiver(sc.sort_begin, sc.sort_order);
-  sc.batch.insert(sc.batch.end(), published_.begin(), published_.end());
   const auto base = static_cast<std::int32_t>(sc.pair_ids.size());
-  const std::size_t row =
-      static_cast<std::size_t>(p) * (static_cast<std::size_t>(n_) + 1);
+  const std::size_t row = ps * (static_cast<std::size_t>(n_) + 1);
   for (std::size_t r = 0; r <= static_cast<std::size_t>(n_); ++r) {
     sc.pair_begin[row + r] = base + sc.sort_begin[r];
   }
@@ -132,8 +133,8 @@ std::span<const MsgId> Execution::sending_step(ProcId p) {
     sc.pair_ids[static_cast<std::size_t>(base) + j] =
         first + static_cast<MsgId>(sc.sort_order[j]);
   }
-  sc.row_stamp[static_cast<std::size_t>(p)] = sc.batch_epoch;
-  sc.bcast_runs[static_cast<std::size_t>(p)] = out.broadcast_runs();
+  sc.row_stamp[ps] = sc.batch_epoch;
+  sc.bcast_runs[ps] = out.broadcast_runs();
   for (std::size_t r = 0; r < static_cast<std::size_t>(n_); ++r) {
     const std::int32_t c = sc.sort_begin[r + 1] - sc.sort_begin[r];
     if (c == 0) continue;
@@ -144,15 +145,27 @@ std::span<const MsgId> Execution::sending_step(ProcId p) {
       sc.rcv_total[r] = c;
     }
   }
-  out.clear();
-  return published_;
+
+  // The staged vector becomes the sender's run: a swap, not a copy.
+  SenderRun& run = sc.runs[ps];
+  run.first = first;
+  run.chain = chain_[ps] + 1;
+  out.take(run.items);
+  sc.run_order.push_back(p);
+  const std::size_t at = sc.batch.size();
+  sc.batch.resize(at + m);
+  for (std::size_t j = 0; j < m; ++j) {
+    sc.batch[at + j] = first + static_cast<MsgId>(j);
+  }
+  sc.delivered.resize(at + m, 0);
+  return std::span<const MsgId>(sc.batch).subspan(at, m);
 }
 
 void Execution::begin_window_batch() {
   WindowScratch& sc = scratch_;
   const auto n = static_cast<std::size_t>(n_);
-  // deliver_plan_row walks the receiver's whole pending list, so the batch
-  // must be everything the buffer holds.
+  // The window store must start empty: nothing pending in the arena and
+  // no earlier window left unswept.
   AA_CHECK(buffer_.pending_count() == 0,
            "begin_window_batch: messages are already pending");
   if (sc.row_stamp.size() != n) {
@@ -160,12 +173,14 @@ void Execution::begin_window_batch() {
     sc.rcv_stamp.assign(n, 0);
     sc.rcv_total.assign(n, 0);
     sc.bcast_runs.assign(n, 0);
-    sc.member_stamp.assign(n, 0);
-    sc.seg_begin.assign(n, 0);
-    sc.seg_end.assign(n, 0);
+    sc.runs.resize(n);
     sc.pair_begin.assign(n * (n + 1), 0);
   }
   sc.batch.clear();
+  sc.base = static_cast<MsgId>(buffer_.total_sent());
+  sc.run_order.clear();
+  sc.delivered.clear();
+  sc.window_delivered = 0;
   sc.pair_ids.clear();
   ++sc.batch_epoch;
   sc.collect_window = window_;
@@ -178,14 +193,32 @@ WindowBatch Execution::window_batch() const {
 }
 
 void Execution::receiving_step(MsgId id) {
-  AA_CHECK(buffer_.is_pending(id), "receiving_step: message not pending");
-  // Copy: mark_delivered retires the arena slot this reference points into.
-  const Envelope env = buffer_.get(id);
+  WindowScratch& sc = scratch_;
+  const bool in_window =
+      sc.collect_window == window_ && id >= sc.base &&
+      id < sc.base + static_cast<MsgId>(sc.batch.size());
+  Envelope env;
+  if (in_window) {
+    env = WindowBatch(&sc, n_).envelope(id);
+    AA_CHECK(sc.delivered[static_cast<std::size_t>(id - sc.base)] == 0,
+             "receiving_step: message not pending");
+  } else {
+    AA_CHECK(buffer_.is_pending(id), "receiving_step: message not pending");
+    // Copy: mark_delivered retires the arena slot this reference points
+    // into.
+    env = buffer_.get(id);
+  }
   const ProcId p = env.receiver;
   AA_CHECK(!crashed_[static_cast<std::size_t>(p)],
            "receiving_step: delivery to a crashed processor");
   record(StepKind::Receive, p, id);
-  buffer_.mark_delivered(id);
+  if (in_window) {
+    sc.delivered[static_cast<std::size_t>(id - sc.base)] = 1;
+    ++sc.window_delivered;
+    buffer_.retire_claimed(1, 0);
+  } else {
+    buffer_.mark_delivered(id);
+  }
   if (cfg_.lens != nullptr) cfg_.lens->on_deliver(env, window_, steps_);
   chain_[static_cast<std::size_t>(p)] =
       std::max(chain_[static_cast<std::size_t>(p)], env.chain);
@@ -203,70 +236,61 @@ int Execution::deliver_plan_row(ProcId receiver, std::span<const ProcId> row) {
   WindowScratch& sc = scratch_;
   AA_CHECK(sc.collect_window == window_,
            "deliver_plan_row: no batch collected for the current window");
-  const WindowBatch batch(&sc, n_);
-
-  // One pass over the row: stamp membership, lay out one output segment
-  // per sender in plan order (seg_begin = start, seg_end = the walk's
-  // cursor) and total the covered messages. Repeated senders deliver
-  // nothing more.
-  std::int32_t covered = 0;
-  const std::uint64_t member_epoch = ++sc.member_epoch;
+  // Reject a bad row before any message is consumed.
   for (const ProcId s : row) {
     AA_REQUIRE(s >= 0 && s < n_, "deliver_plan_row: sender id out of range");
-    const auto si = static_cast<std::size_t>(s);
-    if (sc.member_stamp[si] == member_epoch) continue;
-    sc.member_stamp[si] = member_epoch;
-    sc.seg_begin[si] = covered;
-    sc.seg_end[si] = covered;
-    const std::int32_t c = batch.count(s, receiver);
-    covered += c;
   }
-  if (covered == 0) return 0;  // row senders published nothing to receiver
-
-  // Retire the whole run in one walk of the receiver's pending list,
-  // scattering each view into its sender's segment — list order within a
-  // sender is send order, so the output is plan order. A full cover (row ⊇
-  // every sender with messages) needs no membership test; a partial cover
-  // filters by the stamped row.
-  const bool full = covered == batch.count_to(receiver);
-  run_envs_.resize(static_cast<std::size_t>(covered));
-  const int delivered = buffer_.deliver_window_run_to(
-      receiver, full ? nullptr : sc.member_stamp.data(), member_epoch,
-      run_envs_, sc.seg_end.data());
-  if (delivered == 0) return 0;
-  if (delivered != covered) close_segment_gaps(row);
-  const std::span<const Envelope* const> run(
-      run_envs_.data(), static_cast<std::size_t>(delivered));
-
-  std::int64_t& chain = chain_[static_cast<std::size_t>(receiver)];
-  for (const Envelope* env : run) {
-    record(StepKind::Receive, receiver, env->id);
-    if (cfg_.lens != nullptr) cfg_.lens->on_deliver(*env, window_, steps_);
-    if (env->chain > chain) chain = env->chain;
+  const auto total = static_cast<std::size_t>(
+      WindowBatch(&sc, n_).count_to(receiver));
+  if (total == 0) return 0;  // nothing was published to this receiver
+  if (run_envs_.size() < total) {
+    run_envs_.resize(total);
+    run_ptrs_.resize(total);
+    for (std::size_t i = 0; i < total; ++i) run_ptrs_[i] = &run_envs_[i];
   }
-  const int out_before = procs_[static_cast<std::size_t>(receiver)]->output();
-  procs_[static_cast<std::size_t>(receiver)]->on_receive_batch(
-      run, rngs_[static_cast<std::size_t>(receiver)],
-      staged_[static_cast<std::size_t>(receiver)]);
-  check_output_write_once(receiver, out_before);
-  return delivered;
-}
 
-void Execution::close_segment_gaps(std::span<const ProcId> row) {
-  // Some covered messages were delivered earlier in this window, so their
-  // segments ended short: slide the filled part of every segment down, in
-  // row order. Each segment is emptied once copied, so a repeated sender
-  // copies nothing.
-  WindowScratch& sc = scratch_;
-  std::size_t out = 0;
+  // Gather the run in plan order: for each row sender, its ids to this
+  // receiver (send order), skipping those already delivered this window —
+  // which is also what makes a repeated sender deliver nothing more.
+  const std::size_t stride = static_cast<std::size_t>(n_) + 1;
+  const auto r = static_cast<std::size_t>(receiver);
+  std::size_t k = 0;
   for (const ProcId s : row) {
     const auto si = static_cast<std::size_t>(s);
-    for (auto i = static_cast<std::size_t>(sc.seg_begin[si]);
-         i < static_cast<std::size_t>(sc.seg_end[si]); ++i) {
-      run_envs_[out++] = run_envs_[i];
+    if (sc.row_stamp[si] != sc.batch_epoch) continue;
+    const SenderRun& run = sc.runs[si];
+    const std::int32_t* seg = &sc.pair_begin[si * stride + r];
+    for (std::int32_t j = seg[0]; j < seg[1]; ++j) {
+      const MsgId id = sc.pair_ids[static_cast<std::size_t>(j)];
+      std::uint8_t& done = sc.delivered[static_cast<std::size_t>(id - sc.base)];
+      if (done != 0) continue;
+      done = 1;
+      Envelope& env = run_envs_[k++];
+      env.id = id;
+      env.sender = s;
+      env.receiver = receiver;
+      env.payload = run.items[static_cast<std::size_t>(id - run.first)].msg;
+      env.window = window_;
+      env.chain = run.chain;
     }
-    sc.seg_begin[si] = sc.seg_end[si];
   }
+  if (k == 0) return 0;
+  sc.window_delivered += k;
+  buffer_.retire_claimed(k, 0);
+
+  std::int64_t& chain = chain_[r];
+  for (std::size_t i = 0; i < k; ++i) {
+    const Envelope& env = run_envs_[i];
+    record(StepKind::Receive, receiver, env.id);
+    if (cfg_.lens != nullptr) cfg_.lens->on_deliver(env, window_, steps_);
+    if (env.chain > chain) chain = env.chain;
+  }
+  const int out_before = procs_[r]->output();
+  procs_[r]->on_receive_batch(
+      std::span<const Envelope* const>(run_ptrs_.data(), k), rngs_[r],
+      staged_[r]);
+  check_output_write_once(receiver, out_before);
+  return static_cast<int>(k);
 }
 
 void Execution::resetting_step(ProcId p) {
@@ -296,7 +320,30 @@ void Execution::crash(ProcId p) {
 
 void Execution::end_window() {
   if (audit_due()) audit();
-  buffer_.drop_pending();
+  // The arena never crosses a window edge: window-model publication goes
+  // through the window store, and the async model has no window edges.
+  AA_CHECK(buffer_.pending_count() == buffer_.claimed_count(),
+           "end_window: messages published outside a collected window are "
+           "pending");
+  WindowScratch& sc = scratch_;
+  if (sc.collect_window == window_) {
+    // Whatever the window did not deliver is dropped. Only the lens needs
+    // to know which messages those were.
+    const std::size_t dropped = sc.batch.size() - sc.window_delivered;
+    if (cfg_.lens != nullptr && dropped > 0) {
+      for (const ProcId s : sc.run_order) {
+        const SenderRun& run = sc.runs[static_cast<std::size_t>(s)];
+        const auto off = static_cast<std::size_t>(run.first - sc.base);
+        for (std::size_t j = 0; j < run.items.size(); ++j) {
+          if (sc.delivered[off + j] == 0) {
+            cfg_.lens->on_suppress(s, run.items[j].to);
+          }
+        }
+      }
+    }
+    buffer_.retire_claimed(0, dropped);
+    sc.collect_window = -1;
+  }
   ++window_;
 }
 
@@ -371,15 +418,45 @@ void Execution::audit() const {
   for (const std::uint64_t s : scratch_.rcv_stamp) {
     AA_CHECK(s <= scratch_.batch_epoch, "audit: rcv_stamp from the future");
   }
-  for (const std::uint64_t s : scratch_.member_stamp) {
-    AA_CHECK(s <= scratch_.member_epoch,
-             "audit: member_stamp from the future");
-  }
   for (const std::uint64_t s : scratch_.stamp) {
     AA_CHECK(s <= scratch_.epoch, "audit: plan-validation stamp from the future");
   }
   AA_CHECK(scratch_.collect_window <= window_,
            "audit: batch collection armed for a future window");
+  if (scratch_.collect_window == window_) audit_window_store();
+}
+
+void Execution::audit_window_store() const {
+  // The runs tile the window's id range in publication order, the delivered
+  // bytes agree with their count, and the buffer holds exactly the
+  // undelivered rest as claimed ids.
+  const WindowScratch& sc = scratch_;
+  AA_CHECK(sc.delivered.size() == sc.batch.size(),
+           "audit: window store delivered flags do not cover the batch");
+  MsgId next = sc.base;
+  for (const ProcId s : sc.run_order) {
+    AA_CHECK(s >= 0 && s < n_, "audit: window run of a bad sender");
+    const auto si = static_cast<std::size_t>(s);
+    AA_CHECK(sc.row_stamp[si] == sc.batch_epoch,
+             "audit: window run of a sender with a stale index row");
+    const SenderRun& run = sc.runs[si];
+    AA_CHECK(run.first == next && !run.items.empty(),
+             "audit: window runs do not tile the window's ids");
+    AA_CHECK(run.chain >= 1, "audit: window run with a bad chain stamp");
+    for (const StagedMessage& item : run.items) {
+      AA_CHECK(item.to >= 0 && item.to < n_,
+               "audit: window run message to a bad receiver");
+    }
+    next += static_cast<MsgId>(run.items.size());
+  }
+  AA_CHECK(next == sc.base + static_cast<MsgId>(sc.batch.size()),
+           "audit: window runs do not cover the batch");
+  std::size_t delivered = 0;
+  for (const std::uint8_t d : sc.delivered) delivered += d != 0 ? 1 : 0;
+  AA_CHECK(delivered == sc.window_delivered,
+           "audit: window delivered count disagrees with its flags");
+  AA_CHECK(buffer_.claimed_count() == sc.batch.size() - delivered,
+           "audit: claimed ids disagree with the undelivered window");
 }
 
 const Process& Execution::process(ProcId p) const {

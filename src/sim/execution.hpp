@@ -12,6 +12,14 @@
 //    and faults if a protocol ever changes a written output.
 //  * Resets erase staged (unsent) messages too — erased memory cannot send.
 //  * Crashed processors take no further steps; crashing is permanent.
+//
+// One message store per model. The §5 async model publishes into the
+// MessageBuffer arena and delivers one id at a time. The acceptable-window
+// model publishes into the window store (plan.hpp): each sending step's
+// staged vector becomes the sender's run, a receiver's plan row is
+// gathered from the runs through the pair index, and the window edge
+// counts the rest as dropped. The buffer issues the ids and keeps the
+// lifecycle counters of both.
 #pragma once
 
 #include <cstdint>
@@ -98,54 +106,53 @@ class Execution {
 
   // ---- the three step kinds of §2 (+ crash for §5) ----
 
-  /// Sending step: publish `p`'s staged messages into the buffer in one
-  /// MessageBuffer::add_batch run. Returns the ids published, in staging
-  /// order (empty when the step is a no-op); while a window batch is being
-  /// collected (begin_window_batch) the step also folds the sender's
-  /// receiver grouping into the window pair index. The span aliases a
-  /// reusable internal buffer — it is invalidated by the next sending step,
-  /// so copy it out if it must outlive one step.
+  /// Sending step: publish `p`'s staged messages. In a collected window
+  /// (begin_window_batch) the staged vector is swapped into `p`'s window
+  /// run — no copy — and the run's receiver grouping is folded into the
+  /// window pair index; otherwise (the async model) the run goes into the
+  /// MessageBuffer arena in one add_batch. Returns the ids published, in
+  /// staging order (empty when the step is a no-op). The span aliases a
+  /// reusable internal buffer — it is invalidated by the next sending
+  /// step, so copy it out if it must outlive one step.
   std::span<const MsgId> sending_step(ProcId p);
 
-  /// Receiving step: deliver pending message `id` to its recipient and run
-  /// the (randomized) local computation.
+  /// Receiving step: deliver pending message `id` (an arena message, or a
+  /// message of the current collected window) to its recipient and run the
+  /// (randomized) local computation.
   void receiving_step(MsgId id);
 
-  // ---- bulk publication (the window driver's batch pipeline) ----
+  // ---- the window store (the window driver's batch pipeline) ----
 
-  /// Arm window-batch collection for the CURRENT window: clears the
-  /// scratch batch and pair index and stamps a fresh batch epoch, so the
-  /// following sending steps build the (sender, receiver) pair index
-  /// incrementally instead of the driver re-walking the buffer.
-  /// Collection disarms automatically when the window counter advances.
+  /// Arm window-batch collection for the CURRENT window: clears the window
+  /// store and pair index and stamps a fresh batch epoch, so the following
+  /// sending steps publish into per-sender runs and build the (sender,
+  /// receiver) pair index incrementally. Collection disarms at end_window.
   /// Preconditions (checked): nothing is pending — the previous window's
-  /// end_window swept it — and each sender takes at most one non-empty
+  /// end_window settled it — and each sender takes at most one non-empty
   /// sending step per collected window — exactly what Definition 1's
   /// sending phase does.
   void begin_window_batch();
 
-  /// View of the batch collected since begin_window_batch (ids + pair
-  /// index). Precondition: collection is armed for the current window.
+  /// View of the window collected since begin_window_batch (ids, runs and
+  /// pair index). Precondition: collection is armed for the current window.
   [[nodiscard]] WindowBatch window_batch() const;
 
   /// Deliver one receiver's whole window run given its plan row (the
-  /// ordered sender list; repeated senders deliver nothing more). Uses the
-  /// collected pair index (precondition: begin_window_batch this window).
-  /// Every row, ascending or not, full or partial, retires in ONE walk of
-  /// the receiver's pending list (MessageBuffer::deliver_window_run_to):
-  /// the pair index sizes one output segment per row sender, in plan
-  /// order, and the walk scatters each message into its sender's segment.
-  /// A full cover of the receiver's window messages skips the membership
-  /// test. The computation then runs ONCE over the run via
-  /// Process::on_receive_batch — the crash check and the output write-once
-  /// snapshot happen once per run, while each delivery still counts as one
-  /// receiving step (step counter / event log / lens, in plan order). For
-  /// protocols that honour the on_receive_batch contract this matches a
-  /// receiving_step per id in every observable EXCEPT the Decision
-  /// record's step/chain stamps, which carry end-of-run granularity (the
-  /// decision's window and value are exact). Window-model consumers read
-  /// windows, not steps — the async model, whose chain metric is
-  /// load-bearing, delivers per id. Returns the number delivered.
+  /// ordered sender list; repeated senders deliver nothing more).
+  /// Precondition: begin_window_batch this window. The run is gathered in
+  /// plan order from the senders' runs through the pair index — for each
+  /// row sender, its messages to this receiver in send order, minus those
+  /// already delivered this window — into one reusable envelope scratch,
+  /// and the computation runs ONCE over it via Process::on_receive_batch:
+  /// the crash check and the output write-once snapshot happen once per
+  /// run, while each delivery still counts as one receiving step (step
+  /// counter / event log / lens, in plan order). For protocols that honour
+  /// the on_receive_batch contract this matches a receiving_step per id in
+  /// every observable EXCEPT the Decision record's step/chain stamps,
+  /// which carry end-of-run granularity (the decision's window and value
+  /// are exact). Window-model consumers read windows, not steps — the
+  /// async model, whose chain metric is load-bearing, delivers per id.
+  /// Returns the number delivered.
   int deliver_plan_row(ProcId receiver, std::span<const ProcId> row);
 
   /// Resetting step: erase `p`'s memory per §2 (input/output/id/reset
@@ -160,16 +167,19 @@ class Execution {
   /// Current acceptable-window index (starts at 0).
   [[nodiscard]] std::int64_t window() const noexcept { return window_; }
 
-  /// Close the current window: drop every still-pending message (all of
-  /// them were sent in it; silenced senders' messages are never delivered
-  /// under the acceptable-window regime) and advance the window counter.
-  /// The async driver never calls this — its messages stay eligible for
-  /// eventual delivery.
+  /// Close the current window: every window message not delivered is
+  /// dropped (silenced senders' messages are never delivered under the
+  /// acceptable-window regime; the lens hears each one as a suppression),
+  /// and the window counter advances. Messages published outside a
+  /// collected window are the async model's, which has no window edges:
+  /// closing a window while any is pending throws std::logic_error.
   void end_window();
 
   // ---- full-information views ----
 
   [[nodiscard]] const Process& process(ProcId p) const;
+  /// The async model's arena, and the id space and lifecycle counters of
+  /// both stores (total_sent / pending / delivered / dropped).
   [[nodiscard]] const MessageBuffer& buffer() const noexcept { return buffer_; }
   [[nodiscard]] bool crashed(ProcId p) const;
   [[nodiscard]] int crashed_count() const noexcept { return crashed_count_; }
@@ -213,7 +223,9 @@ class Execution {
   [[nodiscard]] WindowScratch& window_scratch() noexcept { return scratch_; }
 
   /// Opt-in invariant auditor: MessageBuffer::audit() plus the
-  /// execution-level consistency pass — liveness bookkeeping
+  /// execution-level consistency pass — the window store (runs tile the
+  /// window's ids, delivered flags match their count and the buffer's
+  /// claimed ids), liveness bookkeeping
   /// (crashed/reset counters vs. their per-processor arrays, the
   /// liveness-epoch identity), write-once decision records (one per
   /// processor, value ∈ {0,1}, agreeing with the live output bit, sane
@@ -226,9 +238,9 @@ class Execution {
  private:
   friend struct AuditTestAccess;
   void record(StepKind k, ProcId p, MsgId m = kNoMsg);
-  /// Compact run_envs_ when some of the row's segments were left short by
-  /// messages already delivered earlier in the window.
-  void close_segment_gaps(std::span<const ProcId> row);
+  /// The collected-window half of sending_step: publish `out` as p's run.
+  std::span<const MsgId> publish_run(ProcId p, Outbox& out);
+  void audit_window_store() const;
   void check_output_write_once(ProcId p, int before);
   /// Whether this window boundary audits (cfg_.audit every window, or the
   /// cfg_.audit_every sampling period divides the window index).
@@ -246,11 +258,12 @@ class Execution {
   std::vector<Decision> decisions_;
   std::vector<Event> events_;
   std::vector<MsgId> published_;            ///< reused by sending_step
-  /// Reused by deliver_plan_row: the run in plan order. Filled and
-  /// consumed inside ONE run, never held across publication or a window
-  /// sweep (buffer.hpp contract).
-  // aa-lint: envelope-ok(transient deliver_plan_row scratch, cleared per run)
-  std::vector<const Envelope*> run_envs_;
+  /// deliver_plan_row's run scratch: the gathered envelopes in plan order,
+  /// and one pointer per entry (the span on_receive_batch takes). Both
+  /// only grow, and the pointers are rebuilt whenever run_envs_ does.
+  std::vector<Envelope> run_envs_;
+  // aa-lint: envelope-ok(points into run_envs_ only, rebuilt when it grows)
+  std::vector<const Envelope*> run_ptrs_;
   WindowScratch scratch_;
   std::int64_t window_ = 0;
   std::int64_t steps_ = 0;

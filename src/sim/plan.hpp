@@ -1,18 +1,20 @@
 // WindowPlan — the adversary's choice for one acceptable window — plus the
-// bulk-publication types: WindowScratch (the reusable workspace that makes a
+// window store: WindowScratch (the reusable workspace that makes a
 // steady-state window allocation-free, owned by Execution) and WindowBatch
-// (the incrementally built (sender, receiver) pair index the adversary and
-// the delivery phase consume, replacing the per-window counting-sort
-// rebuild).
+// (the read-only view of one collected window that the adversary and the
+// delivery phase consume).
 //
-// Id contract with the buffer: a window batch's ids are contiguous and
-// ascending in publication order, so every pair_ids segment is ascending
-// too. The batch is everything the buffer holds (begin_window_batch
-// checks that nothing is pending when the window opens).
-// MessageBuffer::add_batch assigns that range against its dense direct
-// index (no hash inserts), and the end_window sweep (drop_pending) retires
-// the whole range at once — callers must not cache ids across a window
-// edge (see buffer.hpp's envelope-view invalidation contract).
+// Window store: the acceptable-window model keeps its messages out of the
+// MessageBuffer arena. A collected sending step swaps the sender's staged
+// vector into the sender's run (no copy: the 20-byte StagedMessage items
+// the protocol wrote ARE the store), claims a contiguous id range from the
+// buffer, and folds the run's receiver grouping into the (sender,
+// receiver) pair index. Delivery gathers a receiver's envelopes from the
+// runs through that index, and the window edge counts what was never
+// delivered as dropped. The window's ids are contiguous and ascending in
+// publication order (the batch starts at `base`), so every pair_ids
+// segment is ascending too; callers must not keep ids or envelopes
+// across a window edge.
 #pragma once
 
 #include <cstdint>
@@ -49,39 +51,49 @@ struct WindowPlan {
   }
 };
 
+/// One sender's published run in a collected window. `items` is the
+/// sender's staging vector itself, swapped in by the sending step; item j
+/// has id first + j. Every message of the run shares its sender, window
+/// and chain stamp.
+struct SenderRun {
+  std::vector<StagedMessage> items;
+  MsgId first = 0;
+  std::int64_t chain = 0;
+};
+
 /// Per-execution scratch for the window driver. Every buffer is reused
 /// window to window, so after warm-up a window performs no heap allocation.
 ///
-/// Publication batch + fused pair index (filled by Execution::sending_step
-/// while a window batch is being collected — see begin_window_batch):
+/// Window store + fused pair index (filled by Execution::sending_step while
+/// a window batch is being collected — see begin_window_batch):
 ///   batch        — ids published by this window's sending steps, in
-///                  publication order
+///                  publication order (contiguous from `base`)
+///   base         — the first id of the window
+///   runs         — per-sender runs (valid iff row_stamp[s] == batch_epoch)
+///   run_order    — the senders that published, in publication order (so
+///                  their runs' id ranges ascend)
+///   delivered    — one byte per window message (index id − base): set
+///                  once the message was delivered
+///   window_delivered — number of set delivered bytes
 ///   pair_begin   — n rows of n+1 absolute offsets into pair_ids; row s
 ///                  (entries s·(n+1) .. s·(n+1)+n) maps receiver r to the
 ///                  segment of sender s's window-batch ids addressed to r
 ///   pair_ids     — the batch grouped (sender-major, receiver-minor, id
-///                  ascending within a pair) — the same layout the old
-///                  per-window counting sort produced
-///   row_stamp    — pair_begin row s is valid iff row_stamp[s] ==
-///                  batch_epoch; stale rows mean "sender published
-///                  nothing", so no counter array is ever reset (the old
-///                  4 KiB per-window pair_count wipe is gone)
+///                  ascending within a pair)
+///   row_stamp    — pair_begin row s and runs[s] are valid iff
+///                  row_stamp[s] == batch_epoch; stale rows mean "sender
+///                  published nothing", so no counter array is ever reset
 ///   rcv_total    — per-receiver message totals this window (valid iff
-///                  rcv_stamp[r] == batch_epoch), used by the delivery
-///                  walk's full-cover check
+///                  rcv_stamp[r] == batch_epoch)
 ///   bcast_runs   — per-sender Outbox::broadcast_runs() of the published
 ///                  run (valid iff row_stamp[s] == batch_epoch): k ≥ 1
 ///                  whole broadcasts, or -1 for a run staged with send()
 ///   sort_begin / sort_order — Outbox::index_by_receiver output scratch
-///   member_stamp — per-sender plan-row membership marks for the filtered
-///                  delivery walk (epoch member_epoch)
-///   seg_begin / seg_end — per-sender output segment of one plan row's
-///                  delivery run, laid out in plan order (seg_end is the
-///                  delivery walk's write cursor)
 ///   batch_epoch  — bumped by every begin_window_batch
 ///   collect_window — the window index being collected, or -1 when the
 ///                  execution is not in a collected window (async drivers
-///                  never arm this, so sending steps skip all indexing)
+///                  never arm this, so their sending steps publish into
+///                  the MessageBuffer arena instead)
 ///
 /// Plan bookkeeping (driven by run_acceptable_window):
 ///   plan         — the adversary's reusable WindowPlan
@@ -97,6 +109,11 @@ struct WindowPlan {
 ///                          on reuse windows
 struct WindowScratch {
   std::vector<MsgId> batch;
+  MsgId base = 0;
+  std::vector<SenderRun> runs;
+  std::vector<ProcId> run_order;
+  std::vector<std::uint8_t> delivered;
+  std::size_t window_delivered = 0;
   std::vector<std::int32_t> pair_begin;
   std::vector<MsgId> pair_ids;
   std::vector<std::uint64_t> row_stamp;
@@ -105,10 +122,6 @@ struct WindowScratch {
   std::vector<std::int32_t> bcast_runs;
   std::vector<std::int32_t> sort_begin;
   std::vector<std::uint32_t> sort_order;
-  std::vector<std::uint64_t> member_stamp;
-  std::uint64_t member_epoch = 0;
-  std::vector<std::int32_t> seg_begin;
-  std::vector<std::int32_t> seg_end;
   std::uint64_t batch_epoch = 0;
   std::int64_t collect_window = -1;
   WindowPlan plan;
@@ -120,12 +133,11 @@ struct WindowScratch {
   std::int64_t plan_liveness_epoch = -1;
 };
 
-/// Read-only view of one collected window's publication batch, indexed by
-/// (sender, receiver). Built incrementally as sending steps publish —
-/// handed to WindowAdversary::plan_window_into and consumed by the
-/// delivery phase, so the driver never re-walks the buffer to build a
-/// counting sort. Aliases the execution's WindowScratch: valid only
-/// until the window ends (or the next begin_window_batch).
+/// Read-only view of one collected window, indexed by (sender, receiver).
+/// Built incrementally as sending steps publish — handed to
+/// WindowAdversary::plan_window_into and consumed by the delivery phase.
+/// Aliases the execution's WindowScratch: valid only until the window ends
+/// (or the next begin_window_batch).
 class WindowBatch {
  public:
   WindowBatch(const WindowScratch* sc, int n) : sc_(sc), n_(n) {}
@@ -136,6 +148,17 @@ class WindowBatch {
     return sc_->batch;
   }
   [[nodiscard]] std::size_t size() const noexcept { return sc_->batch.size(); }
+
+  /// The senders that published this window, in publication order (their
+  /// id ranges ascend in this order).
+  [[nodiscard]] std::span<const ProcId> senders() const noexcept {
+    return sc_->run_order;
+  }
+
+  /// The envelope of window message `id`, by value (the window store keeps
+  /// no envelopes). Throws std::invalid_argument for an id outside this
+  /// window.
+  [[nodiscard]] Envelope envelope(MsgId id) const;
 
   /// Number of messages sender s published to receiver r this window.
   [[nodiscard]] std::int32_t count(ProcId s, ProcId r) const {

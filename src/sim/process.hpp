@@ -21,8 +21,9 @@
 namespace aa::sim {
 
 /// Collector for messages a process wants to send. The engine stages these
-/// and publishes the whole run at the process's next sending step (one
-/// MessageBuffer::add_batch call — ids are assigned in staging order).
+/// and publishes the whole run at the process's next sending step — into
+/// the window store (take) in a collected window, else into the
+/// MessageBuffer arena (add_batch). Ids are assigned in staging order.
 class Outbox {
  public:
   explicit Outbox(int n) : n_(n) {}
@@ -55,6 +56,15 @@ class Outbox {
   void clear() noexcept {
     queued_.clear();
     broadcast_runs_ = 0;
+  }
+
+  /// Hand the staged run to `run` without copying: the two vectors swap
+  /// storage, then the outbox is cleared — so it reuses `run`'s previous
+  /// capacity and both sides stay allocation-free once warm. This is how a
+  /// collected sending step publishes into the window store.
+  void take(std::vector<Item>& run) noexcept {
+    queued_.swap(run);
+    clear();
   }
   [[nodiscard]] int n() const noexcept { return n_; }
 

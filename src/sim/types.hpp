@@ -46,8 +46,9 @@ struct Message {
 };
 
 /// One staged (not yet published) message: receiver + payload. Processes
-/// queue these in an Outbox; a sending step hands the whole run to
-/// MessageBuffer::add_batch, which assigns ids in staging order.
+/// queue these in an Outbox; a sending step publishes the whole run, with
+/// ids assigned in staging order. In a collected window the staged items
+/// themselves become the window store (see plan.hpp).
 struct StagedMessage {
   ProcId to;
   Message msg;

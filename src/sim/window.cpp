@@ -1,8 +1,28 @@
 #include "sim/window.hpp"
 
+#include <algorithm>
+
 #include "util/check.hpp"
 
 namespace aa::sim {
+
+Envelope WindowBatch::envelope(MsgId id) const {
+  AA_REQUIRE(id >= sc_->base &&
+                 id < sc_->base + static_cast<MsgId>(sc_->batch.size()),
+             "WindowBatch::envelope: id outside this window");
+  // Runs ascend in publication order: the last one starting at or before
+  // `id` holds it.
+  const auto& order = sc_->run_order;
+  const auto it = std::upper_bound(
+      order.begin(), order.end(), id, [this](MsgId v, ProcId s) {
+        return v < sc_->runs[static_cast<std::size_t>(s)].first;
+      });
+  const ProcId s = *(it - 1);
+  const SenderRun& run = sc_->runs[static_cast<std::size_t>(s)];
+  const StagedMessage& item =
+      run.items[static_cast<std::size_t>(id - run.first)];
+  return Envelope{id, s, item.to, item.msg, sc_->collect_window, run.chain};
+}
 
 void validate_window_plan(const WindowPlan& plan, int n, int t,
                           WindowScratch& scratch) {
@@ -61,10 +81,10 @@ int run_acceptable_window(Execution& exec, WindowAdversary& adv, int t) {
   }
 
   // Phase 1: all n processors take sending steps under window-batch
-  // collection — each step publishes its whole outbox in one add_batch and
-  // folds its receiver grouping into the (sender, receiver) pair index, so
-  // the index is ready the moment the last step returns (no extra walks
-  // over the buffer, no per-window counter reset).
+  // collection — each step swaps its staged vector into its run of the
+  // window store and folds its receiver grouping into the (sender,
+  // receiver) pair index, so the index is ready the moment the last step
+  // returns (no extra walks, no per-window counter reset).
   exec.begin_window_batch();
   for (ProcId p = 0; p < n; ++p) exec.sending_step(p);
 
@@ -81,9 +101,8 @@ int run_acceptable_window(Execution& exec, WindowAdversary& adv, int t) {
     sc.plan_liveness_epoch = exec.liveness_epoch();
   }
 
-  // Batched delivery: each live receiver's whole run in one call — every
-  // plan row is retired by one walk of the receiver's pending list that
-  // writes the run out in plan order (no per-message id-map lookups).
+  // Batched delivery: each live receiver's whole run in one call, gathered
+  // in plan order from the senders' runs through the pair index.
   int deliveries = 0;
   for (ProcId i = 0; i < n; ++i) {
     if (exec.crashed(i)) continue;
@@ -102,7 +121,7 @@ int run_acceptable_window(Execution& exec, WindowAdversary& adv, int t) {
   // request crashes at the window boundary; crash() is idempotent.
   for (const ProcId p : adv.window_crashes()) exec.crash(p);
 
-  // Window boundary: undelivered batch messages are dropped.
+  // Window boundary: undelivered window messages are dropped.
   exec.end_window();
   return deliveries;
 }

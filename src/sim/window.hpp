@@ -21,29 +21,29 @@
 //   * prepare(n, t) runs once per (execution, adversary) pairing, before
 //     the first window, so static adversaries can set up their plan shape.
 //   * the sending phase runs under Execution::begin_window_batch: each
-//     sending step publishes its whole outbox in one
-//     MessageBuffer::add_batch and folds its receiver grouping into the
-//     window's (sender, receiver) pair index as it goes — the driver never
-//     re-walks the buffer to build a counting sort. It also records
+//     sending step swaps its whole staged vector into its run of the
+//     window store (plan.hpp) and folds its receiver grouping into the
+//     window's (sender, receiver) pair index as it goes. It also records
 //     how many whole broadcast() calls each run was (every protocol here
 //     except Byzantine send() equivocators stages only broadcasts), and
 //     WindowBatch::broadcast_runs exposes that shape, so an adversary can
 //     plan every receiver's identical broadcast sequence once.
 //   * plan_window_into receives that prebuilt index as a WindowBatch view
-//     and returns a PlanDecision. kUpdated means the plan was overwritten
+//     (WindowBatch::envelope reads any window message by value) and
+//     returns a PlanDecision. kUpdated means the plan was overwritten
 //     (the driver re-validates it); kReusePrevious means the plan object
 //     already holds exactly what the adversary wants, and the driver skips
 //     both the n² plan fill and validate_window_plan — unless a
 //     crash/reset changed liveness since the last validation, which forces
 //     one defensive re-validation.
 //   * deliveries run through Execution::deliver_plan_row: every plan row,
-//     ascending or adversarially ordered, is consumed straight off the
-//     receiver's pending list in one whole-list walk (bulk lazy delivery,
-//     a single Process::on_receive_batch) that scatters each message into
-//     its sender's plan-order segment.
-//   * end_window sweeps the buffer empty: every undelivered message is
-//     dropped, so each window opens with nothing pending and the batch is
-//     the whole buffer.
+//     ascending or adversarially ordered, is gathered in plan order from
+//     the senders' runs through the pair index and handed to a single
+//     Process::on_receive_batch.
+//   * end_window closes the window: every undelivered message is dropped
+//     (published − delivered; the lens walks the runs for its
+//     suppressions only when armed), so each window opens on an empty
+//     store.
 #pragma once
 
 #include <span>
@@ -95,9 +95,9 @@ class WindowAdversary {
   /// append to plan.delivery_order[i] / plan.resets). `batch` is the
   /// window's publication batch with its prebuilt (sender, receiver) pair
   /// index — batch.ids() lists every id just published, batch.from_to(s,r)
-  /// slices it per pair without any buffer lookups. Implementations may
-  /// also inspect the whole execution (states, buffer contents) — the
-  /// model is full-information.
+  /// slices it per pair, and batch.envelope(id) reads a message.
+  /// Implementations may also inspect the whole execution (process states)
+  /// — the model is full-information.
   virtual PlanDecision plan_window_into(const Execution& exec,
                                         const WindowBatch& batch,
                                         WindowPlan& plan) = 0;

@@ -197,8 +197,8 @@ TEST(SplitKeeper, CannotBlockUnanimity) {
 // ---- split-keeper: one plan per broadcast window ---------------------------
 
 // The split-keeper's plan written from its definition, receiver by
-// receiver: the receiver's pending 0/1 votes in balanced order, then the
-// senders of its other pending messages, then everyone else.
+// receiver: the receiver's window 0/1 votes (id order) in balanced order,
+// then the senders of its other window messages, then everyone else.
 sim::WindowPlan reference_split_plan(const Execution& e) {
   const int n = e.n();
   sim::WindowPlan plan;
@@ -206,7 +206,10 @@ sim::WindowPlan reference_split_plan(const Execution& e) {
   for (sim::ProcId i = 0; i < n; ++i) {
     std::vector<std::tuple<sim::ProcId, int, int>> votes;
     std::vector<sim::ProcId> others;
-    for (const sim::Envelope& env : e.buffer().pending_to(i)) {
+    const sim::WindowBatch batch = e.window_batch();
+    for (const sim::MsgId id : batch.ids()) {
+      const sim::Envelope env = batch.envelope(id);
+      if (env.receiver != i) continue;
       if (env.payload.kind == protocols::kVoteKind &&
           (env.payload.value == 0 || env.payload.value == 1)) {
         votes.emplace_back(env.sender, env.payload.round, env.payload.value);

@@ -122,6 +122,50 @@ TEST(CampaignConfig, RejectsDuplicateKeysWithLineNumbers) {
   EXPECT_NO_THROW((void)parse_campaign_config("# trials = 4\n\ntrials = 8\n"));
 }
 
+TEST(CampaignConfig, RejectsEmptyListItemsWithLineNumbers) {
+  // An empty item (stray, leading or trailing comma) is an error naming
+  // its line, for every list key.
+  for (const char* bad :
+       {"n = 8,", "n = ,8", "n = 8,,12", "t = 1, ,2", "protocols = reset,,benor",
+        "thresholds = default,", "memory_k = ,0", "adversaries = fair,",
+        "chaos_plan = none,"}) {
+    try {
+      (void)parse_campaign_config(std::string("# header\n") + bad + "\n");
+      ADD_FAILURE() << "accepted: " << bad;
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("empty item"), std::string::npos) << msg;
+    }
+  }
+  EXPECT_EQ(parse_campaign_config("protocols = reset , benor").protocols,
+            (std::vector<std::string>{"reset", "benor"}));
+}
+
+TEST(CampaignConfig, RejectsNAboveTheLimit) {
+  // An n above the limit is refused before any cell runs, naming n and
+  // the limit.
+  try {
+    (void)parse_campaign_config("n = 100000\nbudget = 1\n");
+    ADD_FAILURE() << "n = 100000 accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("n = 100000"), std::string::npos) << msg;
+    EXPECT_NE(msg.find(std::to_string(kMaxCampaignN)), std::string::npos)
+        << msg;
+  }
+  EXPECT_THROW(parse_campaign_config(
+                   "n = 8, " + std::to_string(kMaxCampaignN + 1)),
+               std::invalid_argument);
+  EXPECT_NO_THROW(
+      parse_campaign_config("n = " + std::to_string(kMaxCampaignN)));
+  // The largest n the repository runs fits.
+  EXPECT_GE(kMaxCampaignN, 512);
+  CampaignConfig edited = parse_campaign_config("n = 8");
+  edited.n = {kMaxCampaignN + 1};
+  EXPECT_THROW(validate_campaign_config(edited), std::invalid_argument);
+}
+
 TEST(CampaignConfig, RejectsMalformedInput) {
   EXPECT_THROW(parse_campaign_config("frobnicate = 3"),
                std::invalid_argument);  // unknown key

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "adversary/async_adversaries.hpp"
@@ -135,11 +136,12 @@ TEST(ExecutionReuse, ScratchSurvivesModelSwitches) {
 
 TEST(ExecutionReuse, ResetClearsHostileMidWindowStateAndKeepsCapacity) {
   // Abandon an Execution at the nastiest possible point — mid-window, with
-  // pending messages to several receivers, lazy-parked slots from a bulk
-  // delivery run, a partially-consumed receiver list, a crashed processor
-  // and a reset one — then reset() for a new trial. The auditor must pass
-  // on the rebuilt state, grown capacities must survive, and the rebuilt
-  // execution must replay a trial bit-identically to a fresh one.
+  // undelivered window messages to several receivers, a bulk-delivered
+  // row, a per-id delivery, a crashed processor and a reset one, after an
+  // arena phase that grew the slot arena — then reset() for a new trial.
+  // The auditor must pass on the rebuilt state, grown capacities must
+  // survive, and the rebuilt execution must replay a trial bit-identically
+  // to a fresh one.
   const int n = 8;
   const int t = 1;
   auto procs = [&] {
@@ -147,24 +149,38 @@ TEST(ExecutionReuse, ResetClearsHostileMidWindowStateAndKeepsCapacity) {
                                      protocols::split_inputs(n, 0.5));
   };
   sim::Execution exec(procs(), 321);
+  for (sim::ProcId p = 0; p < n; ++p) (void)exec.sending_step(p);
+  for (const sim::MsgId id : exec.buffer().all_pending_ids()) {
+    exec.receiving_step(id);
+  }
   exec.begin_window_batch();
   for (sim::ProcId p = 0; p < n; ++p) (void)exec.sending_step(p);
   std::vector<sim::ProcId> row;
   for (sim::ProcId p = 0; p < n; ++p) row.push_back(p);
-  ASSERT_GT(exec.deliver_plan_row(0, row), 0);  // parks lazy slots
-  const auto to1 = exec.buffer().pending_to_ids(1);
-  ASSERT_GE(to1.size(), 2u);
-  exec.receiving_step(to1[0]);  // receiver 1's list partially consumed
+  ASSERT_GT(exec.deliver_plan_row(0, row), 0);
+  const std::span<const sim::MsgId> to1 = exec.window_batch().from_to(4, 1);
+  ASSERT_FALSE(to1.empty());
+  exec.receiving_step(to1[0]);
   exec.crash(2);
   exec.resetting_step(3);
-  ASSERT_GT(exec.buffer().pending_count(), 0u);  // and NO end_window sweep
+  ASSERT_GT(exec.buffer().pending_count(), 0u);  // and NO end_window
 
   const std::size_t reserve = exec.buffer().slot_reserve();
   ASSERT_GT(reserve, 0u);
+  std::size_t run_capacity = 0;
+  for (const sim::SenderRun& run : exec.window_scratch().runs) {
+    run_capacity += run.items.capacity();
+  }
+  ASSERT_GT(run_capacity, 0u);
   exec.reset(procs(), 654);
   EXPECT_NO_THROW(exec.audit());
   EXPECT_EQ(exec.buffer().slot_reserve(), reserve);  // allocation retained
   EXPECT_EQ(exec.buffer().slot_capacity(), 0u);      // materialized span rewound
+  std::size_t run_capacity_after = 0;
+  for (const sim::SenderRun& run : exec.window_scratch().runs) {
+    run_capacity_after += run.items.capacity();
+  }
+  EXPECT_EQ(run_capacity_after, run_capacity);
   EXPECT_EQ(exec.buffer().pending_count(), 0u);
   EXPECT_EQ(exec.window(), 0);
   EXPECT_EQ(exec.crashed_count(), 0);

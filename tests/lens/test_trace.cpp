@@ -12,7 +12,6 @@
 #include "lens/accountability.hpp"
 #include "lens/trace.hpp"
 #include "protocols/factory.hpp"
-#include "sim/buffer.hpp"
 #include "sim/window.hpp"
 #include "util/rng.hpp"
 
@@ -101,13 +100,13 @@ TEST(WindowTrace, LensOffProducesIdenticalRunResult) {
   }
 }
 
-// ---- lens hooks vs the SoA arena (recycling + range retirement) ------------
+// ---- lens hooks vs the window store ----------------------------------------
 
 TEST(WindowTrace, HookCountsExactUnderRecyclingAndRangeRetirement) {
-  // 200 windows of n×n publication cycle through a handful of recycled
-  // slots, and the O(1) id-range retirement fires at every window edge.
-  // The lens must still account for every message exactly once: published
-  // = delivered + suppressed, per sender and in total.
+  // 200 windows of n×n publication cycle through the window store's
+  // recycled run vectors, each window on a fresh id range. The lens must
+  // still account for every message exactly once: published = delivered
+  // + suppressed, per sender and in total.
   const int n = 8;
   const int t = 1;
   WindowTrace trace;
@@ -142,69 +141,58 @@ TEST(WindowTrace, HookCountsExactUnderRecyclingAndRangeRetirement) {
   EXPECT_EQ(trace.suppressed_total(0), trace.sent(0));
 }
 
-TEST(WindowTrace, SuppressHooksExactAcrossStraddlingRunsAndSpill) {
-  // Buffer-level: batch runs that straddle the recycled free list, a
-  // mid-window spill of the direct id index, and sweeps that retire ids
-  // through BOTH tiers. on_suppress must fire exactly once per undelivered
-  // message — parked (already delivered) slots swept in the same pass fire
-  // nothing.
-  const int n = 4;
+TEST(WindowTrace, SuppressHooksFireOncePerUndeliveredWindowMessage) {
+  // One window delivered piecemeal — a per-id receiving step, a row with a
+  // repeated sender, a row over an already-delivered message — and closed
+  // with receivers 2.. never served. on_suppress must fire exactly once
+  // per undelivered (sender → receiver) message, and never for one that
+  // was delivered.
+  const int n = 6;
+  const int t = 1;
   WindowTrace trace;
-  trace.begin_trial(n);
-  sim::MessageBuffer buf(n);
-  buf.set_trace(&trace);
-  sim::Message m;
-  m.kind = 1;
-
-  // Window 0: one run of 6; deliver 2 (parked), sweep the other 4 away.
-  std::vector<sim::StagedMessage> items;
-  for (int k = 0; k < 6; ++k) {
-    items.push_back({static_cast<sim::ProcId>(k % n), m});
+  sim::ExecutionConfig cfg;
+  cfg.lens = &trace;
+  sim::Execution e(
+      protocols::make_processes(protocols::ProtocolKind::Bracha, t,
+                                protocols::split_inputs(n, 0.5)),
+      5, cfg);
+  e.begin_window_batch();
+  for (sim::ProcId p = 0; p < n; ++p) e.sending_step(p);
+  const sim::WindowBatch batch = e.window_batch();
+  std::vector<std::int64_t> expect(static_cast<std::size_t>(n * n), 0);
+  for (sim::ProcId s = 0; s < n; ++s) {
+    for (sim::ProcId r = 0; r < n; ++r) {
+      expect[static_cast<std::size_t>(s * n + r)] = batch.count(s, r);
+    }
   }
-  buf.add_batch(0, items, /*window=*/0, 1);
-  // Receivers 2 and 3 hold one message each: deliver (park) both. One
-  // sender, so one output segment starting at 0.
-  std::vector<const sim::Envelope*> views(3);
-  std::vector<std::int32_t> cursor(n, 0);
-  ASSERT_EQ(buf.deliver_window_run_to(/*receiver=*/2, nullptr, 0, views,
-                                      cursor.data()),
-            1);
-  cursor.assign(n, 0);
-  ASSERT_EQ(buf.deliver_window_run_to(/*receiver=*/3, nullptr, 0, views,
-                                      cursor.data()),
-            1);
-  EXPECT_EQ(buf.drop_pending(), 4u);
-  EXPECT_EQ(trace.suppressed_total(0), 4);
-
-  // Window 1: a run of 9 straddles the 6 recycled slots + fresh growth;
-  // spill the direct index mid-window so retirement goes through the
-  // straggler map tier.
-  items.clear();
-  for (int k = 0; k < 9; ++k) {
-    items.push_back({static_cast<sim::ProcId>(k % n), m});
+  e.receiving_step(batch.from_to(2, 1)[0]);
+  --expect[static_cast<std::size_t>(2 * n + 1)];
+  const std::vector<sim::ProcId> repeated{3, 1, 3};
+  e.deliver_plan_row(0, repeated);
+  expect[static_cast<std::size_t>(3 * n + 0)] = 0;
+  expect[static_cast<std::size_t>(1 * n + 0)] = 0;
+  std::vector<sim::ProcId> all;
+  for (sim::ProcId s = 0; s < n; ++s) all.push_back(s);
+  e.deliver_plan_row(1, all);
+  for (sim::ProcId s = 0; s < n; ++s) {
+    expect[static_cast<std::size_t>(s * n + 1)] = 0;
   }
-  const sim::MsgId first1 = buf.add_batch(1, items, /*window=*/1, 2);
-  EXPECT_EQ(first1, 6);
-  buf.spill_direct_index();
-  // Receiver 3's two messages park via the straggler-map tier (the spill
-  // moved their ids there).
-  cursor.assign(n, 0);
-  ASSERT_EQ(buf.deliver_window_run_to(/*receiver=*/3, nullptr, 0, views,
-                                      cursor.data()),
-            2);
-  EXPECT_EQ(views[0]->id, first1 + 3);
-  EXPECT_EQ(views[1]->id, first1 + 7);
-  EXPECT_EQ(buf.drop_pending(), 7u);
-  EXPECT_EQ(buf.pending_count(), 0u);
+  e.end_window();
 
-  // Sender 0 published 6 in window 0 (2 delivered) and sender 1 published
-  // 9 in window 1 (2 delivered): 4 + 7 suppressions, none double-counted
-  // across the recycled slots or the two id tiers.
-  EXPECT_EQ(trace.suppressed_total(0), 4);
-  EXPECT_EQ(trace.suppressed_total(1), 7);
   std::int64_t suppressed = 0;
-  for (sim::ProcId s = 0; s < n; ++s) suppressed += trace.suppressed_total(s);
-  EXPECT_EQ(static_cast<std::size_t>(suppressed), buf.dropped_count());
+  for (sim::ProcId s = 0; s < n; ++s) {
+    for (sim::ProcId r = 0; r < n; ++r) {
+      EXPECT_EQ(trace.suppressed(s, r), expect[static_cast<std::size_t>(s * n + r)])
+          << s << "->" << r;
+      suppressed += trace.suppressed(s, r);
+    }
+    EXPECT_EQ(trace.sent(s),
+              trace.delivered_total(s) + trace.suppressed_total(s))
+        << "sender " << s;
+  }
+  EXPECT_GT(suppressed, 0);
+  EXPECT_EQ(static_cast<std::size_t>(suppressed), e.buffer().dropped_count());
+  EXPECT_EQ(e.buffer().pending_count(), 0u);
 }
 
 // ---- targeted censorship ---------------------------------------------------

@@ -1,5 +1,5 @@
 // aa_lint self-test fixture: must trip EXACTLY the `envelope-member` rule.
-// Envelope views are invalidated by publication and window sweeps, so a
+// Arena envelope views are invalidated by publication and delivery, so a
 // raw Envelope* held in a member outlives its pointee.
 
 namespace fixture {

@@ -26,12 +26,10 @@ struct AuditTestAccess {
   static void set_next_rcv(MessageBuffer& b, std::int32_t s, std::int32_t v) {
     b.links_[static_cast<std::size_t>(s)].next_rcv = v;
   }
-  /// Forge the parked state on a slot (clear / restore the metadata id the
-  /// SoA arena uses as its pending marker) — the analogue of the old
-  /// lazy-flag tamper.
-  static void set_parked(MessageBuffer& b, std::int32_t s, bool v) {
-    b.meta_[static_cast<std::size_t>(s)].id =
-        v ? kNoMsg : b.envs_[static_cast<std::size_t>(s)].id;
+  /// Forge the retired mark on a still-linked slot (clear the metadata id
+  /// the SoA arena uses as its pending marker).
+  static void clear_meta_id(MessageBuffer& b, std::int32_t s) {
+    b.meta_[static_cast<std::size_t>(s)].id = kNoMsg;
   }
   static Envelope& env(MessageBuffer& b, std::int32_t s) {
     return b.envs_[static_cast<std::size_t>(s)];
@@ -69,8 +67,7 @@ struct AuditTestAccess {
 namespace {
 
 // A buffer exercising every slot state the auditor distinguishes: pending
-// (receiver + send lists), lazy-parked (send list only, id unmapped),
-// and free (retired via mark_delivered).
+// (receiver + send lists) and free (retired via mark_delivered).
 MessageBuffer busy_buffer() {
   MessageBuffer buf(4);
   const std::vector<StagedMessage> broadcast{
@@ -78,11 +75,7 @@ MessageBuffer busy_buffer() {
   for (ProcId s = 0; s < 4; ++s) {
     buf.add_batch(s, broadcast, /*window=*/0, /*chain=*/1);
   }
-  // Receiver 0 holds one message per sender: one-slot segments.
-  std::vector<const Envelope*> views(4);
-  std::vector<std::int32_t> cursor{0, 1, 2, 3};
-  EXPECT_EQ(buf.deliver_window_run_to(0, nullptr, 0, views, cursor.data()),
-            4);
+  for (const MsgId id : buf.pending_to_ids(0)) buf.mark_delivered(id);
   const std::vector<MsgId> to1 = buf.pending_to_ids(1);
   buf.mark_delivered(to1[0]);
   buf.mark_delivered(to1[1]);
@@ -100,8 +93,12 @@ MsgId live_id(MessageBuffer& buf) {
 TEST(BufferAudit, CleanBufferPasses) {
   MessageBuffer buf = busy_buffer();
   EXPECT_NO_THROW(buf.audit());
-  // And stays clean across the window sweep that recycles parked slots.
-  buf.drop_pending();
+  // And stays clean once drained and across a claim of window ids.
+  for (const MsgId id : buf.all_pending_ids()) buf.mark_delivered(id);
+  EXPECT_NO_THROW(buf.audit());
+  (void)buf.claim_ids(5);
+  EXPECT_NO_THROW(buf.audit());
+  buf.retire_claimed(2, 3);
   EXPECT_NO_THROW(buf.audit());
 }
 
@@ -130,10 +127,10 @@ TEST(BufferAudit, DetectsIdMapEntryMissingAfterSpill) {
   EXPECT_THROW(buf.audit(), std::logic_error);
 }
 
-TEST(BufferAudit, DetectsParkedStateOnLinkedSlot) {
+TEST(BufferAudit, DetectsRetiredMarkOnLinkedSlot) {
   MessageBuffer buf = busy_buffer();
-  AuditTestAccess::set_parked(buf, AuditTestAccess::slot_of(buf, live_id(buf)),
-                              true);
+  AuditTestAccess::clear_meta_id(buf,
+                                 AuditTestAccess::slot_of(buf, live_id(buf)));
   EXPECT_THROW(buf.audit(), std::logic_error);
 }
 
@@ -203,7 +200,7 @@ std::vector<std::unique_ptr<Process>> ping_procs(int n) {
 
 TEST(ExecutionAudit, CleanRunPassesAndAuditConfigRunsEveryWindow) {
   ExecutionConfig cfg;
-  cfg.audit = true;  // end_window audits before every sweep from here on
+  cfg.audit = true;  // end_window audits at every window boundary from here on
   Execution exec(ping_procs(6), 42, cfg);
   adversary::FairWindowAdversary fair;
   for (int w = 0; w < 6; ++w) {
@@ -237,6 +234,27 @@ TEST(ExecutionAudit, DetectsStagedMessagesOnCrashedProcessor) {
   exec.crash(1);
   EXPECT_NO_THROW(exec.audit());  // crash alone is consistent
   AuditTestAccess::stage_message(exec, 1);
+  EXPECT_THROW(exec.audit(), std::logic_error);
+}
+
+TEST(ExecutionAudit, DetectsWindowStoreTamper) {
+  // A collected window mid-delivery audits clean; a delivered flag set
+  // behind the engine's back, or a run whose ids no longer tile the
+  // window, does not.
+  Execution exec(ping_procs(4), 7);
+  exec.begin_window_batch();
+  for (ProcId p = 0; p < 4; ++p) (void)exec.sending_step(p);
+  const std::vector<ProcId> row{3, 1};
+  ASSERT_EQ(exec.deliver_plan_row(0, row), 2);
+  EXPECT_NO_THROW(exec.audit());
+  WindowScratch& sc = exec.window_scratch();
+  const auto undelivered = static_cast<std::size_t>(
+      exec.window_batch().from_to(2, 0)[0] - exec.window_batch().ids()[0]);
+  sc.delivered[undelivered] = 1;
+  EXPECT_THROW(exec.audit(), std::logic_error);
+  sc.delivered[undelivered] = 0;
+  EXPECT_NO_THROW(exec.audit());
+  sc.runs[1].first += 1;
   EXPECT_THROW(exec.audit(), std::logic_error);
 }
 

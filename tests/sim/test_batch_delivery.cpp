@@ -3,11 +3,13 @@
 //    identical to the protocols' devirtualized overrides, for every
 //    protocol kind — checked by running the same seeded executions with
 //    the overrides masked behind a forwarding wrapper;
-//  * deliver_plan_row's single list walk matches a receiving_step-per-id
-//    loop on ascending, permuted, full and partial rows: per-receiver
-//    delivery sequences, the event log, lens captures and audit() agree
-//    (up to the documented end-of-run granularity of Decision step/chain
-//    stamps);
+//  * deliver_plan_row's gather from the window store matches a
+//    receiving_step-per-id loop on ascending, permuted, full, partial and
+//    repeated rows, under every protocol (Byzantine equivocators
+//    included), every named adversary, the chaos and censor wrappers and
+//    crashes between rows: per-receiver delivery sequences, the event log,
+//    lens captures, delivered/dropped counts and audit() agree (up to the
+//    documented end-of-run granularity of Decision step/chain stamps);
 //  * deliver_plan_row edge cases (empty row, retired messages, bad sender,
 //    crashed receiver, no collected batch).
 #include <gtest/gtest.h>
@@ -17,8 +19,12 @@
 #include <utility>
 #include <vector>
 
+#include "adversary/censor.hpp"
+#include "adversary/chaos.hpp"
 #include "adversary/window_adversaries.hpp"
+#include "core/campaign.hpp"
 #include "lens/trace.hpp"
+#include "protocols/byzantine.hpp"
 #include "protocols/factory.hpp"
 #include "sim/window.hpp"
 #include "util/rng.hpp"
@@ -76,6 +82,7 @@ void expect_same_state(const Execution& a, const Execution& b) {
     EXPECT_EQ(a.process(p).round(), b.process(p).round()) << "proc " << p;
     EXPECT_EQ(a.process(p).estimate(), b.process(p).estimate())
         << "proc " << p;
+    EXPECT_EQ(a.chain_depth(p), b.chain_depth(p)) << "proc " << p;
   }
 }
 
@@ -166,9 +173,13 @@ struct Recorded {
   lens::WindowTrace trace;
   std::unique_ptr<Execution> exec;
 
-  Recorded(ProtocolKind kind, int n, int t, std::uint64_t seed) {
-    auto procs =
-        protocols::make_processes(kind, t, protocols::split_inputs(n, 0.5));
+  Recorded(ProtocolKind kind, int n, int t, std::uint64_t seed)
+      : Recorded(protocols::make_processes(kind, t,
+                                           protocols::split_inputs(n, 0.5)),
+                 seed) {}
+
+  Recorded(std::vector<std::unique_ptr<Process>> procs, std::uint64_t seed) {
+    const auto n = static_cast<ProcId>(procs.size());
     for (ProcId p = 0; p < n; ++p) {
       auto& slot = procs[static_cast<std::size_t>(p)];
       slot = std::make_unique<Recorder>(std::move(slot), p, &log);
@@ -275,6 +286,197 @@ TEST(BatchDelivery, PlanRowMatchesPerIdReceivingSteps) {
       }
     }
   }
+}
+
+/// The processes of one differential run: a protocol, or the reset
+/// protocol with its first t processors turned Byzantine equivocators
+/// (send() runs, so no window is broadcast-shaped).
+std::vector<std::unique_ptr<Process>> differential_procs(const char* proto,
+                                                         int n, int t) {
+  const std::string name = proto;
+  if (name == "byzantine") {
+    auto procs = protocols::make_processes(ProtocolKind::Reset, t,
+                                           protocols::split_inputs(n, 0.5));
+    for (ProcId p = 0; p < t; ++p) {
+      auto& slot = procs[static_cast<std::size_t>(p)];
+      slot = std::make_unique<protocols::ByzantineProcess>(
+          std::move(slot), protocols::ByzantineStrategy::Equivocate,
+          static_cast<std::uint64_t>(p) + 1);
+    }
+    return procs;
+  }
+  const ProtocolKind kind = name == "reset"       ? ProtocolKind::Reset
+                            : name == "forgetful" ? ProtocolKind::Forgetful
+                            : name == "benor"     ? ProtocolKind::BenOr
+                                                  : ProtocolKind::Bracha;
+  return protocols::make_processes(kind, t, protocols::split_inputs(n, 0.5));
+}
+
+/// A named adversary, optionally wrapped: "chaos" adds duplicated and
+/// degenerate rows, "censor" the targeted-censorship layer.
+std::unique_ptr<WindowAdversary> differential_adversary(
+    const std::string& name, const std::string& wrapper, int t,
+    std::uint64_t seed) {
+  std::unique_ptr<WindowAdversary> adv =
+      core::window_adversary_factory(name, t)(seed);
+  if (wrapper == "chaos") {
+    FaultPlan fault;
+    fault.duplicate_row_prob = 0.5;
+    fault.degenerate_prob = 0.25;
+    fault.crash_prob = 0.1;
+    fault.crash_budget = 1;
+    fault.chaos_seed = 3;
+    return std::make_unique<adversary::ChaosWindowAdversary>(std::move(adv),
+                                                             fault, seed);
+  }
+  if (wrapper == "censor") {
+    return std::make_unique<adversary::TargetedCensorAdversary>(
+        std::move(adv), /*target=*/2);
+  }
+  return adv;
+}
+
+/// One differential run: the adversary plans each window on the batched
+/// execution, both executions get the same (perturbed) rows — repeated
+/// senders, truncated rows, now and then a per-id delivery before the
+/// rows and a crash between rows — and the reference delivers every row
+/// as one receiving_step per not-yet-delivered id in plan order.
+void run_differential(const char* proto, const std::string& adv_name,
+                      const std::string& wrapper, std::uint64_t seed) {
+  SCOPED_TRACE(std::string(proto) + " / " + adv_name + " / " + wrapper +
+               " / seed " + std::to_string(seed));
+  const int n = 10;
+  const int t = 1;
+  Recorded batched(differential_procs(proto, n, t), seed);
+  Recorded per_id(differential_procs(proto, n, t), seed);
+  Execution& eb = *batched.exec;
+  Execution& er = *per_id.exec;
+  std::unique_ptr<WindowAdversary> adv =
+      differential_adversary(adv_name, wrapper, t, seed);
+  adv->prepare(n, t);
+  WindowPlan plan;
+  plan.reset(n);
+  Rng perturb(seed * 1000 + 17);
+  for (int w = 0; w < 14; ++w) {
+    eb.begin_window_batch();
+    er.begin_window_batch();
+    for (ProcId p = 0; p < n; ++p) {
+      ASSERT_EQ(eb.sending_step(p).size(), er.sending_step(p).size());
+    }
+    const WindowBatch batch = eb.window_batch();
+    ASSERT_EQ(batch.size(), er.window_batch().size());
+    (void)adv->plan_window_into(eb, batch, plan);
+    validate_window_plan(plan, n, t);
+
+    // Reference bookkeeping: which window messages were delivered.
+    std::vector<bool> done(batch.size(), false);
+    const auto deliver_ref = [&](MsgId id) {
+      const auto off = static_cast<std::size_t>(id - batch.ids()[0]);
+      if (done[off]) return;
+      done[off] = true;
+      er.receiving_step(id);
+    };
+    if (batch.size() > 0 && perturb.uniform_index(5) == 0) {
+      const MsgId id = batch.ids()[perturb.uniform_index(batch.size())];
+      if (!eb.crashed(batch.envelope(id).receiver)) {
+        eb.receiving_step(id);
+        deliver_ref(id);
+      }
+    }
+    const int crash_at = perturb.uniform_index(4) == 0
+                             ? static_cast<int>(perturb.uniform_index(n))
+                             : -1;
+    for (ProcId i = 0; i < n; ++i) {
+      if (i == crash_at) {
+        const auto victim = static_cast<ProcId>(perturb.uniform_index(n));
+        eb.crash(victim);
+        er.crash(victim);
+      }
+      if (eb.crashed(i)) continue;
+      std::vector<ProcId> row = plan.delivery_order[static_cast<std::size_t>(i)];
+      const std::size_t shape = perturb.uniform_index(4);
+      if (shape == 1 && !row.empty()) {
+        // Repeat senders already in the row.
+        for (int k = 0; k < 3; ++k) {
+          row.insert(row.begin() + static_cast<std::ptrdiff_t>(
+                                       perturb.uniform_index(row.size() + 1)),
+                     row[perturb.uniform_index(row.size())]);
+        }
+      } else if (shape == 2) {
+        row.resize(perturb.uniform_index(row.size() + 1));  // partial row
+      }
+      int expected = 0;
+      for (const ProcId s : row) {
+        for (const MsgId id : batch.from_to(s, i)) {
+          const auto off = static_cast<std::size_t>(id - batch.ids()[0]);
+          if (!done[off]) ++expected;
+          deliver_ref(id);
+        }
+      }
+      ASSERT_EQ(eb.deliver_plan_row(i, row), expected)
+          << "window " << w << " receiver " << i;
+    }
+    ASSERT_NO_THROW(eb.audit());
+    ASSERT_NO_THROW(er.audit());
+    for (const ProcId p : plan.resets) {
+      if (eb.crashed(p)) continue;
+      eb.resetting_step(p);
+      er.resetting_step(p);
+    }
+    for (const ProcId p : adv->window_crashes()) {
+      eb.crash(p);
+      er.crash(p);
+    }
+    eb.end_window();
+    er.end_window();
+  }
+  EXPECT_EQ(batched.log, per_id.log);
+  expect_same_events(eb, er);
+  expect_same_lens(batched.trace, per_id.trace);
+  expect_same_state(eb, er);
+  EXPECT_EQ(eb.buffer().total_sent(), er.buffer().total_sent());
+  EXPECT_EQ(eb.buffer().dropped_count(), er.buffer().dropped_count());
+  EXPECT_EQ(eb.buffer().pending_count(), 0u);
+  EXPECT_EQ(eb.buffer().delivered_count() + eb.buffer().dropped_count(),
+            eb.buffer().total_sent());
+  EXPECT_GT(eb.buffer().delivered_count(), 0u);
+}
+
+TEST(BatchDelivery, WindowStoreMatchesPerIdReferenceEverywhere) {
+  for (const char* proto :
+       {"reset", "forgetful", "benor", "bracha", "byzantine"}) {
+    for (const char* adv :
+         {"fair", "silencer", "split-keeper", "reset-storm", "random"}) {
+      for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+        run_differential(proto, adv, "", seed);
+      }
+    }
+  }
+  for (const char* proto : {"reset", "bracha", "byzantine"}) {
+    for (const char* adv : {"fair", "split-keeper", "random"}) {
+      for (const char* wrapper : {"chaos", "censor"}) {
+        run_differential(proto, adv, wrapper, 5);
+      }
+    }
+  }
+}
+
+TEST(BatchDelivery, WindowRefusedWhileThePreviousIsPending) {
+  // begin_window_batch refuses to open a window over one that was never
+  // closed — pending window messages, or arena messages — and opens again
+  // once end_window settled it.
+  const int n = 6;
+  Execution e = make_exec(ProtocolKind::Reset, n, 1, 3, false);
+  e.begin_window_batch();
+  for (ProcId p = 0; p < n; ++p) e.sending_step(p);
+  ASSERT_GT(e.buffer().pending_count(), 0u);
+  EXPECT_THROW(e.begin_window_batch(), std::logic_error);
+  std::vector<ProcId> all;
+  for (ProcId s = 0; s < n; ++s) all.push_back(s);
+  e.deliver_plan_row(0, all);
+  EXPECT_THROW(e.begin_window_batch(), std::logic_error);
+  e.end_window();
+  EXPECT_NO_THROW(e.begin_window_batch());
 }
 
 TEST(BatchDelivery, PlanRowEdgeCases) {

@@ -123,64 +123,49 @@ TEST(MessageBuffer, DeliveringCurrentElementDuringIterationIsSafe) {
   EXPECT_EQ(b.pending_count(), 0u);
 }
 
-TEST(MessageBuffer, DropPendingEmptiesTheBuffer) {
-  // The window-edge sweep drops what is still pending and recycles the
-  // slots delivered through the lazy walk, leaving nothing behind.
+TEST(MessageBuffer, ClaimedIdsShareTheIdSpaceAndCounters) {
+  // The window store claims its ids here: they continue the arena's ids,
+  // count as pending until settled, and never resolve as arena messages.
   MessageBuffer b(3);
-  for (ProcId s = 0; s < 3; ++s) {
-    for (ProcId r = 0; r < 3; ++r) add1(b, s, r, msg(1, 0), 0, 1);
-  }
-  std::vector<const Envelope*> views(3);
-  std::vector<std::int32_t> cursor{0, 1, 2};
-  ASSERT_EQ(b.deliver_window_run_to(0, nullptr, 0, views, cursor.data()), 3);
-  b.mark_delivered(b.pending_to_ids(1).front());
-  EXPECT_EQ(b.drop_pending(), 5u);
+  const MsgId a = add1(b, 0, 1, msg(1, 0), 0, 1);
+  // Only an empty arena can claim.
+  EXPECT_THROW((void)b.claim_ids(4), std::invalid_argument);
+  b.mark_delivered(a);
+  const MsgId first = b.claim_ids(4);
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(b.total_sent(), 5u);
+  EXPECT_EQ(b.pending_count(), 4u);
+  EXPECT_EQ(b.claimed_count(), 4u);
+  for (MsgId id = first; id < first + 4; ++id) EXPECT_FALSE(b.is_pending(id));
+  EXPECT_NO_THROW(b.audit());
+  b.retire_claimed(1, 0);
+  EXPECT_NO_THROW(b.audit());
+  b.retire_claimed(1, 2);
   EXPECT_EQ(b.pending_count(), 0u);
-  EXPECT_EQ(b.delivered_count(), 4u);
-  EXPECT_EQ(b.dropped_count(), 5u);
-  EXPECT_TRUE(b.all_pending_ids().empty());
-  for (ProcId r = 0; r < 3; ++r) EXPECT_TRUE(b.pending_to_ids(r).empty());
-  EXPECT_NO_THROW(b.audit());
-  // An empty buffer sweeps to nothing.
-  EXPECT_EQ(b.drop_pending(), 0u);
-}
-
-TEST(MessageBuffer, HoldsOneWindowAtATime) {
-  MessageBuffer b(2);
-  const MsgId id = add1(b, 0, 1, msg(1, 0), 0, 1);
-  // Another window cannot publish while window 0's message is pending,
-  // nor while its delivered slot is parked awaiting the sweep.
-  EXPECT_THROW(add1(b, 0, 1, msg(1, 0), 1, 1), std::invalid_argument);
-  std::vector<const Envelope*> views(1);
-  std::vector<std::int32_t> cursor{0, 0};
-  ASSERT_EQ(b.deliver_window_run_to(1, nullptr, 0, views, cursor.data()), 1);
-  EXPECT_FALSE(b.is_pending(id));
-  EXPECT_THROW(add1(b, 0, 1, msg(1, 0), 1, 1), std::invalid_argument);
-  EXPECT_EQ(b.total_sent(), 1u);
-  // After the sweep the next window publishes.
-  b.drop_pending();
-  EXPECT_EQ(add1(b, 0, 1, msg(2, 0), 1, 1), 1);
+  EXPECT_EQ(b.delivered_count(), 3u);
+  EXPECT_EQ(b.dropped_count(), 2u);
+  EXPECT_THROW(b.retire_claimed(1, 0), std::logic_error);
+  // The arena publishes again after the claim, on fresh ids.
+  const MsgId c = add1(b, 2, 0, msg(2, 1), 1, 1);
+  EXPECT_EQ(c, 5);
+  EXPECT_TRUE(b.is_pending(c));
+  EXPECT_EQ(b.get(c).sender, 2);
   EXPECT_NO_THROW(b.audit());
 }
 
-TEST(MessageBuffer, SlotsRecycleAcrossWindows) {
+TEST(MessageBuffer, SlotsRecycleAcrossRounds) {
   MessageBuffer b(4);
   for (std::int64_t w = 0; w < 200; ++w) {
     for (int s = 0; s < 4; ++s) {
-      for (int r = 0; r < 4; ++r) add1(b, s, r, msg(1, 0), w, 1);
+      for (int r = 0; r < 4; ++r) add1(b, s, r, msg(1, 0), 0, 1);
     }
-    // Deliver half, drop the rest at the window edge.
     for (int r = 0; r < 4; ++r) {
-      int k = 0;
-      for (const Envelope& e : b.pending_to(r)) {
-        if (k++ % 2 == 0) b.mark_delivered(e.id);
-      }
+      for (const Envelope& e : b.pending_to(r)) b.mark_delivered(e.id);
     }
-    b.drop_pending();
   }
   EXPECT_EQ(b.pending_count(), 0u);
   EXPECT_EQ(b.total_sent(), 200u * 16u);
-  // The arena never needed more slots than one window's live load.
+  // The arena never needed more slots than one round's live load.
   EXPECT_LE(b.slot_capacity(), 16u);
 }
 

@@ -174,12 +174,23 @@ TEST(Execution, ResettingCrashedProcessorThrows) {
 
 TEST(Execution, EndWindowDropsPendingOfThatWindow) {
   Execution e(echo_procs(2), 1);
+  e.begin_window_batch();
   e.sending_step(0);  // 2 messages in window 0
   EXPECT_EQ(e.window(), 0);
+  EXPECT_EQ(e.buffer().pending_count(), 2u);
   e.end_window();
   EXPECT_EQ(e.window(), 1);
   EXPECT_EQ(e.buffer().pending_count(), 0u);
   EXPECT_EQ(e.buffer().dropped_count(), 2u);
+}
+
+TEST(Execution, EndWindowRefusesArenaMessages) {
+  // Messages published outside a collected window are the async model's,
+  // which has no window edges: closing a window over them is a driver bug.
+  Execution e(echo_procs(2), 1);
+  e.sending_step(0);
+  EXPECT_THROW(e.end_window(), std::logic_error);
+  EXPECT_EQ(e.window(), 0);
 }
 
 TEST(Execution, ChainDepthPropagates) {

@@ -1,15 +1,17 @@
-// Bulk publication pipeline (MessageBuffer::add_batch + the incremental
-// window pair index + Execution::deliver_plan_row):
+// Bulk publication pipelines (MessageBuffer::add_batch for the async
+// arena; the window store's runs + incremental pair index +
+// Execution::deliver_plan_row for the window model):
 //  * add_batch runs get consecutive ids in staging order, also when the
 //    run straddles an arena recycling boundary (free list + growth), and a
 //    bad receiver anywhere in the run rejects the whole run;
+//  * window runs never touch the arena;
 //  * the epoch-stamped pair counters never leak counts across windows
 //    (stale rows read as empty without any per-window reset);
-//  * deliver_plan_row's single list walk produces bit-identical decisions
+//  * deliver_plan_row's gather produces bit-identical decisions
 //    and tallies to the per-message receiving_step path for Fair /
 //    Silencer / SplitKeeper at n = 32;
 //  * adversarially (non-ascending) ordered rows, also after a crash
-//    mid-window, come out of the walk in plan order: the delivery ORDER is
+//    mid-window, come out of the gather in plan order: the delivery ORDER is
 //    the plan order.
 #include <gtest/gtest.h>
 
@@ -75,28 +77,23 @@ TEST(AddBatch, EmptyRunAndBadReceiverAreAtomic) {
   EXPECT_EQ(buf.pending_count(), 0u);
 }
 
-TEST(AddBatch, LiveSlotsStayBoundedAcross5kBatchedWindows) {
-  // The arena bounded-slots regression, driven through the batched
-  // pipeline end to end: add_batch publication + whole-list fast-path
-  // delivery (fair ⇒ every receiver takes the splice) + lazy-parked slots
-  // recycled by the window sweep. Memory must stay one window's burst.
+TEST(AddBatch, FairWindowsNeverTouchTheArena) {
+  // The window model publishes into the window store: 5k fair windows
+  // (every message delivered) leave the arena empty and unallocated, while
+  // the buffer's id space and counters still cover every message.
   const int n = 16;
   const int t = 2;
   Execution e(protocols::make_processes(ProtocolKind::Reset, t,
                                         protocols::split_inputs(n, 0.5)),
               7);
   adversary::FairWindowAdversary fair;
-  std::size_t capacity_after_warmup = 0;
-  for (int w = 0; w < 5000; ++w) {
-    run_acceptable_window(e, fair, t);
-    if (w == 99) capacity_after_warmup = e.buffer().slot_capacity();
-  }
+  for (int w = 0; w < 5000; ++w) run_acceptable_window(e, fair, t);
   EXPECT_EQ(e.buffer().pending_count(), 0u);
-  EXPECT_EQ(e.buffer().slot_capacity(), capacity_after_warmup);
-  EXPECT_LE(e.buffer().slot_capacity(),
-            static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
+  EXPECT_EQ(e.buffer().slot_reserve(), 0u);
   EXPECT_EQ(e.buffer().total_sent(),
             5000u * static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
+  EXPECT_EQ(e.buffer().delivered_count(), e.buffer().total_sent());
+  EXPECT_EQ(e.buffer().dropped_count(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -154,7 +151,7 @@ TEST(OutboxBroadcastRuns, ResettingStepAndCrashResetTheCount) {
   e.resetting_step(0);
   e.sending_step(1);
   EXPECT_EQ(e.window_batch().broadcast_runs(1), -1);
-  e.receiving_step(e.buffer().pending_to_ids(0).front());
+  e.receiving_step(e.window_batch().from_to(1, 0).front());
   e.crash(2);  // p2's staged send() run is erased as well
   e.end_window();
   // Window 1: p0's run is whole broadcasts again; p2 publishes nothing.
@@ -165,15 +162,15 @@ TEST(OutboxBroadcastRuns, ResettingStepAndCrashResetTheCount) {
   EXPECT_EQ(batch.broadcast_runs(2), 0);
   for (ProcId r = 0; r < n; ++r) {
     ASSERT_EQ(batch.from_to(0, r).size(), 1u);
-    EXPECT_EQ(e.buffer().get(batch.from_to(0, r)[0]).receiver, r);
+    EXPECT_EQ(batch.envelope(batch.from_to(0, r)[0]).receiver, r);
   }
 }
 
 TEST(WindowBatchIndex, BroadcastRunsMatchReceiverGrouping) {
   // Multi-broadcast runs (Bracha stages several per step): a sender with
   // broadcast_runs k has exactly k messages to every receiver, and every
-  // (sender, receiver) slice equals the ids the buffer lists for that
-  // pair, in send order.
+  // (sender, receiver) slice equals the window's ids for that pair, in
+  // send order.
   const int n = 7;
   const int t = 1;
   Execution e(protocols::make_processes(ProtocolKind::Bracha, t,
@@ -189,8 +186,9 @@ TEST(WindowBatchIndex, BroadcastRunsMatchReceiverGrouping) {
       if (k > 1) ++multi;
       for (ProcId r = 0; r < n; ++r) {
         std::vector<MsgId> listed;
-        for (const Envelope& env : e.buffer().pending_to(r)) {
-          if (env.sender == s) listed.push_back(env.id);
+        for (const MsgId id : batch.ids()) {
+          const Envelope env = batch.envelope(id);
+          if (env.sender == s && env.receiver == r) listed.push_back(env.id);
         }
         EXPECT_EQ(std::vector<MsgId>(batch.from_to(s, r).begin(),
                                      batch.from_to(s, r).end()),
@@ -230,7 +228,7 @@ TEST(WindowBatchIndex, CountersDoNotLeakAcrossWindows) {
       for (ProcId r = 0; r < n; ++r) {
         EXPECT_EQ(batch.count(s, r), 1);
         ASSERT_EQ(batch.from_to(s, r).size(), 1u);
-        EXPECT_EQ(e.buffer().get(batch.from_to(s, r)[0]).sender, s);
+        EXPECT_EQ(batch.envelope(batch.from_to(s, r)[0]).sender, s);
       }
       EXPECT_EQ(batch.count_to(s), n);
     }
@@ -332,7 +330,7 @@ TEST(DeliverPlanRow, FastPathMatchesPerMessagePathAtN32) {
   const int n = 32;
   const int t = 5;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    // Fair: every row ascending + full cover → whole-list splice.
+    // Fair: every row ascending + full cover.
     {
       Execution fast = make_exec(ProtocolKind::Reset, n, t, seed);
       Execution ref = make_exec(ProtocolKind::Reset, n, t, seed);
@@ -345,7 +343,7 @@ TEST(DeliverPlanRow, FastPathMatchesPerMessagePathAtN32) {
       }
       expect_same_outcome(fast, ref);
     }
-    // Silencer: ascending partial cover → filtered whole-list walk.
+    // Silencer: ascending partial cover.
     {
       std::vector<ProcId> silenced;
       for (int i = 0; i < t; ++i) silenced.push_back(2 * i);
@@ -360,7 +358,7 @@ TEST(DeliverPlanRow, FastPathMatchesPerMessagePathAtN32) {
       }
       expect_same_outcome(fast, ref);
     }
-    // SplitKeeper: alternating vote order → walk scatters into plan order.
+    // SplitKeeper: alternating vote order, gathered in plan order.
     {
       Execution fast = make_exec(ProtocolKind::Reset, n, t, seed);
       Execution ref = make_exec(ProtocolKind::Reset, n, t, seed);
@@ -377,9 +375,8 @@ TEST(DeliverPlanRow, FastPathMatchesPerMessagePathAtN32) {
 }
 
 TEST(DeliverPlanRow, NonAscendingRowDeliversInPlanOrder) {
-  // A descending row's list order inverts its plan order; the walk must
-  // still emit exactly the plan order — observable through the recorded
-  // event sequence.
+  // A descending row inverts id order; the gather must still emit exactly
+  // the plan order — observable through the recorded event sequence.
   const int n = 6;
   const int t = 1;
   Execution e(protocols::make_processes(ProtocolKind::Reset, t,
