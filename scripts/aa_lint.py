@@ -31,18 +31,11 @@ across resume/chaos/replay — rests on invariants no compiler checks:
                        writers (core::write_file_atomic / bench_json's
                        write) so a SIGKILL never leaves a torn artifact.
                        std::ifstream (read-only) is always fine.
-  idmap-erase          No direct MsgIdMap::erase outside sim/buffer.cpp.
-                       The straggler map holds only ids below
-                       direct_base_; the retire path must erase
-                       CONDITIONALLY (id < direct_base_) or the
-                       map/direct-tier partition drifts and the audit
-                       throws. Only the buffer's own retire helper knows
-                       the watermark, so the raw erase is its alone.
 
 Waivers: a finding is suppressed when its line (or the line above) carries
     // aa-lint: <rule-waiver>(<reason>)
 with the rule's waiver token — ordered-ok, clock-ok, banned-ok,
-envelope-ok, write-ok, erase-ok — and a non-empty reason. A waiver without
+envelope-ok, write-ok — and a non-empty reason. A waiver without
 a reason is itself an error. Waive sparingly; the reason is reviewed, not
 parsed.
 
@@ -141,19 +134,6 @@ RULES = [
         allow=(),
         why="file writes must go through write_file_atomic / "
             "bench_json::write (crash-safe temp+rename)",
-    ),
-    Rule(
-        name="idmap-erase",
-        waiver="erase-ok",
-        # The straggler map holds only ids below direct_base_; a raw erase
-        # anywhere else cannot know the watermark and desyncs the two-tier
-        # id index. buffer.cpp's retire helper is the sole owner.
-        pattern=re.compile(r"\bid_map_\s*\.\s*erase\s*\("),
-        dirs=("src/", "tools/", "bench/", "examples/"),
-        allow=("src/sim/buffer.cpp",),
-        why="MsgIdMap::erase is buffer-internal — ids >= direct_base_ are "
-            "not in the map; route retirement through "
-            "MessageBuffer::mark_delivered",
     ),
 ]
 

@@ -1,5 +1,5 @@
 // Campaign engine: config-file-driven sweeps over the measure-one
-// checkers, sharing ONE CampaignContext (work-stealing pool + per-worker
+// checkers, sharing ONE CampaignContext (worker pool + per-worker
 // Execution scratch) across every cell. There is one schedule: every
 // pending cell's trial chunks go to the pool as one job list (in order,
 // inline, without a pool), and a cell lands — artifacts written — the
@@ -81,14 +81,16 @@ struct CampaignConfig {
   std::string output_dir; ///< JSON output directory ("" = don't write)
 
   // ---- robustness (chaos harness) ----
-  /// Run the engine invariant auditor at every window boundary of every
-  /// trial (`audit = true`). Opt-in: O(arena) per window.
+  /// Run the engine invariant auditor at every window boundary (window
+  /// model) or after every delivery (async model) of every trial
+  /// (`audit = true`). Opt-in: O(arena) per audit.
   bool audit = false;
   /// Sampled auditing (`audit_every = N`): audit every Nth window boundary
-  /// (0 = off). The cheap always-on variant for Release campaigns — the
-  /// auditor only throws on corruption, never changes a report, and the
-  /// sampled boundaries are a function of the window index alone (so the
-  /// determinism contract is untouched). `audit = true` overrides.
+  /// or every Nth async delivery (0 = off). The cheap always-on variant for
+  /// Release campaigns — the auditor only throws on corruption, never
+  /// changes a report, and the sampled points are a function of the window
+  /// index or delivery count alone (so the determinism contract is
+  /// untouched). `audit = true` overrides.
   int audit_every = 0;
   /// Fault-injection knobs (`chaos_crash_prob`, `chaos_crash_budget`,
   /// `chaos_reset_prob`, `chaos_censor_prob`, `chaos_censor_target`,

@@ -9,7 +9,7 @@
 //
 // One chunk body serves every caller: MeasureOneCheck::run_trials runs
 // trials [begin, end) of one check into a TrialTally. The checkers below
-// run one check's chunks on a CampaignContext's long-lived work-stealing
+// run one check's chunks on a CampaignContext's long-lived worker
 // pool; the campaign (core/campaign.hpp) runs the chunks of all its cells
 // as one job list on the same pool. Every worker reuses its per-context
 // Execution scratch across trials AND across checks — build one context

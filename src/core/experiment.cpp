@@ -27,7 +27,7 @@ bool check_validity(const sim::Execution& exec,
 
 CampaignContext::CampaignContext(const ParallelConfig& par) : par_(par) {
   const int threads = par_.resolved_threads();
-  if (threads > 1) pool_ = std::make_unique<WorkStealingPool>(threads);
+  if (threads > 1) pool_ = std::make_unique<WorkerPool>(threads);
   // One slot per pool worker plus a dedicated trailing slot for the
   // (single) off-pool caller thread that helps execute in TaskGroup::wait.
   scratch_.resize(static_cast<std::size_t>(threads) + 1);

@@ -64,12 +64,13 @@ struct Experiment {
   /// look-ahead horizon; 0 = unbounded). Ignored by the other protocols.
   int memory_k = 0;
   /// Run the engine invariant auditor (sim::Execution::audit) at every
-  /// window boundary. Opt-in: O(arena slots) per window.
+  /// window boundary, or after every async delivery. Opt-in: O(arena
+  /// slots) per audit.
   bool audit = false;
-  /// Sampled auditing: audit every Nth window boundary (0 = off). Cheap
-  /// enough for always-on invariant checking in Release campaigns; `audit`
-  /// overrides it to every-window. Never affects a report — the auditor
-  /// only throws on corruption.
+  /// Sampled auditing: audit every Nth window boundary or async delivery
+  /// (0 = off). Cheap enough for always-on invariant checking in Release
+  /// campaigns; `audit` overrides it to every one. Never affects a report —
+  /// the auditor only throws on corruption.
   int audit_every = 0;
   /// Latency & accountability lens (lens/trace.hpp): when set, every run
   /// streams publish/deliver/suppress/decision events into the worker's
@@ -137,7 +138,7 @@ struct WorkerScratch {
 };
 
 /// Shared execution context for a campaign: the parallel configuration, a
-/// long-lived work-stealing pool (when the config wants more than one
+/// long-lived worker pool (when the config wants more than one
 /// thread), and one WorkerScratch per thread that can execute work — the
 /// pool's workers plus the caller (TaskGroup::wait has the calling thread
 /// help run chunks). Build ONE context and thread it through every checker
@@ -158,7 +159,7 @@ class CampaignContext {
     return par_;
   }
   /// The shared pool, or nullptr when the config resolves to one thread.
-  [[nodiscard]] WorkStealingPool* pool() noexcept { return pool_.get(); }
+  [[nodiscard]] WorkerPool* pool() noexcept { return pool_.get(); }
 
   /// The calling thread's scratch slot: pool worker i gets slot i, any
   /// other thread the extra caller slot.
@@ -166,7 +167,7 @@ class CampaignContext {
 
  private:
   ParallelConfig par_;
-  std::unique_ptr<WorkStealingPool> pool_;  ///< null when serial
+  std::unique_ptr<WorkerPool> pool_;  ///< null when serial
   std::vector<WorkerScratch> scratch_;      ///< pool workers + 1 caller slot
 };
 

@@ -41,6 +41,7 @@ AsyncRunResult run_async(Execution& exec, AsyncAdversary& adv, int t,
     ++result.deliveries;
     // Atomic receive+send: publish the receiver's staged response now.
     exec.sending_step(receiver);
+    exec.audit_if_due(result.deliveries);
   }
   result.hit_step_limit = !done();
   return result;

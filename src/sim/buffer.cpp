@@ -19,14 +19,10 @@ void MessageBuffer::reset(int n) {
   AA_REQUIRE(n > 0, "MessageBuffer::reset: n must be positive");
   n_ = n;
   // Capacities kept everywhere; slots re-materialize allocation-free.
-  links_.clear();
-  meta_.clear();
-  envs_.clear();
+  slots_.clear();
   free_head_ = kNoSlot;
   id_map_.clear();
   next_id_ = 0;
-  direct_base_ = 0;
-  direct_slots_.clear();
   rcv_head_.assign(static_cast<std::size_t>(n), kNoSlot);
   rcv_tail_.assign(static_cast<std::size_t>(n), kNoSlot);
   sent_head_ = kNoSlot;
@@ -42,76 +38,61 @@ MsgId MessageBuffer::add_batch(ProcId sender,
                                std::int64_t window, std::int64_t chain) {
   AA_REQUIRE(sender >= 0 && sender < n_, "MessageBuffer::add_batch: bad sender");
   const MsgId first = next_id_;
-  if (items.empty()) return first;
   for (const StagedMessage& item : items) {
     AA_REQUIRE(item.to >= 0 && item.to < n_,
                "MessageBuffer::add_batch: bad receiver");
   }
-  if (direct_slots_.size() >= kDirectSpillLimit) spill_direct_index();
-  // The slot arrays may grow inside the loop, so all links go through
-  // indices; the send list's ends are threaded locally and stored once.
-  std::int32_t sent_head = sent_head_;
-  std::int32_t sent_tail = sent_tail_;
+  // The slot array may grow inside the loop, so all links go through
+  // indices.
   for (const StagedMessage& item : items) {
     const MsgId id = next_id_++;
     std::int32_t s;
     if (free_head_ != kNoSlot) {
       s = free_head_;
-      free_head_ = links_[static_cast<std::size_t>(s)].next_rcv;
+      free_head_ = slots_[static_cast<std::size_t>(s)].link.next_rcv;
     } else {
-      s = static_cast<std::int32_t>(envs_.size());
-      links_.emplace_back();
-      meta_.emplace_back();
-      envs_.emplace_back();
+      s = static_cast<std::int32_t>(slots_.size());
+      slots_.emplace_back();
     }
-    const auto si = static_cast<std::size_t>(s);
-    meta_[si] = Meta{id, item.to, sender};
-    envs_[si] = Envelope{id, sender, item.to, item.msg, window, chain};
-    Link& lk = links_[si];
+    Slot& slot = slots_[static_cast<std::size_t>(s)];
+    slot.env = Envelope{id, sender, item.to, item.msg, window, chain};
+    Link& lk = slot.link;
 
     // Append to the receiver list (staging order is ascending-id order).
     lk.prev_rcv = rcv_tail_[static_cast<std::size_t>(item.to)];
     lk.next_rcv = kNoSlot;
     if (lk.prev_rcv != kNoSlot) {
-      links_[static_cast<std::size_t>(lk.prev_rcv)].next_rcv = s;
+      slots_[static_cast<std::size_t>(lk.prev_rcv)].link.next_rcv = s;
     } else {
       rcv_head_[static_cast<std::size_t>(item.to)] = s;
     }
     rcv_tail_[static_cast<std::size_t>(item.to)] = s;
 
-    lk.prev_sent = sent_tail;
+    lk.prev_sent = sent_tail_;
     lk.next_sent = kNoSlot;
-    if (sent_tail != kNoSlot) {
-      links_[static_cast<std::size_t>(sent_tail)].next_sent = s;
+    if (sent_tail_ != kNoSlot) {
+      slots_[static_cast<std::size_t>(sent_tail_)].link.next_sent = s;
     } else {
-      sent_head = s;
+      sent_head_ = s;
     }
-    sent_tail = s;
+    sent_tail_ = s;
 
-    direct_slots_.push_back(s);
+    id_map_.insert(id, static_cast<std::uint32_t>(s));
   }
-  sent_head_ = sent_head;
-  sent_tail_ = sent_tail;
   pending_ += items.size();
   return first;
 }
 
 std::int32_t MessageBuffer::slot_of(MsgId id) const {
   AA_REQUIRE(id >= 0 && id < next_id_, "MessageBuffer: bad id");
-  if (id >= direct_base_) {
-    const std::int32_t s =
-        direct_slots_[static_cast<std::size_t>(id - direct_base_)];
-    return meta_[static_cast<std::size_t>(s)].id == id ? s : kNoSlot;
-  }
   const std::uint32_t s = id_map_.find(id);
-  return s == detail::MsgIdMap::kAbsent ? kNoSlot
-                                        : static_cast<std::int32_t>(s);
+  return s == MsgIdMap::kAbsent ? kNoSlot : static_cast<std::int32_t>(s);
 }
 
 const Envelope& MessageBuffer::get(MsgId id) const {
   const std::int32_t s = slot_of(id);
   AA_CHECK(s != kNoSlot, "MessageBuffer::get: id already retired");
-  return envs_[static_cast<std::size_t>(s)];
+  return slots_[static_cast<std::size_t>(s)].env;
 }
 
 bool MessageBuffer::is_pending(MsgId id) const {
@@ -119,59 +100,45 @@ bool MessageBuffer::is_pending(MsgId id) const {
 }
 
 void MessageBuffer::unlink_receiver(std::int32_t s) {
-  Link& lk = links_[static_cast<std::size_t>(s)];
-  const ProcId r = meta_[static_cast<std::size_t>(s)].receiver;
+  const Slot& slot = slots_[static_cast<std::size_t>(s)];
+  const Link lk = slot.link;
+  const ProcId r = slot.env.receiver;
   if (lk.prev_rcv != kNoSlot) {
-    links_[static_cast<std::size_t>(lk.prev_rcv)].next_rcv = lk.next_rcv;
+    slots_[static_cast<std::size_t>(lk.prev_rcv)].link.next_rcv = lk.next_rcv;
   } else {
     rcv_head_[static_cast<std::size_t>(r)] = lk.next_rcv;
   }
   if (lk.next_rcv != kNoSlot) {
-    links_[static_cast<std::size_t>(lk.next_rcv)].prev_rcv = lk.prev_rcv;
+    slots_[static_cast<std::size_t>(lk.next_rcv)].link.prev_rcv = lk.prev_rcv;
   } else {
     rcv_tail_[static_cast<std::size_t>(r)] = lk.prev_rcv;
   }
 }
 
 void MessageBuffer::unlink_sent(std::int32_t s) {
-  Link& lk = links_[static_cast<std::size_t>(s)];
+  const Link lk = slots_[static_cast<std::size_t>(s)].link;
   if (lk.prev_sent != kNoSlot) {
-    links_[static_cast<std::size_t>(lk.prev_sent)].next_sent = lk.next_sent;
+    slots_[static_cast<std::size_t>(lk.prev_sent)].link.next_sent =
+        lk.next_sent;
   } else {
     sent_head_ = lk.next_sent;
   }
   if (lk.next_sent != kNoSlot) {
-    links_[static_cast<std::size_t>(lk.next_sent)].prev_sent = lk.prev_sent;
+    slots_[static_cast<std::size_t>(lk.next_sent)].link.prev_sent =
+        lk.prev_sent;
   } else {
     sent_tail_ = lk.prev_sent;
   }
 }
 
 void MessageBuffer::retire(std::int32_t s) {
-  const auto si = static_cast<std::size_t>(s);
   unlink_receiver(s);
   unlink_sent(s);
-  const MsgId id = meta_[si].id;
-  if (id < direct_base_) id_map_.erase(id);
-  meta_[si].id = kNoMsg;
-  envs_[si].id = kNoMsg;
-  links_[si].next_rcv = free_head_;
+  Slot& slot = slots_[static_cast<std::size_t>(s)];
+  id_map_.erase(slot.env.id);
+  slot.env.id = kNoMsg;
+  slot.link.next_rcv = free_head_;
   free_head_ = s;
-}
-
-void MessageBuffer::spill_direct_index() {
-  if (!direct_slots_.empty()) {
-    id_map_.reserve_extra(pending_);
-    for (std::size_t i = 0; i < direct_slots_.size(); ++i) {
-      const std::int32_t s = direct_slots_[i];
-      const MsgId id = direct_base_ + static_cast<MsgId>(i);
-      if (meta_[static_cast<std::size_t>(s)].id == id) {
-        id_map_.insert_no_grow(id, static_cast<std::uint32_t>(s));
-      }
-    }
-    direct_slots_.clear();
-  }
-  direct_base_ = next_id_;
 }
 
 void MessageBuffer::mark_delivered(MsgId id) {
@@ -188,10 +155,6 @@ MsgId MessageBuffer::claim_ids(std::size_t count) {
   const MsgId first = next_id_;
   next_id_ += static_cast<MsgId>(count);
   claimed_ += count;
-  // Nothing is pending, so every direct-index entry is stale and the
-  // straggler map is empty: the index restarts at the new watermark.
-  direct_base_ = next_id_;
-  direct_slots_.clear();
   return first;
 }
 
@@ -210,20 +173,12 @@ void MessageBuffer::audit() const {
   // 0 = unseen, 1 = on a receiver list (pending, send-list membership not
   // yet confirmed), 2 = pending confirmed on both lists, 3 = on the free
   // list. Every slot must end in {2, 3}.
-  const std::size_t cap = envs_.size();
-  AA_CHECK(meta_.size() == cap && links_.size() == cap,
-           "audit: SoA slot arrays out of lockstep");
-  AA_CHECK(direct_base_ >= 0 && direct_base_ <= next_id_,
-           "audit: direct-index base outside [0, next_id]");
-  AA_CHECK(direct_slots_.size() ==
-               static_cast<std::size_t>(next_id_ - direct_base_),
-           "audit: direct index does not cover [direct_base, next_id)");
+  const std::size_t cap = slots_.size();
   std::vector<std::uint8_t> state(cap, 0);
 
   // Receiver lists: doubly-linked, acyclic, ascending-id, field-consistent,
-  // and every member resolves through its id tier back to its own slot.
+  // and every member resolves through the id map back to its own slot.
   std::size_t on_rcv_lists = 0;
-  std::size_t mapped_pending = 0;  // pending ids below the direct base
   for (ProcId r = 0; r < n_; ++r) {
     std::int32_t s = rcv_head_[static_cast<std::size_t>(r)];
     std::int32_t prev = kNoSlot;
@@ -234,36 +189,24 @@ void MessageBuffer::audit() const {
                "audit: receiver list points outside the slot arena");
       AA_CHECK(++steps <= cap, "audit: receiver list has a cycle");
       const auto si = static_cast<std::size_t>(s);
-      const Meta& mt = meta_[si];
-      const Envelope& env = envs_[si];
-      AA_CHECK(links_[si].prev_rcv == prev,
+      const Envelope& env = slots_[si].env;
+      AA_CHECK(slots_[si].link.prev_rcv == prev,
                "audit: receiver list prev link disagrees with walk");
-      AA_CHECK(mt.id != kNoMsg, "audit: retired slot on a receiver list");
-      AA_CHECK(mt.id < next_id_,
+      AA_CHECK(env.id != kNoMsg, "audit: retired slot on a receiver list");
+      AA_CHECK(env.id < next_id_,
                "audit: slot id beyond the issued-id watermark");
-      AA_CHECK(env.id == mt.id,
-               "audit: slot metadata id disagrees with its envelope");
-      AA_CHECK(mt.receiver == r && env.receiver == r,
-               "audit: slot on the wrong receiver list");
-      AA_CHECK(mt.sender == env.sender,
-               "audit: slot metadata sender disagrees with its envelope");
-      AA_CHECK(mt.id > last_id,
+      AA_CHECK(env.receiver == r, "audit: slot on the wrong receiver list");
+      AA_CHECK(env.sender >= 0 && env.sender < n_,
+               "audit: slot sender outside [0, n)");
+      AA_CHECK(env.id > last_id,
                "audit: receiver list ids not strictly ascending");
-      if (mt.id >= direct_base_) {
-        AA_CHECK(direct_slots_[static_cast<std::size_t>(
-                     mt.id - direct_base_)] == s,
-                 "audit: direct index does not resolve a pending id to its "
-                 "slot");
-      } else {
-        AA_CHECK(id_map_.find(mt.id) == static_cast<std::uint32_t>(s),
-                 "audit: id map does not resolve a pending id to its slot");
-        ++mapped_pending;
-      }
+      AA_CHECK(id_map_.find(env.id) == static_cast<std::uint32_t>(s),
+               "audit: id map does not resolve a pending id to its slot");
       AA_CHECK(state[si] == 0, "audit: slot reachable from two receiver lists");
       state[si] = 1;
-      last_id = mt.id;
+      last_id = env.id;
       prev = s;
-      s = links_[si].next_rcv;
+      s = slots_[si].link.next_rcv;
     }
     AA_CHECK(rcv_tail_[static_cast<std::size_t>(r)] == prev,
              "audit: receiver tail does not match the last list element");
@@ -271,22 +214,11 @@ void MessageBuffer::audit() const {
   }
   AA_CHECK(on_rcv_lists == pending_,
            "audit: pending_ counter disagrees with receiver-list population");
-
-  // Straggler map ↔ arena agreement in the other direction: every table
-  // entry is a pending id strictly below the direct base, pointing at the
-  // slot we just confirmed pending under the matching id.
-  AA_CHECK(id_map_.size() == mapped_pending,
-           "audit: id map size disagrees with the below-base pending count");
-  id_map_.for_each([&](MsgId key, std::uint32_t value) {
-    AA_CHECK(static_cast<std::size_t>(value) < cap,
-             "audit: id map entry points outside the slot arena");
-    AA_CHECK(key < direct_base_,
-             "audit: id map entry at or above the direct-index base");
-    AA_CHECK(state[value] == 1,
-             "audit: id map entry points at a slot not on a receiver list");
-    AA_CHECK(meta_[value].id == key,
-             "audit: id map key disagrees with the slot's id");
-  });
+  // Every pending id resolved to its own slot above, and the pending ids
+  // are distinct (the send list below is strictly ascending), so a map of
+  // exactly that size holds nothing else.
+  AA_CHECK(id_map_.size() == pending_,
+           "audit: id map size disagrees with the pending count");
 
   // Send list: doubly-linked, acyclic, ascending-id, one window, and
   // exactly the receiver-list population.
@@ -301,13 +233,12 @@ void MessageBuffer::audit() const {
                "audit: send list points outside the slot arena");
       AA_CHECK(++steps <= cap, "audit: send list has a cycle");
       const auto si = static_cast<std::size_t>(s);
-      const Envelope& env = envs_[si];
-      AA_CHECK(links_[si].prev_sent == prev,
+      const Envelope& env = slots_[si].env;
+      AA_CHECK(slots_[si].link.prev_sent == prev,
                "audit: send list prev link disagrees with walk");
-      AA_CHECK(env.id != kNoMsg && meta_[si].id == env.id,
-               "audit: retired slot on the send list");
+      AA_CHECK(env.id != kNoMsg, "audit: retired slot on the send list");
       AA_CHECK(env.window ==
-                   envs_[static_cast<std::size_t>(sent_head_)].window,
+                   slots_[static_cast<std::size_t>(sent_head_)].env.window,
                "audit: send list holds more than one window");
       AA_CHECK(env.id > last_id, "audit: send list ids not strictly ascending");
       AA_CHECK(state[si] == 1,
@@ -316,7 +247,7 @@ void MessageBuffer::audit() const {
       ++pending_on_sent_list;
       last_id = env.id;
       prev = s;
-      s = links_[si].next_sent;
+      s = slots_[si].link.next_sent;
     }
     AA_CHECK(sent_tail_ == prev,
              "audit: send list tail does not match the last list element");
@@ -324,8 +255,7 @@ void MessageBuffer::audit() const {
   AA_CHECK(pending_on_sent_list == pending_,
            "audit: send list does not cover the pending population");
 
-  // Free list (linked through next_rcv): acyclic, all members retired in
-  // BOTH arrays (a freed slot carries no id anywhere).
+  // Free list (linked through next_rcv): acyclic, all members retired.
   {
     std::int32_t s = free_head_;
     std::size_t steps = 0;
@@ -336,10 +266,10 @@ void MessageBuffer::audit() const {
       const auto si = static_cast<std::size_t>(s);
       AA_CHECK(state[si] == 0,
                "audit: free-list slot also reachable from a live list");
-      AA_CHECK(meta_[si].id == kNoMsg && envs_[si].id == kNoMsg,
+      AA_CHECK(slots_[si].env.id == kNoMsg,
                "audit: free-list slot still carries a live id");
       state[si] = 3;
-      s = links_[si].next_rcv;
+      s = slots_[si].link.next_rcv;
     }
   }
 
@@ -359,35 +289,18 @@ void MessageBuffer::audit() const {
 
 // ---- iteration ------------------------------------------------------------
 
-const Envelope& MessageBuffer::PendingIterator::operator*() const {
-  return buf_->envs_[static_cast<std::size_t>(cur_)];
-}
-
-void MessageBuffer::PendingIterator::prefetch() {
-  next_ = cur_ < 0 ? kNoSlot
-                   : buf_->links_[static_cast<std::size_t>(cur_)].next_rcv;
-}
-
-const Envelope& MessageBuffer::SendOrderIterator::operator*() const {
-  return buf_->envs_[static_cast<std::size_t>(cur_)];
-}
-
-void MessageBuffer::SendOrderIterator::prefetch() {
-  next_ = cur_ < 0 ? kNoSlot
-                   : buf_->links_[static_cast<std::size_t>(cur_)].next_sent;
-}
-
 MessageBuffer::Range<MessageBuffer::PendingIterator> MessageBuffer::pending_to(
     ProcId receiver) const {
   AA_REQUIRE(receiver >= 0 && receiver < n_, "pending_to: bad receiver");
-  return {PendingIterator(this, rcv_head_[static_cast<std::size_t>(receiver)]),
-          PendingIterator(this, kNoSlot)};
+  return {PendingIterator(slots_.data(),
+                          rcv_head_[static_cast<std::size_t>(receiver)]),
+          PendingIterator(slots_.data(), kNoSlot)};
 }
 
 MessageBuffer::Range<MessageBuffer::SendOrderIterator>
 MessageBuffer::all_pending() const {
-  return {SendOrderIterator(this, sent_head_),
-          SendOrderIterator(this, kNoSlot)};
+  return {SendOrderIterator(slots_.data(), sent_head_),
+          SendOrderIterator(slots_.data(), kNoSlot)};
 }
 
 // ---- allocating conveniences ----------------------------------------------

@@ -243,10 +243,10 @@ int Execution::deliver_plan_row(ProcId receiver, std::span<const ProcId> row) {
   const auto total = static_cast<std::size_t>(
       WindowBatch(&sc, n_).count_to(receiver));
   if (total == 0) return 0;  // nothing was published to this receiver
-  if (run_envs_.size() < total) {
-    run_envs_.resize(total);
+  if (run_envelopes_.size() < total) {
+    run_envelopes_.resize(total);
     run_ptrs_.resize(total);
-    for (std::size_t i = 0; i < total; ++i) run_ptrs_[i] = &run_envs_[i];
+    for (std::size_t i = 0; i < total; ++i) run_ptrs_[i] = &run_envelopes_[i];
   }
 
   // Gather the run in plan order: for each row sender, its ids to this
@@ -265,7 +265,7 @@ int Execution::deliver_plan_row(ProcId receiver, std::span<const ProcId> row) {
       std::uint8_t& done = sc.delivered[static_cast<std::size_t>(id - sc.base)];
       if (done != 0) continue;
       done = 1;
-      Envelope& env = run_envs_[k++];
+      Envelope& env = run_envelopes_[k++];
       env.id = id;
       env.sender = s;
       env.receiver = receiver;
@@ -280,7 +280,7 @@ int Execution::deliver_plan_row(ProcId receiver, std::span<const ProcId> row) {
 
   std::int64_t& chain = chain_[r];
   for (std::size_t i = 0; i < k; ++i) {
-    const Envelope& env = run_envs_[i];
+    const Envelope& env = run_envelopes_[i];
     record(StepKind::Receive, receiver, env.id);
     if (cfg_.lens != nullptr) cfg_.lens->on_deliver(env, window_, steps_);
     if (env.chain > chain) chain = env.chain;
@@ -319,7 +319,7 @@ void Execution::crash(ProcId p) {
 }
 
 void Execution::end_window() {
-  if (audit_due()) audit();
+  audit_if_due(window_);
   // The arena never crosses a window edge: window-model publication goes
   // through the window store, and the async model has no window edges.
   AA_CHECK(buffer_.pending_count() == buffer_.claimed_count(),
@@ -347,12 +347,13 @@ void Execution::end_window() {
   ++window_;
 }
 
-bool Execution::audit_due() const {
-  // Every-window auditing wins; otherwise sample the boundary of every
-  // audit_every'th window. The predicate depends only on the config and
-  // the window index, so sampled audits are deterministic per trial.
-  if (cfg_.audit) return true;
-  return cfg_.audit_every > 0 && window_ % cfg_.audit_every == 0;
+void Execution::audit_if_due(std::int64_t tick) const {
+  // Every-tick auditing wins; otherwise sample every audit_every'th tick.
+  // The predicate depends only on the config and the tick, so sampled
+  // audits are deterministic per trial.
+  if (cfg_.audit || (cfg_.audit_every > 0 && tick % cfg_.audit_every == 0)) {
+    audit();
+  }
 }
 
 void Execution::audit() const {

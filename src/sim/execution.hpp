@@ -60,14 +60,16 @@ struct Decision {
 struct ExecutionConfig {
   bool record_events = false;  ///< keep the full step log (memory-heavy)
   /// Run the invariant auditor (Execution::audit) at every window boundary
-  /// (end_window). Opt-in: O(slots) per
-  /// window, meant for chaos runs, CI sanitizer jobs and debugging.
+  /// (end_window) in the window model, and after every delivery in the
+  /// async model (run_async). Opt-in: O(slots) per audit, meant for chaos
+  /// runs, CI sanitizer jobs and debugging.
   bool audit = false;
   /// Sampled auditing: audit at every Nth window boundary (those where
-  /// window_index % N == 0; 0 = off). Cheap enough to leave on in Release
-  /// campaigns — the per-window cost amortizes to O(slots)/N. `audit`
-  /// overrides this to every-window when both are set. Auditing only ever
-  /// throws on corruption; it never changes a report.
+  /// window_index % N == 0), or after every Nth async delivery; 0 = off.
+  /// Cheap enough to leave on in Release campaigns — the cost amortizes to
+  /// O(slots)/N. `audit` overrides this to every boundary or delivery when
+  /// both are set. Auditing only ever throws on corruption; it never
+  /// changes a report.
   int audit_every = 0;
   /// Latency & accountability lens (lens/trace.hpp): when non-null, the
   /// engine streams publish/deliver/suppress/decision events into this
@@ -231,9 +233,16 @@ class Execution {
   /// processor, value ∈ {0,1}, agreeing with the live output bit, sane
   /// window/step stamps), crashed processors hold no staged messages, and
   /// scratch epoch-stamp freshness (no stamp from the future). Throws
-  /// std::logic_error on the first violation. Runs automatically at window
-  /// boundaries when ExecutionConfig::audit is set.
+  /// std::logic_error on the first violation. Runs automatically under
+  /// ExecutionConfig::audit / audit_every (see audit_if_due).
   void audit() const;
+
+  /// Run audit() when audit tick `tick` is due: every tick under
+  /// ExecutionConfig::audit, else every tick that ExecutionConfig::
+  /// audit_every divides. The window driver ticks once per window
+  /// boundary (end_window passes the window index), the async driver once
+  /// per delivery (run_async passes the delivery count).
+  void audit_if_due(std::int64_t tick) const;
 
  private:
   friend struct AuditTestAccess;
@@ -242,9 +251,6 @@ class Execution {
   std::span<const MsgId> publish_run(ProcId p, Outbox& out);
   void audit_window_store() const;
   void check_output_write_once(ProcId p, int before);
-  /// Whether this window boundary audits (cfg_.audit every window, or the
-  /// cfg_.audit_every sampling period divides the window index).
-  [[nodiscard]] bool audit_due() const;
 
   int n_;
   ExecutionConfig cfg_;
@@ -260,9 +266,9 @@ class Execution {
   std::vector<MsgId> published_;            ///< reused by sending_step
   /// deliver_plan_row's run scratch: the gathered envelopes in plan order,
   /// and one pointer per entry (the span on_receive_batch takes). Both
-  /// only grow, and the pointers are rebuilt whenever run_envs_ does.
-  std::vector<Envelope> run_envs_;
-  // aa-lint: envelope-ok(points into run_envs_ only, rebuilt when it grows)
+  /// only grow, and the pointers are rebuilt whenever run_envelopes_ does.
+  std::vector<Envelope> run_envelopes_;
+  // aa-lint: envelope-ok(points into run_envelopes_, rebuilt when it grows)
   std::vector<const Envelope*> run_ptrs_;
   WindowScratch scratch_;
   std::int64_t window_ = 0;

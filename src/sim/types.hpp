@@ -56,9 +56,10 @@ struct StagedMessage {
 
 /// A message instance in flight: payload plus channel metadata maintained by
 /// the engine. `window` is the acceptable-window index at which the sending
-/// step occurred (or the async batch counter in the crash model). `chain` is
-/// the message-chain depth (§2's running-time measure for the crash model):
-/// 1 + the longest chain among messages its sender had received when it sent.
+/// step occurred (always 0 in the crash model, which has no windows).
+/// `chain` is the message-chain depth (§2's running-time measure for the
+/// crash model): 1 + the longest chain among messages its sender had
+/// received when it sent.
 struct Envelope {
   MsgId id = kNoMsg;
   ProcId sender = -1;

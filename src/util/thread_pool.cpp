@@ -35,26 +35,20 @@ namespace {
 
 /// Identity of the pool-worker thread this is, if any. Keyed per pool so
 /// nested/multiple pools never alias each other's worker indices.
-thread_local const WorkStealingPool* tl_pool = nullptr;
+thread_local const WorkerPool* tl_pool = nullptr;
 thread_local int tl_worker_index = -1;
 
 }  // namespace
 
-WorkStealingPool::WorkStealingPool(int threads) {
-  AA_REQUIRE(threads >= 1, "WorkStealingPool: need at least one worker");
-  {
-    // Workers start immediately; size the deques under the lock so the
-    // analysis (and TSan) see the handoff explicitly.
-    MutexLock lock(mu_);
-    deques_.resize(static_cast<std::size_t>(threads));
-  }
+WorkerPool::WorkerPool(int threads) {
+  AA_REQUIRE(threads >= 1, "WorkerPool: need at least one worker");
   workers_.reserve(static_cast<std::size_t>(threads));
   for (int i = 0; i < threads; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
   }
 }
 
-WorkStealingPool::~WorkStealingPool() {
+WorkerPool::~WorkerPool() {
   {
     MutexLock lock(mu_);
     stopping_ = true;
@@ -63,48 +57,40 @@ WorkStealingPool::~WorkStealingPool() {
   for (std::thread& w : workers_) w.join();
 }
 
-int WorkStealingPool::worker_index() const noexcept {
+int WorkerPool::worker_index() const noexcept {
   return tl_pool == this ? tl_worker_index : -1;
 }
 
-void WorkStealingPool::TaskGroup::submit(std::function<void()> job) {
+void WorkerPool::TaskGroup::submit(std::function<void()> job) {
   {
     MutexLock lock(mu_);
     ++outstanding_;
   }
-  WorkStealingPool& p = pool_;
+  WorkerPool& p = pool_;
   {
     MutexLock lock(p.mu_);
-    AA_REQUIRE(!p.stopping_, "WorkStealingPool: submit after shutdown");
-    p.deques_[p.next_queue_].push_back(Job{std::move(job), this});
-    p.next_queue_ = (p.next_queue_ + 1) % p.deques_.size();
-    ++p.queued_;
+    AA_REQUIRE(!p.stopping_, "WorkerPool: submit after shutdown");
+    p.queue_.push_back(Job{std::move(job), this});
   }
   p.work_ready_.notify_one();
 }
 
-void WorkStealingPool::TaskGroup::wait() {
+void WorkerPool::TaskGroup::wait() {
   // Help execute this group's queued jobs; once none are queued the rest
   // are in flight on workers, so block until they finish.
   for (;;) {
     Job job;
-    bool found = false;
     {
       MutexLock lock(pool_.mu_);
-      for (std::deque<Job>& dq : pool_.deques_) {
-        for (auto it = dq.begin(); it != dq.end(); ++it) {
-          if (it->group == this) {
-            job = std::move(*it);
-            dq.erase(it);
-            --pool_.queued_;
-            found = true;
-            break;
-          }
-        }
-        if (found) break;
+      std::deque<Job>& q = pool_.queue_;
+      const auto it = std::find_if(
+          q.begin(), q.end(), [this](const Job& j) { return j.group == this; });
+      if (it != q.end()) {
+        job = std::move(*it);
+        q.erase(it);
       }
     }
-    if (found) {
+    if (job.group != nullptr) {
       pool_.run_job(job);
       continue;
     }
@@ -120,56 +106,30 @@ void WorkStealingPool::TaskGroup::wait() {
   }
 }
 
-WorkStealingPool::TaskGroup::~TaskGroup() {
+WorkerPool::TaskGroup::~TaskGroup() {
   // The pool holds raw pointers to this group while jobs are in flight;
   // never let it dangle, even if the caller skipped wait().
   MutexLock lock(mu_);
   while (outstanding_ != 0) done_.wait(lock);
 }
 
-void WorkStealingPool::worker_loop(int index) {
+void WorkerPool::worker_loop(int index) {
   tl_pool = this;
   tl_worker_index = index;
   for (;;) {
     Job job;
     {
       MutexLock lock(mu_);
-      while (!stopping_ && queued_ == 0) work_ready_.wait(lock);
-      if (queued_ == 0) return;  // stopping_ with drained deques
-      const bool popped = try_pop(index, job);
-      AA_CHECK(popped, "WorkStealingPool: queued_ > 0 but no job found");
+      while (!stopping_ && queue_.empty()) work_ready_.wait(lock);
+      if (queue_.empty()) return;  // stopping_ with a drained queue
+      job = std::move(queue_.front());
+      queue_.pop_front();
     }
     run_job(job);
   }
 }
 
-bool WorkStealingPool::try_pop(int home, Job& out) {
-  // Caller holds mu_ (enforced: AA_REQUIRES). Own deque first (front:
-  // oldest of our share), then steal from the back of the busiest sibling.
-  const std::size_t w = deques_.size();
-  auto& own = deques_[static_cast<std::size_t>(home)];
-  if (!own.empty()) {
-    out = std::move(own.front());
-    own.pop_front();
-    --queued_;
-    return true;
-  }
-  std::size_t victim = w;
-  std::size_t victim_load = 0;
-  for (std::size_t i = 0; i < w; ++i) {
-    if (deques_[i].size() > victim_load) {
-      victim = i;
-      victim_load = deques_[i].size();
-    }
-  }
-  if (victim == w) return false;
-  out = std::move(deques_[victim].back());
-  deques_[victim].pop_back();
-  --queued_;
-  return true;
-}
-
-void WorkStealingPool::run_job(Job& job) {
+void WorkerPool::run_job(Job& job) {
   std::exception_ptr error;
   if (!job.group->failed_.load(std::memory_order_relaxed)) {
     try {
@@ -181,8 +141,7 @@ void WorkStealingPool::run_job(Job& job) {
   finish_job(job.group, std::move(error));
 }
 
-void WorkStealingPool::finish_job(TaskGroup* group,
-                                  std::exception_ptr error) {
+void WorkerPool::finish_job(TaskGroup* group, std::exception_ptr error) {
   // Notify while still holding the lock: once outstanding_ reaches 0 the
   // waiter may return and destroy the group (and its CondVar) as soon as
   // it can take mu_, so nothing may touch the group after the unlock.
@@ -197,7 +156,7 @@ void WorkStealingPool::finish_job(TaskGroup* group,
 void parallel_for_chunks(
     std::int64_t total, const ParallelConfig& cfg,
     const std::function<void(int, std::int64_t, std::int64_t)>& body,
-    WorkStealingPool* pool) {
+    WorkerPool* pool) {
   const int chunks = chunk_count(total, cfg);
   if (chunks == 0) return;
   const auto run_chunk = [&](int ci) {
@@ -210,7 +169,7 @@ void parallel_for_chunks(
     for (int ci = 0; ci < chunks; ++ci) run_chunk(ci);
     return;
   }
-  WorkStealingPool::TaskGroup group(*pool);
+  WorkerPool::TaskGroup group(*pool);
   for (int ci = 0; ci < chunks; ++ci) {
     group.submit([&run_chunk, ci] { run_chunk(ci); });
   }

@@ -1,6 +1,6 @@
 // Worker-thread pool and deterministic work sharding for the trial engines.
 //
-// One pool type (WorkStealingPool, long-lived, shared across every check
+// One pool type (WorkerPool, long-lived, shared across every check
 // of a campaign) and one sharding entry point (parallel_for_chunks, which
 // runs inline when given no pool). Parallel Monte-Carlo rests on two
 // invariants:
@@ -21,10 +21,9 @@
 // call over (cell, chunk) jobs.
 //
 // Lock discipline is statically checked: every mutex-guarded member below
-// carries AA_GUARDED_BY and internal helpers declare AA_REQUIRES
-// (util/annotations.hpp), so a clang build with -Wthread-safety — the CI
-// Werror job — proves at compile time that no access slips outside its
-// lock. A TSan CI job (cmake -DAA_SANITIZE=thread) checks the same claims
+// carries AA_GUARDED_BY (util/annotations.hpp), so a clang build with
+// -Wthread-safety — the CI Werror job — proves at compile time that no
+// access slips outside its lock. A TSan CI job (cmake -DAA_SANITIZE=thread) checks the same claims
 // dynamically on the concurrency-heavy tests.
 #pragma once
 
@@ -68,32 +67,33 @@ struct ChunkRange {
 [[nodiscard]] ChunkRange chunk_range(int ci, std::int64_t total,
                                      const ParallelConfig& cfg);
 
-/// Long-lived work-stealing pool for campaign-scale workloads: one pool is
+/// Long-lived worker pool for campaign-scale workloads: one pool is
 /// created per campaign (core::CampaignContext) and shared across every
 /// check it runs, instead of a spawn/join cycle per check (the overhead
 /// that flattened BENCH_t1/t2's parallel speedup to ~1x).
 ///
 /// Design:
-///   * One mutex-protected deque per worker. submit() distributes jobs
-///     round-robin across the deques; a worker drains its own deque first
-///     and then STEALS from the others, so uneven job costs (trials that
-///     decide in 3 windows next to trials that run 50k) never leave a
-///     worker idle while another has a backlog.
+///   * One mutex-protected FIFO job queue. Jobs are coarse chunks, so the
+///     workers rarely contend for the lock, and a free worker always takes
+///     the oldest job: uneven job costs (trials that decide in 3 windows
+///     next to trials that run 50k) never leave a worker idle while jobs
+///     wait.
 ///   * Completion is tracked per TaskGroup, not per pool: many callers can
 ///     share one pool (sequentially or concurrently) and each waits only
 ///     for its own jobs.
-///   * TaskGroup::wait() has the calling thread help execute jobs instead
-///     of blocking, so a campaign driver thread is a worker too.
+///   * TaskGroup::wait() has the calling thread help execute its group's
+///     jobs instead of blocking, so a campaign driver thread is a worker
+///     too.
 ///   * Determinism is unaffected: scheduling only decides WHERE a chunk
 ///     runs; parallel_for_chunks still merges per-chunk partials in chunk
 ///     order (see the file comment's invariant 2).
-class WorkStealingPool {
+class WorkerPool {
  public:
-  explicit WorkStealingPool(int threads);
-  ~WorkStealingPool();
+  explicit WorkerPool(int threads);
+  ~WorkerPool();
 
-  WorkStealingPool(const WorkStealingPool&) = delete;
-  WorkStealingPool& operator=(const WorkStealingPool&) = delete;
+  WorkerPool(const WorkerPool&) = delete;
+  WorkerPool& operator=(const WorkerPool&) = delete;
 
   [[nodiscard]] int size() const noexcept {
     return static_cast<int>(workers_.size());
@@ -107,7 +107,7 @@ class WorkStealingPool {
   /// Tracks completion of one batch of jobs on a shared pool.
   class TaskGroup {
    public:
-    explicit TaskGroup(WorkStealingPool& pool) : pool_(pool) {}
+    explicit TaskGroup(WorkerPool& pool) : pool_(pool) {}
     ~TaskGroup();
 
     TaskGroup(const TaskGroup&) = delete;
@@ -123,9 +123,9 @@ class WorkStealingPool {
     void wait();
 
    private:
-    friend class WorkStealingPool;
+    friend class WorkerPool;
 
-    WorkStealingPool& pool_;
+    WorkerPool& pool_;
     Mutex mu_;
     CondVar done_;
     std::exception_ptr first_error_ AA_GUARDED_BY(mu_);
@@ -143,19 +143,14 @@ class WorkStealingPool {
   };
 
   void worker_loop(int index);
-  /// Pop a job, preferring deque `home` and stealing otherwise. Returns
-  /// false when every deque is empty.
-  bool try_pop(int home, Job& out) AA_REQUIRES(mu_);
   void run_job(Job& job);
   static void finish_job(TaskGroup* group, std::exception_ptr error);
 
   std::vector<std::thread> workers_;  ///< written in the ctor only
 
-  Mutex mu_;  ///< guards the deques (cheap: jobs are coarse chunks)
+  Mutex mu_;  ///< guards the queue (cheap: jobs are coarse chunks)
   CondVar work_ready_;
-  std::vector<std::deque<Job>> deques_ AA_GUARDED_BY(mu_);
-  std::size_t next_queue_ AA_GUARDED_BY(mu_) = 0;
-  std::size_t queued_ AA_GUARDED_BY(mu_) = 0;
+  std::deque<Job> queue_ AA_GUARDED_BY(mu_);
   bool stopping_ AA_GUARDED_BY(mu_) = false;
 };
 
@@ -172,6 +167,6 @@ class WorkStealingPool {
 void parallel_for_chunks(
     std::int64_t total, const ParallelConfig& cfg,
     const std::function<void(int, std::int64_t, std::int64_t)>& body,
-    WorkStealingPool* pool);
+    WorkerPool* pool);
 
 }  // namespace aa

@@ -1,8 +1,9 @@
 // Memory and order regression tests for the two message stores: the window
 // store's run vectors must stay flat over long horizons, and the recycling
 // MessageBuffer arena must preserve the append-only store's ascending-id
-// iteration order exactly (checker reports depend on it), through both id
-// tiers and the window store's id claims.
+// iteration order exactly (checker reports depend on it), through slot
+// recycling and the window store's id claims, with its id index sized by
+// the live messages rather than the ids issued.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -95,9 +96,9 @@ struct NaiveModel {
 };
 
 TEST(Arena, IterationOrderMatchesSeedIdOrderUnderChurn) {
-  // Random interleaving of publication, per-id deliveries, direct-index
-  // spills (the async regime's long-lived ids) and, whenever the arena
-  // drains, window-store id claims that move the watermark past it. After
+  // Random interleaving of publication, per-id deliveries and, whenever
+  // the arena drains, window-store id claims that move the watermark past
+  // it. After
   // every mutation batch, every query must agree with the naive
   // ascending-id model — order included — and the arena must pass its
   // audit.
@@ -130,9 +131,8 @@ TEST(Arena, IterationOrderMatchesSeedIdOrderUnderChurn) {
         model.retire(id);
       }
     }
-    // Occasionally move the live ids to the straggler tier; when the arena
-    // is empty, claim a window's worth of ids and settle them.
-    if (rng.uniform_index(6) == 0) buf.spill_direct_index();
+    // When the arena is empty, claim a window's worth of ids and settle
+    // them.
     if (buf.pending_count() == 0) {
       const auto claimed = 1 + rng.uniform_index(9);
       (void)buf.claim_ids(claimed);
@@ -149,6 +149,69 @@ TEST(Arena, IterationOrderMatchesSeedIdOrderUnderChurn) {
   }
   EXPECT_GT(buf.total_sent(), 400u);
   EXPECT_GT(claims, 20);
+}
+
+TEST(Arena, IdIndexStaysBoundedPastTheOldSpillLimit) {
+  // A long async run: more than 2^17 ids flow through one buffer while a
+  // few stragglers published first stay pending throughout. The slot arena
+  // and the id index are sized by the live messages, so both stay flat
+  // after the first round, and the stragglers still resolve at the end.
+  const int n = 4;
+  MessageBuffer buf(n);
+  Rng rng(99);
+  Message m;
+  std::vector<StagedMessage> stragglers;
+  for (int k = 0; k < 8; ++k) {
+    m.kind = 1000 + k;
+    stragglers.push_back({static_cast<ProcId>(k % n), m});
+  }
+  const MsgId first_straggler = buf.add_batch(0, stragglers, 0, 1);
+
+  std::vector<StagedMessage> batch;
+  for (int k = 0; k < 64; ++k) {
+    m.kind = k;
+    batch.push_back({static_cast<ProcId>(k % n), m});
+  }
+  std::size_t slots_after_warmup = 0;
+  std::size_t index_after_warmup = 0;
+  std::vector<MsgId> ids(batch.size());
+  for (int round = 0; buf.total_sent() <= (std::size_t{1} << 17) + 1000;
+       ++round) {
+    const MsgId first =
+        buf.add_batch(static_cast<ProcId>(round % n), batch, 0, 1);
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      ids[k] = first + static_cast<MsgId>(k);
+    }
+    // Deliver the round in a random order (erases from all over the table).
+    for (std::size_t k = ids.size(); k > 1; --k) {
+      std::swap(ids[k - 1], ids[rng.uniform_index(k)]);
+    }
+    for (const MsgId id : ids) buf.mark_delivered(id);
+    if (round == 0) {
+      slots_after_warmup = buf.slot_capacity();
+      index_after_warmup = buf.id_index_capacity();
+    }
+    ASSERT_EQ(buf.slot_capacity(), slots_after_warmup) << "round " << round;
+    ASSERT_EQ(buf.id_index_capacity(), index_after_warmup)
+        << "round " << round;
+    if (round % 512 == 0) {
+      ASSERT_NO_THROW(buf.audit()) << "round " << round;
+    }
+  }
+  EXPECT_EQ(slots_after_warmup, stragglers.size() + batch.size());
+  EXPECT_LE(index_after_warmup, 4 * slots_after_warmup);
+
+  ASSERT_EQ(buf.pending_count(), stragglers.size());
+  for (std::size_t k = 0; k < stragglers.size(); ++k) {
+    const MsgId id = first_straggler + static_cast<MsgId>(k);
+    ASSERT_TRUE(buf.is_pending(id));
+    EXPECT_EQ(buf.get(id).payload.kind, 1000 + static_cast<int>(k));
+    EXPECT_EQ(buf.get(id).receiver, stragglers[k].to);
+    buf.mark_delivered(id);
+    EXPECT_FALSE(buf.is_pending(id));
+  }
+  EXPECT_EQ(buf.pending_count(), 0u);
+  EXPECT_NO_THROW(buf.audit());
 }
 
 TEST(Arena, RecycledSlotsKeepIdsDistinct) {

@@ -4,7 +4,9 @@
 #include <stdexcept>
 #include <vector>
 
+#include "adversary/async_adversaries.hpp"
 #include "adversary/window_adversaries.hpp"
+#include "sim/async.hpp"
 #include "sim/buffer.hpp"
 #include "sim/execution.hpp"
 #include "sim/window.hpp"
@@ -24,30 +26,18 @@ struct AuditTestAccess {
     return b.rcv_head_[static_cast<std::size_t>(r)];
   }
   static void set_next_rcv(MessageBuffer& b, std::int32_t s, std::int32_t v) {
-    b.links_[static_cast<std::size_t>(s)].next_rcv = v;
-  }
-  /// Forge the retired mark on a still-linked slot (clear the metadata id
-  /// the SoA arena uses as its pending marker).
-  static void clear_meta_id(MessageBuffer& b, std::int32_t s) {
-    b.meta_[static_cast<std::size_t>(s)].id = kNoMsg;
+    b.slots_[static_cast<std::size_t>(s)].link.next_rcv = v;
   }
   static Envelope& env(MessageBuffer& b, std::int32_t s) {
-    return b.envs_[static_cast<std::size_t>(s)];
+    return b.slots_[static_cast<std::size_t>(s)].env;
   }
-  /// Break a pending id's resolution in whichever tier owns it: point the
-  /// direct-index entry at the wrong slot, or erase the straggler-map
-  /// entry.
+  /// Break a pending id's resolution: remap it to another slot, keeping
+  /// the map's size.
   static void unresolve_id(MessageBuffer& b, MsgId id) {
-    if (id >= b.direct_base_) {
-      std::int32_t& entry =
-          b.direct_slots_[static_cast<std::size_t>(id - b.direct_base_)];
-      entry = entry == 0 ? 1 : 0;  // any other slot index
-    } else {
-      // aa-lint: erase-ok(audit self-test plants the corruption it detects)
-      b.id_map_.erase(id);
-    }
+    const std::int32_t s = b.slot_of(id);
+    b.id_map_.erase(id);
+    b.id_map_.insert(id, s == 0 ? 1 : 0);  // any other slot index
   }
-  static void spill(MessageBuffer& b) { b.spill_direct_index(); }
   static void bump_pending(MessageBuffer& b) { ++b.pending_; }
   static void set_free_head(MessageBuffer& b, std::int32_t s) {
     b.free_head_ = s;
@@ -110,27 +100,17 @@ TEST(BufferAudit, DetectsReceiverListCycle) {
   EXPECT_THROW(buf.audit(), std::logic_error);
 }
 
-TEST(BufferAudit, DetectsDirectIndexEntryBroken) {
-  // Fresh ids live in the direct tier: break its entry for a pending id.
+TEST(BufferAudit, DetectsIdMapEntryBroken) {
   MessageBuffer buf = busy_buffer();
-  AuditTestAccess::unresolve_id(buf, live_id(buf));
-  EXPECT_THROW(buf.audit(), std::logic_error);
-}
-
-TEST(BufferAudit, DetectsIdMapEntryMissingAfterSpill) {
-  // After a spill every live id resolves through the straggler map; the
-  // same corruption must be caught on that tier too.
-  MessageBuffer buf = busy_buffer();
-  AuditTestAccess::spill(buf);
-  EXPECT_NO_THROW(buf.audit());  // the spill itself is invariant-preserving
   AuditTestAccess::unresolve_id(buf, live_id(buf));
   EXPECT_THROW(buf.audit(), std::logic_error);
 }
 
 TEST(BufferAudit, DetectsRetiredMarkOnLinkedSlot) {
+  // Forge the free-slot mark (id kNoMsg) on a still-linked slot.
   MessageBuffer buf = busy_buffer();
-  AuditTestAccess::clear_meta_id(buf,
-                                 AuditTestAccess::slot_of(buf, live_id(buf)));
+  const std::int32_t slot = AuditTestAccess::slot_of(buf, live_id(buf));
+  AuditTestAccess::env(buf, slot).id = kNoMsg;
   EXPECT_THROW(buf.audit(), std::logic_error);
 }
 
@@ -265,6 +245,37 @@ TEST(ExecutionAudit, BufferCorruptionSurfacesThroughExecutionAudit) {
   ASSERT_GT(buf.pending_count(), 0u);
   AuditTestAccess::bump_pending(buf);
   EXPECT_THROW(exec.audit(), std::logic_error);
+}
+
+TEST(ExecutionAudit, AsyncRunsAuditAfterDeliveriesWhenAsked) {
+  // run_async audits after every delivery under `audit`, and after every
+  // Nth delivery under `audit_every = N`; with neither, a planted
+  // corruption goes unnoticed.
+  struct Case {
+    bool audit;
+    int audit_every;
+    std::int64_t max_deliveries;
+    bool throws;
+  };
+  for (const Case c : {Case{false, 0, 5, false}, Case{true, 0, 1, true},
+                       Case{false, 5, 4, false}, Case{false, 5, 5, true}}) {
+    ExecutionConfig cfg;
+    cfg.audit = c.audit;
+    cfg.audit_every = c.audit_every;
+    Execution exec(ping_procs(4), 7, cfg);
+    AuditTestAccess::bump_pending(AuditTestAccess::buffer(exec));
+    adversary::RandomAsyncScheduler adv(Rng(3));
+    if (c.throws) {
+      EXPECT_THROW(run_async(exec, adv, /*t=*/1, c.max_deliveries),
+                   std::logic_error)
+          << "audit_every " << c.audit_every;
+    } else {
+      AsyncRunResult r;
+      EXPECT_NO_THROW(r = run_async(exec, adv, /*t=*/1, c.max_deliveries))
+          << "audit_every " << c.audit_every;
+      EXPECT_EQ(r.deliveries, c.max_deliveries);
+    }
+  }
 }
 
 }  // namespace

@@ -33,8 +33,8 @@ TEST(ParallelForChunks, ChunkingDependsOnlyOnTotalAndChunkSize) {
 }
 
 TEST(ParallelForChunks, CoversEveryIndexExactlyOnce) {
-  WorkStealingPool pool(4);
-  for (WorkStealingPool* p : {static_cast<WorkStealingPool*>(nullptr), &pool}) {
+  WorkerPool pool(4);
+  for (WorkerPool* p : {static_cast<WorkerPool*>(nullptr), &pool}) {
     for (const ParallelConfig cfg :
          {ParallelConfig{.threads = 4, .chunk_size = 7},
           ParallelConfig{.threads = 4, .chunk_size = 1},
@@ -55,7 +55,7 @@ TEST(ParallelForChunks, CoversEveryIndexExactlyOnce) {
 }
 
 TEST(ParallelForChunks, ChunkIndexMatchesRange) {
-  WorkStealingPool pool(4);
+  WorkerPool pool(4);
   const ParallelConfig cfg{.threads = 4, .chunk_size = 10};
   std::vector<std::pair<std::int64_t, std::int64_t>> ranges(
       static_cast<std::size_t>(chunk_count(42, cfg)));
@@ -97,9 +97,9 @@ TEST(ParallelForChunks, NullPoolRunsInlineInChunkOrder) {
 }
 
 TEST(ParallelForChunks, PropagatesBodyException) {
-  WorkStealingPool pool(4);
+  WorkerPool pool(4);
   const ParallelConfig cfg{.threads = 4, .chunk_size = 1};
-  for (WorkStealingPool* p : {static_cast<WorkStealingPool*>(nullptr), &pool}) {
+  for (WorkerPool* p : {static_cast<WorkerPool*>(nullptr), &pool}) {
     EXPECT_THROW(parallel_for_chunks(
                      16, cfg,
                      [](int ci, std::int64_t, std::int64_t) {
@@ -115,7 +115,7 @@ TEST(ParallelForChunks, SkipsChunksNotStartedAfterAThrow) {
   // not run every other cell first. Chunk 1 holds its thread until chunk 0
   // has thrown and a little longer, so the error is recorded before the
   // next chunk starts.
-  WorkStealingPool pool(1);
+  WorkerPool pool(1);
   const ParallelConfig cfg{.threads = 2, .chunk_size = 1};
   std::atomic<bool> thrown{false};
   std::atomic<int> ran{0};
@@ -138,11 +138,11 @@ TEST(ParallelForChunks, SkipsChunksNotStartedAfterAThrow) {
   EXPECT_LT(ran.load(), 100);
 }
 
-// ---- WorkStealingPool ------------------------------------------------------
+// ---- WorkerPool ------------------------------------------------------------
 
-TEST(WorkStealingPool, RunsEverySubmittedJob) {
-  WorkStealingPool pool(4);
-  WorkStealingPool::TaskGroup group(pool);
+TEST(WorkerPool, RunsEverySubmittedJob) {
+  WorkerPool pool(4);
+  WorkerPool::TaskGroup group(pool);
   std::atomic<int> hits{0};
   for (int i = 0; i < 200; ++i) {
     group.submit([&hits] { hits.fetch_add(1, std::memory_order_relaxed); });
@@ -151,13 +151,13 @@ TEST(WorkStealingPool, RunsEverySubmittedJob) {
   EXPECT_EQ(hits.load(), 200);
 }
 
-TEST(WorkStealingPool, GroupsTrackCompletionIndependently) {
+TEST(WorkerPool, GroupsTrackCompletionIndependently) {
   // Two groups sharing one pool: each wait() sees only its own jobs done.
-  WorkStealingPool pool(3);
+  WorkerPool pool(3);
   std::atomic<int> a{0};
   std::atomic<int> b{0};
-  WorkStealingPool::TaskGroup ga(pool);
-  WorkStealingPool::TaskGroup gb(pool);
+  WorkerPool::TaskGroup ga(pool);
+  WorkerPool::TaskGroup gb(pool);
   for (int i = 0; i < 50; ++i) {
     ga.submit([&a] { a.fetch_add(1, std::memory_order_relaxed); });
     gb.submit([&b] { b.fetch_add(1, std::memory_order_relaxed); });
@@ -168,11 +168,11 @@ TEST(WorkStealingPool, GroupsTrackCompletionIndependently) {
   EXPECT_EQ(b.load(), 50);
 }
 
-TEST(WorkStealingPool, ReusableAcrossManyBatches) {
+TEST(WorkerPool, ReusableAcrossManyBatches) {
   // The campaign pattern: one long-lived pool, a fresh group per check.
-  WorkStealingPool pool(4);
+  WorkerPool pool(4);
   for (int round = 0; round < 20; ++round) {
-    WorkStealingPool::TaskGroup group(pool);
+    WorkerPool::TaskGroup group(pool);
     std::atomic<int> hits{0};
     for (int i = 0; i < 16; ++i) {
       group.submit([&hits] { hits.fetch_add(1, std::memory_order_relaxed); });
@@ -182,14 +182,14 @@ TEST(WorkStealingPool, ReusableAcrossManyBatches) {
   }
 }
 
-TEST(WorkStealingPool, WorkerIndexIdentifiesPoolThreads) {
-  WorkStealingPool pool(4);
+TEST(WorkerPool, WorkerIndexIdentifiesPoolThreads) {
+  WorkerPool pool(4);
   EXPECT_EQ(pool.worker_index(), -1);  // the submitting thread is off-pool
   // Every observed worker index is a valid scratch slot. The caller (which
   // helps execute in wait()) reports -1; pool workers report [0, size()).
   std::mutex mu;
   std::vector<int> seen;
-  WorkStealingPool::TaskGroup group(pool);
+  WorkerPool::TaskGroup group(pool);
   for (int i = 0; i < 64; ++i) {
     group.submit([&] {
       const int idx = pool.worker_index();
@@ -205,9 +205,9 @@ TEST(WorkStealingPool, WorkerIndexIdentifiesPoolThreads) {
   }
 }
 
-TEST(WorkStealingPool, WaitRethrowsFirstError) {
-  WorkStealingPool pool(2);
-  WorkStealingPool::TaskGroup group(pool);
+TEST(WorkerPool, WaitRethrowsFirstError) {
+  WorkerPool pool(2);
+  WorkerPool::TaskGroup group(pool);
   for (int i = 0; i < 8; ++i) {
     group.submit([i] {
       if (i == 3) throw std::runtime_error("job 3");

@@ -11,7 +11,9 @@
 //                        start; an expired cell is retried once at 2N,
 //                        then marked failed (N <= 10^12)
 //   --audit              run the engine invariant auditor every window
+//                        (async: every delivery)
 //   --audit-every N      sampled auditor: every Nth window boundary
+//                        (async: every Nth delivery)
 //   --lens               capture the latency & accountability lens per cell
 //                        (writes <name>_cell_<i>_lens.json sidecars)
 //   --censor-target K    wrap every cell adversary in the targeted censor
@@ -22,7 +24,7 @@
 // The config file is flat `key = value` text (lists comma-separated, `#`
 // comments); see src/core/campaign.hpp for every key and
 // examples/campaign_smoke.cfg for a worked example. One CampaignContext —
-// work-stealing pool plus per-worker Execution scratch — is shared across
+// worker pool plus per-worker Execution scratch — is shared across
 // every cell: all cells' trial chunks run on it as one job list. Every
 // artifact but the timing sidecar is byte-identical at any --threads
 // value (the determinism contract core/report.hpp documents).
