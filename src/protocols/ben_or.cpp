@@ -51,43 +51,43 @@ void BenOrProcess::handle(const sim::Envelope& env, Rng& rng,
   if (phase == 1 && m.value != 0 && m.value != 1) return;
   if (phase == 2 && m.value != 0 && m.value != 1 && m.value != sim::kBot)
     return;
-  PhaseTally& pv = votes_[{m.round, phase}];
-  // Only the first n − t arrivals are ever consulted; later ones are noted
-  // but never counted, so the tally stays bounded.
-  if (pv.arrivals < n_ - t_ && (m.value == 0 || m.value == 1))
-    ++pv.count[m.value];
-  ++pv.arrivals;
-  try_advance(rng, out);
+  if (m.round < round_) return;  // an earlier round is never read again
+  PhaseTally& pt = votes_.at(m.round).phase[phase - 1];
+  // Between votes the tally of (round_, phase_) stays below n − t, so only
+  // the vote that brings it to n − t can finish the phase.
+  if (pt.votes.add(m.value, n_ - t_) < n_ - t_ || m.round != round_ ||
+      phase != phase_)
+    return;
+  advance_from(pt, rng, out);
 }
 
-void BenOrProcess::try_advance(Rng& rng, sim::Outbox& out) {
-  // Loop: messages for future (round, phase) pairs may already be queued.
-  while (true) {
-    auto it = votes_.find({round_, phase_});
-    if (it == votes_.end()) return;
-    PhaseTally& pv = it->second;
-    if (pv.acted || pv.arrivals < n_ - t_) return;
-    pv.acted = true;
-    if (phase_ == 1) finish_phase1(out);
-    else finish_phase2(rng, out);
-  }
+void BenOrProcess::advance_from(PhaseTally& reached, Rng& rng,
+                                sim::Outbox& out) {
+  // Loop: messages for later (round, phase) pairs may already be tallied.
+  PhaseTally* pt = &reached;
+  do {
+    pt->acted = true;
+    if (phase_ == 1) finish_phase1(pt->votes, out);
+    else finish_phase2(pt->votes, rng, out);
+    RoundPhases* next = votes_.find(round_);
+    pt = next != nullptr ? &next->phase[phase_ - 1] : nullptr;
+  } while (pt != nullptr && !pt->acted && pt->votes.arrivals >= n_ - t_);
 }
 
-void BenOrProcess::finish_phase1(sim::Outbox& out) {
-  const PhaseTally& pv = votes_.at({round_, 1});
+void BenOrProcess::finish_phase1(const VoteTally& reports, sim::Outbox& out) {
   int proposal = sim::kBot;
   // "More than n/2" — over ALL n processors, so two processors can never
   // back conflicting proposals in the same round.
   for (int v = 0; v <= 1; ++v) {
-    if (2 * pv.count[v] > n_) proposal = v;
+    if (2 * reports.count[v] > n_) proposal = v;
   }
   phase_ = 2;
   out.broadcast(make_proposal(round_, proposal));
 }
 
-void BenOrProcess::finish_phase2(Rng& rng, sim::Outbox& out) {
-  const PhaseTally& pv = votes_.at({round_, 2});
-  const std::int32_t* count = pv.count;
+void BenOrProcess::finish_phase2(const VoteTally& proposals, Rng& rng,
+                                 sim::Outbox& out) {
+  const std::int32_t* count = proposals.count;
   // At most one value can be proposed at all in a round (see finish_phase1),
   // so these branches cannot conflict.
   for (int v = 0; v <= 1; ++v) {
@@ -99,13 +99,8 @@ void BenOrProcess::finish_phase2(Rng& rng, sim::Outbox& out) {
 
   ++round_;
   phase_ = 1;
-  prune_old_rounds();
+  votes_.drop_below(round_);  // invalidates `proposals`
   out.broadcast(make_report(round_, x_));
-}
-
-void BenOrProcess::prune_old_rounds() {
-  votes_.erase(votes_.begin(),
-               votes_.lower_bound(std::pair<int, int>{round_, 0}));
 }
 
 void BenOrProcess::on_reset() {

@@ -15,9 +15,7 @@
 // sense — the properties Theorem 17's lower bound keys on.
 #pragma once
 
-#include <map>
-#include <vector>
-
+#include "protocols/round_tally.hpp"
 #include "sim/process.hpp"
 
 namespace aa::protocols {
@@ -51,23 +49,30 @@ class BenOrProcess final : public sim::Process {
   [[nodiscard]] int estimate() const override { return x_; }
   [[nodiscard]] const char* protocol_name() const override { return "ben-or"; }
 
- private:
-  /// Bounded per-phase tally: only the first n − t arrivals are ever read,
-  /// so we keep counts of 0/1 among them (plus the arrival total) instead
-  /// of accumulating every vote value — per-round memory is O(1).
+  /// One phase's tally: only the first n − t arrivals are ever read, so
+  /// they are counted by value (⊥ proposals count for neither bit).
   struct PhaseTally {
-    std::int32_t arrivals = 0;       ///< votes recorded for this phase
-    std::int32_t count[2] = {0, 0};  ///< 0/1 among the first n − t arrivals
+    VoteTally votes;
     bool acted = false;  ///< fire exactly once, at the (n−t)-th arrival
   };
+  /// Both phases of one round: phase[0] reports, phase[1] proposals.
+  struct RoundPhases {
+    PhaseTally phase[2];
+  };
+  /// The held round tallies (introspection for tests).
+  [[nodiscard]] const RoundTally<RoundPhases>& votes() const noexcept {
+    return votes_;
+  }
 
+ private:
   /// Non-virtual receiving-step computation shared by on_receive and the
   /// on_receive_batch loop.
   void handle(const sim::Envelope& env, Rng& rng, sim::Outbox& out);
-  void try_advance(Rng& rng, sim::Outbox& out);
-  void finish_phase1(sim::Outbox& out);
-  void finish_phase2(Rng& rng, sim::Outbox& out);
-  void prune_old_rounds();
+  /// Finish the phase whose tally `reached` just got n − t votes, then as
+  /// many following phases as already hold n − t.
+  void advance_from(PhaseTally& reached, Rng& rng, sim::Outbox& out);
+  void finish_phase1(const VoteTally& reports, sim::Outbox& out);
+  void finish_phase2(const VoteTally& proposals, Rng& rng, sim::Outbox& out);
 
   int id_;
   int n_;
@@ -77,7 +82,9 @@ class BenOrProcess final : public sim::Process {
   int round_ = 1;
   int x_;
   int phase_ = 1;  ///< 1 = awaiting reports, 2 = awaiting proposals
-  std::map<std::pair<int, int>, PhaseTally> votes_;  ///< (round, phase) → tally
+  /// Tallies of the rounds at or above round_; votes for earlier rounds
+  /// are never read, so they are ignored.
+  RoundTally<RoundPhases> votes_;
 };
 
 }  // namespace aa::protocols

@@ -51,32 +51,40 @@ void ForgetfulProcess::handle(const sim::Envelope& env, Rng& rng,
   if (m.value != 0 && m.value != 1) return;
   if (m.round < round_) return;  // forgetful: stale rounds are invisible
   // Bounded memory: no tally cell exists for rounds past the horizon, so
-  // such a vote is dropped exactly as a stale one is.
-  if (memory_k_ > 0 && m.round >= round_ + memory_k_) return;
-  RoundTally& rt = votes_[m.round];
-  // Only the first T1 votes of a round are ever consulted.
-  if (rt.arrivals < th_.t1) ++rt.count[m.value];
-  ++rt.arrivals;
-  try_advance(rng, out);
+  // such a vote is dropped exactly as a stale one is. The difference
+  // cannot overflow once m.round >= round_ >= 1.
+  if (memory_k_ > 0 && m.round - round_ >= memory_k_) return;
+  VoteTally& rt = votes_.at(m.round);
+  // Between votes round_'s tally stays below T1, so only the vote that
+  // brings it to T1 can advance the round.
+  if (rt.add(m.value, th_.t1) < th_.t1 || m.round != round_) return;
+  advance_from(rt, rng, out);
 }
 
-void ForgetfulProcess::try_advance(Rng& rng, sim::Outbox& out) {
-  while (true) {
-    const auto it = votes_.find(round_);
-    if (it == votes_.end() || it->second.arrivals < th_.t1) return;
-    const std::int32_t* count = it->second.count;
-    for (int v = 0; v <= 1; ++v) {
-      if (count[v] >= th_.t2 && output_ == sim::kBot) output_ = v;
-    }
-    if (count[0] >= th_.t3) x_ = 0;
-    else if (count[1] >= th_.t3) x_ = 1;
-    else x_ = rng.next_bool() ? 1 : 0;
-    ++round_;
-    // Full communication: having heard n − t, speak to all n.
-    out.broadcast(make_vote(round_, x_));
-    // Forgetfulness: drop every record from rounds before the new one.
-    votes_.erase(votes_.begin(), votes_.lower_bound(round_));
+void ForgetfulProcess::advance_from(const VoteTally& reached, Rng& rng,
+                                    sim::Outbox& out) {
+  step(reached, rng, out);
+  for (const VoteTally* rt = votes_.find(round_);
+       rt != nullptr && rt->arrivals >= th_.t1; rt = votes_.find(round_)) {
+    step(*rt, rng, out);
   }
+}
+
+void ForgetfulProcess::step(const VoteTally& rt, Rng& rng, sim::Outbox& out) {
+  AA_CHECK(rt.arrivals >= th_.t1, "a step requires T1 recorded votes");
+  const std::int32_t* count = rt.count;
+  for (int v = 0; v <= 1; ++v) {
+    if (count[v] >= th_.t2 && output_ == sim::kBot) output_ = v;
+  }
+  if (count[0] >= th_.t3) x_ = 0;
+  else if (count[1] >= th_.t3) x_ = 1;
+  else x_ = rng.next_bool() ? 1 : 0;
+  ++round_;
+  // Full communication: having heard n − t, speak to all n.
+  out.broadcast(make_vote(round_, x_));
+  // Forgetfulness: drop every record from rounds before the new one (this
+  // invalidates `rt`).
+  votes_.drop_below(round_);
 }
 
 void ForgetfulProcess::on_reset() {

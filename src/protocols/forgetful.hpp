@@ -17,9 +17,7 @@
 // T2 = T3 + t.
 #pragma once
 
-#include <map>
-#include <vector>
-
+#include "protocols/round_tally.hpp"
 #include "protocols/thresholds.hpp"
 #include "sim/process.hpp"
 
@@ -35,7 +33,7 @@ class ForgetfulProcess final : public sim::Process {
   /// `memory_k` bounds how far AHEAD of the current round the processor
   /// will tally votes: arrivals for rounds ≥ round + memory_k are
   /// discarded on receipt (the processor has no cell to put them in), so
-  /// the tally map holds at most memory_k rounds at any time. 0 means
+  /// the tally holds at most memory_k rounds at any time. 0 means
   /// unbounded look-ahead (the original behaviour). This is the
   /// bounded-memory knob the campaign engine's memory-K sweep exercises:
   /// small K trades liveness under adversarial skew for a hard state
@@ -59,19 +57,21 @@ class ForgetfulProcess final : public sim::Process {
   [[nodiscard]] const char* protocol_name() const override {
     return "forgetful";
   }
+  /// The held round tallies (introspection for tests).
+  [[nodiscard]] const RoundTally<VoteTally>& votes() const noexcept {
+    return votes_;
+  }
 
  private:
-  /// Bounded per-round tally: only the first T1 arrivals are ever read, so
-  /// we count 0s/1s among them instead of storing every vote value.
-  struct RoundTally {
-    std::int32_t arrivals = 0;       ///< votes recorded for this round
-    std::int32_t count[2] = {0, 0};  ///< 0/1 among the first T1 arrivals
-  };
-
   /// Non-virtual receiving-step computation shared by on_receive and the
   /// on_receive_batch loop.
   void handle(const sim::Envelope& env, Rng& rng, sim::Outbox& out);
-  void try_advance(Rng& rng, sim::Outbox& out);
+  /// The voting rule on `rt`, round `round_`'s tally at T1, then the move
+  /// to the next round.
+  void step(const VoteTally& rt, Rng& rng, sim::Outbox& out);
+  /// step() on `reached`, then on as many following rounds as already hold
+  /// T1 votes.
+  void advance_from(const VoteTally& reached, Rng& rng, sim::Outbox& out);
 
   int id_;
   int n_;
@@ -82,8 +82,9 @@ class ForgetfulProcess final : public sim::Process {
   int round_ = 1;
   int x_;
   /// Tallies for rounds ≥ round_ only (forgetfulness: prior rounds are
-  /// erased as soon as the round advances).
-  std::map<int, RoundTally> votes_;
+  /// erased as soon as the round advances, and their votes are ignored).
+  /// Only the first T1 arrivals of a round are counted by value.
+  RoundTally<VoteTally> votes_;
 };
 
 }  // namespace aa::protocols

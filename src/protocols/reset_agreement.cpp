@@ -41,34 +41,33 @@ void ResetProcess::handle(const sim::Envelope& env, Rng& rng,
   const sim::Message& m = env.payload;
   if (m.kind != kVoteKind) return;
   if (m.value != 0 && m.value != 1) return;
-  RoundTally& rt = votes_[m.round];
-  // Only the first T1 votes of a round are ever consulted.
-  if (rt.arrivals < th_.t1) ++rt.count[m.value];
-  ++rt.arrivals;
-
+  // A round below round_ is never read again: its vote changes nothing.
+  if (!rejoining_ && m.round < round_) return;
+  VoteTally& rt = votes_.at(m.round);
+  if (rt.add(m.value, th_.t1) < th_.t1) return;
   if (rejoining_) {
-    // Wait for T1 votes sharing a common round, adopt it, re-enter step 3.
-    if (rt.arrivals >= th_.t1) {
-      round_ = m.round;
-      rejoining_ = false;
-      step3_and_advance(rng, out);
-      try_advance(rng, out);
-    }
+    // T1 votes share round m.round: adopt it and re-enter step 3.
+    round_ = m.round;
+    rejoining_ = false;
+  } else if (m.round != round_) {
+    // Between votes round_'s tally stays below T1, so only the vote that
+    // brings it to T1 can advance the round.
     return;
   }
-  try_advance(rng, out);
+  advance_from(rt, rng, out);
 }
 
-void ResetProcess::try_advance(Rng& rng, sim::Outbox& out) {
-  while (true) {
-    const auto it = votes_.find(round_);
-    if (it == votes_.end() || it->second.arrivals < th_.t1) return;
-    step3_and_advance(rng, out);
+void ResetProcess::advance_from(const VoteTally& reached, Rng& rng,
+                                sim::Outbox& out) {
+  step3_and_advance(reached, rng, out);
+  for (const VoteTally* rt = votes_.find(round_);
+       rt != nullptr && rt->arrivals >= th_.t1; rt = votes_.find(round_)) {
+    step3_and_advance(*rt, rng, out);
   }
 }
 
-void ResetProcess::step3_and_advance(Rng& rng, sim::Outbox& out) {
-  const RoundTally& rt = votes_.at(round_);
+void ResetProcess::step3_and_advance(const VoteTally& rt, Rng& rng,
+                                     sim::Outbox& out) {
   AA_CHECK(rt.arrivals >= th_.t1, "step 3 requires T1 recorded votes");
   const std::int32_t* count = rt.count;
 
@@ -80,14 +79,10 @@ void ResetProcess::step3_and_advance(Rng& rng, sim::Outbox& out) {
   else if (count[1] >= th_.t3) x_ = 1;
   else x_ = rng.next_bool() ? 1 : 0;
 
-  // Step 4.
+  // Step 4. The prune invalidates `rt`.
   ++round_;
-  prune_old_rounds();
+  votes_.drop_below(round_);
   out.broadcast(make_vote(round_, x_));
-}
-
-void ResetProcess::prune_old_rounds() {
-  votes_.erase(votes_.begin(), votes_.lower_bound(round_));
 }
 
 void ResetProcess::on_reset() {

@@ -14,9 +14,7 @@
 // re-enters at step 3 using those T1 messages.
 #pragma once
 
-#include <map>
-#include <vector>
-
+#include "protocols/round_tally.hpp"
 #include "protocols/thresholds.hpp"
 #include "sim/process.hpp"
 
@@ -56,26 +54,22 @@ class ResetProcess final : public sim::Process {
 
   [[nodiscard]] bool rejoining() const noexcept { return rejoining_; }
   [[nodiscard]] const Thresholds& thresholds() const noexcept { return th_; }
+  /// The held round tallies (introspection for tests).
+  [[nodiscard]] const RoundTally<VoteTally>& votes() const noexcept {
+    return votes_;
+  }
 
  private:
-  /// Bounded per-round tally. Only the first T1 votes of a round are ever
-  /// consulted (the paper's "wait until T1 messages"), so we keep counts of
-  /// 0s/1s among those first T1 arrivals plus the arrival total — memory
-  /// per round is O(1) instead of O(n).
-  struct RoundTally {
-    std::int32_t arrivals = 0;       ///< votes recorded for this round
-    std::int32_t count[2] = {0, 0};  ///< 0/1 among the first T1 arrivals
-  };
-
   /// The whole receiving-step computation (non-virtual: shared by
   /// on_receive and the on_receive_batch loop).
   void handle(const sim::Envelope& env, Rng& rng, sim::Outbox& out);
-  /// Step 3 + step 4 on the first T1 votes recorded for round `round_`.
-  void step3_and_advance(Rng& rng, sim::Outbox& out);
-  /// Run step 3 for as many consecutive rounds as already have T1 votes
-  /// (messages for future rounds can arrive before we get there).
-  void try_advance(Rng& rng, sim::Outbox& out);
-  void prune_old_rounds();
+  /// Step 3 + step 4 on `rt`, the tally of round `round_`, which holds T1
+  /// votes.
+  void step3_and_advance(const VoteTally& rt, Rng& rng, sim::Outbox& out);
+  /// Step 3 on `reached` (round `round_`'s tally, just at T1), then on as
+  /// many following rounds as already hold T1 votes (votes for future
+  /// rounds can arrive before we get there).
+  void advance_from(const VoteTally& reached, Rng& rng, sim::Outbox& out);
 
   int id_;
   int n_;
@@ -85,7 +79,11 @@ class ResetProcess final : public sim::Process {
   int round_ = 1;
   int x_;
   bool rejoining_ = false;
-  std::map<int, RoundTally> votes_;
+  /// Tallies of the rounds at or above round_ (every round while
+  /// rejoining). Only the first T1 votes of a round are ever consulted (the
+  /// paper's "wait until T1 messages"), so a round costs O(1) memory.
+  /// Votes are counted per arrival, not per distinct sender.
+  RoundTally<VoteTally> votes_;
 };
 
 }  // namespace aa::protocols

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <climits>
+
 #include "adversary/async_adversaries.hpp"
 #include "adversary/window_adversaries.hpp"
 #include "protocols/factory.hpp"
@@ -179,6 +181,30 @@ TEST(Forgetful, UnanimousDecidesDespiteSplitKeeper) {
   sim::run_async(e, keeper, t, 4 * n * n);
   EXPECT_GT(e.decided_count(), 0);
   EXPECT_EQ(e.first_decision()->value, 1);
+}
+
+TEST(ForgetfulMemory, HorizonNearIntMaxDecidesLikeUnbounded) {
+  // memory_k = INT_MAX is a horizon no round reaches, so it must run
+  // exactly like memory_k = 0. The horizon test once added memory_k to the
+  // round, which overflowed here and dropped every vote.
+  const int n = 7;
+  const int t = 1;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    std::vector<int> outputs[2];
+    std::int64_t windows[2] = {0, 0};
+    const int ks[2] = {0, INT_MAX};
+    for (int i = 0; i < 2; ++i) {
+      Execution e(make_processes(ProtocolKind::Forgetful, t,
+                                 split_inputs(n, 0.5), std::nullopt, ks[i]),
+                  seed);
+      adversary::FairWindowAdversary fair;
+      windows[i] = sim::run_until_all_decided(e, fair, t, 20);
+      for (int p = 0; p < n; ++p) outputs[i].push_back(e.output(p));
+    }
+    EXPECT_EQ(outputs[1], outputs[0]) << "seed=" << seed;
+    EXPECT_EQ(windows[1], windows[0]) << "seed=" << seed;
+    EXPECT_LT(windows[0], 20) << "seed=" << seed;  // every processor decided
+  }
 }
 
 TEST(Forgetful, WorksUnderWindowModelToo) {
