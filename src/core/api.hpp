@@ -27,6 +27,5 @@
 #include "sim/async.hpp"
 #include "sim/execution.hpp"
 #include "sim/window.hpp"
-#include "util/histogram.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"

@@ -1,22 +1,17 @@
 #include "core/campaign.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
-#include <charconv>
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <sstream>
-#include <string_view>
 #include <system_error>
 #include <utility>
 
@@ -24,6 +19,7 @@
 #include "adversary/censor.hpp"
 #include "adversary/chaos.hpp"
 #include "adversary/window_adversaries.hpp"
+#include "core/json_io.hpp"
 #include "lens/accountability.hpp"
 #include "util/check.hpp"
 
@@ -201,284 +197,112 @@ AsyncAdversaryFactory cell_async_factory(const CampaignConfig& config,
   return f;
 }
 
-// ------------------------------------------------------------- JSON bits
+// ------------------------------------------------------------- layouts
 
-void json_kv(std::string& out, const char* key, const std::string& value,
-             bool last = false) {
-  out += "  \"";
-  out += key;
-  out += "\": \"";
-  out += value;
-  out += last ? "\"\n" : "\",\n";
+const char* model_name(CampaignModel model) {
+  return model == CampaignModel::kWindow ? "window" : "async";
 }
 
-void json_kv_int(std::string& out, const char* key, long long value,
-                 bool last = false) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%lld", value);
-  out += "  \"";
-  out += key;
-  out += "\": ";
-  out += buf;
-  out += last ? "\n" : ",\n";
+/// The report fields every cell artifact and the summary end with. The
+/// seed list is the document's last line and has no spaces.
+template <class Io, class Report>
+void report_fields(Io& io, Report& rep) {
+  io.field("trials", rep.trials);
+  io.field("agreement_violations", rep.agreement_violations);
+  io.field("validity_violations", rep.validity_violations);
+  io.field("decided_runs", rep.decided_runs);
+  io.field("all_decided_runs", rep.all_decided_runs);
+  io.field("mean_windows_to_first", rep.mean_windows_to_first);
+  io.field("mean_chain_at_decision", rep.mean_chain_at_decision);
+  io.key("violating_seeds");
+  io.list(rep.violating_seeds, ",");
+  io.lit("\n");
 }
 
-void json_kv_double(std::string& out, const char* key, double value,
-                    bool last = false) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  out += "  \"";
-  out += key;
-  out += "\": ";
-  out += buf;
-  out += last ? "\n" : ",\n";
-}
-
-void json_report_fields(std::string& out, const MeasureOneReport& rep) {
-  json_kv_int(out, "trials", rep.trials);
-  json_kv_int(out, "agreement_violations", rep.agreement_violations);
-  json_kv_int(out, "validity_violations", rep.validity_violations);
-  json_kv_int(out, "decided_runs", rep.decided_runs);
-  json_kv_int(out, "all_decided_runs", rep.all_decided_runs);
-  json_kv_double(out, "mean_windows_to_first", rep.mean_windows_to_first);
-  json_kv_double(out, "mean_chain_at_decision", rep.mean_chain_at_decision);
-  out += "  \"violating_seeds\": [";
-  for (std::size_t i = 0; i < rep.violating_seeds.size(); ++i) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%s%" PRIu64, i ? "," : "",
-                  rep.violating_seeds[i]);
-    out += buf;
+/// The cell artifact's one layout (see core/json_io.hpp): the identity
+/// fields come from the config and `cell`'s coordinates, the data from
+/// `metric_sum` and `rep`. The lens-era axes appear ONLY when non-default,
+/// so pre-axis configs keep byte-identical artifacts. seed0 prints signed,
+/// as it always has.
+template <class Io, class MetricSum, class Report>
+void cell_layout(Io& io, const CampaignConfig& config, const CampaignCell& cell,
+                 MetricSum& metric_sum, Report& rep) {
+  io.lit("{\n");
+  io.fixed_field("campaign", config.name);
+  io.fixed_field("model", model_name(config.model));
+  io.fixed_field("cell", cell.index);
+  io.fixed_field("n", cell.n);
+  io.fixed_field("t", cell.t);
+  io.fixed_field("protocol", cell.protocol);
+  io.fixed_field("thresholds", cell.thresholds);
+  io.fixed_field("memory_k", cell.memory_k);
+  io.fixed_field("adversary", cell.adversary);
+  if (cell.chaos_plan != "none") io.fixed_field("chaos_plan", cell.chaos_plan);
+  if (config.censor_target >= 0) {
+    io.fixed_field("censor_target", config.censor_target);
   }
-  out += "]\n";
+  io.fixed_field("seed0", static_cast<long long>(cell.seed0));
+  io.fixed_field("budget", config.budget);
+  io.field("metric_sum", metric_sum);
+  report_fields(io, rep);
+  io.lit("}\n");
 }
 
 // ---------------------------------------------------------------- resume
 
-/// Locate `"key":` in a JSON artifact and parse the integer after it.
-/// Returns false on a missing key or malformed number — the caller treats
-/// the artifact as invalid and recomputes the cell.
-bool json_find_int(const std::string& text, const char* key, long long& out) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const std::size_t pos = text.find(needle);
-  if (pos == std::string::npos) return false;
-  const char* begin = text.c_str() + pos + needle.size();
-  char* end = nullptr;
-  const long long v = std::strtoll(begin, &end, 10);
-  if (end == begin) return false;
-  out = v;
-  return true;
-}
-
-/// Parse the `violating_seeds` array. Returns false if the array is absent
-/// or the file is truncated before the closing bracket.
-bool json_find_seeds(const std::string& text, std::vector<std::uint64_t>& out) {
-  static constexpr const char kNeedle[] = "\"violating_seeds\": [";
-  const std::size_t pos = text.find(kNeedle);
-  if (pos == std::string::npos) return false;
-  const char* p = text.c_str() + pos + (sizeof kNeedle - 1);
-  out.clear();
-  while (*p != ']') {
-    if (*p == '\0') return false;  // truncated artifact
-    if (*p == ',') ++p;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(p, &end, 10);
-    if (end == p) return false;
-    out.push_back(static_cast<std::uint64_t>(v));
-    p = end;
-  }
-  return true;
-}
-
-/// Cursor over an artifact's bytes for the strict sidecar reader. Every
-/// step consumes exactly what the writer emits at that point or marks the
-/// text malformed; after the first mismatch nothing more is consumed.
-class StrictReader {
- public:
-  explicit StrictReader(const std::string& text) : text_(text) {}
-
-  [[nodiscard]] bool ok() const { return ok_; }
-  [[nodiscard]] bool at_end() const { return ok_ && pos_ == text_.size(); }
-
-  /// Consume `lit` verbatim.
-  void expect(std::string_view lit) {
-    if (!accept(lit)) ok_ = false;
-  }
-  /// Consume `lit` if it comes next; reports whether it did.
-  bool accept(std::string_view lit) {
-    if (!ok_ || text_.compare(pos_, lit.size(), lit) != 0) return false;
-    pos_ += lit.size();
-    return true;
-  }
-  [[nodiscard]] bool next_is(char c) const {
-    return ok_ && pos_ < text_.size() && text_[pos_] == c;
-  }
-  /// Consume a number with std::from_chars (no whitespace, no '+'); the
-  /// caller's canonical re-serialization rejects any other spelling.
-  template <typename T>
-  T number() {
-    T v{};
-    if (!ok_) return v;
-    const char* begin = text_.data() + pos_;
-    const auto [end, ec] = std::from_chars(begin, text_.data() + text_.size(), v);
-    if (ec != std::errc{}) {
-      ok_ = false;
-      return T{};
-    }
-    pos_ += static_cast<std::size_t>(end - begin);
-    return v;
-  }
-
- private:
-  const std::string& text_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-};
-
-/// Read latency_report_json's exact layout for an `n`-processor cell: the
-/// identity header, n sender rows numbered 0..n−1 in order (every field,
-/// both histograms at full width), both blamed_* lists, and the closing
-/// "}\n". Returns false on any deviation.
-bool read_latency_report(const std::string& text, int n,
-                         lens::LatencyReport& rep) {
-  StrictReader in(text);
-  in.expect("{\n  \"n\": ");
-  rep.n = in.number<int>();
-  if (!in.ok() || rep.n != n) return false;
-  in.expect(",\n  \"t\": ");
-  rep.t = in.number<int>();
-  in.expect(",\n  \"trials\": ");
-  rep.trials = in.number<std::int64_t>();
-  in.expect(",\n  \"deciders\": ");
-  rep.deciders = in.number<std::int64_t>();
-  in.expect(",\n  \"blame_threshold\": ");
-  rep.blame_threshold = in.number<double>();
-  in.expect(",\n  \"senders\": [\n");
-  const auto hist = [&](std::span<std::int64_t> bins) {
-    for (std::size_t b = 0; b < bins.size(); ++b) {
-      if (b != 0) in.expect(", ");
-      bins[b] = in.number<std::int64_t>();
-    }
-  };
-  rep.senders.assign(static_cast<std::size_t>(n), lens::SenderLatency{});
-  for (int s = 0; s < n && in.ok(); ++s) {
-    lens::SenderLatency& row = rep.senders[static_cast<std::size_t>(s)];
-    in.expect("    {\"sender\": ");
-    if (in.number<int>() != s) return false;
-    in.expect(", \"sent\": ");
-    row.sent = in.number<std::int64_t>();
-    in.expect(", \"equivocations\": ");
-    row.equivocations = in.number<std::int64_t>();
-    in.expect(", \"delivered\": ");
-    row.delivered = in.number<std::int64_t>();
-    in.expect(", \"suppressed\": ");
-    row.suppressed = in.number<std::int64_t>();
-    in.expect(", \"confirm_count\": ");
-    row.confirm_count = in.number<std::int64_t>();
-    in.expect(", \"mean_confirm_windows\": ");
-    row.mean_confirm_windows = in.number<double>();
-    in.expect(", \"mean_confirm_steps\": ");
-    row.mean_confirm_steps = in.number<double>();
-    in.expect(", \"delivered_share\": ");
-    row.delivered_share = in.number<double>();
-    in.expect(", \"confirmed_share\": ");
-    row.confirmed_share = in.number<double>();
-    in.expect(", \"censorship_score\": ");
-    row.censorship_score = in.number<double>();
-    in.expect(", \"delivery_hist\": [");
-    hist(row.delivery_hist);
-    in.expect("], \"confirm_hist\": [");
-    hist(row.confirm_hist);
-    in.expect(s + 1 != n ? "]},\n" : "]}\n");
-  }
-  const auto procs = [&](std::vector<sim::ProcId>& out) {
-    out.clear();
-    if (in.next_is(']')) return;
-    do {
-      out.push_back(in.number<sim::ProcId>());
-    } while (in.ok() && in.accept(", "));
-  };
-  in.expect("  ],\n  \"blamed_equivocators\": [");
-  procs(rep.blamed_equivocators);
-  in.expect("],\n  \"blamed_censored\": [");
-  procs(rep.blamed_censored);
-  in.expect("]\n}\n");
-  return in.at_end();
-}
-
-/// Validity check for a cell's lens sidecar. The lens report is not
-/// resumable from its artifact (LatencyAccumulator has no restore), so
-/// resume can only accept a cell whose sidecar is already complete and
-/// belongs to THIS cell: the file must read back through
-/// read_latency_report (the writer's exact shape, so a truncated, hollow
-/// or reordered file fails), match the cell's (n, t) and the config's
-/// trial count, and re-serialize to the same bytes. Anything else forces
-/// a recompute, which rewrites the sidecar before the cell artifact.
-bool lens_sidecar_valid(const CampaignConfig& config, const CampaignCell& cell,
-                        const std::string& lens_path) {
-  std::ifstream in(lens_path, std::ios::binary);
-  if (!in.good()) return false;
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string text = ss.str();
-  lens::LatencyReport rep;
-  if (!read_latency_report(text, cell.n, rep)) return false;
-  return rep.t == cell.t &&
-         rep.trials == static_cast<std::int64_t>(config.trials) &&
-         latency_report_json(rep) == text;
-}
-
-/// Restore `cell` from an existing artifact at `path`. The artifact is
-/// accepted iff it parses, claims exactly config.trials trials, and — after
-/// rebuilding the accumulator from its exact integer tallies — the cell
-/// re-serializes to the SAME bytes (this cross-checks every identity field
-/// against the current config, so stale or foreign artifacts are rejected
-/// and recomputed). With the lens armed (`lens_path` non-empty) the cell's
-/// lens sidecar must additionally pass lens_sidecar_valid — a byte-perfect
-/// cell artifact with a missing, truncated, or foreign sidecar is NOT
-/// resumable, because the lens numbers cannot be rebuilt from the cell
-/// tallies alone. On success the tallies land in `acc_out` (the cell's
-/// slot in the end-of-sweep index-order summary merge), making the resumed
-/// summary byte-identical to an uninterrupted run's.
-bool try_resume_cell(const CampaignConfig& config, CampaignCell& cell,
-                     const std::string& path, const std::string& lens_path,
-                     MeasureOneAccumulator& acc_out) {
-  if (!lens_path.empty() && !lens_sidecar_valid(config, cell, lens_path)) {
-    return false;
-  }
+bool read_text(const std::string& path, std::string& text) {
   std::ifstream in(path, std::ios::binary);
   if (!in.good()) return false;
   std::stringstream ss;
   ss << in.rdbuf();
-  const std::string text = ss.str();
+  text = ss.str();
+  return true;
+}
 
-  long long trials = 0;
-  long long agreement = 0;
-  long long validity = 0;
-  long long decided = 0;
-  long long all_decided = 0;
-  long long metric_sum = 0;
-  std::vector<std::uint64_t> seeds;
-  if (!json_find_int(text, "trials", trials) ||
-      !json_find_int(text, "agreement_violations", agreement) ||
-      !json_find_int(text, "validity_violations", validity) ||
-      !json_find_int(text, "decided_runs", decided) ||
-      !json_find_int(text, "all_decided_runs", all_decided) ||
-      !json_find_int(text, "metric_sum", metric_sum) ||
-      !json_find_seeds(text, seeds)) {
+/// Restore `cell` from its existing artifacts. The cell artifact must read
+/// back through cell_layout, whose identity fields pin it to THIS cell of
+/// THIS config, claim exactly config.trials trials, and — after the
+/// accumulator is rebuilt from its exact integer tallies — re-serialize to
+/// the same bytes. With the lens armed (`lens_path` non-empty) the lens
+/// sidecar must likewise read back for this cell's (n, t) and trial count
+/// and re-serialize to the same bytes: the lens numbers cannot be rebuilt
+/// from the cell tallies, so a byte-perfect cell artifact with a missing,
+/// truncated or foreign sidecar is NOT resumable. Anything else forces a
+/// recompute, which rewrites the sidecar before the cell artifact. On
+/// success the tallies land in `acc_out` (the cell's slot in the
+/// end-of-sweep index-order summary merge), making the resumed summary
+/// byte-identical to an uninterrupted run's.
+bool try_resume_cell(const CampaignConfig& config, CampaignCell& cell,
+                     const std::string& path, const std::string& lens_path,
+                     MeasureOneAccumulator& acc_out) {
+  std::string text;
+  lens::LatencyReport lens_report;
+  if (!lens_path.empty() &&
+      !(read_text(lens_path, text) &&
+        latency_report_from_json(text, cell.n, cell.t, config.trials,
+                                 lens_report) &&
+        latency_report_json(lens_report) == text)) {
     return false;
   }
-  if (trials != static_cast<long long>(config.trials)) return false;
+  if (!read_text(path, text)) return false;
+  std::int64_t metric_sum = 0;
+  MeasureOneReport read;
+  JsonIn in(text);
+  cell_layout(in, config, cell, metric_sum, read);
+  if (!in.done() || read.trials != config.trials) return false;
 
   MeasureOneAccumulator acc;
-  acc.restore(trials, agreement, validity, decided, all_decided, metric_sum,
-              seeds);
+  acc.restore(read.trials, read.agreement_violations, read.validity_violations,
+              read.decided_runs, read.all_decided_runs, metric_sum,
+              read.violating_seeds);
+  const MeasureOneReport report =
+      acc.finalize(config.model == CampaignModel::kAsync);
+  JsonOut canonical;
+  cell_layout(canonical, config, cell, metric_sum, report);
+  if (canonical.take() != text) return false;
   cell.metric_sum = metric_sum;
-  cell.report = acc.finalize(config.model == CampaignModel::kAsync);
-  if (campaign_cell_json(config, cell) != text) {
-    cell.report = MeasureOneReport{};
-    cell.metric_sum = 0;
-    return false;
-  }
+  cell.report = report;
+  cell.lens_report = std::move(lens_report);
   acc_out = std::move(acc);
   cell.resumed = true;
   return true;
@@ -676,6 +500,16 @@ CampaignConfig parse_campaign_config(const std::string& text) {
 }
 
 void validate_campaign_config(const CampaignConfig& cfg) {
+  // The name reaches file names and JSON strings verbatim: no separators,
+  // quotes or escapes.
+  const auto name_char = [](char c) {
+    return std::isalnum(static_cast<unsigned char>(c)) || c == '.' ||
+           c == '_' || c == '-';
+  };
+  const bool name_ok = !cfg.name.empty() &&
+                       std::all_of(cfg.name.begin(), cfg.name.end(), name_char);
+  AA_REQUIRE(name_ok, "campaign config: name must match [A-Za-z0-9._-]+ (got '" +
+                          cfg.name + "')");
   AA_REQUIRE(cfg.trials > 0, "campaign config: trials must be positive");
   AA_REQUIRE(cfg.budget > 0, "campaign config: budget must be positive");
   AA_REQUIRE(cfg.cell_timeout_ms >= 0 &&
@@ -712,7 +546,12 @@ void validate_campaign_config(const CampaignConfig& cfg) {
              "campaign config: split must be in [0, 1]");
   AA_REQUIRE(cfg.censor_target >= -1,
              "campaign config: censor_target must be >= -1 (-1 = off)");
-  sim::validate_fault_plan(cfg.chaos);
+  try {
+    sim::validate_fault_plan(cfg.chaos);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(std::string("campaign config: chaos_* keys: ") +
+                                e.what());
+  }
   const bool default_plan =
       cfg.chaos_plan.size() == 1 && cfg.chaos_plan[0] == "none";
   AA_REQUIRE(default_plan || !cfg.chaos.enabled(),
@@ -721,7 +560,16 @@ void validate_campaign_config(const CampaignConfig& cfg) {
              "the knobs)");
   for (const std::string& plan : cfg.chaos_plan) {
     // Rejects unknown preset names and validates each resolved plan.
-    sim::validate_fault_plan(chaos_plan_preset(cfg, plan));
+    const sim::FaultPlan fp = chaos_plan_preset(cfg, plan);
+    sim::validate_fault_plan(fp);
+    // A target outside the ring would silently censor nobody.
+    if (fp.censor_prob > 0.0) {
+      for (const int n : cfg.n) {
+        AA_REQUIRE(fp.censor_target < n,
+                   "campaign config: chaos_censor_target must be < every "
+                   "swept n (chaos_plan " + plan + ")");
+      }
+    }
   }
   if (cfg.censor_target >= 0) {
     for (const int n : cfg.n) {
@@ -1017,54 +865,29 @@ CampaignResult run_campaign(const CampaignConfig& config) {
 
 std::string campaign_cell_json(const CampaignConfig& config,
                                const CampaignCell& cell) {
-  std::string out = "{\n";
-  json_kv(out, "campaign", config.name);
-  json_kv(out, "model",
-          config.model == CampaignModel::kWindow ? "window" : "async");
-  json_kv_int(out, "cell", cell.index);
-  json_kv_int(out, "n", cell.n);
-  json_kv_int(out, "t", cell.t);
-  json_kv(out, "protocol", cell.protocol);
-  json_kv(out, "thresholds", cell.thresholds);
-  json_kv_int(out, "memory_k", cell.memory_k);
-  json_kv(out, "adversary", cell.adversary);
-  // Lens-era axes appear ONLY when non-default, so pre-axis configs keep
-  // byte-identical artifacts (and resume's re-serialization check keeps
-  // accepting them).
-  if (cell.chaos_plan != "none") json_kv(out, "chaos_plan", cell.chaos_plan);
-  if (config.censor_target >= 0) {
-    json_kv_int(out, "censor_target", config.censor_target);
-  }
-  json_kv_int(out, "seed0", static_cast<long long>(cell.seed0));
-  json_kv_int(out, "budget", config.budget);
-  json_kv_int(out, "metric_sum", cell.metric_sum);
-  json_report_fields(out, cell.report);
-  out += "}\n";
-  return out;
+  JsonOut out;
+  cell_layout(out, config, cell, cell.metric_sum, cell.report);
+  return out.take();
 }
 
 std::string campaign_summary_json(const CampaignResult& result) {
   const CampaignConfig& config = result.config;
-  std::string out = "{\n";
-  json_kv(out, "campaign", config.name);
-  json_kv(out, "model",
-          config.model == CampaignModel::kWindow ? "window" : "async");
-  json_kv_int(out, "cells", static_cast<long long>(result.cells.size()));
-  json_kv_int(out, "trials_per_cell", config.trials);
-  json_kv_int(out, "budget", config.budget);
-  json_kv_int(out, "seed", static_cast<long long>(config.seed));
-  out += "  \"cells_failed\": [";
-  bool first = true;
+  std::vector<int> failed;
   for (const CampaignCell& cell : result.cells) {
-    if (!cell.failed) continue;
-    if (!first) out += ",";
-    out += std::to_string(cell.index);
-    first = false;
+    if (cell.failed) failed.push_back(cell.index);
   }
-  out += "],\n";
-  json_report_fields(out, result.summary);
-  out += "}\n";
-  return out;
+  JsonOut out;
+  out.lit("{\n");
+  out.fixed_field("campaign", config.name);
+  out.fixed_field("model", model_name(config.model));
+  out.fixed_field("cells", result.cells.size());
+  out.fixed_field("trials_per_cell", config.trials);
+  out.fixed_field("budget", config.budget);
+  out.fixed_field("seed", static_cast<long long>(config.seed));
+  out.list_field("cells_failed", failed, ",");
+  report_fields(out, result.summary);
+  out.lit("}\n");
+  return out.take();
 }
 
 std::string campaign_timing_json(const CampaignResult& result) {
@@ -1074,13 +897,15 @@ std::string campaign_timing_json(const CampaignResult& result) {
   // contract (threads 1 vs N diffs, resume's canonical re-serialization
   // check). CI diffs exclude *_timing.json for the same reason.
   const CampaignConfig& config = result.config;
-  std::string out = "{\n";
-  json_kv(out, "campaign", config.name);
-  json_kv_int(out, "trials_per_cell", config.trials);
   double total_ms = 0.0;
   for (const CampaignCell& cell : result.cells) total_ms += cell.wall_ms;
-  json_kv_double(out, "wall_ms_total", total_ms);
-  out += "  \"cells\": [";
+  JsonOut out;
+  out.lit("{\n");
+  out.fixed_field("campaign", config.name);
+  out.fixed_field("trials_per_cell", config.trials);
+  out.fixed_field("wall_ms_total", total_ms);
+  out.key("cells");
+  out.lit("[");
   for (std::size_t i = 0; i < result.cells.size(); ++i) {
     const CampaignCell& cell = result.cells[i];
     char buf[192];
@@ -1090,11 +915,11 @@ std::string campaign_timing_json(const CampaignResult& result) {
                   i ? "," : "", cell.index, cell.wall_ms, cell.trials_per_s,
                   cell.resumed ? "true" : "false",
                   cell.failed ? "true" : "false");
-    out += buf;
+    out.lit(buf);
   }
-  out += result.cells.empty() ? "]\n" : "\n  ]\n";
-  out += "}\n";
-  return out;
+  out.lit(result.cells.empty() ? "]\n" : "\n  ]\n");
+  out.lit("}\n");
+  return out.take();
 }
 
 void write_file_atomic(const std::string& path, const std::string& body) {

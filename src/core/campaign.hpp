@@ -41,7 +41,8 @@ enum class CampaignModel {
 /// Vector-valued fields are sweep axes (the campaign runs their cross
 /// product), scalar fields apply to every cell.
 struct CampaignConfig {
-  std::string name = "campaign";  ///< label used in output file names
+  /// Label used in output file names and artifacts: [A-Za-z0-9._-]+.
+  std::string name = "campaign";
   CampaignModel model = CampaignModel::kWindow;  ///< `model = window|async`
 
   // ---- sweep axes ----
@@ -107,14 +108,14 @@ struct CampaignConfig {
   /// the summary merge and listed in its `cells_failed` array.
   std::int64_t cell_timeout_ms = 0;
   /// Resume a killed sweep (`resume = true` or --resume): a cell whose
-  /// output JSON exists and byte-matches its canonical re-serialization is
-  /// restored (exact tallies) instead of recomputed, so the resumed
-  /// summary is byte-identical to an uninterrupted run's. With the lens
-  /// armed the cell's lens sidecar must ALSO be present, structurally
-  /// complete, and match the cell's (n, t) and trial count — the lens
-  /// numbers are not rebuildable from the cell tallies, so a cell with a
-  /// missing/truncated/stale sidecar is recomputed even when its own
-  /// artifact byte-matches.
+  /// output JSON reads back through the artifact's layout for THIS cell
+  /// (core/json_io.hpp) and byte-matches its canonical re-serialization is
+  /// restored (exact tallies) instead of recomputed, so the resumed summary
+  /// is byte-identical to an uninterrupted run's. With the lens armed the
+  /// cell's lens sidecar must pass the same test for the cell's (n, t) and
+  /// trial count — the lens numbers are not rebuildable from the cell
+  /// tallies, so a cell with a missing/truncated/stale sidecar is
+  /// recomputed even when its own artifact byte-matches.
   bool resume = false;
 
   // ---- latency & accountability lens ----
@@ -161,12 +162,13 @@ inline constexpr int kMaxCampaignN = 1024;
     long long lo = std::numeric_limits<int>::min(),
     long long hi = std::numeric_limits<int>::max());
 
-/// The cross-field checks every config must pass (every n in
-/// [1, kMaxCampaignN], positive trials and budget, chunk_size >= 1,
-/// threads >= 0, cell_timeout_ms in [0, kMaxCellTimeoutMs], non-empty
-/// axes, chaos and censor consistency, ...). parse_campaign_config and run_campaign run it; a caller that
-/// edits a parsed config (the CLI's flag overrides) should run it again to
-/// fail before anything runs.
+/// The cross-field checks every config must pass (a name matching
+/// [A-Za-z0-9._-]+, every n in [1, kMaxCampaignN], positive trials and
+/// budget, chunk_size >= 1, threads >= 0, cell_timeout_ms in
+/// [0, kMaxCellTimeoutMs], non-empty axes, chaos and censor targets inside
+/// every swept n, ...). parse_campaign_config and run_campaign run it; a
+/// caller that edits a parsed config (the CLI's flag overrides) should run
+/// it again to fail before anything runs.
 void validate_campaign_config(const CampaignConfig& cfg);
 
 /// Read and parse a config file.
@@ -218,9 +220,8 @@ struct CampaignCell {
   double wall_ms = 0.0;
   double trials_per_s = 0.0;
   /// Finalized lens report for this cell (CampaignConfig::lens): per-sender
-  /// confirmation latency, censorship scores, blame lists. Left empty for
-  /// RESUMED cells — their <name>_cell_<i>_lens.json artifact was written
-  /// when the cell was first computed and is not re-derived.
+  /// confirmation latency, censorship scores, blame lists. A resumed cell
+  /// carries the report read back from its <name>_cell_<i>_lens.json.
   lens::LatencyReport lens_report;
 };
 
@@ -252,7 +253,8 @@ struct CampaignResult {
 [[nodiscard]] CampaignResult run_campaign(const CampaignConfig& config);
 
 /// The merged-summary JSON document (stable key order, %.17g doubles) —
-/// what `campaign` writes to <output_dir>/<name>_summary.json.
+/// what `campaign` writes to <output_dir>/<name>_summary.json. It ends with
+/// the same report fields as the cell artifact.
 [[nodiscard]] std::string campaign_summary_json(const CampaignResult& result);
 
 /// One cell's JSON document (same conventions).

@@ -1,7 +1,8 @@
 #include "core/report.hpp"
 
 #include <algorithm>
-#include <cstdio>
+
+#include "core/json_io.hpp"
 
 namespace aa::core {
 
@@ -70,79 +71,63 @@ MeasureOneReport MeasureOneAccumulator::finalize(bool async_metric) const {
 
 namespace {
 
-void append_double(std::string& out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
-void append_hist(std::string& out, const char* key,
-                 std::span<const std::int64_t> hist) {
-  out += "\"";
-  out += key;
-  out += "\": [";
-  for (std::size_t b = 0; b < hist.size(); ++b) {
-    if (b != 0) out += ", ";
-    out += std::to_string(hist[b]);
+/// The lens sidecar's one layout (see core/json_io.hpp). The header's n, t
+/// and trials are identity fields: a reader knows which cell it expects,
+/// and the sender rows are as many as rep.senders holds.
+template <class Io, class Report>
+void latency_report_layout(Io& io, Report& rep) {
+  io.lit("{\n");
+  io.fixed_field("n", rep.n);
+  io.fixed_field("t", rep.t);
+  io.fixed_field("trials", rep.trials);
+  io.field("deciders", rep.deciders);
+  io.field("blame_threshold", rep.blame_threshold);
+  io.lit("  \"senders\": [\n");
+  for (std::size_t s = 0; s < rep.senders.size(); ++s) {
+    auto& row = rep.senders[s];
+    io.lit("    {\"sender\": ");
+    io.fixed(s);
+    io.entry("sent", row.sent);
+    io.entry("equivocations", row.equivocations);
+    io.entry("delivered", row.delivered);
+    io.entry("suppressed", row.suppressed);
+    io.entry("confirm_count", row.confirm_count);
+    io.entry("mean_confirm_windows", row.mean_confirm_windows);
+    io.entry("mean_confirm_steps", row.mean_confirm_steps);
+    io.entry("delivered_share", row.delivered_share);
+    io.entry("confirmed_share", row.confirmed_share);
+    io.entry("censorship_score", row.censorship_score);
+    io.lit(", \"delivery_hist\": ");
+    io.list(row.delivery_hist, ", ");
+    io.lit(", \"confirm_hist\": ");
+    io.list(row.confirm_hist, ", ");
+    io.lit(s + 1 != rep.senders.size() ? "},\n" : "}\n");
   }
-  out += "]";
-}
-
-void append_proc_list(std::string& out, const char* key,
-                      std::span<const sim::ProcId> procs) {
-  out += "  \"";
-  out += key;
-  out += "\": [";
-  for (std::size_t i = 0; i < procs.size(); ++i) {
-    if (i != 0) out += ", ";
-    out += std::to_string(procs[i]);
-  }
-  out += "]";
+  io.lit("  ],\n");
+  io.list_field("blamed_equivocators", rep.blamed_equivocators, ", ");
+  io.key("blamed_censored");
+  io.list(rep.blamed_censored, ", ");
+  io.lit("\n}\n");
 }
 
 }  // namespace
 
 std::string latency_report_json(const lens::LatencyReport& rep) {
-  std::string out = "{\n";
-  out += "  \"n\": " + std::to_string(rep.n) + ",\n";
-  out += "  \"t\": " + std::to_string(rep.t) + ",\n";
-  out += "  \"trials\": " + std::to_string(rep.trials) + ",\n";
-  out += "  \"deciders\": " + std::to_string(rep.deciders) + ",\n";
-  out += "  \"blame_threshold\": ";
-  append_double(out, rep.blame_threshold);
-  out += ",\n  \"senders\": [\n";
-  for (std::size_t s = 0; s < rep.senders.size(); ++s) {
-    const lens::SenderLatency& row = rep.senders[s];
-    out += "    {\"sender\": " + std::to_string(s);
-    out += ", \"sent\": " + std::to_string(row.sent);
-    out += ", \"equivocations\": " + std::to_string(row.equivocations);
-    out += ", \"delivered\": " + std::to_string(row.delivered);
-    out += ", \"suppressed\": " + std::to_string(row.suppressed);
-    out += ", \"confirm_count\": " + std::to_string(row.confirm_count);
-    out += ", \"mean_confirm_windows\": ";
-    append_double(out, row.mean_confirm_windows);
-    out += ", \"mean_confirm_steps\": ";
-    append_double(out, row.mean_confirm_steps);
-    out += ", \"delivered_share\": ";
-    append_double(out, row.delivered_share);
-    out += ", \"confirmed_share\": ";
-    append_double(out, row.confirmed_share);
-    out += ", \"censorship_score\": ";
-    append_double(out, row.censorship_score);
-    out += ", ";
-    append_hist(out, "delivery_hist", row.delivery_hist);
-    out += ", ";
-    append_hist(out, "confirm_hist", row.confirm_hist);
-    out += "}";
-    if (s + 1 != rep.senders.size()) out += ",";
-    out += "\n";
-  }
-  out += "  ],\n";
-  append_proc_list(out, "blamed_equivocators", rep.blamed_equivocators);
-  out += ",\n";
-  append_proc_list(out, "blamed_censored", rep.blamed_censored);
-  out += "\n}\n";
-  return out;
+  JsonOut out;
+  latency_report_layout(out, rep);
+  return out.take();
+}
+
+bool latency_report_from_json(const std::string& text, int n, int t,
+                              std::int64_t trials, lens::LatencyReport& rep) {
+  rep = lens::LatencyReport{};
+  rep.n = n;
+  rep.t = t;
+  rep.trials = trials;
+  rep.senders.resize(static_cast<std::size_t>(n));
+  JsonIn in(text);
+  latency_report_layout(in, rep);
+  return in.done();
 }
 
 }  // namespace aa::core

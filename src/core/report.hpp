@@ -115,4 +115,13 @@ class MeasureOneAccumulator {
 /// write_file_atomic.
 [[nodiscard]] std::string latency_report_json(const lens::LatencyReport& rep);
 
+/// Read a lens report back through latency_report_json's own layout: true
+/// iff `text` is exactly what it writes for a report of `n` senders with
+/// this `t` and `trials` (the identity the caller expects), leaving the
+/// report in `rep`. A number spelled other than the writer spells it still
+/// reads; compare latency_report_json(rep) with `text` to reject it.
+[[nodiscard]] bool latency_report_from_json(const std::string& text, int n,
+                                            int t, std::int64_t trials,
+                                            lens::LatencyReport& rep);
+
 }  // namespace aa::core

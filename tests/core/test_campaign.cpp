@@ -249,6 +249,110 @@ TEST(CampaignConfig, RejectsMalformedInput) {
   EXPECT_THROW((void)run_campaign(programmatic), std::invalid_argument);
 }
 
+TEST(CampaignConfig, RejectsNamesThatEscapeTheOutputDirOrBreakJson) {
+  // The name reaches file names (<output_dir>/<name>_cell_<i>.json) and
+  // JSON strings verbatim, so only [A-Za-z0-9._-]+ is accepted: no path
+  // separator can move an artifact out of output_dir, and no quote or
+  // backslash can break the JSON.
+  CampaignConfig cfg = parse_campaign_config("n = 8");
+  for (const char* bad :
+       {"../escaped", "a/b", "a\"b", "a\\b", "a b", "", "caf\xc3\xa9"}) {
+    cfg.name = bad;
+    try {
+      validate_campaign_config(cfg);
+      ADD_FAILURE() << "name accepted: " << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("name must match"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(parse_campaign_config("name = a\"b"), std::invalid_argument);
+  EXPECT_THROW(parse_campaign_config("name = ../escaped"),
+               std::invalid_argument);
+  for (const char* good : {"smoke", "campaign-sweep", "golden_window", "v1.2"}) {
+    cfg.name = good;
+    EXPECT_NO_THROW(validate_campaign_config(cfg)) << good;
+  }
+}
+
+TEST(CampaignConfig, RejectsChaosCensorTargetOutsideEverySweptN) {
+  // A chaos censor target at or above n would censor nobody (the chaos
+  // layer skips it), so a config that asks for censorship must aim inside
+  // every swept ring — for the chaos_* knobs and for the censor presets,
+  // which inherit the knob's target.
+  EXPECT_THROW(parse_campaign_config("n = 7\nchaos_censor_prob = 0.9\n"
+                                     "chaos_censor_target = 40"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_campaign_config("n = 7, 12\nchaos_censor_prob = 0.5\n"
+                                     "chaos_censor_target = 8"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_campaign_config("n = 8\nchaos_plan = none, censor-light\n"
+                                     "chaos_censor_target = 9"),
+               std::invalid_argument);
+  EXPECT_NO_THROW(parse_campaign_config(
+      "n = 7, 12\nchaos_censor_prob = 0.5\nchaos_censor_target = 6"));
+  // No censorship asked for: the target is inert and not checked.
+  EXPECT_NO_THROW(parse_campaign_config(
+      "n = 7\nchaos_reset_prob = 0.5\nchaos_censor_target = 40"));
+  EXPECT_NO_THROW(parse_campaign_config(
+      "n = 8\nchaos_plan = resets, crashy\nchaos_censor_target = 9"));
+}
+
+/// The reason an invalid_argument carries: the text after AA_REQUIRE's
+/// "failed: (<expr>) at <file>:<line> — " prefix, or all of it.
+std::string reason(const std::invalid_argument& e) {
+  const std::string what = e.what();
+  const std::string dash = " \xe2\x80\x94 ";  // " — "
+  const std::size_t at = what.find(dash);
+  return what.rfind("AA_REQUIRE failed", 0) == 0 && at != std::string::npos
+             ? what.substr(at + dash.size())
+             : what;
+}
+
+TEST(CampaignConfig, MutatedConfigFilesParseOrFailWithACampaignError) {
+  // The shipped example configs, truncated at a fixed stride of offsets and
+  // with one high bit flipped at a fixed stride (the artifact mutation test
+  // in test_campaign_resume.cpp does the same to resume artifacts). Each
+  // case must parse to a config that passes validation, or throw
+  // std::invalid_argument whose reason starts with "campaign". No other
+  // exception may escape.
+  int parsed = 0;
+  int rejected = 0;
+  const auto check = [&](const std::string& text, const std::string& what) {
+    try {
+      const CampaignConfig cfg = parse_campaign_config(text);
+      validate_campaign_config(cfg);
+      ++parsed;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(reason(e).rfind("campaign", 0), 0u) << what << ": " << e.what();
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << ": escaped " << e.what();
+    }
+  };
+  for (const char* file : {"campaign_smoke.cfg", "campaign_chaos.cfg"}) {
+    std::ifstream in(std::string(AA_SOURCE_DIR) + "/examples/" + file,
+                     std::ios::binary);
+    ASSERT_TRUE(in.good()) << file;
+    const std::string text{std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>()};
+    check(text, std::string(file) + " intact");
+    for (std::size_t len = 0; len < text.size(); len += 5) {
+      check(text.substr(0, len),
+            std::string(file) + " truncated to " + std::to_string(len));
+    }
+    for (std::size_t i = 0; i < text.size(); i += 3) {
+      std::string flipped = text;
+      flipped[i] = static_cast<char>(flipped[i] ^ (0x10 << (i % 4)));
+      check(flipped, std::string(file) + " flipped at " + std::to_string(i));
+    }
+  }
+  // Both outcomes occur: the stride reaches values, keys and comments.
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
+}
+
 TEST(Campaign, UnbuildableCellFailsBeforeAnyArtifact) {
   // n = 8, t = 3 gives canonical thresholds the reset protocol rejects. The
   // n = 20 cell before it is fine, and used to land its artifact before

@@ -171,7 +171,8 @@ TEST(CampaignResume, LensSidecarValidatedOnResume) {
   const std::string want_lens0 = read_file(dir / "resume_cell_0_lens.json");
   const std::string want_lens1 = read_file(dir / "resume_cell_1_lens.json");
 
-  // Control: intact sidecars resume both cells, everything byte-identical.
+  // Control: intact sidecars resume both cells, everything byte-identical,
+  // and each resumed cell carries the lens report its sidecar holds.
   cfg.resume = true;
   {
     fs::remove(dir / "resume_summary.json");
@@ -180,6 +181,8 @@ TEST(CampaignResume, LensSidecarValidatedOnResume) {
     EXPECT_TRUE(resumed.cells[1].resumed);
     EXPECT_EQ(read_file(dir / "resume_summary.json"), want_summary);
     EXPECT_EQ(read_file(dir / "resume_cell_0_lens.json"), want_lens0);
+    EXPECT_EQ(latency_report_json(resumed.cells[0].lens_report), want_lens0);
+    EXPECT_EQ(latency_report_json(resumed.cells[1].lens_report), want_lens1);
   }
 
   // Missing sidecar for cell 0, truncated sidecar for cell 1 (SIGKILL
