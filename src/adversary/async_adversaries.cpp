@@ -19,21 +19,13 @@ void DeliverableSet::sync(const sim::Execution& exec) {
   const bool pick_applied =
       last_taken_ != sim::kNoMsg && !buf.is_pending(last_taken_);
   const std::size_t expected = retired_seen_ + (pick_applied ? 1u : 0u);
+  // 1. Drop what was retired since the last sync: normally just our pick,
+  //    which run_async applied; after out-of-band retirements (a
+  //    substituting wrapper, another driver) every id no longer pending —
+  //    one pass over the list, never a walk of the buffer.
   if (retired != expected) {
-    // Out-of-band driver retired messages behind our back: rebuild from a
-    // full scan (same list, the slow way).
-    ids_.clear();
-    for (const sim::Envelope& env : buf.all_pending()) {
-      if (!exec.crashed(env.receiver)) ids_.push_back(env.id);
-    }
-    ingested_upto_ = static_cast<sim::MsgId>(buf.total_sent());
-    last_taken_ = sim::kNoMsg;
-    crash_count_seen_ = exec.crashed_count();
-    retired_seen_ = retired;
-    return;
-  }
-  // 1. Retire the delivery we issued last call (run_async applied it).
-  if (pick_applied) {
+    std::erase_if(ids_, [&buf](sim::MsgId id) { return !buf.is_pending(id); });
+  } else if (pick_applied) {
     const auto it = std::lower_bound(ids_.begin(), ids_.end(), last_taken_);
     if (it != ids_.end() && *it == last_taken_) ids_.erase(it);
   }
@@ -49,7 +41,7 @@ void DeliverableSet::sync(const sim::Execution& exec) {
   // 3. Ingest everything published since the last sync: ids in
   //    [ingested_upto_, total_sent) are exactly the batches the receiving
   //    steps' responses published. Appending keeps the list ascending —
-  //    bit-identical, entry for entry, to a full all_pending rescan.
+  //    bit-identical, entry for entry, to a full rescan of the buffer.
   const auto sent = static_cast<sim::MsgId>(buf.total_sent());
   for (sim::MsgId id = ingested_upto_; id < sent; ++id) {
     if (!exec.crashed(buf.get(id).receiver)) ids_.push_back(id);
@@ -88,10 +80,16 @@ sim::AsyncAction FixedCrashScheduler::next(const sim::Execution& exec) {
       deliverable_.take(rng_.uniform_index(deliverable_.size()))};
 }
 
-void AsyncSplitKeeper::prepare(int /*n*/, int /*t*/) { delivered_.clear(); }
+void AsyncSplitKeeper::prepare(int n, int /*t*/) {
+  delivered_.assign(static_cast<std::size_t>(n), RoundVotes{});
+}
 
 sim::AsyncAction AsyncSplitKeeper::next(const sim::Execution& exec) {
   const int n = exec.n();
+  // Sized here too: a keeper may be driven without prepare().
+  if (delivered_.size() != static_cast<std::size_t>(n)) {
+    delivered_.assign(static_cast<std::size_t>(n), RoundVotes{});
+  }
   // For each receiver, partition its pending CURRENT-round votes by value
   // and pick the value that keeps the receiver's consumed prefix balanced:
   // deliver the value it has seen FEWER of (tie → the value with more
@@ -123,7 +121,9 @@ sim::AsyncAction AsyncSplitKeeper::next(const sim::Execution& exec) {
     }
     const std::size_t pending_here = byval_[0].size() + byval_[1].size();
     if (pending_here == 0 || pending_here <= best_pending) continue;
-    const auto& seen = delivered_[{i, r}];
+    const RoundVotes& votes = delivered_[static_cast<std::size_t>(i)];
+    const std::array<int, 2> seen =
+        votes.round == r ? votes.count : std::array<int, 2>{0, 0};
     std::size_t pick;
     if (byval_[0].empty()) pick = 1;
     else if (byval_[1].empty()) pick = 0;
@@ -134,15 +134,26 @@ sim::AsyncAction AsyncSplitKeeper::next(const sim::Execution& exec) {
   }
   if (best != sim::kNoMsg) {
     const sim::Envelope& env = exec.buffer().get(best);
-    ++delivered_[{env.receiver, env.payload.round}]
-                [static_cast<std::size_t>(env.payload.value)];
+    RoundVotes& votes = delivered_[static_cast<std::size_t>(env.receiver)];
+    if (votes.round != env.payload.round) {
+      votes = RoundVotes{env.payload.round, {0, 0}};
+    }
+    ++votes.count[static_cast<std::size_t>(env.payload.value)];
     return sim::DeliverAction{best};
   }
   // No current-round votes anywhere: drain the obligations in send order.
   if (!fallback_.empty()) return sim::DeliverAction{fallback_.front()};
-  for (const sim::Envelope& env : exec.buffer().all_pending()) {
-    if (!exec.crashed(env.receiver)) return sim::DeliverAction{env.id};
+  // Only receivers without a round can still hold pending messages: take
+  // the oldest, the lowest head over the live receivers' lists.
+  sim::MsgId oldest = sim::kNoMsg;
+  for (sim::ProcId i = 0; i < n; ++i) {
+    if (exec.crashed(i)) continue;
+    const auto pending = exec.buffer().pending_to(i);
+    if (pending.empty()) continue;
+    const sim::MsgId head = (*pending.begin()).id;
+    if (oldest == sim::kNoMsg || head < oldest) oldest = head;
   }
+  if (oldest != sim::kNoMsg) return sim::DeliverAction{oldest};
   return sim::StopAction{};
 }
 

@@ -27,7 +27,6 @@
 #pragma once
 
 #include <array>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -56,9 +55,11 @@ class DeliverableSet {
   /// scheduler issued last call, purge crashed receivers when a crash
   /// happened since, and ingest every id published since the last call.
   /// If the buffer retired messages this scheduler did not deliver (an
-  /// out-of-band driver), falls back to a full rescan — the result is the
-  /// same list either way, the incremental path just never walks old
-  /// pending state.
+  /// out-of-band driver, e.g. a substituting wrapper), it drops every id
+  /// of its list that is no longer pending instead — the result is the
+  /// same list either way, and neither path walks the buffer. Valid while
+  /// it syncs one execution, from reset() on (run_async's prepare()
+  /// guarantees this).
   void sync(const sim::Execution& exec);
 
   /// The scheduler's pick; records it so the next sync retires it.
@@ -114,9 +115,9 @@ class FixedCrashScheduler final : public sim::AsyncAdversary {
 
 /// Theorem 17's scheduling adversary (see class comment above).
 /// Stateful: tracks how many votes of each value it has delivered to each
-/// (receiver, round) so it can alternate strictly — the same prefix-balance
-/// the window-model SplitKeeperAdversary enforces. A delivery it returns is
-/// assumed applied (run_async guarantees this).
+/// receiver in its current round so it can alternate strictly — the same
+/// prefix-balance the window-model SplitKeeperAdversary enforces. A
+/// delivery it returns is assumed applied (run_async guarantees this).
 ///
 /// Only kVoteKind payloads are balanced. Ben-Or and Bracha never send one,
 /// so under them the keeper degenerates to "the lowest pending id of the
@@ -132,8 +133,14 @@ class AsyncSplitKeeper final : public sim::AsyncAdversary {
   }
 
  private:
-  /// delivered[(receiver, round)] = {count of 0-votes, count of 1-votes}.
-  std::map<std::pair<sim::ProcId, int>, std::array<int, 2>> delivered_;
+  /// Votes delivered to one receiver in `round`, by value. Only the
+  /// receiver's current round is ever read, and async rounds never
+  /// decrease, so a delivery in a new round starts the counts over.
+  struct RoundVotes {
+    int round = sim::kBot;
+    std::array<int, 2> count{0, 0};
+  };
+  std::vector<RoundVotes> delivered_;  ///< per receiver
   std::array<std::vector<sim::MsgId>, 2> byval_;  ///< reusable per receiver
   std::vector<sim::MsgId> fallback_;              ///< reusable per call
 };

@@ -84,19 +84,29 @@ sim::AsyncAction StarvingAsyncScheduler::next(const sim::Execution& exec) {
     streak_ = 0;
     return act;
   }
-  // Substitute the oldest pending non-target delivery to a live receiver.
-  // The inner scheduler's pick stays pending and will be re-offered; its
-  // incremental deliverable cache detects the out-of-band delivery and
-  // rescans (the documented DeliverableSet fallback), so correctness is
-  // unaffected — only the target's latency.
-  for (const sim::Envelope& env : exec.buffer().all_pending()) {
-    if (env.sender == target_ || exec.crashed(env.receiver)) continue;
-    ++streak_;
-    return sim::DeliverAction{env.id};
+  // Substitute the oldest pending non-target delivery to a live receiver:
+  // the lowest over the receivers' first qualifying ids (each receiver list
+  // ascends). The inner scheduler's pick stays pending and will be
+  // re-offered; its incremental deliverable cache detects the out-of-band
+  // delivery and filters it out (the documented DeliverableSet fallback),
+  // so correctness is unaffected — only the target's latency.
+  sim::MsgId oldest = sim::kNoMsg;
+  for (sim::ProcId r = 0; r < exec.n(); ++r) {
+    if (exec.crashed(r)) continue;
+    for (const sim::Envelope& env : exec.buffer().pending_to(r)) {
+      if (oldest != sim::kNoMsg && env.id > oldest) break;
+      if (env.sender == target_) continue;
+      oldest = env.id;
+      break;
+    }
   }
-  // Nothing but target traffic left: let it through.
-  streak_ = 0;
-  return act;
+  if (oldest == sim::kNoMsg) {
+    // Nothing but target traffic left: let it through.
+    streak_ = 0;
+    return act;
+  }
+  ++streak_;
+  return sim::DeliverAction{oldest};
 }
 
 }  // namespace aa::adversary

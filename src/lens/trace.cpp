@@ -27,20 +27,26 @@ void WindowTrace::on_publish(sim::ProcId sender,
   const std::size_t s = idx(sender);
   sent_[s] += static_cast<std::int64_t>(items.size());
   // Within-batch equivocation scan: message i equivocates when an earlier
-  // message j shares its (round, kind, aux) key but carries a different
-  // bit value. Each message counts at most once. Batches are O(n); the
-  // quadratic scan only runs with the lens on.
-  for (std::size_t i = 1; i < items.size(); ++i) {
-    const sim::Message& mi = items[i].msg;
-    if (mi.value != 0 && mi.value != 1) continue;
-    for (std::size_t j = 0; j < i; ++j) {
-      const sim::Message& mj = items[j].msg;
-      if (mj.round == mi.round && mj.kind == mi.kind && mj.aux == mi.aux &&
-          (mj.value == 0 || mj.value == 1) && mj.value != mi.value) {
-        ++equivocations_[s];
+  // message shares its (round, kind, aux) key but carries the other bit
+  // value. Each message counts at most once. One pass: each key remembers
+  // which bit values it has seen so far.
+  run_keys_.clear();
+  for (const sim::StagedMessage& item : items) {
+    const sim::Message& m = item.msg;
+    if (m.value != 0 && m.value != 1) continue;
+    KeyBits* key = nullptr;
+    for (KeyBits& k : run_keys_) {
+      if (k.round == m.round && k.kind == m.kind && k.aux == m.aux) {
+        key = &k;
         break;
       }
     }
+    if (key == nullptr) {
+      run_keys_.push_back(KeyBits{m.round, m.kind, m.aux, 0u});
+      key = &run_keys_.back();
+    }
+    if ((key->bits & (1u << (1 - m.value))) != 0) ++equivocations_[s];
+    key->bits |= 1u << m.value;
   }
 }
 

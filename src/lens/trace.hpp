@@ -168,6 +168,17 @@ class WindowTrace {
   std::vector<std::int64_t> delivery_hist_;
   std::vector<std::int64_t> confirm_hist_;
   std::int64_t deciders_ = 0;
+
+  /// on_publish scratch: the bit values seen so far per (round, kind, aux)
+  /// key of one run (bit v set = a v-valued message staged). A run holds
+  /// only a few keys, so a linear scan beats any map; reused across calls.
+  struct KeyBits {
+    std::int32_t round;
+    std::int32_t kind;
+    std::int32_t aux;
+    unsigned bits;
+  };
+  std::vector<KeyBits> run_keys_;
 };
 
 }  // namespace aa::lens

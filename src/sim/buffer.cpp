@@ -1,5 +1,7 @@
 #include "sim/buffer.hpp"
 
+#include <algorithm>
+
 #include "util/check.hpp"
 
 namespace aa::sim {
@@ -25,8 +27,6 @@ void MessageBuffer::reset(int n) {
   next_id_ = 0;
   rcv_head_.assign(static_cast<std::size_t>(n), kNoSlot);
   rcv_tail_.assign(static_cast<std::size_t>(n), kNoSlot);
-  sent_head_ = kNoSlot;
-  sent_tail_ = kNoSlot;
   pending_ = 0;
   claimed_ = 0;
   delivered_ = 0;
@@ -68,15 +68,6 @@ MsgId MessageBuffer::add_batch(ProcId sender,
     }
     rcv_tail_[static_cast<std::size_t>(item.to)] = s;
 
-    lk.prev_sent = sent_tail_;
-    lk.next_sent = kNoSlot;
-    if (sent_tail_ != kNoSlot) {
-      slots_[static_cast<std::size_t>(sent_tail_)].link.next_sent = s;
-    } else {
-      sent_head_ = s;
-    }
-    sent_tail_ = s;
-
     id_map_.insert(id, static_cast<std::uint32_t>(s));
   }
   pending_ += items.size();
@@ -99,8 +90,8 @@ bool MessageBuffer::is_pending(MsgId id) const {
   return slot_of(id) != kNoSlot;
 }
 
-void MessageBuffer::unlink_receiver(std::int32_t s) {
-  const Slot& slot = slots_[static_cast<std::size_t>(s)];
+void MessageBuffer::retire(std::int32_t s) {
+  Slot& slot = slots_[static_cast<std::size_t>(s)];
   const Link lk = slot.link;
   const ProcId r = slot.env.receiver;
   if (lk.prev_rcv != kNoSlot) {
@@ -113,28 +104,6 @@ void MessageBuffer::unlink_receiver(std::int32_t s) {
   } else {
     rcv_tail_[static_cast<std::size_t>(r)] = lk.prev_rcv;
   }
-}
-
-void MessageBuffer::unlink_sent(std::int32_t s) {
-  const Link lk = slots_[static_cast<std::size_t>(s)].link;
-  if (lk.prev_sent != kNoSlot) {
-    slots_[static_cast<std::size_t>(lk.prev_sent)].link.next_sent =
-        lk.next_sent;
-  } else {
-    sent_head_ = lk.next_sent;
-  }
-  if (lk.next_sent != kNoSlot) {
-    slots_[static_cast<std::size_t>(lk.next_sent)].link.prev_sent =
-        lk.prev_sent;
-  } else {
-    sent_tail_ = lk.prev_sent;
-  }
-}
-
-void MessageBuffer::retire(std::int32_t s) {
-  unlink_receiver(s);
-  unlink_sent(s);
-  Slot& slot = slots_[static_cast<std::size_t>(s)];
   id_map_.erase(slot.env.id);
   slot.env.id = kNoMsg;
   slot.link.next_rcv = free_head_;
@@ -170,15 +139,16 @@ void MessageBuffer::retire_claimed(std::size_t delivered, std::size_t dropped) {
 
 void MessageBuffer::audit() const {
   // Per-slot lifecycle classification discovered by walking the structures:
-  // 0 = unseen, 1 = on a receiver list (pending, send-list membership not
-  // yet confirmed), 2 = pending confirmed on both lists, 3 = on the free
-  // list. Every slot must end in {2, 3}.
+  // 0 = unseen, 1 = on a receiver list (pending), 2 = on the free list.
+  // Every slot must end in {1, 2}.
   const std::size_t cap = slots_.size();
   std::vector<std::uint8_t> state(cap, 0);
 
   // Receiver lists: doubly-linked, acyclic, ascending-id, field-consistent,
-  // and every member resolves through the id map back to its own slot.
+  // one window across all of them, and every member resolves through the
+  // id map back to its own slot.
   std::size_t on_rcv_lists = 0;
+  const Envelope* first_seen = nullptr;
   for (ProcId r = 0; r < n_; ++r) {
     std::int32_t s = rcv_head_[static_cast<std::size_t>(r)];
     std::int32_t prev = kNoSlot;
@@ -200,6 +170,9 @@ void MessageBuffer::audit() const {
                "audit: slot sender outside [0, n)");
       AA_CHECK(env.id > last_id,
                "audit: receiver list ids not strictly ascending");
+      if (first_seen == nullptr) first_seen = &env;
+      AA_CHECK(env.window == first_seen->window,
+               "audit: pending messages span more than one window");
       AA_CHECK(id_map_.find(env.id) == static_cast<std::uint32_t>(s),
                "audit: id map does not resolve a pending id to its slot");
       AA_CHECK(state[si] == 0, "audit: slot reachable from two receiver lists");
@@ -214,46 +187,10 @@ void MessageBuffer::audit() const {
   }
   AA_CHECK(on_rcv_lists == pending_,
            "audit: pending_ counter disagrees with receiver-list population");
-  // Every pending id resolved to its own slot above, and the pending ids
-  // are distinct (the send list below is strictly ascending), so a map of
-  // exactly that size holds nothing else.
+  // Every pending id resolved to its own slot above, so no two slots share
+  // an id, and a map of exactly that size holds nothing else.
   AA_CHECK(id_map_.size() == pending_,
            "audit: id map size disagrees with the pending count");
-
-  // Send list: doubly-linked, acyclic, ascending-id, one window, and
-  // exactly the receiver-list population.
-  std::size_t pending_on_sent_list = 0;
-  {
-    std::int32_t s = sent_head_;
-    std::int32_t prev = kNoSlot;
-    MsgId last_id = kNoMsg;
-    std::size_t steps = 0;
-    while (s != kNoSlot) {
-      AA_CHECK(s >= 0 && static_cast<std::size_t>(s) < cap,
-               "audit: send list points outside the slot arena");
-      AA_CHECK(++steps <= cap, "audit: send list has a cycle");
-      const auto si = static_cast<std::size_t>(s);
-      const Envelope& env = slots_[si].env;
-      AA_CHECK(slots_[si].link.prev_sent == prev,
-               "audit: send list prev link disagrees with walk");
-      AA_CHECK(env.id != kNoMsg, "audit: retired slot on the send list");
-      AA_CHECK(env.window ==
-                   slots_[static_cast<std::size_t>(sent_head_)].env.window,
-               "audit: send list holds more than one window");
-      AA_CHECK(env.id > last_id, "audit: send list ids not strictly ascending");
-      AA_CHECK(state[si] == 1,
-               "audit: send-list slot missing from its receiver list");
-      state[si] = 2;
-      ++pending_on_sent_list;
-      last_id = env.id;
-      prev = s;
-      s = slots_[si].link.next_sent;
-    }
-    AA_CHECK(sent_tail_ == prev,
-             "audit: send list tail does not match the last list element");
-  }
-  AA_CHECK(pending_on_sent_list == pending_,
-           "audit: send list does not cover the pending population");
 
   // Free list (linked through next_rcv): acyclic, all members retired.
   {
@@ -268,15 +205,14 @@ void MessageBuffer::audit() const {
                "audit: free-list slot also reachable from a live list");
       AA_CHECK(slots_[si].env.id == kNoMsg,
                "audit: free-list slot still carries a live id");
-      state[si] = 3;
+      state[si] = 2;
       s = slots_[si].link.next_rcv;
     }
   }
 
-  // Exactly-one-home: no slot may be leaked (unreachable) or stranded on a
-  // receiver list without send-list membership.
+  // Exactly-one-home: no slot may be leaked (unreachable).
   for (std::size_t i = 0; i < cap; ++i) {
-    AA_CHECK(state[i] == 2 || state[i] == 3,
+    AA_CHECK(state[i] == 1 || state[i] == 2,
              "audit: slot neither pending nor free");
   }
 
@@ -289,18 +225,11 @@ void MessageBuffer::audit() const {
 
 // ---- iteration ------------------------------------------------------------
 
-MessageBuffer::Range<MessageBuffer::PendingIterator> MessageBuffer::pending_to(
-    ProcId receiver) const {
+MessageBuffer::Range MessageBuffer::pending_to(ProcId receiver) const {
   AA_REQUIRE(receiver >= 0 && receiver < n_, "pending_to: bad receiver");
   return {PendingIterator(slots_.data(),
                           rcv_head_[static_cast<std::size_t>(receiver)]),
           PendingIterator(slots_.data(), kNoSlot)};
-}
-
-MessageBuffer::Range<MessageBuffer::SendOrderIterator>
-MessageBuffer::all_pending() const {
-  return {SendOrderIterator(slots_.data(), sent_head_),
-          SendOrderIterator(slots_.data(), kNoSlot)};
 }
 
 // ---- allocating conveniences ----------------------------------------------
@@ -314,7 +243,10 @@ std::vector<MsgId> MessageBuffer::pending_to_ids(ProcId receiver) const {
 std::vector<MsgId> MessageBuffer::all_pending_ids() const {
   std::vector<MsgId> out;
   out.reserve(pending_);
-  for (const Envelope& e : all_pending()) out.push_back(e.id);
+  for (ProcId r = 0; r < n_; ++r) {
+    for (const Envelope& e : pending_to(r)) out.push_back(e.id);
+  }
+  std::sort(out.begin(), out.end());
   return out;
 }
 

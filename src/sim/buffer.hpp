@@ -23,10 +23,11 @@
 //     execution length. A free slot carries the id kNoMsg.
 //   * Every pending id resolves to its slot through one open-addressing
 //     table (MsgIdMap), which holds exactly the pending ids.
-//   * Slots are threaded onto intrusive doubly-linked lists kept in
-//     ascending-id (send) order: one per receiver, and one send list that
-//     holds every pending slot. pending_to and all_pending iterate those
-//     lists in O(result).
+//   * Slots are threaded onto one intrusive doubly-linked list per
+//     receiver, kept in ascending-id (send) order; pending_to iterates one
+//     in O(result). There is no global send-order list: a reader that
+//     wants the oldest qualifying message takes the lowest of the
+//     receivers' first qualifying ids.
 //
 // Because slots recycle, envelope lookups are only valid for PENDING arena
 // ids: querying a retired id throws (std::logic_error), and is_pending(id)
@@ -54,19 +55,19 @@ namespace aa::sim {
 struct AuditTestAccess;
 
 class MessageBuffer {
-  /// Intrusive list links of one slot.
+  /// Receiver-list links of one slot.
   struct Link {
     std::int32_t prev_rcv = -1;
     std::int32_t next_rcv = -1;  ///< doubles as the free-list link
-    std::int32_t prev_sent = -1;
-    std::int32_t next_sent = -1;
   };
 
-  /// One arena slot: `env.id == kNoMsg` means the slot is free.
-  struct Slot {
+  /// One arena slot: `env.id == kNoMsg` means the slot is free. 56 bytes
+  /// of payload padded to one cache line, so no slot straddles two.
+  struct alignas(64) Slot {
     Envelope env;
     Link link;
   };
+  static_assert(sizeof(Slot) == 64);
 
  public:
   explicit MessageBuffer(int n);
@@ -113,60 +114,56 @@ class MessageBuffer {
   // retiring the CURRENT element (mark_delivered) while iterating is safe;
   // retiring any other element or adding messages mid-iteration is not.
 
-  /// Walks one intrusive list, following the `Next` link of each slot.
-  template <std::int32_t Link::*Next>
-  class ListIterator {
+  /// Walks one receiver's pending list.
+  class PendingIterator {
    public:
-    ListIterator(const Slot* slots, std::int32_t slot)
+    PendingIterator(const Slot* slots, std::int32_t slot)
         : slots_(slots), cur_(slot) {
       prefetch();
     }
     const Envelope& operator*() const {
       return slots_[static_cast<std::size_t>(cur_)].env;
     }
-    ListIterator& operator++() {
+    PendingIterator& operator++() {
       cur_ = next_;
       prefetch();
       return *this;
     }
-    bool operator==(const ListIterator& o) const { return cur_ == o.cur_; }
+    bool operator==(const PendingIterator& o) const {
+      return cur_ == o.cur_;
+    }
 
    private:
     void prefetch() {
-      next_ = cur_ < 0 ? -1 : slots_[static_cast<std::size_t>(cur_)].link.*Next;
+      next_ = cur_ < 0
+                  ? -1
+                  : slots_[static_cast<std::size_t>(cur_)].link.next_rcv;
     }
 
     const Slot* slots_;
     std::int32_t cur_;
     std::int32_t next_ = -1;
   };
-  /// Walks one receiver's pending list.
-  using PendingIterator = ListIterator<&Link::next_rcv>;
-  /// Walks the send list.
-  using SendOrderIterator = ListIterator<&Link::next_sent>;
-
-  template <typename Iter>
   class Range {
    public:
-    Range(Iter begin, Iter end) : begin_(begin), end_(end) {}
-    [[nodiscard]] Iter begin() const { return begin_; }
-    [[nodiscard]] Iter end() const { return end_; }
+    Range(PendingIterator begin, PendingIterator end)
+        : begin_(begin), end_(end) {}
+    [[nodiscard]] PendingIterator begin() const { return begin_; }
+    [[nodiscard]] PendingIterator end() const { return end_; }
     [[nodiscard]] bool empty() const { return !(begin_ != end_); }
 
    private:
-    Iter begin_;
-    Iter end_;
+    PendingIterator begin_;
+    PendingIterator end_;
   };
 
   /// All pending messages addressed to `receiver` (send order).
-  [[nodiscard]] Range<PendingIterator> pending_to(ProcId receiver) const;
-
-  /// Every pending message (send order).
-  [[nodiscard]] Range<SendOrderIterator> all_pending() const;
+  [[nodiscard]] Range pending_to(ProcId receiver) const;
 
   // ---- allocating conveniences (diagnostics / tests) ---------------------
 
   [[nodiscard]] std::vector<MsgId> pending_to_ids(ProcId receiver) const;
+  /// Every pending id, ascending: the receiver lists gathered and sorted.
   [[nodiscard]] std::vector<MsgId> all_pending_ids() const;
 
   // ---- counters and arena introspection ----------------------------------
@@ -205,8 +202,8 @@ class MessageBuffer {
   }
 
   /// Opt-in invariant auditor: verify the full arena state — receiver lists
-  /// and the send list (doubly-linked, acyclic, ascending-id,
-  /// field-consistent, one window on the send list), that the id map holds
+  /// (doubly-linked, acyclic, ascending-id, field-consistent, one window
+  /// across all of them), that the id map holds
   /// exactly the pending ids and resolves each to its own slot, free-list
   /// integrity, that every slot is either pending or free, and that the
   /// lifecycle counters (claimed ids included) sum to total_sent(). Throws
@@ -316,10 +313,9 @@ class MessageBuffer {
   /// Slot index for a live id; -1 when retired or claimed. Throws on ids
   /// never issued.
   [[nodiscard]] std::int32_t slot_of(MsgId id) const;
-  /// Unlink from both lists, erase the id mapping, push onto the free list.
+  /// Unlink from its receiver list, erase the id mapping, push onto the
+  /// free list.
   void retire(std::int32_t slot);
-  void unlink_receiver(std::int32_t slot);
-  void unlink_sent(std::int32_t slot);
 
   int n_;
   std::vector<Slot> slots_;
@@ -330,10 +326,6 @@ class MessageBuffer {
 
   std::vector<std::int32_t> rcv_head_;
   std::vector<std::int32_t> rcv_tail_;
-
-  // The send list: every pending slot, in ascending-id order.
-  std::int32_t sent_head_ = -1;
-  std::int32_t sent_tail_ = -1;
 
   std::size_t pending_ = 0;   ///< arena messages on the lists
   std::size_t claimed_ = 0;   ///< claimed ids not yet settled

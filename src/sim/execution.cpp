@@ -116,35 +116,32 @@ std::span<const MsgId> Execution::publish_run(ProcId p, Outbox& out) {
   AA_CHECK(sc.row_stamp[ps] != sc.batch_epoch,
            "sending_step: one non-empty publication per sender per "
            "collected window");
-  const std::size_t m = out.items().size();
+  const std::vector<StagedMessage>& items = out.items();
+  const std::size_t m = items.size();
   const MsgId first = buffer_.claim_ids(m);
-  if (cfg_.lens != nullptr) cfg_.lens->on_publish(p, out.items(), window_);
+  if (cfg_.lens != nullptr) cfg_.lens->on_publish(p, items, window_);
 
-  // Fold the run's receiver grouping into the pair index. Ids are assigned
-  // in staging order, so the stable grouping keeps per-pair send order.
-  out.index_by_receiver(sc.sort_begin, sc.sort_order);
+  // Write the sender's row of the pair index with one stable counting sort
+  // by receiver: count into the row, turn the counts into segment ends, then
+  // scatter the ids back to front so each segment start is where its
+  // cursor stops. Ids follow staging order, so every pair keeps send order.
   const auto base = static_cast<std::int32_t>(sc.pair_ids.size());
-  const std::size_t row = ps * (static_cast<std::size_t>(n_) + 1);
-  for (std::size_t r = 0; r <= static_cast<std::size_t>(n_); ++r) {
-    sc.pair_begin[row + r] = base + sc.sort_begin[r];
+  const auto n = static_cast<std::size_t>(n_);
+  std::int32_t* row = &sc.pair_begin[ps * (n + 1)];
+  std::fill(row, row + n + 1, 0);
+  for (const StagedMessage& item : items) ++row[item.to];
+  std::int32_t end = base;
+  for (std::size_t r = 0; r <= n; ++r) {
+    end += row[r];
+    row[r] = end;
   }
   sc.pair_ids.resize(static_cast<std::size_t>(base) + m);
-  for (std::size_t j = 0; j < m; ++j) {
-    sc.pair_ids[static_cast<std::size_t>(base) + j] =
-        first + static_cast<MsgId>(sc.sort_order[j]);
+  for (std::size_t j = m; j-- > 0;) {
+    sc.pair_ids[static_cast<std::size_t>(--row[items[j].to])] =
+        first + static_cast<MsgId>(j);
   }
   sc.row_stamp[ps] = sc.batch_epoch;
   sc.bcast_runs[ps] = out.broadcast_runs();
-  for (std::size_t r = 0; r < static_cast<std::size_t>(n_); ++r) {
-    const std::int32_t c = sc.sort_begin[r + 1] - sc.sort_begin[r];
-    if (c == 0) continue;
-    if (sc.rcv_stamp[r] == sc.batch_epoch) {
-      sc.rcv_total[r] += c;
-    } else {
-      sc.rcv_stamp[r] = sc.batch_epoch;
-      sc.rcv_total[r] = c;
-    }
-  }
 
   // The staged vector becomes the sender's run: a swap, not a copy.
   SenderRun& run = sc.runs[ps];
@@ -170,8 +167,6 @@ void Execution::begin_window_batch() {
            "begin_window_batch: messages are already pending");
   if (sc.row_stamp.size() != n) {
     sc.row_stamp.assign(n, 0);
-    sc.rcv_stamp.assign(n, 0);
-    sc.rcv_total.assign(n, 0);
     sc.bcast_runs.assign(n, 0);
     sc.runs.resize(n);
     sc.pair_begin.assign(n * (n + 1), 0);
@@ -240,9 +235,12 @@ int Execution::deliver_plan_row(ProcId receiver, std::span<const ProcId> row) {
   for (const ProcId s : row) {
     AA_REQUIRE(s >= 0 && s < n_, "deliver_plan_row: sender id out of range");
   }
-  const auto total = static_cast<std::size_t>(
-      WindowBatch(&sc, n_).count_to(receiver));
-  if (total == 0) return 0;  // nothing was published to this receiver
+  const WindowBatch batch(&sc, n_);
+  std::size_t total = 0;
+  for (const ProcId s : row) {
+    total += static_cast<std::size_t>(batch.count(s, receiver));
+  }
+  if (total == 0) return 0;  // the row's senders sent this receiver nothing
   if (run_envelopes_.size() < total) {
     run_envelopes_.resize(total);
     run_ptrs_.resize(total);
@@ -415,9 +413,6 @@ void Execution::audit() const {
   // silently misread as "valid this window".
   for (const std::uint64_t s : scratch_.row_stamp) {
     AA_CHECK(s <= scratch_.batch_epoch, "audit: row_stamp from the future");
-  }
-  for (const std::uint64_t s : scratch_.rcv_stamp) {
-    AA_CHECK(s <= scratch_.batch_epoch, "audit: rcv_stamp from the future");
   }
   for (const std::uint64_t s : scratch_.stamp) {
     AA_CHECK(s <= scratch_.epoch, "audit: plan-validation stamp from the future");

@@ -110,9 +110,9 @@ class Execution {
 
   /// Sending step: publish `p`'s staged messages. In a collected window
   /// (begin_window_batch) the staged vector is swapped into `p`'s window
-  /// run — no copy — and the run's receiver grouping is folded into the
-  /// window pair index; otherwise (the async model) the run goes into the
-  /// MessageBuffer arena in one add_batch. Returns the ids published, in
+  /// run — no copy — and one stable counting sort by receiver writes its
+  /// row of the window pair index; otherwise (the async model) the run
+  /// goes into the MessageBuffer arena in one add_batch. Returns the ids published, in
   /// staging order (empty when the step is a no-op). The span aliases a
   /// reusable internal buffer — it is invalidated by the next sending
   /// step, so copy it out if it must outlive one step.

@@ -8,13 +8,13 @@
 // MessageBuffer arena. A collected sending step swaps the sender's staged
 // vector into the sender's run (no copy: the 20-byte StagedMessage items
 // the protocol wrote ARE the store), claims a contiguous id range from the
-// buffer, and folds the run's receiver grouping into the (sender,
-// receiver) pair index. Delivery gathers a receiver's envelopes from the
-// runs through that index, and the window edge counts what was never
-// delivered as dropped. The window's ids are contiguous and ascending in
-// publication order (the batch starts at `base`), so every pair_ids
-// segment is ascending too; callers must not keep ids or envelopes
-// across a window edge.
+// buffer, and groups the run by receiver with one stable counting sort
+// straight into its row of the (sender, receiver) pair index. Delivery
+// gathers a receiver's envelopes from the runs through that index, and the
+// window edge counts what was never delivered as dropped. The window's ids
+// are contiguous and ascending in publication order (the batch starts at
+// `base`), so every pair_ids segment is ascending too; callers must not
+// keep ids or envelopes across a window edge.
 #pragma once
 
 #include <cstdint>
@@ -77,18 +77,18 @@ struct SenderRun {
 ///   window_delivered — number of set delivered bytes
 ///   pair_begin   — n rows of n+1 absolute offsets into pair_ids; row s
 ///                  (entries s·(n+1) .. s·(n+1)+n) maps receiver r to the
-///                  segment of sender s's window-batch ids addressed to r
+///                  segment of sender s's window-batch ids addressed to r.
+///                  publish_run writes row s and its pair_ids with one
+///                  stable counting sort by receiver; it is the only index
+///                  (count and count_to read it)
 ///   pair_ids     — the batch grouped (sender-major, receiver-minor, id
 ///                  ascending within a pair)
 ///   row_stamp    — pair_begin row s and runs[s] are valid iff
 ///                  row_stamp[s] == batch_epoch; stale rows mean "sender
 ///                  published nothing", so no counter array is ever reset
-///   rcv_total    — per-receiver message totals this window (valid iff
-///                  rcv_stamp[r] == batch_epoch)
 ///   bcast_runs   — per-sender Outbox::broadcast_runs() of the published
 ///                  run (valid iff row_stamp[s] == batch_epoch): k ≥ 1
 ///                  whole broadcasts, or -1 for a run staged with send()
-///   sort_begin / sort_order — Outbox::index_by_receiver output scratch
 ///   batch_epoch  — bumped by every begin_window_batch
 ///   collect_window — the window index being collected, or -1 when the
 ///                  execution is not in a collected window (async drivers
@@ -117,11 +117,7 @@ struct WindowScratch {
   std::vector<std::int32_t> pair_begin;
   std::vector<MsgId> pair_ids;
   std::vector<std::uint64_t> row_stamp;
-  std::vector<std::int32_t> rcv_total;
-  std::vector<std::uint64_t> rcv_stamp;
   std::vector<std::int32_t> bcast_runs;
-  std::vector<std::int32_t> sort_begin;
-  std::vector<std::uint32_t> sort_order;
   std::uint64_t batch_epoch = 0;
   std::int64_t collect_window = -1;
   WindowPlan plan;
@@ -183,9 +179,9 @@ class WindowBatch {
 
   /// Total messages published to receiver r this window (all senders).
   [[nodiscard]] std::int32_t count_to(ProcId r) const {
-    return sc_->rcv_stamp[static_cast<std::size_t>(r)] == sc_->batch_epoch
-               ? sc_->rcv_total[static_cast<std::size_t>(r)]
-               : 0;
+    std::int32_t total = 0;
+    for (ProcId s = 0; s < n_; ++s) total += count(s, r);
+    return total;
   }
 
   /// Shape of sender s's run this window: k ≥ 1 when it published exactly

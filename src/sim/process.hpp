@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -23,7 +22,9 @@ namespace aa::sim {
 /// Collector for messages a process wants to send. The engine stages these
 /// and publishes the whole run at the process's next sending step — into
 /// the window store (take) in a collected window, else into the
-/// MessageBuffer arena (add_batch). Ids are assigned in staging order.
+/// MessageBuffer arena (add_batch). Ids are assigned in staging order. The
+/// outbox keeps only that order: the engine groups a window run by
+/// receiver itself, straight into its pair index (Execution::publish_run).
 class Outbox {
  public:
   explicit Outbox(int n) : n_(n) {}
@@ -74,58 +75,10 @@ class Outbox {
   /// records it per sender so a planner can tell broadcast-shaped windows.
   [[nodiscard]] int broadcast_runs() const noexcept { return broadcast_runs_; }
 
-  /// Receiver-sorted drain hook for the bulk publication path: computes the
-  /// stable receiver grouping of the staged items WITHOUT reordering the
-  /// staging sequence itself (publication ids are assigned in staging
-  /// order). On return, `order[begin[r] .. begin[r+1])` lists the indices
-  /// into items() of the messages addressed to receiver r, in staging
-  /// order; `begin` has n+1 entries. The outbox contents are untouched —
-  /// the engine clears them after publishing. Steady-state allocation-free:
-  /// the counting pass runs on epoch-stamped member counters, so no O(n)
-  /// zeroing happens per call.
-  void index_by_receiver(std::vector<std::int32_t>& begin,
-                         std::vector<std::uint32_t>& order) {
-    const std::size_t m = queued_.size();
-    const std::size_t nn = static_cast<std::size_t>(n_);
-    if (count_.size() != nn) {
-      count_.assign(nn, 0);
-      stamp_.assign(nn, 0);
-    }
-    const std::uint64_t e = ++epoch_;
-    for (const Item& item : queued_) {
-      const auto r = static_cast<std::size_t>(item.to);
-      if (stamp_[r] != e) {
-        stamp_[r] = e;
-        count_[r] = 1;
-      } else {
-        ++count_[r];
-      }
-    }
-    begin.resize(nn + 1);
-    std::int32_t acc = 0;
-    for (std::size_t r = 0; r < nn; ++r) {
-      begin[r] = acc;
-      if (stamp_[r] == e) {
-        acc += count_[r];
-        count_[r] = begin[r];  // becomes the scatter cursor
-      }
-    }
-    begin[nn] = acc;
-    order.resize(m);
-    for (std::uint32_t j = 0; j < m; ++j) {
-      order[static_cast<std::size_t>(
-          count_[static_cast<std::size_t>(queued_[j].to)]++)] = j;
-    }
-  }
-
  private:
   int n_;
   std::vector<Item> queued_;
   int broadcast_runs_ = 0;
-  // index_by_receiver scratch (epoch-stamped so it never needs clearing).
-  std::vector<std::int32_t> count_;
-  std::vector<std::uint64_t> stamp_;
-  std::uint64_t epoch_ = 0;
 };
 
 /// Protocol behaviour of one processor. Implementations live in

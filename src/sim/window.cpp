@@ -82,9 +82,9 @@ int run_acceptable_window(Execution& exec, WindowAdversary& adv, int t) {
 
   // Phase 1: all n processors take sending steps under window-batch
   // collection — each step swaps its staged vector into its run of the
-  // window store and folds its receiver grouping into the (sender,
-  // receiver) pair index, so the index is ready the moment the last step
-  // returns (no extra walks, no per-window counter reset).
+  // window store and counting-sorts its ids by receiver into its row of
+  // the (sender, receiver) pair index, so the index is ready the moment
+  // the last step returns (no extra walks, no per-window counter reset).
   exec.begin_window_batch();
   for (ProcId p = 0; p < n; ++p) exec.sending_step(p);
 

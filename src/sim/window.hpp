@@ -22,10 +22,11 @@
 //     the first window, so static adversaries can set up their plan shape.
 //   * the sending phase runs under Execution::begin_window_batch: each
 //     sending step swaps its whole staged vector into its run of the
-//     window store (plan.hpp) and folds its receiver grouping into the
-//     window's (sender, receiver) pair index as it goes. It also records
-//     how many whole broadcast() calls each run was (every protocol here
-//     except Byzantine send() equivocators stages only broadcasts), and
+//     window store (plan.hpp) and writes its row of the window's (sender,
+//     receiver) pair index with one stable counting sort by receiver, the
+//     store's only index. It also records how many whole broadcast()
+//     calls each run was (every protocol here except Byzantine send()
+//     equivocators stages only broadcasts), and
 //     WindowBatch::broadcast_runs exposes that shape, so an adversary can
 //     plan every receiver's identical broadcast sequence once.
 //   * plan_window_into receives that prebuilt index as a WindowBatch view

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "adversary/async_adversaries.hpp"
@@ -63,8 +64,8 @@ TEST(FixedCrashScheduler, CrashesFirstThenDelivers) {
 // live receivers, ascending id — exactly the fallback's full rescan.
 std::vector<sim::MsgId> full_rescan(const Execution& e) {
   std::vector<sim::MsgId> out;
-  for (const sim::Envelope& env : e.buffer().all_pending()) {
-    if (!e.crashed(env.receiver)) out.push_back(env.id);
+  for (const sim::MsgId id : e.buffer().all_pending_ids()) {
+    if (!e.crashed(e.buffer().get(id).receiver)) out.push_back(id);
   }
   return out;
 }
@@ -162,6 +163,148 @@ TEST(DeliverableSet, StackedStarvingWrappersEndToEnd) {
   sim::AsyncRunResult r{};
   ASSERT_NO_THROW(r = sim::run_async(e, outer, t, 4000));
   EXPECT_GT(r.deliveries, 0);
+}
+
+/// A processor that never has a round, so AsyncSplitKeeper skips every
+/// receiver and takes its last fallback. Each delivery stages 0-3 sends to
+/// random receivers (its own draws, so the run is seed-deterministic).
+class Roundless final : public sim::Process {
+ public:
+  explicit Roundless(int n) : n_(n) {}
+  void on_start(sim::Outbox& out) override {
+    for (sim::ProcId r = 0; r < n_; ++r) out.send(r, sim::Message{});
+  }
+  void on_receive(const sim::Envelope& /*env*/, Rng& rng,
+                  sim::Outbox& out) override {
+    const std::size_t k = rng.uniform_index(4);
+    for (std::size_t j = 0; j < k; ++j) {
+      out.send(static_cast<sim::ProcId>(
+                   rng.uniform_index(static_cast<std::size_t>(n_))),
+               sim::Message{});
+    }
+  }
+  void on_reset() override {}
+  [[nodiscard]] int input() const override { return 0; }
+  [[nodiscard]] int output() const override { return sim::kBot; }
+  [[nodiscard]] int round() const override { return sim::kBot; }
+  [[nodiscard]] int estimate() const override { return sim::kBot; }
+  [[nodiscard]] const char* protocol_name() const override {
+    return "roundless";
+  }
+
+ private:
+  int n_;
+};
+
+/// Always asks for the lowest pending delivery from `target` to a live
+/// receiver (so a starving wrapper must substitute), else stops.
+class PickTarget final : public sim::AsyncAdversary {
+ public:
+  explicit PickTarget(sim::ProcId target) : target_(target) {}
+  void prepare(int /*n*/, int /*t*/) override {}
+  sim::AsyncAction next(const Execution& exec) override {
+    const sim::MessageBuffer& buf = exec.buffer();
+    for (sim::MsgId id = 0; id < static_cast<sim::MsgId>(buf.total_sent());
+         ++id) {
+      if (!buf.is_pending(id)) continue;
+      const sim::Envelope& env = buf.get(id);
+      if (env.sender == target_ && !exec.crashed(env.receiver)) {
+        return sim::DeliverAction{id};
+      }
+    }
+    return sim::StopAction{};
+  }
+  [[nodiscard]] std::string name() const override { return "pick-target"; }
+
+ private:
+  sim::ProcId target_;
+};
+
+// The oldest pending delivery to a live receiver whose sender is not
+// `skip_sender`, by brute force over every id ever issued.
+sim::MsgId oldest_deliverable(const Execution& e, sim::ProcId skip_sender) {
+  const sim::MessageBuffer& buf = e.buffer();
+  for (sim::MsgId id = 0; id < static_cast<sim::MsgId>(buf.total_sent());
+       ++id) {
+    if (!buf.is_pending(id)) continue;
+    const sim::Envelope& env = buf.get(id);
+    if (!e.crashed(env.receiver) && env.sender != skip_sender) return id;
+  }
+  return sim::kNoMsg;
+}
+
+sim::MsgId delivered_id(const sim::AsyncAction& a) {
+  const auto* d = std::get_if<sim::DeliverAction>(&a);
+  return d == nullptr ? sim::kNoMsg : d->id;
+}
+
+TEST(OldestPendingPicks, MatchBruteForceScanUnderChurn) {
+  // StarvingAsyncScheduler's substitute and AsyncSplitKeeper's last
+  // fallback both promise the oldest qualifying pending delivery. After
+  // every random delivery, substitution and crash, each must equal a scan
+  // of ids [0, total_sent).
+  const int n = 6;
+  const int t = 2;
+  const sim::ProcId target = 1;
+  std::vector<std::unique_ptr<sim::Process>> procs;
+  for (int p = 0; p < n; ++p) procs.push_back(std::make_unique<Roundless>(n));
+  Execution e(std::move(procs), 17);
+  for (sim::ProcId p = 0; p < n; ++p) e.sending_step(p);
+  StarvingAsyncScheduler starve(std::make_unique<PickTarget>(target), target,
+                                /*fairness_bound=*/1 << 30);
+  starve.prepare(n, t);
+  AsyncSplitKeeper keeper;  // driven without prepare(), as run by hand
+  Rng rng(41);
+  int substitutions = 0;
+  int fallbacks = 0;
+  for (int iter = 0; iter < 600; ++iter) {
+    SCOPED_TRACE("iter " + std::to_string(iter));
+    const sim::MsgId want_sub = oldest_deliverable(e, target);
+    const sim::MsgId want_any = oldest_deliverable(e, -1);
+    if (want_any == sim::kNoMsg) break;
+
+    const sim::MsgId inner = delivered_id(PickTarget(target).next(e));
+    const sim::MsgId got_sub = delivered_id(starve.next(e));
+    if (inner != sim::kNoMsg) {
+      // A target pick is always swapped for the oldest non-target one,
+      // unless only target traffic is left.
+      EXPECT_EQ(got_sub, want_sub == sim::kNoMsg ? inner : want_sub);
+      if (want_sub != sim::kNoMsg) ++substitutions;
+    }
+    const sim::MsgId got_keep = delivered_id(keeper.next(e));
+    EXPECT_EQ(got_keep, want_any);
+    ++fallbacks;
+
+    // Apply one of: the substitute, the keeper's pick, or a random
+    // pending delivery to a live receiver.
+    sim::MsgId apply = sim::kNoMsg;
+    switch (rng.uniform_index(3)) {
+      case 0:
+        apply = got_sub;
+        break;
+      case 1:
+        apply = got_keep;
+        break;
+      default: {
+        std::vector<sim::MsgId> live;
+        for (sim::MsgId id = 0; id < static_cast<sim::MsgId>(
+                                         e.buffer().total_sent());
+             ++id) {
+          if (e.buffer().is_pending(id) &&
+              !e.crashed(e.buffer().get(id).receiver)) {
+            live.push_back(id);
+          }
+        }
+        apply = live[rng.uniform_index(live.size())];
+      }
+    }
+    if (apply == sim::kNoMsg) apply = want_any;
+    apply_delivery(e, apply);
+    if (iter == 90) e.crash(0);  // two crashes, within t; never the target
+    if (iter == 310) e.crash(4);
+  }
+  EXPECT_GT(substitutions, 50);
+  EXPECT_GT(fallbacks, 300);
 }
 
 TEST(AsyncSplitKeeper, DeliversCurrentRoundVotesFirst) {

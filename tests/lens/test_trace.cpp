@@ -271,6 +271,47 @@ TEST(Accountability, BlamesTheInjectedCensorTarget) {
             0.1);
 }
 
+TEST(WindowTrace, EquivocationCountMatchesPairwiseDefinition) {
+  // A message equivocates when an EARLIER message of its run has the same
+  // (round, kind, aux) key and the other bit value; non-bit values never
+  // take part. Random runs over a small key space, against that pairwise
+  // definition evaluated directly.
+  const int n = 5;
+  WindowTrace trace;
+  trace.begin_trial(n);
+  Rng rng(8);
+  std::vector<std::int64_t> expect(static_cast<std::size_t>(n), 0);
+  for (int run = 0; run < 400; ++run) {
+    const auto sender = static_cast<sim::ProcId>(run % n);
+    std::vector<sim::StagedMessage> items(rng.uniform_index(12));
+    for (sim::StagedMessage& item : items) {
+      item.to = static_cast<sim::ProcId>(rng.uniform_index(n));
+      item.msg.round = static_cast<std::int32_t>(rng.uniform_index(2));
+      item.msg.kind = static_cast<std::int32_t>(rng.uniform_index(2));
+      item.msg.aux = static_cast<std::int32_t>(rng.uniform_index(2));
+      item.msg.value = static_cast<std::int32_t>(rng.uniform_index(3)) - 1;
+    }
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      const sim::Message& mi = items[i].msg;
+      if (mi.value != 0 && mi.value != 1) continue;
+      for (std::size_t j = 0; j < i; ++j) {
+        const sim::Message& mj = items[j].msg;
+        if (mj.round == mi.round && mj.kind == mi.kind && mj.aux == mi.aux &&
+            mj.value == 1 - mi.value) {
+          ++expect[static_cast<std::size_t>(sender)];
+          break;
+        }
+      }
+    }
+    trace.on_publish(sender, items, 0);
+  }
+  for (sim::ProcId s = 0; s < n; ++s) {
+    EXPECT_EQ(trace.equivocations(s), expect[static_cast<std::size_t>(s)])
+        << "sender " << s;
+    EXPECT_GT(trace.equivocations(s), 0) << "sender " << s;
+  }
+}
+
 TEST(Accountability, BlamesByzantineEquivocatorsExactly) {
   const int n = 16;  // canonical thresholds need 6t < n
   const int t = 2;

@@ -57,7 +57,7 @@ struct AuditTestAccess {
 namespace {
 
 // A buffer exercising every slot state the auditor distinguishes: pending
-// (receiver + send lists) and free (retired via mark_delivered).
+// (on a receiver list) and free (retired via mark_delivered).
 MessageBuffer busy_buffer() {
   MessageBuffer buf(4);
   const std::vector<StagedMessage> broadcast{
@@ -72,8 +72,8 @@ MessageBuffer busy_buffer() {
   return buf;
 }
 
-// One live (pending) message id addressed to receiver 2 — a slot on both
-// the receiver and the send list, the richest corruption target.
+// One live (pending) message id addressed to receiver 2, in the middle of
+// its receiver list: the richest corruption target.
 MsgId live_id(MessageBuffer& buf) {
   const std::vector<MsgId> ids = buf.pending_to_ids(2);
   EXPECT_FALSE(ids.empty());

@@ -16,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "adversary/window_adversaries.hpp"
@@ -166,11 +168,67 @@ TEST(OutboxBroadcastRuns, ResettingStepAndCrashResetTheCount) {
   }
 }
 
+// Every (sender, receiver) slice of the pair index equals the window's ids
+// for that pair in send order, read off the envelopes one by one; the
+// counts agree with it, and a sender with broadcast_runs k has exactly k
+// messages to every receiver.
+void expect_pair_index_matches_envelopes(const WindowBatch& batch) {
+  const int n = batch.n();
+  std::vector<std::int32_t> to_total(static_cast<std::size_t>(n), 0);
+  for (ProcId s = 0; s < n; ++s) {
+    const int k = batch.broadcast_runs(s);
+    for (ProcId r = 0; r < n; ++r) {
+      std::vector<MsgId> listed;
+      for (const MsgId id : batch.ids()) {
+        const Envelope env = batch.envelope(id);
+        if (env.sender == s && env.receiver == r) listed.push_back(env.id);
+      }
+      EXPECT_EQ(std::vector<MsgId>(batch.from_to(s, r).begin(),
+                                   batch.from_to(s, r).end()),
+                listed)
+          << "sender " << s << " receiver " << r;
+      EXPECT_EQ(batch.count(s, r), static_cast<std::int32_t>(listed.size()));
+      if (k >= 0) {
+        EXPECT_EQ(batch.count(s, r), k);
+      }
+      to_total[static_cast<std::size_t>(r)] +=
+          static_cast<std::int32_t>(listed.size());
+    }
+  }
+  for (ProcId r = 0; r < n; ++r) {
+    EXPECT_EQ(batch.count_to(r), to_total[static_cast<std::size_t>(r)]);
+  }
+}
+
+/// Stages one send() run at start: the given receivers, in the given
+/// order (repeats allowed).
+class StagedSends final : public Process {
+ public:
+  explicit StagedSends(std::vector<ProcId> order) : order_(std::move(order)) {}
+  void on_start(Outbox& out) override {
+    for (std::size_t j = 0; j < order_.size(); ++j) {
+      Message m;
+      m.aux = static_cast<std::int32_t>(j);
+      out.send(order_[j], m);
+    }
+  }
+  void on_receive(const Envelope& /*env*/, Rng& /*rng*/,
+                  Outbox& /*out*/) override {}
+  void on_reset() override {}
+  [[nodiscard]] int input() const override { return 0; }
+  [[nodiscard]] int output() const override { return kBot; }
+  [[nodiscard]] int round() const override { return 0; }
+  [[nodiscard]] int estimate() const override { return 0; }
+  [[nodiscard]] const char* protocol_name() const override {
+    return "staged-sends";
+  }
+
+ private:
+  std::vector<ProcId> order_;
+};
+
 TEST(WindowBatchIndex, BroadcastRunsMatchReceiverGrouping) {
-  // Multi-broadcast runs (Bracha stages several per step): a sender with
-  // broadcast_runs k has exactly k messages to every receiver, and every
-  // (sender, receiver) slice equals the window's ids for that pair, in
-  // send order.
+  // Multi-broadcast runs (Bracha stages several per step).
   const int n = 7;
   const int t = 1;
   Execution e(protocols::make_processes(ProtocolKind::Bracha, t,
@@ -178,26 +236,14 @@ TEST(WindowBatchIndex, BroadcastRunsMatchReceiverGrouping) {
               13);
   int multi = 0;
   for (int w = 0; w < 6; ++w) {
+    SCOPED_TRACE("bracha window " + std::to_string(w));
     e.begin_window_batch();
     for (ProcId p = 0; p < n; ++p) e.sending_step(p);
     const WindowBatch batch = e.window_batch();
     for (ProcId s = 0; s < n; ++s) {
-      const int k = batch.broadcast_runs(s);
-      if (k > 1) ++multi;
-      for (ProcId r = 0; r < n; ++r) {
-        std::vector<MsgId> listed;
-        for (const MsgId id : batch.ids()) {
-          const Envelope env = batch.envelope(id);
-          if (env.sender == s && env.receiver == r) listed.push_back(env.id);
-        }
-        EXPECT_EQ(std::vector<MsgId>(batch.from_to(s, r).begin(),
-                                     batch.from_to(s, r).end()),
-                  listed);
-        if (k >= 0) {
-          EXPECT_EQ(batch.count(s, r), k);
-        }
-      }
+      if (batch.broadcast_runs(s) > 1) ++multi;
     }
+    expect_pair_index_matches_envelopes(batch);
     for (ProcId i = 0; i < n; ++i) {
       std::vector<ProcId> all;
       for (ProcId s = 0; s < n; ++s) all.push_back(s);
@@ -206,6 +252,39 @@ TEST(WindowBatchIndex, BroadcastRunsMatchReceiverGrouping) {
     e.end_window();
   }
   EXPECT_GT(multi, 0);
+
+  // send() runs in shuffled receiver order with repeated receivers (0 to 3
+  // copies each, so some pairs are empty): the counting sort that groups a
+  // run by receiver must keep each pair's messages in staging order.
+  std::vector<std::unique_ptr<Process>> procs;
+  Rng rng(29);
+  for (ProcId p = 0; p < n; ++p) {
+    std::vector<ProcId> order;
+    for (ProcId r = 0; r < n; ++r) {
+      order.insert(order.end(), static_cast<std::size_t>((r + p) % 4), r);
+    }
+    for (std::size_t j = order.size(); j > 1; --j) {
+      std::swap(order[j - 1], order[rng.uniform_index(j)]);
+    }
+    procs.push_back(std::make_unique<StagedSends>(std::move(order)));
+  }
+  Execution shuffled(std::move(procs), 3);
+  shuffled.begin_window_batch();
+  for (ProcId p = 0; p < n; ++p) shuffled.sending_step(p);
+  const WindowBatch batch = shuffled.window_batch();
+  for (ProcId s = 0; s < n; ++s) {
+    EXPECT_EQ(batch.broadcast_runs(s), -1);
+    for (ProcId r = 0; r < n; ++r) {
+      // Staging indices (carried in aux) ascend within every pair.
+      std::int32_t last = -1;
+      for (const MsgId id : batch.from_to(s, r)) {
+        const std::int32_t j = batch.envelope(id).payload.aux;
+        EXPECT_GT(j, last) << "sender " << s << " receiver " << r;
+        last = j;
+      }
+    }
+  }
+  expect_pair_index_matches_envelopes(batch);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 # Pins the campaign artifact bytes (cell JSON, lens sidecars, summaries)
 # against tests/tools/artifacts_golden, in both directions of the layout:
 #
-#   1. a fresh run of both golden configs must write exactly the golden
+#   1. a fresh run of every golden config must write exactly the golden
 #      files (timing sidecars excluded: wall-clock is not pinned);
 #   2. a --resume run over a copy of the golden files must restore every
 #      cell (no "resumed": false in the timing sidecars) and leave the
@@ -15,11 +15,11 @@ src=$2
 work=$3
 golden=$src/artifacts_golden
 
-# Both configs into one directory. The window sweep finds agreement
+# All configs into one directory. The window sweep finds agreement
 # violations (pinned in violating_seeds), so exit 1 is expected; exit 2 is
 # an error.
 run() {
-  for cfg in window async; do
+  for cfg in window async async_censor; do
     status=0
     "$campaign" "$src/campaign_golden_$cfg.cfg" --output-dir "$@" || status=$?
     if [ "$status" -gt 1 ]; then
