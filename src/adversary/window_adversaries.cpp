@@ -223,8 +223,9 @@ sim::PlanDecision SplitKeeperAdversary::plan_window_into(
     votes_.clear();
     non_votes_.clear();
     for (sim::ProcId s = 0; s < n; ++s) {
-      const std::span<const sim::MsgId> copies = batch.from_to(s, 0);
-      for (const sim::MsgId id : copies) classify(batch.envelope(id));
+      for (const sim::MsgId id : batch.from_to(s, 0)) {
+        classify(batch.envelope(id));
+      }
     }
     std::vector<sim::ProcId>& first = plan.delivery_order[0];
     build_row(n, first);

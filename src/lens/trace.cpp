@@ -25,13 +25,15 @@ void WindowTrace::on_publish(sim::ProcId sender,
                              std::span<const sim::StagedMessage> items,
                              std::int64_t /*window*/) {
   const std::size_t s = idx(sender);
-  sent_[s] += static_cast<std::int64_t>(items.size());
   // Within-batch equivocation scan: message i equivocates when an earlier
   // message shares its (round, kind, aux) key but carries the other bit
   // value. Each message counts at most once. One pass: each key remembers
-  // which bit values it has seen so far.
+  // which bit values it has seen so far. A broadcast item is n messages
+  // with one value, so it weighs n in both counts.
   run_keys_.clear();
   for (const sim::StagedMessage& item : items) {
+    const std::int64_t copies = item.to == sim::kEveryone ? n_ : 1;
+    sent_[s] += copies;
     const sim::Message& m = item.msg;
     if (m.value != 0 && m.value != 1) continue;
     KeyBits* key = nullptr;
@@ -45,7 +47,9 @@ void WindowTrace::on_publish(sim::ProcId sender,
       run_keys_.push_back(KeyBits{m.round, m.kind, m.aux, 0u});
       key = &run_keys_.back();
     }
-    if ((key->bits & (1u << (1 - m.value))) != 0) ++equivocations_[s];
+    if ((key->bits & (1u << (1 - m.value))) != 0) {
+      equivocations_[s] += copies;
+    }
     key->bits |= 1u << m.value;
   }
 }

@@ -55,7 +55,8 @@ class WindowTrace {
 
   // ---- engine hooks (null-guarded at every call site) --------------------
 
-  /// A sending step published `items` (staging order) in `window`.
+  /// A sending step published `items` (staging order) in `window`; a
+  /// kEveryone item counts as its n copies.
   void on_publish(sim::ProcId sender,
                   std::span<const sim::StagedMessage> items,
                   std::int64_t window);

@@ -94,7 +94,7 @@ std::span<const MsgId> Execution::sending_step(ProcId p) {
   Outbox& out = staged_[static_cast<std::size_t>(p)];
   // Complete-response semantics: an empty outbox means the step is a no-op.
   const auto& items = out.items();
-  const std::size_t m = items.size();
+  const std::size_t m = out.message_count();
   if (m == 0) return published_;
   if (scratch_.collect_window == window_) return publish_run(p, out);
 
@@ -117,31 +117,35 @@ std::span<const MsgId> Execution::publish_run(ProcId p, Outbox& out) {
            "sending_step: one non-empty publication per sender per "
            "collected window");
   const std::vector<StagedMessage>& items = out.items();
-  const std::size_t m = items.size();
+  const std::size_t m = out.message_count();
   const MsgId first = buffer_.claim_ids(m);
   if (cfg_.lens != nullptr) cfg_.lens->on_publish(p, items, window_);
-
-  // Write the sender's row of the pair index with one stable counting sort
-  // by receiver: count into the row, turn the counts into segment ends, then
-  // scatter the ids back to front so each segment start is where its
-  // cursor stops. Ids follow staging order, so every pair keeps send order.
-  const auto base = static_cast<std::int32_t>(sc.pair_ids.size());
-  const auto n = static_cast<std::size_t>(n_);
-  std::int32_t* row = &sc.pair_begin[ps * (n + 1)];
-  std::fill(row, row + n + 1, 0);
-  for (const StagedMessage& item : items) ++row[item.to];
-  std::int32_t end = base;
-  for (std::size_t r = 0; r <= n; ++r) {
-    end += row[r];
-    row[r] = end;
-  }
-  sc.pair_ids.resize(static_cast<std::size_t>(base) + m);
-  for (std::size_t j = m; j-- > 0;) {
-    sc.pair_ids[static_cast<std::size_t>(--row[items[j].to])] =
-        first + static_cast<MsgId>(j);
-  }
   sc.row_stamp[ps] = sc.batch_epoch;
   sc.bcast_runs[ps] = out.broadcast_runs();
+
+  // A broadcast run needs no index (copy j to r is id first + j·n + r). A
+  // point run writes the sender's row of the pair index with one stable
+  // counting sort by receiver: count into the row, turn the counts into
+  // segment ends, then scatter the ids back to front so each segment
+  // start is where its cursor stops. Ids follow staging order, so every
+  // pair keeps send order. Outbox::send keeps every receiver in [0, n).
+  if (sc.bcast_runs[ps] < 0) {
+    const auto base = static_cast<std::int32_t>(sc.pair_ids.size());
+    const auto n = static_cast<std::size_t>(n_);
+    std::int32_t* row = &sc.pair_begin[ps * (n + 1)];
+    std::fill(row, row + n + 1, 0);
+    for (const StagedMessage& item : items) ++row[item.to];
+    std::int32_t end = base;
+    for (std::size_t r = 0; r <= n; ++r) {
+      end += row[r];
+      row[r] = end;
+    }
+    sc.pair_ids.resize(static_cast<std::size_t>(base) + m);
+    for (std::size_t j = m; j-- > 0;) {
+      sc.pair_ids[static_cast<std::size_t>(--row[items[j].to])] =
+          first + static_cast<MsgId>(j);
+    }
+  }
 
   // The staged vector becomes the sender's run: a swap, not a copy.
   SenderRun& run = sc.runs[ps];
@@ -247,41 +251,62 @@ int Execution::deliver_plan_row(ProcId receiver, std::span<const ProcId> row) {
     for (std::size_t i = 0; i < total; ++i) run_ptrs_[i] = &run_envelopes_[i];
   }
 
-  // Gather the run in plan order: for each row sender, its ids to this
-  // receiver (send order), skipping those already delivered this window —
-  // which is also what makes a repeated sender deliver nothing more.
-  const std::size_t stride = static_cast<std::size_t>(n_) + 1;
+  // Gather the run in plan order: for each row sender, its messages to
+  // this receiver (send order), skipping those already delivered this
+  // window — which is also what makes a repeated sender deliver nothing
+  // more. A broadcast run's envelopes come straight from its items (copy j
+  // to r sits at offset j·n + r); a point run's through the pair index.
+  const auto n = static_cast<std::size_t>(n_);
   const auto r = static_cast<std::size_t>(receiver);
+  std::int64_t& chain = chain_[r];
   std::size_t k = 0;
   for (const ProcId s : row) {
     const auto si = static_cast<std::size_t>(s);
     if (sc.row_stamp[si] != sc.batch_epoch) continue;
     const SenderRun& run = sc.runs[si];
-    const std::int32_t* seg = &sc.pair_begin[si * stride + r];
-    for (std::int32_t j = seg[0]; j < seg[1]; ++j) {
-      const MsgId id = sc.pair_ids[static_cast<std::size_t>(j)];
-      std::uint8_t& done = sc.delivered[static_cast<std::size_t>(id - sc.base)];
-      if (done != 0) continue;
+    const std::size_t before = k;
+    const auto emit = [&](std::size_t off, const Message& msg) {
+      std::uint8_t& done = sc.delivered[off];
+      if (done != 0) return;
       done = 1;
       Envelope& env = run_envelopes_[k++];
-      env.id = id;
+      env.id = sc.base + static_cast<MsgId>(off);
       env.sender = s;
       env.receiver = receiver;
-      env.payload = run.items[static_cast<std::size_t>(id - run.first)].msg;
+      env.payload = msg;
       env.window = window_;
       env.chain = run.chain;
+    };
+    const auto run_off = static_cast<std::size_t>(run.first - sc.base);
+    if (sc.bcast_runs[si] > 0) {
+      std::size_t off = run_off + r;
+      for (const StagedMessage& item : run.items) {
+        emit(off, item.msg);
+        off += n;
+      }
+    } else {
+      const std::int32_t* seg = &sc.pair_begin[si * (n + 1) + r];
+      for (std::int32_t j = seg[0]; j < seg[1]; ++j) {
+        const auto off = static_cast<std::size_t>(
+            sc.pair_ids[static_cast<std::size_t>(j)] - sc.base);
+        emit(off, run.items[off - run_off].msg);
+      }
     }
+    if (k > before && run.chain > chain) chain = run.chain;
   }
   if (k == 0) return 0;
   sc.window_delivered += k;
   buffer_.retire_claimed(k, 0);
 
-  std::int64_t& chain = chain_[r];
-  for (std::size_t i = 0; i < k; ++i) {
-    const Envelope& env = run_envelopes_[i];
-    record(StepKind::Receive, receiver, env.id);
-    if (cfg_.lens != nullptr) cfg_.lens->on_deliver(env, window_, steps_);
-    if (env.chain > chain) chain = env.chain;
+  // Without an event log or a lens, a receiving step only counts.
+  if (!cfg_.record_events && cfg_.lens == nullptr) {
+    steps_ += static_cast<std::int64_t>(k);
+  } else {
+    for (std::size_t i = 0; i < k; ++i) {
+      const Envelope& env = run_envelopes_[i];
+      record(StepKind::Receive, receiver, env.id);
+      if (cfg_.lens != nullptr) cfg_.lens->on_deliver(env, window_, steps_);
+    }
   }
   const int out_before = procs_[r]->output();
   procs_[r]->on_receive_batch(
@@ -329,13 +354,18 @@ void Execution::end_window() {
     // to know which messages those were.
     const std::size_t dropped = sc.batch.size() - sc.window_delivered;
     if (cfg_.lens != nullptr && dropped > 0) {
+      const auto n = static_cast<std::size_t>(n_);
       for (const ProcId s : sc.run_order) {
-        const SenderRun& run = sc.runs[static_cast<std::size_t>(s)];
-        const auto off = static_cast<std::size_t>(run.first - sc.base);
-        for (std::size_t j = 0; j < run.items.size(); ++j) {
-          if (sc.delivered[off + j] == 0) {
-            cfg_.lens->on_suppress(s, run.items[j].to);
-          }
+        const auto si = static_cast<std::size_t>(s);
+        const SenderRun& run = sc.runs[si];
+        const std::uint8_t* done = &sc.delivered[static_cast<std::size_t>(
+            run.first - sc.base)];
+        const bool bcast = sc.bcast_runs[si] > 0;
+        const std::size_t m = bcast ? run.items.size() * n : run.items.size();
+        for (std::size_t j = 0; j < m; ++j) {
+          if (done[j] != 0) continue;
+          cfg_.lens->on_suppress(
+              s, bcast ? static_cast<ProcId>(j % n) : run.items[j].to);
         }
       }
     }
@@ -439,11 +469,44 @@ void Execution::audit_window_store() const {
     AA_CHECK(run.first == next && !run.items.empty(),
              "audit: window runs do not tile the window's ids");
     AA_CHECK(run.chain >= 1, "audit: window run with a bad chain stamp");
-    for (const StagedMessage& item : run.items) {
-      AA_CHECK(item.to >= 0 && item.to < n_,
-               "audit: window run message to a bad receiver");
+    const std::int32_t k = sc.bcast_runs[si];
+    if (k > 0) {
+      // A broadcast run: k kEveryone items, tiling k·n ids.
+      AA_CHECK(run.items.size() == static_cast<std::size_t>(k),
+               "audit: broadcast run length disagrees with its count");
+      for (const StagedMessage& item : run.items) {
+        AA_CHECK(item.to == kEveryone,
+                 "audit: broadcast run holds a point message");
+      }
+      next += static_cast<MsgId>(k) * n_;
+    } else {
+      AA_CHECK(k == -1, "audit: window run of an unknown kind");
+      for (const StagedMessage& item : run.items) {
+        AA_CHECK(item.to >= 0 && item.to < n_,
+                 "audit: window run message to a bad receiver");
+      }
+      // A point run's pair-index row lists each of its ids once, under
+      // its receiver, ascending within a pair.
+      const std::int32_t* row =
+          &sc.pair_begin[si * (static_cast<std::size_t>(n_) + 1)];
+      AA_CHECK(row[n_] - row[0] ==
+                   static_cast<std::int32_t>(run.items.size()),
+               "audit: point run's index row does not cover the run");
+      for (ProcId r = 0; r < n_; ++r) {
+        MsgId last = kNoMsg;
+        for (std::int32_t j = row[r]; j < row[r + 1]; ++j) {
+          const MsgId id = sc.pair_ids[static_cast<std::size_t>(j)];
+          AA_CHECK(id > last && id >= run.first &&
+                       id < run.first + static_cast<MsgId>(run.items.size()),
+                   "audit: point run's index row lists a foreign id");
+          AA_CHECK(run.items[static_cast<std::size_t>(id - run.first)].to == r,
+                   "audit: point run's index row files an id under the "
+                   "wrong receiver");
+          last = id;
+        }
+      }
+      next += static_cast<MsgId>(run.items.size());
     }
-    next += static_cast<MsgId>(run.items.size());
   }
   AA_CHECK(next == sc.base + static_cast<MsgId>(sc.batch.size()),
            "audit: window runs do not cover the batch");

@@ -16,9 +16,10 @@
 // One message store per model. The §5 async model publishes into the
 // MessageBuffer arena and delivers one id at a time. The acceptable-window
 // model publishes into the window store (plan.hpp): each sending step's
-// staged vector becomes the sender's run, a receiver's plan row is
-// gathered from the runs through the pair index, and the window edge
-// counts the rest as dropped. The buffer issues the ids and keeps the
+// staged vector becomes the sender's run (one item per broadcast), a
+// receiver's plan row is gathered from the runs — straight from the
+// broadcast items, or through the pair index for point runs — and the
+// window edge counts the rest as dropped. The buffer issues the ids and keeps the
 // lifecycle counters of both.
 #pragma once
 
@@ -110,10 +111,12 @@ class Execution {
 
   /// Sending step: publish `p`'s staged messages. In a collected window
   /// (begin_window_batch) the staged vector is swapped into `p`'s window
-  /// run — no copy — and one stable counting sort by receiver writes its
-  /// row of the window pair index; otherwise (the async model) the run
-  /// goes into the MessageBuffer arena in one add_batch. Returns the ids published, in
-  /// staging order (empty when the step is a no-op). The span aliases a
+  /// run — no copy — and, for a point run only, one stable counting sort
+  /// by receiver writes its row of the window pair index; otherwise (the
+  /// async model) the run goes into the MessageBuffer arena in one
+  /// add_batch, broadcasts expanded there. Returns the ids published, in
+  /// staging order (a broadcast's n copies in receiver order; empty when
+  /// the step is a no-op). The span aliases a
   /// reusable internal buffer — it is invalidated by the next sending
   /// step, so copy it out if it must outlive one step.
   std::span<const MsgId> sending_step(ProcId p);
@@ -127,8 +130,8 @@ class Execution {
 
   /// Arm window-batch collection for the CURRENT window: clears the window
   /// store and pair index and stamps a fresh batch epoch, so the following
-  /// sending steps publish into per-sender runs and build the (sender,
-  /// receiver) pair index incrementally. Collection disarms at end_window.
+  /// sending steps publish into per-sender runs (point runs also fill
+  /// their rows of the (sender, receiver) pair index). Collection disarms at end_window.
   /// Preconditions (checked): nothing is pending — the previous window's
   /// end_window settled it — and each sender takes at most one non-empty
   /// sending step per collected window — exactly what Definition 1's
@@ -142,13 +145,16 @@ class Execution {
   /// Deliver one receiver's whole window run given its plan row (the
   /// ordered sender list; repeated senders deliver nothing more).
   /// Precondition: begin_window_batch this window. The run is gathered in
-  /// plan order from the senders' runs through the pair index — for each
-  /// row sender, its messages to this receiver in send order, minus those
-  /// already delivered this window — into one reusable envelope scratch,
-  /// and the computation runs ONCE over it via Process::on_receive_batch:
-  /// the crash check and the output write-once snapshot happen once per
-  /// run, while each delivery still counts as one receiving step (step
-  /// counter / event log / lens, in plan order). For protocols that honour
+  /// one pass, in plan order, from the senders' runs — for each row
+  /// sender, its messages to this receiver in send order, minus those
+  /// already delivered this window, built straight from a broadcast run's
+  /// items or read through a point run's pair-index segment — into one
+  /// reusable envelope scratch, and the computation runs ONCE over it via
+  /// Process::on_receive_batch: the crash check and the output write-once
+  /// snapshot happen once per run, while each delivery still counts as one
+  /// receiving step (step counter / event log / lens, in plan order; with
+  /// neither an event log nor a lens armed the counter moves by the run
+  /// length at once). For protocols that honour
   /// the on_receive_batch contract this matches a receiving_step per id in
   /// every observable EXCEPT the Decision record's step/chain stamps,
   /// which carry end-of-run granularity (the decision's window and value

@@ -7,17 +7,26 @@
 // Window store: the acceptable-window model keeps its messages out of the
 // MessageBuffer arena. A collected sending step swaps the sender's staged
 // vector into the sender's run (no copy: the 20-byte StagedMessage items
-// the protocol wrote ARE the store), claims a contiguous id range from the
-// buffer, and groups the run by receiver with one stable counting sort
-// straight into its row of the (sender, receiver) pair index. Delivery
-// gathers a receiver's envelopes from the runs through that index, and the
-// window edge counts what was never delivered as dropped. The window's ids
-// are contiguous and ascending in publication order (the batch starts at
-// `base`), so every pair_ids segment is ascending too; callers must not
-// keep ids or envelopes across a window edge.
+// the protocol wrote ARE the store) and claims a contiguous id range from
+// the buffer. A run is one of two kinds (Outbox::broadcast_runs):
+//   * broadcast run — k items {kEveryone, m}, one per broadcast: 20 bytes
+//     per BROADCAST. Copy j to receiver r has id first + j·n + r, so the
+//     run needs no index: (s, r)'s ids are a stride-n sequence and an id's
+//     receiver and item are its offset mod n and div n.
+//   * point run — one item per message (only the Byzantine wrapper and
+//     tests stage send()): grouped by receiver with one stable counting
+//     sort straight into its row of the (sender, receiver) pair index.
+// Delivery gathers a receiver's envelopes from the runs — straight from
+// the broadcast items, or through the pair index — and the window edge
+// counts what was never delivered as dropped. The window's ids are
+// contiguous and ascending in publication order (the batch starts at
+// `base`), so every pair's ids ascend too; callers must not keep ids or
+// envelopes across a window edge.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <span>
 #include <vector>
 
@@ -52,9 +61,10 @@ struct WindowPlan {
 };
 
 /// One sender's published run in a collected window. `items` is the
-/// sender's staging vector itself, swapped in by the sending step; item j
-/// has id first + j. Every message of the run shares its sender, window
-/// and chain stamp.
+/// sender's staging vector itself, swapped in by the sending step. In a
+/// point run item j has id first + j; in a broadcast run (every item
+/// kEveryone) item j's copy to receiver r has id first + j·n + r. Every
+/// message of the run shares its sender, window and chain stamp.
 struct SenderRun {
   std::vector<StagedMessage> items;
   MsgId first = 0;
@@ -64,10 +74,11 @@ struct SenderRun {
 /// Per-execution scratch for the window driver. Every buffer is reused
 /// window to window, so after warm-up a window performs no heap allocation.
 ///
-/// Window store + fused pair index (filled by Execution::sending_step while
-/// a window batch is being collected — see begin_window_batch):
+/// Window store + pair index (filled by Execution::sending_step while a
+/// window batch is being collected — see begin_window_batch):
 ///   batch        — ids published by this window's sending steps, in
-///                  publication order (contiguous from `base`)
+///                  publication order (contiguous from `base`; one id per
+///                  message, broadcast copies included)
 ///   base         — the first id of the window
 ///   runs         — per-sender runs (valid iff row_stamp[s] == batch_epoch)
 ///   run_order    — the senders that published, in publication order (so
@@ -78,17 +89,18 @@ struct SenderRun {
 ///   pair_begin   — n rows of n+1 absolute offsets into pair_ids; row s
 ///                  (entries s·(n+1) .. s·(n+1)+n) maps receiver r to the
 ///                  segment of sender s's window-batch ids addressed to r.
-///                  publish_run writes row s and its pair_ids with one
-///                  stable counting sort by receiver; it is the only index
-///                  (count and count_to read it)
-///   pair_ids     — the batch grouped (sender-major, receiver-minor, id
-///                  ascending within a pair)
-///   row_stamp    — pair_begin row s and runs[s] are valid iff
-///                  row_stamp[s] == batch_epoch; stale rows mean "sender
-///                  published nothing", so no counter array is ever reset
+///                  Written only for POINT runs (bcast_runs[s] == -1), by
+///                  publish_run's stable counting sort by receiver; a
+///                  broadcast run's row is left stale and never read
+///   pair_ids     — the point runs' ids grouped (sender-major,
+///                  receiver-minor, id ascending within a pair)
+///   row_stamp    — runs[s], bcast_runs[s] and pair_begin row s are valid
+///                  iff row_stamp[s] == batch_epoch; stale rows mean
+///                  "sender published nothing", so no counter array is
+///                  ever reset
 ///   bcast_runs   — per-sender Outbox::broadcast_runs() of the published
-///                  run (valid iff row_stamp[s] == batch_epoch): k ≥ 1
-///                  whole broadcasts, or -1 for a run staged with send()
+///                  run (valid iff row_stamp[s] == batch_epoch): k ≥ 1 for
+///                  a broadcast run of k items, or -1 for a point run
 ///   batch_epoch  — bumped by every begin_window_batch
 ///   collect_window — the window index being collected, or -1 when the
 ///                  execution is not in a collected window (async drivers
@@ -129,6 +141,80 @@ struct WindowScratch {
   std::int64_t plan_liveness_epoch = -1;
 };
 
+/// The ids one sender published to one receiver in a window, in send
+/// order: either a segment of stored ids (a point run's pair_ids) or the
+/// stride-n sequence first, first + n, ... of a broadcast run's copies.
+/// A small value type; its iterators carry everything they read, so they
+/// stay valid after the range object itself is gone.
+class MsgIdRange {
+ public:
+  class iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = MsgId;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const MsgId*;
+    using reference = MsgId;
+
+    iterator() = default;
+    iterator(const MsgId* ids, MsgId first, MsgId stride, std::size_t i)
+        : ids_(ids), first_(first), stride_(stride), i_(i) {}
+    MsgId operator*() const {
+      return ids_ != nullptr ? ids_[i_]
+                             : first_ + static_cast<MsgId>(i_) * stride_;
+    }
+    iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    iterator operator++(int) {
+      iterator old = *this;
+      ++i_;
+      return old;
+    }
+    friend bool operator==(const iterator& a, const iterator& b) {
+      return a.i_ == b.i_;
+    }
+
+   private:
+    const MsgId* ids_ = nullptr;
+    MsgId first_ = 0;
+    MsgId stride_ = 0;
+    std::size_t i_ = 0;
+  };
+
+  MsgIdRange() = default;
+  [[nodiscard]] static MsgIdRange stored(const MsgId* ids, std::size_t size) {
+    return MsgIdRange(ids, 0, 0, size);
+  }
+  [[nodiscard]] static MsgIdRange strided(MsgId first, MsgId stride,
+                                          std::size_t size) {
+    return MsgIdRange(nullptr, first, stride, size);
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] MsgId operator[](std::size_t i) const {
+    return ids_ != nullptr ? ids_[i] : first_ + static_cast<MsgId>(i) * stride_;
+  }
+  [[nodiscard]] MsgId front() const { return (*this)[0]; }
+  [[nodiscard]] iterator begin() const {
+    return iterator(ids_, first_, stride_, 0);
+  }
+  [[nodiscard]] iterator end() const {
+    return iterator(ids_, first_, stride_, size_);
+  }
+
+ private:
+  MsgIdRange(const MsgId* ids, MsgId first, MsgId stride, std::size_t size)
+      : ids_(ids), first_(first), stride_(stride), size_(size) {}
+
+  const MsgId* ids_ = nullptr;
+  MsgId first_ = 0;
+  MsgId stride_ = 0;
+  std::size_t size_ = 0;
+};
+
 /// Read-only view of one collected window, indexed by (sender, receiver).
 /// Built incrementally as sending steps publish — handed to
 /// WindowAdversary::plan_window_into and consumed by the delivery phase.
@@ -158,23 +244,28 @@ class WindowBatch {
 
   /// Number of messages sender s published to receiver r this window.
   [[nodiscard]] std::int32_t count(ProcId s, ProcId r) const {
-    const std::size_t row = row_base(s);
-    if (sc_->row_stamp[static_cast<std::size_t>(s)] != sc_->batch_epoch)
-      return 0;
-    return sc_->pair_begin[row + static_cast<std::size_t>(r) + 1] -
-           sc_->pair_begin[row + static_cast<std::size_t>(r)];
+    const auto si = static_cast<std::size_t>(s);
+    if (sc_->row_stamp[si] != sc_->batch_epoch) return 0;
+    if (sc_->bcast_runs[si] > 0) return sc_->bcast_runs[si];
+    const std::size_t at = row_base(s) + static_cast<std::size_t>(r);
+    return sc_->pair_begin[at + 1] - sc_->pair_begin[at];
   }
 
-  /// The ids sender s published to receiver r this window (send order).
-  [[nodiscard]] std::span<const MsgId> from_to(ProcId s, ProcId r) const {
-    const std::size_t row = row_base(s);
-    if (sc_->row_stamp[static_cast<std::size_t>(s)] != sc_->batch_epoch)
-      return {};
-    const auto b =
-        static_cast<std::size_t>(sc_->pair_begin[row + static_cast<std::size_t>(r)]);
-    const auto e = static_cast<std::size_t>(
-        sc_->pair_begin[row + static_cast<std::size_t>(r) + 1]);
-    return std::span<const MsgId>(sc_->pair_ids).subspan(b, e - b);
+  /// The ids sender s published to receiver r this window (send order):
+  /// a stride-n sequence for a broadcast run, a pair_ids segment for a
+  /// point run.
+  [[nodiscard]] MsgIdRange from_to(ProcId s, ProcId r) const {
+    const auto si = static_cast<std::size_t>(s);
+    if (sc_->row_stamp[si] != sc_->batch_epoch) return {};
+    const std::int32_t k = sc_->bcast_runs[si];
+    if (k > 0) {
+      return MsgIdRange::strided(sc_->runs[si].first + r, n_,
+                                 static_cast<std::size_t>(k));
+    }
+    const std::size_t at = row_base(s) + static_cast<std::size_t>(r);
+    const auto b = static_cast<std::size_t>(sc_->pair_begin[at]);
+    const auto e = static_cast<std::size_t>(sc_->pair_begin[at + 1]);
+    return MsgIdRange::stored(sc_->pair_ids.data() + b, e - b);
   }
 
   /// Total messages published to receiver r this window (all senders).
@@ -184,7 +275,7 @@ class WindowBatch {
     return total;
   }
 
-  /// Shape of sender s's run this window: k ≥ 1 when it published exactly
+  /// Kind of sender s's run this window: k ≥ 1 when it published exactly
   /// k whole broadcast() runs (then from_to(s, r)[j] is broadcast j's copy
   /// to r, for every r), 0 when it published nothing, -1 when the run was
   /// staged with send().

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "sim/types.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace aa::sim {
@@ -22,17 +23,25 @@ namespace aa::sim {
 /// Collector for messages a process wants to send. The engine stages these
 /// and publishes the whole run at the process's next sending step — into
 /// the window store (take) in a collected window, else into the
-/// MessageBuffer arena (add_batch). Ids are assigned in staging order. The
-/// outbox keeps only that order: the engine groups a window run by
-/// receiver itself, straight into its pair index (Execution::publish_run).
+/// MessageBuffer arena (add_batch). Ids are assigned in staging order.
+///
+/// A run is one of two kinds. While it is whole broadcasts
+/// (broadcast_runs() ≥ 0) each broadcast() is ONE item {kEveryone, m}, so
+/// staging costs O(1) per broadcast, not O(n). The first send() expands
+/// the staged broadcasts into point items in receiver order, and from then
+/// on the run is point items only. Either way copy r of the run's j-th
+/// broadcast gets id first + j·n + r, so the two kinds are
+/// indistinguishable to anyone reading ids and envelopes.
 class Outbox {
  public:
   explicit Outbox(int n) : n_(n) {}
 
-  /// Queue a message to one receiver. Prefer broadcast for all-to-all
-  /// sends; when looping send() over many receivers, reserve() first.
-  /// Voids the broadcast-run count until the next clear().
+  /// Queue a message to one receiver in [0, n). Prefer broadcast for
+  /// all-to-all sends; when looping send() over many receivers, reserve()
+  /// first. Voids the broadcast-run count until the next clear().
   void send(ProcId to, const Message& m) {
+    AA_REQUIRE(to >= 0 && to < n_, "Outbox::send: receiver out of range");
+    if (broadcast_runs_ > 0) expand_broadcasts();
     queued_.push_back({to, m});
     broadcast_runs_ = -1;
   }
@@ -41,17 +50,29 @@ class Outbox {
   /// notes self-delivery is redundant but harmless — our protocols rely on
   /// counting their own vote, so we keep it).
   void broadcast(const Message& m) {
+    if (broadcast_runs_ >= 0) {
+      queued_.push_back({kEveryone, m});
+      ++broadcast_runs_;
+      return;
+    }
     queued_.reserve(queued_.size() + static_cast<std::size_t>(n_));
     for (ProcId p = 0; p < n_; ++p) queued_.push_back({p, m});
-    if (broadcast_runs_ >= 0) ++broadcast_runs_;
   }
 
   /// Pre-size the staging queue for `extra` more send() calls.
   void reserve(std::size_t extra) { queued_.reserve(queued_.size() + extra); }
 
+  /// The staged items: broadcast_runs() items {kEveryone, m} when the run
+  /// is whole broadcasts, else one point item per message.
   using Item = StagedMessage;
   [[nodiscard]] const std::vector<Item>& items() const noexcept {
     return queued_;
+  }
+  /// Messages the run publishes: n per broadcast item, one per point item.
+  [[nodiscard]] std::size_t message_count() const noexcept {
+    return broadcast_runs_ >= 0
+               ? queued_.size() * static_cast<std::size_t>(n_)
+               : queued_.size();
   }
   [[nodiscard]] bool empty() const noexcept { return queued_.empty(); }
   void clear() noexcept {
@@ -69,13 +90,29 @@ class Outbox {
   }
   [[nodiscard]] int n() const noexcept { return n_; }
 
-  /// Broadcast shape of the staged run: k when items() is exactly k whole
-  /// broadcast() runs (item j*n + r is broadcast j's copy to receiver r),
-  /// -1 once any send() was staged since the last clear(). The engine
-  /// records it per sender so a planner can tell broadcast-shaped windows.
+  /// Kind of the staged run: k when items() is exactly k broadcast items
+  /// (message j·n + r is broadcast j's copy to receiver r), -1 once any
+  /// send() was staged since the last clear(). The engine records it per
+  /// sender; it tells the window store how to read the run and a planner
+  /// which windows are broadcast-shaped.
   [[nodiscard]] int broadcast_runs() const noexcept { return broadcast_runs_; }
 
  private:
+  /// Rewrite the k staged broadcast items as k·n point items in receiver
+  /// order, in place: back to front, so item j is read before the copies
+  /// of any later broadcast can overwrite it.
+  void expand_broadcasts() {
+    const auto n = static_cast<std::size_t>(n_);
+    const std::size_t k = queued_.size();
+    queued_.resize(k * n);
+    for (std::size_t j = k; j-- > 0;) {
+      const Message m = queued_[j].msg;
+      for (std::size_t r = n; r-- > 0;) {
+        queued_[j * n + r] = {static_cast<ProcId>(r), m};
+      }
+    }
+  }
+
   int n_;
   std::vector<Item> queued_;
   int broadcast_runs_ = 0;

@@ -45,10 +45,20 @@ struct Message {
   friend bool operator==(const Message&, const Message&) = default;
 };
 
-/// One staged (not yet published) message: receiver + payload. Processes
-/// queue these in an Outbox; a sending step publishes the whole run, with
-/// ids assigned in staging order. In a collected window the staged items
-/// themselves become the window store (see plan.hpp).
+/// Receiver of a staged broadcast item: one StagedMessage{kEveryone, m}
+/// stands for n copies of m, to receivers 0..n-1 in that order. Only
+/// Outbox::broadcast writes it (Outbox::send rejects it), and only while
+/// the staged run is whole broadcasts; wherever a per-copy record must
+/// exist (the async arena, the Byzantine wrapper) the item is expanded in
+/// receiver order.
+inline constexpr ProcId kEveryone = -1;
+
+/// One staged (not yet published) message: receiver + payload, or a whole
+/// broadcast when `to` is kEveryone. Processes queue these in an Outbox; a
+/// sending step publishes the whole run, with ids assigned in staging
+/// order (a broadcast item takes n consecutive ids, one per receiver). In
+/// a collected window the staged items themselves become the window store
+/// (see plan.hpp).
 struct StagedMessage {
   ProcId to;
   Message msg;

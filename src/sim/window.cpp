@@ -19,8 +19,14 @@ Envelope WindowBatch::envelope(MsgId id) const {
       });
   const ProcId s = *(it - 1);
   const SenderRun& run = sc_->runs[static_cast<std::size_t>(s)];
-  const StagedMessage& item =
-      run.items[static_cast<std::size_t>(id - run.first)];
+  const auto off = static_cast<std::size_t>(id - run.first);
+  if (sc_->bcast_runs[static_cast<std::size_t>(s)] > 0) {
+    // Broadcast run: copy off % n of item off / n.
+    const auto n = static_cast<std::size_t>(n_);
+    return Envelope{id, s, static_cast<ProcId>(off % n), run.items[off / n].msg,
+                    sc_->collect_window, run.chain};
+  }
+  const StagedMessage& item = run.items[off];
   return Envelope{id, s, item.to, item.msg, sc_->collect_window, run.chain};
 }
 
@@ -82,9 +88,10 @@ int run_acceptable_window(Execution& exec, WindowAdversary& adv, int t) {
 
   // Phase 1: all n processors take sending steps under window-batch
   // collection — each step swaps its staged vector into its run of the
-  // window store and counting-sorts its ids by receiver into its row of
-  // the (sender, receiver) pair index, so the index is ready the moment
-  // the last step returns (no extra walks, no per-window counter reset).
+  // window store (a broadcast run, one item per broadcast, needs no index;
+  // a point run counting-sorts its ids by receiver into its row of the
+  // (sender, receiver) pair index), so the store is ready the moment the
+  // last step returns (no extra walks, no per-window counter reset).
   exec.begin_window_batch();
   for (ProcId p = 0; p < n; ++p) exec.sending_step(p);
 
@@ -102,7 +109,7 @@ int run_acceptable_window(Execution& exec, WindowAdversary& adv, int t) {
   }
 
   // Batched delivery: each live receiver's whole run in one call, gathered
-  // in plan order from the senders' runs through the pair index.
+  // in plan order from the senders' runs.
   int deliveries = 0;
   for (ProcId i = 0; i < n; ++i) {
     if (exec.crashed(i)) continue;

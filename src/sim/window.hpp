@@ -22,13 +22,15 @@
 //     the first window, so static adversaries can set up their plan shape.
 //   * the sending phase runs under Execution::begin_window_batch: each
 //     sending step swaps its whole staged vector into its run of the
-//     window store (plan.hpp) and writes its row of the window's (sender,
-//     receiver) pair index with one stable counting sort by receiver, the
-//     store's only index. It also records how many whole broadcast()
-//     calls each run was (every protocol here except Byzantine send()
-//     equivocators stages only broadcasts), and
-//     WindowBatch::broadcast_runs exposes that shape, so an adversary can
-//     plan every receiver's identical broadcast sequence once.
+//     window store (plan.hpp). Every protocol here except the Byzantine
+//     send() wrapper stages only broadcasts, and a broadcast is ONE item,
+//     so a run of k broadcasts is k items and needs no index: its ids to
+//     receiver r are the stride-n sequence first + r, first + r + n, ...
+//     A point (send()) run instead writes its row of the window's
+//     (sender, receiver) pair index with one stable counting sort by
+//     receiver. WindowBatch::broadcast_runs exposes the run kind, so an
+//     adversary can plan every receiver's identical broadcast sequence
+//     once.
 //   * plan_window_into receives that prebuilt index as a WindowBatch view
 //     (WindowBatch::envelope reads any window message by value) and
 //     returns a PlanDecision. kUpdated means the plan was overwritten
@@ -38,8 +40,9 @@
 //     crash/reset changed liveness since the last validation, which forces
 //     one defensive re-validation.
 //   * deliveries run through Execution::deliver_plan_row: every plan row,
-//     ascending or adversarially ordered, is gathered in plan order from
-//     the senders' runs through the pair index and handed to a single
+//     ascending or adversarially ordered, is gathered in one pass, in plan
+//     order, from the senders' runs (broadcast items directly, point runs
+//     through the pair index) and handed to a single
 //     Process::on_receive_batch.
 //   * end_window closes the window: every undelivered message is dropped
 //     (published − delivered; the lens walks the runs for its
@@ -94,9 +97,10 @@ class WindowAdversary {
   /// kReusePrevious without any fill. Implementations that return kUpdated
   /// must fully overwrite the plan (call plan.reset(exec.n()) first, then
   /// append to plan.delivery_order[i] / plan.resets). `batch` is the
-  /// window's publication batch with its prebuilt (sender, receiver) pair
-  /// index — batch.ids() lists every id just published, batch.from_to(s,r)
-  /// slices it per pair, and batch.envelope(id) reads a message.
+  /// window's publication batch — batch.ids() lists every id just
+  /// published, batch.from_to(s,r) yields a pair's ids (a stride-n
+  /// sequence for a broadcast run), and batch.envelope(id) reads a
+  /// message.
   /// Implementations may also inspect the whole execution (process states)
   /// — the model is full-information.
   virtual PlanDecision plan_window_into(const Execution& exec,

@@ -158,7 +158,7 @@ TEST(ExecutionReuse, ResetClearsHostileMidWindowStateAndKeepsCapacity) {
   std::vector<sim::ProcId> row;
   for (sim::ProcId p = 0; p < n; ++p) row.push_back(p);
   ASSERT_GT(exec.deliver_plan_row(0, row), 0);
-  const std::span<const sim::MsgId> to1 = exec.window_batch().from_to(4, 1);
+  const sim::MsgIdRange to1 = exec.window_batch().from_to(4, 1);
   ASSERT_FALSE(to1.empty());
   exec.receiving_step(to1[0]);
   exec.crash(2);

@@ -275,27 +275,38 @@ TEST(WindowTrace, EquivocationCountMatchesPairwiseDefinition) {
   // A message equivocates when an EARLIER message of its run has the same
   // (round, kind, aux) key and the other bit value; non-bit values never
   // take part. Random runs over a small key space, against that pairwise
-  // definition evaluated directly.
+  // definition evaluated directly. Runs are point items, or (every other
+  // run) broadcast items, which the definition reads as their n copies.
   const int n = 5;
   WindowTrace trace;
   trace.begin_trial(n);
   Rng rng(8);
   std::vector<std::int64_t> expect(static_cast<std::size_t>(n), 0);
+  std::vector<std::int64_t> expect_sent(static_cast<std::size_t>(n), 0);
   for (int run = 0; run < 400; ++run) {
     const auto sender = static_cast<sim::ProcId>(run % n);
+    const bool broadcasts = (run / n) % 2 == 1;
     std::vector<sim::StagedMessage> items(rng.uniform_index(12));
     for (sim::StagedMessage& item : items) {
-      item.to = static_cast<sim::ProcId>(rng.uniform_index(n));
+      item.to = broadcasts ? sim::kEveryone
+                           : static_cast<sim::ProcId>(rng.uniform_index(n));
       item.msg.round = static_cast<std::int32_t>(rng.uniform_index(2));
       item.msg.kind = static_cast<std::int32_t>(rng.uniform_index(2));
       item.msg.aux = static_cast<std::int32_t>(rng.uniform_index(2));
       item.msg.value = static_cast<std::int32_t>(rng.uniform_index(3)) - 1;
     }
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      const sim::Message& mi = items[i].msg;
+    std::vector<sim::Message> copies;
+    for (const sim::StagedMessage& item : items) {
+      const int c = item.to == sim::kEveryone ? n : 1;
+      copies.insert(copies.end(), static_cast<std::size_t>(c), item.msg);
+    }
+    expect_sent[static_cast<std::size_t>(sender)] +=
+        static_cast<std::int64_t>(copies.size());
+    for (std::size_t i = 0; i < copies.size(); ++i) {
+      const sim::Message& mi = copies[i];
       if (mi.value != 0 && mi.value != 1) continue;
       for (std::size_t j = 0; j < i; ++j) {
-        const sim::Message& mj = items[j].msg;
+        const sim::Message& mj = copies[j];
         if (mj.round == mi.round && mj.kind == mi.kind && mj.aux == mi.aux &&
             mj.value == 1 - mi.value) {
           ++expect[static_cast<std::size_t>(sender)];
@@ -307,6 +318,8 @@ TEST(WindowTrace, EquivocationCountMatchesPairwiseDefinition) {
   }
   for (sim::ProcId s = 0; s < n; ++s) {
     EXPECT_EQ(trace.equivocations(s), expect[static_cast<std::size_t>(s)])
+        << "sender " << s;
+    EXPECT_EQ(trace.sent(s), expect_sent[static_cast<std::size_t>(s)])
         << "sender " << s;
     EXPECT_GT(trace.equivocations(s), 0) << "sender " << s;
   }

@@ -22,7 +22,8 @@ TEST(BenOr, StartBroadcastsReport) {
   BenOrProcess p(0, 5, 1, 1);
   sim::Outbox out(5);
   p.on_start(out);
-  ASSERT_EQ(out.items().size(), 5u);
+  ASSERT_EQ(out.message_count(), 5u);
+  EXPECT_EQ(out.items()[0].to, sim::kEveryone);  // one item per broadcast
   EXPECT_EQ(out.items()[0].msg.kind, kReportKind);
   EXPECT_EQ(out.items()[0].msg.round, 1);
   EXPECT_EQ(out.items()[0].msg.value, 1);
@@ -42,7 +43,7 @@ TEST(BenOr, Phase1MajorityProposesValue) {
     env.payload = make_report(1, s < 4 ? 1 : 0);
     p.on_receive(env, rng, out);
   }
-  ASSERT_EQ(out.items().size(), static_cast<std::size_t>(n));
+  ASSERT_EQ(out.message_count(), static_cast<std::size_t>(n));
   EXPECT_EQ(out.items()[0].msg.kind, kProposalKind);
   EXPECT_EQ(out.items()[0].msg.value, 1);
 }
@@ -195,7 +196,7 @@ TEST(BenOr, IsForgetfulAndFullyCommunicativeShape) {
     env.payload = make_report(1, 0);
     p.on_receive(env, rng, out);
   }
-  EXPECT_EQ(out.items().size(), static_cast<std::size_t>(n));
+  EXPECT_EQ(out.message_count(), static_cast<std::size_t>(n));
 }
 
 }  // namespace

@@ -42,7 +42,7 @@ TEST(Bracha, StartBroadcastsInit) {
   BrachaProcess p(2, 7, 2, 1);
   sim::Outbox out(7);
   p.on_start(out);
-  ASSERT_EQ(out.items().size(), 7u);
+  ASSERT_EQ(out.message_count(), 7u);
   EXPECT_EQ(out.items()[0].msg.kind, kRbcInitKind);
   const BrachaAux a = unpack_bracha_aux(out.items()[0].msg.aux);
   EXPECT_EQ(a.originator, 2);
@@ -63,11 +63,11 @@ TEST(Bracha, EchoOnFirstInitOnly) {
   env.payload.value = 1;
   env.payload.aux = pack_bracha_aux(3, 1, false);
   p.on_receive(env, rng, out);
-  EXPECT_EQ(out.items().size(), static_cast<std::size_t>(n));  // one echo burst
+  EXPECT_EQ(out.message_count(), static_cast<std::size_t>(n));  // one echo burst
   EXPECT_EQ(out.items()[0].msg.kind, kRbcEchoKind);
   // Duplicate init: no second echo.
   p.on_receive(env, rng, out);
-  EXPECT_EQ(out.items().size(), static_cast<std::size_t>(n));
+  EXPECT_EQ(out.message_count(), static_cast<std::size_t>(n));
 }
 
 TEST(Bracha, InitFromNonOriginatorIgnored) {

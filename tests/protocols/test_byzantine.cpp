@@ -56,6 +56,47 @@ TEST(ByzantineProcess, RandomLieIsDeterministicInSeed) {
   EXPECT_NE(values_for(7), values_for(8));
 }
 
+TEST(ByzantineProcess, RandomLieDrawsOneBitPerCopyInReceiverOrder) {
+  // Pin the lie stream: every bit-valued copy of every broadcast takes one
+  // lie_rng draw, copies in receiver order and broadcasts in staging
+  // order; a ⊥ copy draws nothing.
+  class ThreeBroadcasts final : public sim::Process {
+   public:
+    void on_start(sim::Outbox& out) override {
+      for (const int v : {1, sim::kBot, 0}) {
+        sim::Message m;
+        m.kind = 1;
+        m.value = v;
+        out.broadcast(m);
+      }
+    }
+    void on_receive(const sim::Envelope&, Rng&, sim::Outbox&) override {}
+    void on_reset() override {}
+    [[nodiscard]] int input() const override { return 0; }
+    [[nodiscard]] int output() const override { return sim::kBot; }
+    [[nodiscard]] int round() const override { return 0; }
+    [[nodiscard]] int estimate() const override { return 0; }
+    [[nodiscard]] const char* protocol_name() const override {
+      return "three-broadcasts";
+    }
+  };
+  const int n = 6;
+  const std::uint64_t seed = 41;
+  ByzantineProcess byz(std::make_unique<ThreeBroadcasts>(),
+                       ByzantineStrategy::RandomLie, seed);
+  sim::Outbox out(n);
+  byz.on_start(out);
+  ASSERT_EQ(out.items().size(), static_cast<std::size_t>(3 * n));
+  Rng lie(seed);
+  for (std::size_t i = 0; i < out.items().size(); ++i) {
+    const sim::StagedMessage& item = out.items()[i];
+    EXPECT_EQ(item.to, static_cast<sim::ProcId>(i % n)) << "copy " << i;
+    const int expect =
+        i / n == 1 ? sim::kBot : (lie.next_bool() ? 1 : 0);
+    EXPECT_EQ(item.msg.value, expect) << "copy " << i;
+  }
+}
+
 TEST(ByzantineProcess, IntrospectionPassesThrough) {
   auto inner = std::make_unique<ResetProcess>(3, 12, 1,
                                               canonical_thresholds(12, 1));

@@ -89,7 +89,7 @@ TEST(Forgetful, FullyCommunicative) {
     env.payload = make_vote(1, s % 2);
     p.on_receive(env, rng, out);
   }
-  EXPECT_EQ(out.items().size(), static_cast<std::size_t>(n));
+  EXPECT_EQ(out.message_count(), static_cast<std::size_t>(n));
 }
 
 TEST(Forgetful, DecidesAtT2) {

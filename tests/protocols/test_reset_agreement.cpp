@@ -37,8 +37,9 @@ TEST(ResetProcess, StartBroadcastsRoundOneVote) {
   ResetProcess p(0, 4, 1, {2, 2, 2});  // legal standalone thresholds
   sim::Outbox out(4);
   p.on_start(out);
-  ASSERT_EQ(out.items().size(), 4u);
+  ASSERT_EQ(out.message_count(), 4u);
   for (const auto& item : out.items()) {
+    EXPECT_EQ(item.to, sim::kEveryone);  // one item per broadcast
     EXPECT_EQ(item.msg.kind, kVoteKind);
     EXPECT_EQ(item.msg.round, 1);
     EXPECT_EQ(item.msg.value, 1);
@@ -95,7 +96,7 @@ TEST(ResetProcess, AdvancesRoundAfterT1Votes) {
   EXPECT_EQ(p.output(), 0);  // T2 = 10 unanimous zeros → decide 0
   EXPECT_EQ(p.estimate(), 0);
   // Staged the round-2 broadcast.
-  EXPECT_EQ(out.items().size(), static_cast<std::size_t>(n));
+  EXPECT_EQ(out.message_count(), static_cast<std::size_t>(n));
   EXPECT_EQ(out.items().front().msg.round, 2);
 }
 

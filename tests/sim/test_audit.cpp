@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "adversary/async_adversaries.hpp"
@@ -236,6 +237,45 @@ TEST(ExecutionAudit, DetectsWindowStoreTamper) {
   EXPECT_NO_THROW(exec.audit());
   sc.runs[1].first += 1;
   EXPECT_THROW(exec.audit(), std::logic_error);
+}
+
+TEST(ExecutionAudit, DetectsRunKindTamper) {
+  // Window 0 publishes broadcast runs (one kEveryone item per broadcast);
+  // after a fair window every ping is answered with send(), so window 1
+  // publishes point runs with pair-index rows. Each kind audits clean and
+  // catches a tamper of its own layout.
+  Execution exec(ping_procs(4), 7);
+  exec.begin_window_batch();
+  for (ProcId p = 0; p < 4; ++p) (void)exec.sending_step(p);
+  WindowScratch& sc = exec.window_scratch();
+  ASSERT_EQ(exec.window_batch().broadcast_runs(2), 1);
+  EXPECT_NO_THROW(exec.audit());
+  sc.runs[2].items[0].to = 1;  // a point message inside a broadcast run
+  EXPECT_THROW(exec.audit(), std::logic_error);
+  sc.runs[2].items[0].to = kEveryone;
+  sc.bcast_runs[2] = 2;  // the run no longer tiles k·n ids
+  EXPECT_THROW(exec.audit(), std::logic_error);
+  sc.bcast_runs[2] = 1;
+  EXPECT_NO_THROW(exec.audit());
+  const std::vector<ProcId> all{0, 1, 2, 3};
+  for (ProcId i = 0; i < 4; ++i) (void)exec.deliver_plan_row(i, all);
+  exec.end_window();
+
+  exec.begin_window_batch();
+  for (ProcId p = 0; p < 4; ++p) (void)exec.sending_step(p);
+  ASSERT_EQ(exec.window_batch().broadcast_runs(2), -1);
+  ASSERT_EQ(exec.window_batch().count(2, 0), 1);
+  ASSERT_EQ(exec.window_batch().count(2, 1), 1);
+  EXPECT_NO_THROW(exec.audit());
+  // Swap two of sender 2's pair-index entries: each id is filed under the
+  // other receiver.
+  const std::size_t row = 2 * (4 + 1);
+  const auto a = static_cast<std::size_t>(sc.pair_begin[row + 0]);
+  const auto b = static_cast<std::size_t>(sc.pair_begin[row + 1]);
+  std::swap(sc.pair_ids[a], sc.pair_ids[b]);
+  EXPECT_THROW(exec.audit(), std::logic_error);
+  std::swap(sc.pair_ids[a], sc.pair_ids[b]);
+  EXPECT_NO_THROW(exec.audit());
 }
 
 TEST(ExecutionAudit, BufferCorruptionSurfacesThroughExecutionAudit) {

@@ -12,15 +12,22 @@
 //    Silencer / SplitKeeper at n = 32;
 //  * adversarially (non-ascending) ordered rows, also after a crash
 //    mid-window, come out of the gather in plan order: the delivery ORDER is
-//    the plan order.
+//    the plan order;
+//  * a run staged as k broadcast() items and the same copies staged with
+//    send() are indistinguishable: same ids, counts, pair ranges,
+//    envelopes, delivered sequences and lens counts;
+//  * Outbox::send rejects a receiver outside [0, n) before it can reach
+//    the window store.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "adversary/window_adversaries.hpp"
+#include "lens/trace.hpp"
 #include "protocols/factory.hpp"
 #include "sim/window.hpp"
 #include "util/rng.hpp"
@@ -108,12 +115,26 @@ TEST(OutboxBroadcastRuns, CountsWholeBroadcastsUntilASend) {
   m.kind = 1;
   EXPECT_EQ(out.broadcast_runs(), 0);
   out.broadcast(m);
+  m.kind = 2;
   out.broadcast(m);
   EXPECT_EQ(out.broadcast_runs(), 2);
+  // A broadcast is one staged item standing for n messages.
+  ASSERT_EQ(out.items().size(), 2u);
+  EXPECT_EQ(out.message_count(), 8u);
+  for (const StagedMessage& item : out.items()) EXPECT_EQ(item.to, kEveryone);
   out.send(1, m);  // a point-to-point item voids the shape for good
   EXPECT_EQ(out.broadcast_runs(), -1);
+  // ... and expands the staged broadcasts in receiver order first.
+  ASSERT_EQ(out.items().size(), 9u);
+  EXPECT_EQ(out.message_count(), 9u);
+  for (std::size_t j = 0; j < 8; ++j) {
+    EXPECT_EQ(out.items()[j].to, static_cast<ProcId>(j % 4));
+    EXPECT_EQ(out.items()[j].msg.kind, j < 4 ? 1 : 2);
+  }
+  EXPECT_EQ(out.items()[8].to, 1);
   out.broadcast(m);
   EXPECT_EQ(out.broadcast_runs(), -1);
+  EXPECT_EQ(out.message_count(), 13u);
   out.clear();
   EXPECT_EQ(out.broadcast_runs(), 0);
   out.send(0, m);
@@ -227,6 +248,157 @@ class StagedSends final : public Process {
   std::vector<ProcId> order_;
 };
 
+/// Stages a scripted run at start — each message as one broadcast(), or
+/// (as_sends) as n send() calls in receiver order — and logs every
+/// envelope it is delivered.
+class ScriptedRun final : public Process {
+ public:
+  ScriptedRun(std::vector<Message> script, bool as_sends,
+              std::vector<Envelope>* log)
+      : script_(std::move(script)), as_sends_(as_sends), log_(log) {}
+  void on_start(Outbox& out) override {
+    for (const Message& m : script_) {
+      if (!as_sends_) {
+        out.broadcast(m);
+        continue;
+      }
+      for (ProcId r = 0; r < out.n(); ++r) out.send(r, m);
+    }
+  }
+  void on_receive(const Envelope& env, Rng& /*rng*/,
+                  Outbox& /*out*/) override {
+    log_->push_back(env);
+  }
+  void on_reset() override {}
+  [[nodiscard]] int input() const override { return 0; }
+  [[nodiscard]] int output() const override { return kBot; }
+  [[nodiscard]] int round() const override { return 0; }
+  [[nodiscard]] int estimate() const override { return 0; }
+  [[nodiscard]] const char* protocol_name() const override {
+    return "scripted-run";
+  }
+
+ private:
+  std::vector<Message> script_;
+  bool as_sends_;
+  std::vector<Envelope>* log_;
+};
+
+void expect_same_envelope(const Envelope& a, const Envelope& b) {
+  EXPECT_EQ(a.id, b.id);
+  EXPECT_EQ(a.sender, b.sender);
+  EXPECT_EQ(a.receiver, b.receiver);
+  EXPECT_EQ(a.payload, b.payload);
+  EXPECT_EQ(a.window, b.window);
+  EXPECT_EQ(a.chain, b.chain);
+}
+
+/// One random window: every sender stages 0-3 random messages, once as
+/// broadcasts and once as sends; both executions then take the same
+/// shuffled, partial and repeated plan rows. With `armed` both record
+/// events and stream into a lens, whose counts must agree too.
+void expect_broadcast_and_sends_agree(Rng& rng, bool armed) {
+  const int n = 1 + static_cast<int>(rng.uniform_index(8));
+  std::vector<std::vector<Message>> scripts(static_cast<std::size_t>(n));
+  for (auto& script : scripts) {
+    script.resize(rng.uniform_index(4));
+    for (Message& m : script) {
+      m.round = static_cast<std::int32_t>(rng.uniform_index(2));
+      m.kind = static_cast<std::int32_t>(rng.uniform_index(2));
+      m.value = static_cast<std::int32_t>(rng.uniform_index(3)) - 1;
+      m.aux = static_cast<std::int32_t>(rng.uniform_index(2));
+    }
+  }
+  lens::WindowTrace trace_b;
+  lens::WindowTrace trace_s;
+  std::vector<std::vector<Envelope>> log_b(static_cast<std::size_t>(n));
+  std::vector<std::vector<Envelope>> log_s(static_cast<std::size_t>(n));
+  auto make = [&](bool as_sends) {
+    std::vector<std::unique_ptr<Process>> procs;
+    auto& logs = as_sends ? log_s : log_b;
+    for (ProcId p = 0; p < n; ++p) {
+      const auto pi = static_cast<std::size_t>(p);
+      procs.push_back(
+          std::make_unique<ScriptedRun>(scripts[pi], as_sends, &logs[pi]));
+    }
+    ExecutionConfig cfg;
+    cfg.record_events = armed;
+    if (armed) cfg.lens = as_sends ? &trace_s : &trace_b;
+    return Execution(std::move(procs), 17, cfg);
+  };
+  Execution eb = make(false);
+  Execution es = make(true);
+  for (Execution* e : {&eb, &es}) {
+    e->begin_window_batch();
+    for (ProcId p = 0; p < n; ++p) e->sending_step(p);
+  }
+  const WindowBatch bb = eb.window_batch();
+  const WindowBatch bs = es.window_batch();
+  ASSERT_EQ(std::vector<MsgId>(bb.ids().begin(), bb.ids().end()),
+            std::vector<MsgId>(bs.ids().begin(), bs.ids().end()));
+  for (ProcId s = 0; s < n; ++s) {
+    const std::size_t k = scripts[static_cast<std::size_t>(s)].size();
+    EXPECT_EQ(bb.broadcast_runs(s), static_cast<int>(k));
+    EXPECT_EQ(bs.broadcast_runs(s), k == 0 ? 0 : -1);
+    for (ProcId r = 0; r < n; ++r) {
+      EXPECT_EQ(bb.count(s, r), bs.count(s, r));
+      EXPECT_EQ(bb.count(s, r), static_cast<std::int32_t>(k));
+      const MsgIdRange rb = bb.from_to(s, r);
+      const MsgIdRange rs = bs.from_to(s, r);
+      EXPECT_EQ(std::vector<MsgId>(rb.begin(), rb.end()),
+                std::vector<MsgId>(rs.begin(), rs.end()))
+          << "sender " << s << " receiver " << r;
+      ASSERT_EQ(rb.size(), rs.size());
+      for (std::size_t j = 0; j < rb.size(); ++j) EXPECT_EQ(rb[j], rs[j]);
+    }
+  }
+  for (const MsgId id : bb.ids()) {
+    expect_same_envelope(bb.envelope(id), bs.envelope(id));
+  }
+  expect_pair_index_matches_envelopes(bb);
+  expect_pair_index_matches_envelopes(bs);
+
+  // Rows: a random number of random senders (repeats allowed, any order,
+  // possibly empty); some receivers take a second row.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (ProcId i = 0; i < n; ++i) {
+      if (pass == 1 && rng.uniform_index(2) == 0) continue;
+      std::vector<ProcId> row(rng.uniform_index(2 * static_cast<std::size_t>(n) + 1));
+      for (ProcId& s : row) {
+        s = static_cast<ProcId>(rng.uniform_index(static_cast<std::size_t>(n)));
+      }
+      EXPECT_EQ(eb.deliver_plan_row(i, row), es.deliver_plan_row(i, row));
+    }
+  }
+  EXPECT_EQ(eb.step_count(), es.step_count());
+  for (ProcId p = 0; p < n; ++p) {
+    const auto pi = static_cast<std::size_t>(p);
+    ASSERT_EQ(log_b[pi].size(), log_s[pi].size()) << "receiver " << p;
+    for (std::size_t j = 0; j < log_b[pi].size(); ++j) {
+      expect_same_envelope(log_b[pi][j], log_s[pi][j]);
+    }
+  }
+  eb.end_window();
+  es.end_window();
+  EXPECT_EQ(eb.buffer().delivered_count(), es.buffer().delivered_count());
+  EXPECT_EQ(eb.buffer().dropped_count(), es.buffer().dropped_count());
+  if (!armed) return;
+  ASSERT_EQ(eb.events().size(), es.events().size());
+  for (std::size_t j = 0; j < eb.events().size(); ++j) {
+    EXPECT_EQ(eb.events()[j].msg, es.events()[j].msg);
+  }
+  for (ProcId s = 0; s < n; ++s) {
+    EXPECT_EQ(trace_b.sent(s), trace_s.sent(s));
+    EXPECT_EQ(trace_b.sent(s),
+              static_cast<std::int64_t>(scripts[static_cast<std::size_t>(s)].size()) * n);
+    EXPECT_EQ(trace_b.equivocations(s), trace_s.equivocations(s));
+    for (ProcId r = 0; r < n; ++r) {
+      EXPECT_EQ(trace_b.delivered(s, r), trace_s.delivered(s, r));
+      EXPECT_EQ(trace_b.suppressed(s, r), trace_s.suppressed(s, r));
+    }
+  }
+}
+
 TEST(WindowBatchIndex, BroadcastRunsMatchReceiverGrouping) {
   // Multi-broadcast runs (Bracha stages several per step).
   const int n = 7;
@@ -285,6 +457,65 @@ TEST(WindowBatchIndex, BroadcastRunsMatchReceiverGrouping) {
     }
   }
   expect_pair_index_matches_envelopes(batch);
+
+  // Differential: random runs staged twice — as k broadcast() calls, and as
+  // the same k·n copies through send(0..n-1) — must be indistinguishable.
+  Rng script_rng(31);
+  for (int trial = 0; trial < 60; ++trial) {
+    SCOPED_TRACE("differential trial " + std::to_string(trial));
+    expect_broadcast_and_sends_agree(script_rng, /*armed=*/trial % 2 == 0);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Receiver range check
+// ---------------------------------------------------------------------------
+
+/// Stages one broadcast at start; on delivery, stages a send() to `to`.
+class SendToOnReceive final : public Process {
+ public:
+  explicit SendToOnReceive(ProcId to) : to_(to) {}
+  void on_start(Outbox& out) override { out.broadcast(Message{}); }
+  void on_receive(const Envelope& /*env*/, Rng& /*rng*/, Outbox& out) override {
+    out.send(to_, Message{});
+  }
+  void on_reset() override {}
+  [[nodiscard]] int input() const override { return 0; }
+  [[nodiscard]] int output() const override { return kBot; }
+  [[nodiscard]] int round() const override { return 0; }
+  [[nodiscard]] int estimate() const override { return 0; }
+  [[nodiscard]] const char* protocol_name() const override {
+    return "send-to-on-receive";
+  }
+
+ private:
+  ProcId to_;
+};
+
+TEST(OutboxSend, ReceiverOutsideTheSystemIsRejected) {
+  // A 3-processor collected window in which p1 answers its deliveries with
+  // send(100, …): the staging call itself throws, so the window store's
+  // pair index is never written out of bounds.
+  const int n = 3;
+  std::vector<std::unique_ptr<Process>> procs;
+  for (ProcId p = 0; p < n; ++p) {
+    procs.push_back(std::make_unique<SendToOnReceive>(p == 1 ? 100 : 0));
+  }
+  Execution e(std::move(procs), 1);
+  e.begin_window_batch();
+  for (ProcId p = 0; p < n; ++p) e.sending_step(p);
+  const std::vector<ProcId> all{0, 1, 2};
+  EXPECT_NO_THROW(e.deliver_plan_row(0, all));
+  EXPECT_THROW(e.deliver_plan_row(1, all), std::invalid_argument);
+
+  // Negative receivers too — kEveryone included: a broadcast item cannot
+  // be forged through send().
+  Outbox out(n);
+  EXPECT_THROW(out.send(n, Message{}), std::invalid_argument);
+  EXPECT_THROW(out.send(-5, Message{}), std::invalid_argument);
+  EXPECT_THROW(out.send(kEveryone, Message{}), std::invalid_argument);
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(out.broadcast_runs(), 0);
 }
 
 // ---------------------------------------------------------------------------
