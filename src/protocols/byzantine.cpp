@@ -28,11 +28,13 @@ void ByzantineProcess::corrupt_and_forward(sim::Outbox& staged,
     return;
   }
   const int n = staged.n();
-  out.reserve(staged.message_count());
-  // A staged broadcast is forwarded copy by copy in receiver order, the
-  // order its ids take, so per-copy corruption (and RandomLie's draws)
-  // follow the published messages.
-  const auto forward = [&](sim::ProcId to, sim::Message m) {
+  // Forward copy by copy in receiver order, the order the copies' ids
+  // take, so per-copy corruption (and RandomLie's draws) follow the
+  // published messages.
+  staged.expand();
+  out.reserve(staged.items().size());
+  for (const sim::Outbox::Item& item : staged.items()) {
+    sim::Message m = item.msg;
     // Only bit-valued fields are corrupted; ⊥/'?' markers pass through
     // (changing a non-message to a message is not in this wrapper's power,
     // mirroring the paper's remark that corrupting m → ∅ is permissible
@@ -40,7 +42,7 @@ void ByzantineProcess::corrupt_and_forward(sim::Outbox& staged,
     if (m.value == 0 || m.value == 1) {
       switch (strategy_) {
         case ByzantineStrategy::Equivocate:
-          m.value = to < n / 2 ? 0 : 1;
+          m.value = item.to < n / 2 ? 0 : 1;
           break;
         case ByzantineStrategy::FlipAll:
           m.value = 1 - m.value;
@@ -52,14 +54,7 @@ void ByzantineProcess::corrupt_and_forward(sim::Outbox& staged,
           break;  // unreachable
       }
     }
-    out.send(to, m);
-  };
-  for (const sim::Outbox::Item& item : staged.items()) {
-    if (item.to != sim::kEveryone) {
-      forward(item.to, item.msg);
-      continue;
-    }
-    for (sim::ProcId r = 0; r < n; ++r) forward(r, item.msg);
+    out.send(item.to, m);
   }
   staged.clear();
 }

@@ -39,12 +39,12 @@ MsgId MessageBuffer::add_batch(ProcId sender,
   AA_REQUIRE(sender >= 0 && sender < n_, "MessageBuffer::add_batch: bad sender");
   const MsgId first = next_id_;
   for (const StagedMessage& item : items) {
-    AA_REQUIRE(item.to == kEveryone || (item.to >= 0 && item.to < n_),
+    AA_REQUIRE(item.to >= 0 && item.to < n_,
                "MessageBuffer::add_batch: bad receiver");
   }
   // The slot array may grow inside the loop, so all links go through
   // indices.
-  const auto append = [&](ProcId to, const Message& msg) {
+  for (const StagedMessage& item : items) {
     const MsgId id = next_id_++;
     std::int32_t s;
     if (free_head_ != kNoSlot) {
@@ -55,30 +55,22 @@ MsgId MessageBuffer::add_batch(ProcId sender,
       slots_.emplace_back();
     }
     Slot& slot = slots_[static_cast<std::size_t>(s)];
-    slot.env = Envelope{id, sender, to, msg, window, chain};
+    slot.env = Envelope{id, sender, item.to, item.msg, window, chain};
     Link& lk = slot.link;
 
     // Append to the receiver list (staging order is ascending-id order).
-    lk.prev_rcv = rcv_tail_[static_cast<std::size_t>(to)];
+    lk.prev_rcv = rcv_tail_[static_cast<std::size_t>(item.to)];
     lk.next_rcv = kNoSlot;
     if (lk.prev_rcv != kNoSlot) {
       slots_[static_cast<std::size_t>(lk.prev_rcv)].link.next_rcv = s;
     } else {
-      rcv_head_[static_cast<std::size_t>(to)] = s;
+      rcv_head_[static_cast<std::size_t>(item.to)] = s;
     }
-    rcv_tail_[static_cast<std::size_t>(to)] = s;
+    rcv_tail_[static_cast<std::size_t>(item.to)] = s;
 
     id_map_.insert(id, static_cast<std::uint32_t>(s));
-    ++pending_;
-  };
-  for (const StagedMessage& item : items) {
-    if (item.to != kEveryone) {
-      append(item.to, item.msg);
-      continue;
-    }
-    // A broadcast item: one slot per receiver, in receiver order.
-    for (ProcId r = 0; r < n_; ++r) append(r, item.msg);
   }
+  pending_ += items.size();
   return first;
 }
 

@@ -80,11 +80,10 @@ class MessageBuffer {
   /// MessageBuffer(n): ids restart at 0 and every list is empty.
   void reset(int n);
 
-  /// Publication: add `sender`'s staged run in staging order, a kEveryone
-  /// item as n messages in receiver order. Ids are consecutive starting at
-  /// the returned value (== total_sent() before the call, also for an
-  /// empty run), and receiver lists stay ascending-id. A receiver outside
-  /// [0, n) other than kEveryone rejects the whole run.
+  /// Publication: add `sender`'s staged run in staging order. Ids are
+  /// consecutive starting at the returned value (== total_sent() before
+  /// the call, also for an empty run), and receiver lists stay
+  /// ascending-id.
   MsgId add_batch(ProcId sender, std::span<const StagedMessage> items,
                   std::int64_t window, std::int64_t chain);
 

@@ -93,12 +93,14 @@ std::span<const MsgId> Execution::sending_step(ProcId p) {
   if (crashed_[static_cast<std::size_t>(p)]) return published_;
   Outbox& out = staged_[static_cast<std::size_t>(p)];
   // Complete-response semantics: an empty outbox means the step is a no-op.
-  const auto& items = out.items();
   const std::size_t m = out.message_count();
   if (m == 0) return published_;
   if (scratch_.collect_window == window_) return publish_run(p, out);
 
-  // Outside a collected window (the async model): publish into the arena.
+  // Outside a collected window (the async model): publish into the arena,
+  // one slot per message, so broadcast items expand first.
+  out.expand();
+  const auto& items = out.items();
   const MsgId first = buffer_.add_batch(
       p, items, window_, chain_[static_cast<std::size_t>(p)] + 1);
   if (cfg_.lens != nullptr) cfg_.lens->on_publish(p, items, window_);

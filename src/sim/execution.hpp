@@ -114,7 +114,7 @@ class Execution {
   /// run — no copy — and, for a point run only, one stable counting sort
   /// by receiver writes its row of the window pair index; otherwise (the
   /// async model) the run goes into the MessageBuffer arena in one
-  /// add_batch, broadcasts expanded there. Returns the ids published, in
+  /// add_batch, broadcasts expanded first (Outbox::expand). Returns the ids published, in
   /// staging order (a broadcast's n copies in receiver order; empty when
   /// the step is a no-op). The span aliases a
   /// reusable internal buffer — it is invalidated by the next sending

@@ -27,9 +27,9 @@ namespace aa::sim {
 ///
 /// A run is one of two kinds. While it is whole broadcasts
 /// (broadcast_runs() ≥ 0) each broadcast() is ONE item {kEveryone, m}, so
-/// staging costs O(1) per broadcast, not O(n). The first send() expands
-/// the staged broadcasts into point items in receiver order, and from then
-/// on the run is point items only. Either way copy r of the run's j-th
+/// staging costs O(1) per broadcast, not O(n). The first send() (or an
+/// expand()) rewrites the staged broadcasts as point items in receiver
+/// order, and from then on the run is point items only. Either way copy r of the run's j-th
 /// broadcast gets id first + j·n + r, so the two kinds are
 /// indistinguishable to anyone reading ids and envelopes.
 class Outbox {
@@ -41,7 +41,7 @@ class Outbox {
   /// first. Voids the broadcast-run count until the next clear().
   void send(ProcId to, const Message& m) {
     AA_REQUIRE(to >= 0 && to < n_, "Outbox::send: receiver out of range");
-    if (broadcast_runs_ > 0) expand_broadcasts();
+    expand();
     queued_.push_back({to, m});
     broadcast_runs_ = -1;
   }
@@ -97,11 +97,14 @@ class Outbox {
   /// which windows are broadcast-shaped.
   [[nodiscard]] int broadcast_runs() const noexcept { return broadcast_runs_; }
 
- private:
-  /// Rewrite the k staged broadcast items as k·n point items in receiver
-  /// order, in place: back to front, so item j is read before the copies
-  /// of any later broadcast can overwrite it.
-  void expand_broadcasts() {
+  /// Rewrite staged broadcast items as point items in receiver order, so
+  /// items() holds one item per message with the ids it would get anyway;
+  /// a point run is left as it is. Readers that need one item per message
+  /// (the async arena, the Byzantine wrapper) call this first. In place,
+  /// back to front, so item j is read before the copies of any later
+  /// broadcast can overwrite it.
+  void expand() {
+    if (broadcast_runs_ <= 0) return;
     const auto n = static_cast<std::size_t>(n_);
     const std::size_t k = queued_.size();
     queued_.resize(k * n);
@@ -111,8 +114,10 @@ class Outbox {
         queued_[j * n + r] = {static_cast<ProcId>(r), m};
       }
     }
+    broadcast_runs_ = -1;
   }
 
+ private:
   int n_;
   std::vector<Item> queued_;
   int broadcast_runs_ = 0;

@@ -49,8 +49,8 @@ struct Message {
 /// stands for n copies of m, to receivers 0..n-1 in that order. Only
 /// Outbox::broadcast writes it (Outbox::send rejects it), and only while
 /// the staged run is whole broadcasts; wherever a per-copy record must
-/// exist (the async arena, the Byzantine wrapper) the item is expanded in
-/// receiver order.
+/// exist (the async arena, the Byzantine wrapper) Outbox::expand rewrites
+/// the run as point items in receiver order first.
 inline constexpr ProcId kEveryone = -1;
 
 /// One staged (not yet published) message: receiver + payload, or a whole
