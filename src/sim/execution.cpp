@@ -64,7 +64,6 @@ void Execution::reset(std::vector<std::unique_ptr<Process>> procs,
   chain_.assign(static_cast<std::size_t>(n), 0);
   decisions_.clear();
   events_.clear();
-  published_.clear();
   // Scratch arrays keep their (epoch-stamped) contents; only the run-scoped
   // bookkeeping must forget the previous trial. collect_window = -1 disarms
   // batch collection (window_ restarts at 0), and clearing the planner
@@ -86,15 +85,14 @@ void Execution::reset(std::vector<std::unique_ptr<Process>> procs,
   }
 }
 
-std::span<const MsgId> Execution::sending_step(ProcId p) {
+MsgIdRange Execution::sending_step(ProcId p) {
   AA_REQUIRE(p >= 0 && p < n_, "sending_step: bad proc id");
   record(StepKind::Send, p);
-  published_.clear();
-  if (crashed_[static_cast<std::size_t>(p)]) return published_;
+  if (crashed_[static_cast<std::size_t>(p)]) return {};
   Outbox& out = staged_[static_cast<std::size_t>(p)];
   // Complete-response semantics: an empty outbox means the step is a no-op.
   const std::size_t m = out.message_count();
-  if (m == 0) return published_;
+  if (m == 0) return {};
   if (scratch_.collect_window == window_) return publish_run(p, out);
 
   // Outside a collected window (the async model): publish into the arena,
@@ -104,26 +102,23 @@ std::span<const MsgId> Execution::sending_step(ProcId p) {
   const MsgId first = buffer_.add_batch(
       p, items, window_, chain_[static_cast<std::size_t>(p)] + 1);
   if (cfg_.lens != nullptr) cfg_.lens->on_publish(p, items, window_);
-  published_.resize(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    published_[i] = first + static_cast<MsgId>(i);
-  }
   out.clear();
-  return published_;
+  return MsgIdRange::strided(first, 1, m);
 }
 
-std::span<const MsgId> Execution::publish_run(ProcId p, Outbox& out) {
+MsgIdRange Execution::publish_run(ProcId p, Outbox& out) {
   WindowScratch& sc = scratch_;
   const auto ps = static_cast<std::size_t>(p);
-  AA_CHECK(sc.row_stamp[ps] != sc.batch_epoch,
+  SenderRun& run = sc.runs[ps];
+  AA_CHECK(run.stamp != sc.batch_epoch,
            "sending_step: one non-empty publication per sender per "
            "collected window");
   const std::vector<StagedMessage>& items = out.items();
   const std::size_t m = out.message_count();
   const MsgId first = buffer_.claim_ids(m);
   if (cfg_.lens != nullptr) cfg_.lens->on_publish(p, items, window_);
-  sc.row_stamp[ps] = sc.batch_epoch;
-  sc.bcast_runs[ps] = out.broadcast_runs();
+  run.stamp = sc.batch_epoch;
+  run.broadcast_runs = out.broadcast_runs();
 
   // A broadcast run needs no index (copy j to r is id first + j·n + r). A
   // point run writes the sender's row of the pair index with one stable
@@ -131,9 +126,12 @@ std::span<const MsgId> Execution::publish_run(ProcId p, Outbox& out) {
   // segment ends, then scatter the ids back to front so each segment
   // start is where its cursor stops. Ids follow staging order, so every
   // pair keeps send order. Outbox::send keeps every receiver in [0, n).
-  if (sc.bcast_runs[ps] < 0) {
+  // The first point run sizes the index, so an execution that only
+  // broadcasts never allocates it.
+  if (run.broadcast_runs < 0) {
     const auto base = static_cast<std::int32_t>(sc.pair_ids.size());
     const auto n = static_cast<std::size_t>(n_);
+    if (sc.pair_begin.size() < n * (n + 1)) sc.pair_begin.resize(n * (n + 1));
     std::int32_t* row = &sc.pair_begin[ps * (n + 1)];
     std::fill(row, row + n + 1, 0);
     for (const StagedMessage& item : items) ++row[item.to];
@@ -150,18 +148,14 @@ std::span<const MsgId> Execution::publish_run(ProcId p, Outbox& out) {
   }
 
   // The staged vector becomes the sender's run: a swap, not a copy.
-  SenderRun& run = sc.runs[ps];
   run.first = first;
   run.chain = chain_[ps] + 1;
   out.take(run.items);
   sc.run_order.push_back(p);
-  const std::size_t at = sc.batch.size();
-  sc.batch.resize(at + m);
-  for (std::size_t j = 0; j < m; ++j) {
-    sc.batch[at + j] = first + static_cast<MsgId>(j);
-  }
-  sc.delivered.resize(at + m, 0);
-  return std::span<const MsgId>(sc.batch).subspan(at, m);
+  const std::size_t published = sc.batch.size() + m;
+  sc.batch = MsgIdRange::strided(sc.base, 1, published);
+  sc.delivered.resize(published, 0);
+  return MsgIdRange::strided(first, 1, m);
 }
 
 void Execution::begin_window_batch() {
@@ -171,14 +165,10 @@ void Execution::begin_window_batch() {
   // no earlier window left unswept.
   AA_CHECK(buffer_.pending_count() == 0,
            "begin_window_batch: messages are already pending");
-  if (sc.row_stamp.size() != n) {
-    sc.row_stamp.assign(n, 0);
-    sc.bcast_runs.assign(n, 0);
-    sc.runs.resize(n);
-    sc.pair_begin.assign(n * (n + 1), 0);
-  }
-  sc.batch.clear();
+  // Runs kept from earlier windows carry older stamps: stale after the bump.
+  sc.runs.resize(n);
   sc.base = static_cast<MsgId>(buffer_.total_sent());
+  sc.batch = MsgIdRange::strided(sc.base, 1, 0);
   sc.run_order.clear();
   sc.delivered.clear();
   sc.window_delivered = 0;
@@ -237,13 +227,11 @@ int Execution::deliver_plan_row(ProcId receiver, std::span<const ProcId> row) {
   WindowScratch& sc = scratch_;
   AA_CHECK(sc.collect_window == window_,
            "deliver_plan_row: no batch collected for the current window");
-  // Reject a bad row before any message is consumed.
-  for (const ProcId s : row) {
-    AA_REQUIRE(s >= 0 && s < n_, "deliver_plan_row: sender id out of range");
-  }
+  // Size the run, rejecting a bad row before any message is consumed.
   const WindowBatch batch(&sc, n_);
   std::size_t total = 0;
   for (const ProcId s : row) {
+    AA_REQUIRE(s >= 0 && s < n_, "deliver_plan_row: sender id out of range");
     total += static_cast<std::size_t>(batch.count(s, receiver));
   }
   if (total == 0) return 0;  // the row's senders sent this receiver nothing
@@ -264,8 +252,8 @@ int Execution::deliver_plan_row(ProcId receiver, std::span<const ProcId> row) {
   std::size_t k = 0;
   for (const ProcId s : row) {
     const auto si = static_cast<std::size_t>(s);
-    if (sc.row_stamp[si] != sc.batch_epoch) continue;
     const SenderRun& run = sc.runs[si];
+    if (run.stamp != sc.batch_epoch) continue;
     const std::size_t before = k;
     const auto emit = [&](std::size_t off, const Message& msg) {
       std::uint8_t& done = sc.delivered[off];
@@ -280,7 +268,7 @@ int Execution::deliver_plan_row(ProcId receiver, std::span<const ProcId> row) {
       env.chain = run.chain;
     };
     const auto run_off = static_cast<std::size_t>(run.first - sc.base);
-    if (sc.bcast_runs[si] > 0) {
+    if (run.broadcast_runs > 0) {
       std::size_t off = run_off + r;
       for (const StagedMessage& item : run.items) {
         emit(off, item.msg);
@@ -358,11 +346,10 @@ void Execution::end_window() {
     if (cfg_.lens != nullptr && dropped > 0) {
       const auto n = static_cast<std::size_t>(n_);
       for (const ProcId s : sc.run_order) {
-        const auto si = static_cast<std::size_t>(s);
-        const SenderRun& run = sc.runs[si];
+        const SenderRun& run = sc.runs[static_cast<std::size_t>(s)];
         const std::uint8_t* done = &sc.delivered[static_cast<std::size_t>(
             run.first - sc.base)];
-        const bool bcast = sc.bcast_runs[si] > 0;
+        const bool bcast = run.broadcast_runs > 0;
         const std::size_t m = bcast ? run.items.size() * n : run.items.size();
         for (std::size_t j = 0; j < m; ++j) {
           if (done[j] != 0) continue;
@@ -443,8 +430,9 @@ void Execution::audit() const {
   // Epoch-stamp freshness: no scratch stamp may come from the future —
   // that is exactly the corruption the stamped-counter design would
   // silently misread as "valid this window".
-  for (const std::uint64_t s : scratch_.row_stamp) {
-    AA_CHECK(s <= scratch_.batch_epoch, "audit: row_stamp from the future");
+  for (const SenderRun& run : scratch_.runs) {
+    AA_CHECK(run.stamp <= scratch_.batch_epoch,
+             "audit: window run stamp from the future");
   }
   for (const std::uint64_t s : scratch_.stamp) {
     AA_CHECK(s <= scratch_.epoch, "audit: plan-validation stamp from the future");
@@ -465,13 +453,13 @@ void Execution::audit_window_store() const {
   for (const ProcId s : sc.run_order) {
     AA_CHECK(s >= 0 && s < n_, "audit: window run of a bad sender");
     const auto si = static_cast<std::size_t>(s);
-    AA_CHECK(sc.row_stamp[si] == sc.batch_epoch,
-             "audit: window run of a sender with a stale index row");
     const SenderRun& run = sc.runs[si];
+    AA_CHECK(run.stamp == sc.batch_epoch,
+             "audit: window run of a sender with a stale stamp");
     AA_CHECK(run.first == next && !run.items.empty(),
              "audit: window runs do not tile the window's ids");
     AA_CHECK(run.chain >= 1, "audit: window run with a bad chain stamp");
-    const std::int32_t k = sc.bcast_runs[si];
+    const std::int32_t k = run.broadcast_runs;
     if (k > 0) {
       // A broadcast run: k kEveryone items, tiling k·n ids.
       AA_CHECK(run.items.size() == static_cast<std::size_t>(k),

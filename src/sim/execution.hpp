@@ -114,12 +114,12 @@ class Execution {
   /// run — no copy — and, for a point run only, one stable counting sort
   /// by receiver writes its row of the window pair index; otherwise (the
   /// async model) the run goes into the MessageBuffer arena in one
-  /// add_batch, broadcasts expanded first (Outbox::expand). Returns the ids published, in
-  /// staging order (a broadcast's n copies in receiver order; empty when
-  /// the step is a no-op). The span aliases a
-  /// reusable internal buffer — it is invalidated by the next sending
-  /// step, so copy it out if it must outlive one step.
-  std::span<const MsgId> sending_step(ProcId p);
+  /// add_batch, broadcasts expanded first (Outbox::expand). Either way
+  /// the step claims consecutive ids, so it returns them as the range
+  /// [first, first + published): in staging order, a broadcast's n copies
+  /// in receiver order; empty when the step is a no-op (crashed sender or
+  /// nothing staged). The range is a value and aliases nothing.
+  MsgIdRange sending_step(ProcId p);
 
   /// Receiving step: deliver pending message `id` (an arena message, or a
   /// message of the current collected window) to its recipient and run the
@@ -254,7 +254,7 @@ class Execution {
   friend struct AuditTestAccess;
   void record(StepKind k, ProcId p, MsgId m = kNoMsg);
   /// The collected-window half of sending_step: publish `out` as p's run.
-  std::span<const MsgId> publish_run(ProcId p, Outbox& out);
+  MsgIdRange publish_run(ProcId p, Outbox& out);
   void audit_window_store() const;
   void check_output_write_once(ProcId p, int before);
 
@@ -269,7 +269,6 @@ class Execution {
   std::vector<std::int64_t> chain_;
   std::vector<Decision> decisions_;
   std::vector<Event> events_;
-  std::vector<MsgId> published_;            ///< reused by sending_step
   /// deliver_plan_row's run scratch: the gathered envelopes in plan order,
   /// and one pointer per entry (the span on_receive_batch takes). Both
   /// only grow, and the pointers are rebuilt whenever run_envelopes_ does.

@@ -15,13 +15,14 @@
 //     receiver and item are its offset mod n and div n.
 //   * point run — one item per message (only the Byzantine wrapper and
 //     tests stage send()): grouped by receiver with one stable counting
-//     sort straight into its row of the (sender, receiver) pair index.
+//     sort straight into its row of the (sender, receiver) pair index,
+//     which the first point run of an execution allocates.
 // Delivery gathers a receiver's envelopes from the runs — straight from
 // the broadcast items, or through the pair index — and the window edge
-// counts what was never delivered as dropped. The window's ids are
-// contiguous and ascending in publication order (the batch starts at
-// `base`), so every pair's ids ascend too; callers must not keep ids or
-// envelopes across a window edge.
+// counts what was never delivered as dropped. The window's ids are the
+// range [base, base + published), ascending in publication order, so
+// every pair's ids ascend too and no id list is ever stored; callers must
+// not keep ids or envelopes across a window edge.
 #pragma once
 
 #include <cstddef>
@@ -60,92 +61,12 @@ struct WindowPlan {
   }
 };
 
-/// One sender's published run in a collected window. `items` is the
-/// sender's staging vector itself, swapped in by the sending step. In a
-/// point run item j has id first + j; in a broadcast run (every item
-/// kEveryone) item j's copy to receiver r has id first + j·n + r. Every
-/// message of the run shares its sender, window and chain stamp.
-struct SenderRun {
-  std::vector<StagedMessage> items;
-  MsgId first = 0;
-  std::int64_t chain = 0;
-};
-
-/// Per-execution scratch for the window driver. Every buffer is reused
-/// window to window, so after warm-up a window performs no heap allocation.
-///
-/// Window store + pair index (filled by Execution::sending_step while a
-/// window batch is being collected — see begin_window_batch):
-///   batch        — ids published by this window's sending steps, in
-///                  publication order (contiguous from `base`; one id per
-///                  message, broadcast copies included)
-///   base         — the first id of the window
-///   runs         — per-sender runs (valid iff row_stamp[s] == batch_epoch)
-///   run_order    — the senders that published, in publication order (so
-///                  their runs' id ranges ascend)
-///   delivered    — one byte per window message (index id − base): set
-///                  once the message was delivered
-///   window_delivered — number of set delivered bytes
-///   pair_begin   — n rows of n+1 absolute offsets into pair_ids; row s
-///                  (entries s·(n+1) .. s·(n+1)+n) maps receiver r to the
-///                  segment of sender s's window-batch ids addressed to r.
-///                  Written only for POINT runs (bcast_runs[s] == -1), by
-///                  publish_run's stable counting sort by receiver; a
-///                  broadcast run's row is left stale and never read
-///   pair_ids     — the point runs' ids grouped (sender-major,
-///                  receiver-minor, id ascending within a pair)
-///   row_stamp    — runs[s], bcast_runs[s] and pair_begin row s are valid
-///                  iff row_stamp[s] == batch_epoch; stale rows mean
-///                  "sender published nothing", so no counter array is
-///                  ever reset
-///   bcast_runs   — per-sender Outbox::broadcast_runs() of the published
-///                  run (valid iff row_stamp[s] == batch_epoch): k ≥ 1 for
-///                  a broadcast run of k items, or -1 for a point run
-///   batch_epoch  — bumped by every begin_window_batch
-///   collect_window — the window index being collected, or -1 when the
-///                  execution is not in a collected window (async drivers
-///                  never arm this, so their sending steps publish into
-///                  the MessageBuffer arena instead)
-///
-/// Plan bookkeeping (driven by run_acceptable_window):
-///   plan         — the adversary's reusable WindowPlan
-///   stamp, epoch — epoch-stamped duplicate detector for plan validation
-///   planner, planner_t   — the (adversary, t) pairing prepare() last ran
-///                          for on this execution; the driver re-prepares
-///                          when either changes (validation bounds depend
-///                          on t, so a plan reused under a different t
-///                          must not skip re-validation)
-///   plan_validated       — the current plan contents passed validation
-///   plan_liveness_epoch  — Execution::liveness_epoch() at that validation;
-///                          any crash/reset since forces re-validation even
-///                          on reuse windows
-struct WindowScratch {
-  std::vector<MsgId> batch;
-  MsgId base = 0;
-  std::vector<SenderRun> runs;
-  std::vector<ProcId> run_order;
-  std::vector<std::uint8_t> delivered;
-  std::size_t window_delivered = 0;
-  std::vector<std::int32_t> pair_begin;
-  std::vector<MsgId> pair_ids;
-  std::vector<std::uint64_t> row_stamp;
-  std::vector<std::int32_t> bcast_runs;
-  std::uint64_t batch_epoch = 0;
-  std::int64_t collect_window = -1;
-  WindowPlan plan;
-  std::vector<std::uint64_t> stamp;
-  std::uint64_t epoch = 0;
-  const void* planner = nullptr;
-  int planner_t = -1;
-  bool plan_validated = false;
-  std::int64_t plan_liveness_epoch = -1;
-};
-
-/// The ids one sender published to one receiver in a window, in send
-/// order: either a segment of stored ids (a point run's pair_ids) or the
-/// stride-n sequence first, first + n, ... of a broadcast run's copies.
-/// A small value type; its iterators carry everything they read, so they
-/// stay valid after the range object itself is gone.
+/// A sequence of message ids: either a segment of stored ids (a point
+/// run's pair_ids) or the arithmetic sequence first, first + stride, ...
+/// A window's ids and a sending step's ids are stride 1; the ids one
+/// broadcast run sent one receiver are stride n. A small value type; its
+/// iterators carry everything they read, so they stay valid after the
+/// range object itself is gone.
 class MsgIdRange {
  public:
   class iterator {
@@ -215,6 +136,86 @@ class MsgIdRange {
   std::size_t size_ = 0;
 };
 
+/// One sender's published run in a collected window. `items` is the
+/// sender's staging vector itself, swapped in by the sending step. In a
+/// point run item j has id first + j; in a broadcast run (every item
+/// kEveryone) item j's copy to receiver r has id first + j·n + r. Every
+/// message of the run shares its sender, window and chain stamp. The
+/// record is this window's iff `stamp` == batch_epoch (a stale one means
+/// "published nothing", so nothing is ever reset); `broadcast_runs` is
+/// Outbox::broadcast_runs(): k ≥ 1 for k broadcast items, -1 for a point
+/// run.
+struct SenderRun {
+  std::vector<StagedMessage> items;
+  MsgId first = 0;
+  std::int64_t chain = 0;
+  std::uint64_t stamp = 0;
+  std::int32_t broadcast_runs = 0;
+};
+
+/// Per-execution scratch for the window driver. Every buffer is reused
+/// window to window, so after warm-up a window performs no heap allocation.
+///
+/// Window store + pair index (filled by Execution::sending_step while a
+/// window batch is being collected — see begin_window_batch):
+///   batch        — the ids published by this window's sending steps, the
+///                  range [base, base + published) in publication order
+///                  (one id per message, broadcast copies included)
+///   base         — the first id of the window
+///   runs         — per-sender runs (this window's iff stamp == batch_epoch)
+///   run_order    — the senders that published, in publication order (so
+///                  their runs' id ranges ascend)
+///   delivered    — one byte per window message (index id − base): set
+///                  once the message was delivered
+///   window_delivered — number of set delivered bytes
+///   pair_begin   — n rows of n+1 absolute offsets into pair_ids; row s
+///                  (entries s·(n+1) .. s·(n+1)+n) maps receiver r to the
+///                  segment of sender s's window ids addressed to r.
+///                  Written only for POINT runs (broadcast_runs == -1), by
+///                  publish_run's stable counting sort by receiver, and
+///                  sized by the first one: an execution that only
+///                  broadcasts never allocates it. A broadcast run's row
+///                  is left stale and never read
+///   pair_ids     — the point runs' ids grouped (sender-major,
+///                  receiver-minor, id ascending within a pair)
+///   batch_epoch  — bumped by every begin_window_batch
+///   collect_window — the window index being collected, or -1 when the
+///                  execution is not in a collected window (async drivers
+///                  never arm this, so their sending steps publish into
+///                  the MessageBuffer arena instead)
+///
+/// Plan bookkeeping (driven by run_acceptable_window):
+///   plan         — the adversary's reusable WindowPlan
+///   stamp, epoch — epoch-stamped duplicate detector for plan validation
+///   planner, planner_t   — the (adversary, t) pairing prepare() last ran
+///                          for on this execution; the driver re-prepares
+///                          when either changes (validation bounds depend
+///                          on t, so a plan reused under a different t
+///                          must not skip re-validation)
+///   plan_validated       — the current plan contents passed validation
+///   plan_liveness_epoch  — Execution::liveness_epoch() at that validation;
+///                          any crash/reset since forces re-validation even
+///                          on reuse windows
+struct WindowScratch {
+  MsgIdRange batch;
+  MsgId base = 0;
+  std::vector<SenderRun> runs;
+  std::vector<ProcId> run_order;
+  std::vector<std::uint8_t> delivered;
+  std::size_t window_delivered = 0;
+  std::vector<std::int32_t> pair_begin;
+  std::vector<MsgId> pair_ids;
+  std::uint64_t batch_epoch = 0;
+  std::int64_t collect_window = -1;
+  WindowPlan plan;
+  std::vector<std::uint64_t> stamp;
+  std::uint64_t epoch = 0;
+  const void* planner = nullptr;
+  int planner_t = -1;
+  bool plan_validated = false;
+  std::int64_t plan_liveness_epoch = -1;
+};
+
 /// Read-only view of one collected window, indexed by (sender, receiver).
 /// Built incrementally as sending steps publish — handed to
 /// WindowAdversary::plan_window_into and consumed by the delivery phase.
@@ -225,10 +226,9 @@ class WindowBatch {
   WindowBatch(const WindowScratch* sc, int n) : sc_(sc), n_(n) {}
 
   [[nodiscard]] int n() const noexcept { return n_; }
-  /// All ids published this window, publication order.
-  [[nodiscard]] std::span<const MsgId> ids() const noexcept {
-    return sc_->batch;
-  }
+  /// All ids published this window, publication order: the range
+  /// [base, base + size()).
+  [[nodiscard]] MsgIdRange ids() const noexcept { return sc_->batch; }
   [[nodiscard]] std::size_t size() const noexcept { return sc_->batch.size(); }
 
   /// The senders that published this window, in publication order (their
@@ -244,9 +244,9 @@ class WindowBatch {
 
   /// Number of messages sender s published to receiver r this window.
   [[nodiscard]] std::int32_t count(ProcId s, ProcId r) const {
-    const auto si = static_cast<std::size_t>(s);
-    if (sc_->row_stamp[si] != sc_->batch_epoch) return 0;
-    if (sc_->bcast_runs[si] > 0) return sc_->bcast_runs[si];
+    const SenderRun* run = published(s);
+    if (run == nullptr) return 0;
+    if (run->broadcast_runs > 0) return run->broadcast_runs;
     const std::size_t at = row_base(s) + static_cast<std::size_t>(r);
     return sc_->pair_begin[at + 1] - sc_->pair_begin[at];
   }
@@ -255,12 +255,11 @@ class WindowBatch {
   /// a stride-n sequence for a broadcast run, a pair_ids segment for a
   /// point run.
   [[nodiscard]] MsgIdRange from_to(ProcId s, ProcId r) const {
-    const auto si = static_cast<std::size_t>(s);
-    if (sc_->row_stamp[si] != sc_->batch_epoch) return {};
-    const std::int32_t k = sc_->bcast_runs[si];
-    if (k > 0) {
-      return MsgIdRange::strided(sc_->runs[si].first + r, n_,
-                                 static_cast<std::size_t>(k));
+    const SenderRun* run = published(s);
+    if (run == nullptr) return {};
+    if (run->broadcast_runs > 0) {
+      return MsgIdRange::strided(run->first + r, n_,
+                                 static_cast<std::size_t>(run->broadcast_runs));
     }
     const std::size_t at = row_base(s) + static_cast<std::size_t>(r);
     const auto b = static_cast<std::size_t>(sc_->pair_begin[at]);
@@ -280,11 +279,16 @@ class WindowBatch {
   /// to r, for every r), 0 when it published nothing, -1 when the run was
   /// staged with send().
   [[nodiscard]] int broadcast_runs(ProcId s) const {
-    const auto i = static_cast<std::size_t>(s);
-    return sc_->row_stamp[i] == sc_->batch_epoch ? sc_->bcast_runs[i] : 0;
+    const SenderRun* run = published(s);
+    return run == nullptr ? 0 : run->broadcast_runs;
   }
 
  private:
+  /// Sender s's run if it published this window, else null.
+  [[nodiscard]] const SenderRun* published(ProcId s) const {
+    const SenderRun& run = sc_->runs[static_cast<std::size_t>(s)];
+    return run.stamp == sc_->batch_epoch ? &run : nullptr;
+  }
   [[nodiscard]] std::size_t row_base(ProcId s) const noexcept {
     return static_cast<std::size_t>(s) * (static_cast<std::size_t>(n_) + 1);
   }

@@ -20,7 +20,7 @@ Envelope WindowBatch::envelope(MsgId id) const {
   const ProcId s = *(it - 1);
   const SenderRun& run = sc_->runs[static_cast<std::size_t>(s)];
   const auto off = static_cast<std::size_t>(id - run.first);
-  if (sc_->bcast_runs[static_cast<std::size_t>(s)] > 0) {
+  if (run.broadcast_runs > 0) {
     // Broadcast run: copy off % n of item off / n.
     const auto n = static_cast<std::size_t>(n_);
     return Envelope{id, s, static_cast<ProcId>(off % n), run.items[off / n].msg,

@@ -12,7 +12,7 @@
 // on the first T1 matching-round messages it receives.
 //
 // Hot-path contract: run_acceptable_window drives everything through the
-// execution's WindowScratch (reusable batch / pair index / plan), so a
+// execution's WindowScratch (reusable window store / plan), so a
 // steady-state window performs no heap allocation. The paper only requires
 // the adversary to be ABLE to adapt — it does not force every adversary to
 // behave adaptively — so the planning API lets an adversary declare that
@@ -31,7 +31,7 @@
 //     receiver. WindowBatch::broadcast_runs exposes the run kind, so an
 //     adversary can plan every receiver's identical broadcast sequence
 //     once.
-//   * plan_window_into receives that prebuilt index as a WindowBatch view
+//   * plan_window_into receives that store as a WindowBatch view
 //     (WindowBatch::envelope reads any window message by value) and
 //     returns a PlanDecision. kUpdated means the plan was overwritten
 //     (the driver re-validates it); kReusePrevious means the plan object
@@ -97,8 +97,8 @@ class WindowAdversary {
   /// kReusePrevious without any fill. Implementations that return kUpdated
   /// must fully overwrite the plan (call plan.reset(exec.n()) first, then
   /// append to plan.delivery_order[i] / plan.resets). `batch` is the
-  /// window's publication batch — batch.ids() lists every id just
-  /// published, batch.from_to(s,r) yields a pair's ids (a stride-n
+  /// window's publication batch — batch.ids() is the range of every id
+  /// just published, batch.from_to(s,r) yields a pair's ids (a stride-n
   /// sequence for a broadcast run), and batch.envelope(id) reads a
   /// message.
   /// Implementations may also inspect the whole execution (process states)

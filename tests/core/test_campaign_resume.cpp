@@ -357,6 +357,9 @@ TEST(CampaignResume, CellTimeoutMarksFailedAndSummarySkipsIt) {
   // undecided, so they burn the 10000-window budget: a quarter second
   // each, far past twice the 50 ms timeout. Its first chunks run; the
   // chunks that start after the deadline are skipped, in both rounds.
+  // A few of its trials decide within tens of milliseconds, so the cell
+  // has 16 chunks: at 4 threads, 12 of them would have to finish inside
+  // the deadline for the last one to start in time.
   const auto run = [](int threads) {
     const fs::path dir = fresh_dir("timeout" + std::to_string(threads));
     CampaignConfig cfg;
@@ -368,7 +371,7 @@ TEST(CampaignResume, CellTimeoutMarksFailedAndSummarySkipsIt) {
     cfg.thresholds = {"default"};
     cfg.memory_k = {0};
     cfg.adversaries = {"split-keeper"};
-    cfg.trials = 8;
+    cfg.trials = 16;
     cfg.budget = 10000;
     cfg.seed = 1;
     cfg.threads = threads;
@@ -390,7 +393,7 @@ TEST(CampaignResume, CellTimeoutMarksFailedAndSummarySkipsIt) {
     // The fast cell landed with the same bytes at any thread count; the
     // failed cell is excluded from the merge and gets no artifact.
     EXPECT_EQ(read_file(dir / "slow_cell_0.json"), fast_cell);
-    EXPECT_EQ(result.summary.trials, 8);
+    EXPECT_EQ(result.summary.trials, 16);
     EXPECT_FALSE(fs::exists(dir / "slow_cell_1.json"));
     const std::string summary = read_file(dir / "slow_summary.json");
     EXPECT_NE(summary.find("\"cells_failed\": [1]"), std::string::npos)

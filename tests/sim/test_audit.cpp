@@ -253,9 +253,9 @@ TEST(ExecutionAudit, DetectsRunKindTamper) {
   sc.runs[2].items[0].to = 1;  // a point message inside a broadcast run
   EXPECT_THROW(exec.audit(), std::logic_error);
   sc.runs[2].items[0].to = kEveryone;
-  sc.bcast_runs[2] = 2;  // the run no longer tiles k·n ids
+  sc.runs[2].broadcast_runs = 2;  // the run no longer tiles k·n ids
   EXPECT_THROW(exec.audit(), std::logic_error);
-  sc.bcast_runs[2] = 1;
+  sc.runs[2].broadcast_runs = 1;
   EXPECT_NO_THROW(exec.audit());
   const std::vector<ProcId> all{0, 1, 2, 3};
   for (ProcId i = 0; i < 4; ++i) (void)exec.deliver_plan_row(i, all);

@@ -9,13 +9,15 @@
 //    included), every named adversary, the chaos and censor wrappers and
 //    crashes between rows: per-receiver delivery sequences, the event log,
 //    lens captures, delivered/dropped counts and audit() agree (up to the
-//    documented end-of-run granularity of Decision step/chain stamps);
+//    documented end-of-run granularity of Decision step/chain stamps),
+//    also on an execution reset in place from another n;
 //  * deliver_plan_row edge cases (empty row, retired messages, bad sender,
 //    crashed receiver, no collected batch).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -173,24 +175,58 @@ struct Recorded {
   lens::WindowTrace trace;
   std::unique_ptr<Execution> exec;
 
-  Recorded(ProtocolKind kind, int n, int t, std::uint64_t seed)
-      : Recorded(protocols::make_processes(kind, t,
-                                           protocols::split_inputs(n, 0.5)),
-                 seed) {}
+  Recorded(std::vector<std::unique_ptr<Process>> procs, std::uint64_t seed)
+      : exec(std::make_unique<Execution>(wrap(std::move(procs)), seed,
+                                         config())) {}
 
-  Recorded(std::vector<std::unique_ptr<Process>> procs, std::uint64_t seed) {
+  /// Rebuild the execution in place (Execution::reset) with an empty log.
+  void reset(std::vector<std::unique_ptr<Process>> procs, std::uint64_t seed) {
+    log.clear();
+    exec->reset(wrap(std::move(procs)), seed, config());
+  }
+
+ private:
+  std::vector<std::unique_ptr<Process>> wrap(
+      std::vector<std::unique_ptr<Process>> procs) {
     const auto n = static_cast<ProcId>(procs.size());
     for (ProcId p = 0; p < n; ++p) {
       auto& slot = procs[static_cast<std::size_t>(p)];
       slot = std::make_unique<Recorder>(std::move(slot), p, &log);
     }
+    return procs;
+  }
+  ExecutionConfig config() {
     ExecutionConfig cfg;
     cfg.record_events = true;
     cfg.audit = true;
     cfg.lens = &trace;
-    exec = std::make_unique<Execution>(std::move(procs), seed, cfg);
+    return cfg;
   }
 };
+
+/// The processes of one differential run: a protocol, or the reset
+/// protocol with its first t processors turned Byzantine equivocators
+/// (send() runs, so no window is broadcast-shaped).
+std::vector<std::unique_ptr<Process>> differential_procs(const char* proto,
+                                                         int n, int t) {
+  const std::string name = proto;
+  if (name == "byzantine") {
+    auto procs = protocols::make_processes(ProtocolKind::Reset, t,
+                                           protocols::split_inputs(n, 0.5));
+    for (ProcId p = 0; p < t; ++p) {
+      auto& slot = procs[static_cast<std::size_t>(p)];
+      slot = std::make_unique<protocols::ByzantineProcess>(
+          std::move(slot), protocols::ByzantineStrategy::Equivocate,
+          static_cast<std::uint64_t>(p) + 1);
+    }
+    return procs;
+  }
+  const ProtocolKind kind = name == "reset"       ? ProtocolKind::Reset
+                            : name == "forgetful" ? ProtocolKind::Forgetful
+                            : name == "benor"     ? ProtocolKind::BenOr
+                                                  : ProtocolKind::Bracha;
+  return protocols::make_processes(kind, t, protocols::split_inputs(n, 0.5));
+}
 
 /// Row shapes: ascending full, ascending partial (t senders left out),
 /// permuted full, permuted partial.
@@ -238,15 +274,28 @@ void expect_same_events(const Execution& a, const Execution& b) {
 TEST(BatchDelivery, PlanRowMatchesPerIdReceivingSteps) {
   // Every row shape, every window, against one receiving_step per id in
   // plan order. Bracha stages several broadcasts per step, so its sender
-  // segments hold more than one message.
+  // segments hold more than one message. The Byzantine input publishes
+  // point runs, and its batched execution first runs a window at a
+  // smaller n and is then reset in place, so its pair index was sized for
+  // another n.
   const int n = 10;
   const int t = 2;
-  for (const ProtocolKind kind : {ProtocolKind::Reset, ProtocolKind::Bracha}) {
+  for (const char* proto : {"reset", "bracha", "byzantine"}) {
+    const bool after_reset = std::string(proto) == "byzantine";
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      Recorded batched(kind, n, t, seed);
-      Recorded per_id(kind, n, t, seed);
+      SCOPED_TRACE(std::string(proto) + " / seed " + std::to_string(seed));
+      const int first_n = after_reset ? 9 : n;
+      Recorded batched(differential_procs(proto, first_n, t), seed);
+      Recorded per_id(differential_procs(proto, n, t), seed);
       Execution& eb = *batched.exec;
       Execution& er = *per_id.exec;
+      if (after_reset) {
+        adversary::FairWindowAdversary fair;
+        run_acceptable_window(eb, fair, t);
+        ASSERT_EQ(eb.window_scratch().pair_begin.size(),
+                  static_cast<std::size_t>(first_n * (first_n + 1)));
+        batched.reset(differential_procs(proto, n, t), seed);
+      }
       Rng rows_rng(seed * 31 + 7);
       int multi_message_pairs = 0;
       for (int w = 0; w < 12; ++w) {
@@ -281,35 +330,11 @@ TEST(BatchDelivery, PlanRowMatchesPerIdReceivingSteps) {
       expect_same_lens(batched.trace, per_id.trace);
       expect_same_state(eb, er);
       EXPECT_EQ(eb.buffer().dropped_count(), er.buffer().dropped_count());
-      if (kind == ProtocolKind::Bracha) {
+      if (std::string(proto) == "bracha") {
         EXPECT_GT(multi_message_pairs, 0);
       }
     }
   }
-}
-
-/// The processes of one differential run: a protocol, or the reset
-/// protocol with its first t processors turned Byzantine equivocators
-/// (send() runs, so no window is broadcast-shaped).
-std::vector<std::unique_ptr<Process>> differential_procs(const char* proto,
-                                                         int n, int t) {
-  const std::string name = proto;
-  if (name == "byzantine") {
-    auto procs = protocols::make_processes(ProtocolKind::Reset, t,
-                                           protocols::split_inputs(n, 0.5));
-    for (ProcId p = 0; p < t; ++p) {
-      auto& slot = procs[static_cast<std::size_t>(p)];
-      slot = std::make_unique<protocols::ByzantineProcess>(
-          std::move(slot), protocols::ByzantineStrategy::Equivocate,
-          static_cast<std::uint64_t>(p) + 1);
-    }
-    return procs;
-  }
-  const ProtocolKind kind = name == "reset"       ? ProtocolKind::Reset
-                            : name == "forgetful" ? ProtocolKind::Forgetful
-                            : name == "benor"     ? ProtocolKind::BenOr
-                                                  : ProtocolKind::Bracha;
-  return protocols::make_processes(kind, t, protocols::split_inputs(n, 0.5));
 }
 
 /// A named adversary, optionally wrapped: "chaos" adds duplicated and

@@ -17,17 +17,25 @@
 //    send() are indistinguishable: same ids, counts, pair ranges,
 //    envelopes, delivered sequences and lens counts;
 //  * Outbox::send rejects a receiver outside [0, n) before it can reach
-//    the window store.
+//    the window store;
+//  * ids are ranges, never stored lists: a collected window's ids are
+//    [base, base + size()), each sending step's range is exactly the ids
+//    the window store (from_to, envelope) or the async arena hold for its
+//    sender, and a crashed or empty sender's range is empty;
+//  * the pair index is allocated by the first point run: a broadcast-only
+//    execution never sizes it, and a reset to a larger n resizes it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "adversary/window_adversaries.hpp"
 #include "lens/trace.hpp"
+#include "protocols/byzantine.hpp"
 #include "protocols/factory.hpp"
 #include "sim/window.hpp"
 #include "util/rng.hpp"
@@ -572,6 +580,144 @@ TEST(WindowBatchIndex, CountersDoNotLeakAcrossWindows) {
   const WindowBatch batch = e.window_batch();
   EXPECT_EQ(batch.size(), 0u);
   for (ProcId s = 0; s < n; ++s) EXPECT_EQ(batch.count_to(s), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Id ranges and the lazily sized pair index
+// ---------------------------------------------------------------------------
+
+std::vector<MsgId> as_vector(const MsgIdRange& ids) {
+  return std::vector<MsgId>(ids.begin(), ids.end());
+}
+
+/// The reset protocol with processor 0 turned into a Byzantine
+/// equivocator, whose runs are point runs.
+std::vector<std::unique_ptr<Process>> reset_with_equivocator(int n, int t) {
+  auto procs = protocols::make_processes(ProtocolKind::Reset, t,
+                                         protocols::split_inputs(n, 0.5));
+  procs[0] = std::make_unique<protocols::ByzantineProcess>(
+      std::move(procs[0]), protocols::ByzantineStrategy::Equivocate, 1);
+  return procs;
+}
+
+TEST(IdRanges, WindowRangesAreTheIdsTheStoreHolds) {
+  // Several windows, so the base moves: the window's ids are exactly
+  // [base, base + size()), the sending steps' ranges tile them in
+  // publication order, and each sender's range is the ids from_to and
+  // envelope give that sender — for the equivocator's point run and the
+  // honest broadcast runs alike. A crashed sender and a sender with
+  // nothing staged get an empty range.
+  const int n = 6;
+  const int t = 1;
+  Execution e(reset_with_equivocator(n, t), 3);
+  const ProcId crashed = 5;
+  e.crash(crashed);
+  const std::vector<ProcId> all{0, 1, 2, 3, 4, 5};
+  for (int w = 0; w < 4; ++w) {
+    SCOPED_TRACE("window " + std::to_string(w));
+    const auto base = static_cast<MsgId>(e.buffer().total_sent());
+    e.begin_window_batch();
+    std::vector<MsgIdRange> sent;
+    std::vector<MsgId> tiled;
+    for (ProcId p = 0; p < n; ++p) {
+      sent.push_back(e.sending_step(p));
+      for (const MsgId id : sent.back()) tiled.push_back(id);
+    }
+    EXPECT_TRUE(sent[crashed].empty());
+    EXPECT_TRUE(e.sending_step(1).empty());  // nothing left staged
+    const WindowBatch batch = e.window_batch();
+    ASSERT_GT(batch.size(), 0u);
+    EXPECT_EQ(batch.broadcast_runs(0), -1);
+    EXPECT_EQ(batch.broadcast_runs(1), 1);
+    std::vector<MsgId> window_ids(batch.size());
+    std::iota(window_ids.begin(), window_ids.end(), base);
+    EXPECT_EQ(as_vector(batch.ids()), window_ids);
+    EXPECT_EQ(tiled, window_ids);
+    for (ProcId s = 0; s < n; ++s) {
+      std::vector<MsgId> to_anyone;
+      for (ProcId r = 0; r < n; ++r) {
+        for (const MsgId id : batch.from_to(s, r)) to_anyone.push_back(id);
+      }
+      std::sort(to_anyone.begin(), to_anyone.end());
+      EXPECT_EQ(as_vector(sent[static_cast<std::size_t>(s)]), to_anyone)
+          << "sender " << s;
+      for (const MsgId id : sent[static_cast<std::size_t>(s)]) {
+        EXPECT_EQ(batch.envelope(id).sender, s) << "id " << id;
+      }
+    }
+    for (ProcId i = 0; i < n; ++i) {
+      if (!e.crashed(i)) e.deliver_plan_row(i, all);
+    }
+    e.end_window();
+  }
+  EXPECT_GT(e.buffer().total_sent(), 0u);
+}
+
+TEST(IdRanges, AsyncRangesAreTheIdsTheArenaAssigned) {
+  // Outside a collected window each sending step's range is the ids the
+  // arena assigned its run: the send() runs at start, then one expanded
+  // broadcast per delivery, once deliveries have freed slots for reuse.
+  const int n = 5;
+  std::vector<std::unique_ptr<Process>> procs;
+  for (ProcId p = 0; p < n; ++p) {
+    procs.push_back(std::make_unique<SendThenBroadcast>());
+  }
+  Execution e(std::move(procs), 9);
+  const ProcId crashed = 4;
+  e.crash(crashed);
+  std::vector<MsgId> pending;
+  const auto publish = [&](ProcId p) {
+    const std::size_t before = e.buffer().total_sent();
+    const MsgIdRange ids = e.sending_step(p);
+    EXPECT_EQ(ids.size(), e.buffer().total_sent() - before);
+    for (std::size_t j = 0; j < ids.size(); ++j) {
+      EXPECT_EQ(ids[j], static_cast<MsgId>(before + j));
+      EXPECT_EQ(e.buffer().get(ids[j]).sender, p);
+      pending.push_back(ids[j]);
+    }
+    return ids;
+  };
+  for (ProcId p = 0; p < n; ++p) {
+    EXPECT_EQ(publish(p).size(), p == crashed ? 0u : 1u) << "proc " << p;
+  }
+  EXPECT_TRUE(e.sending_step(1).empty());  // nothing left staged
+  EXPECT_EQ(e.buffer().all_pending_ids(), pending);
+
+  for (int k = 0; k < 12; ++k) {
+    const auto r = static_cast<ProcId>(k % (n - 1));  // the live receivers
+    const std::vector<MsgId> to_r = e.buffer().pending_to_ids(r);
+    if (to_r.empty()) continue;
+    e.receiving_step(to_r.front());
+    pending.erase(std::find(pending.begin(), pending.end(), to_r.front()));
+    EXPECT_EQ(publish(r).size(), static_cast<std::size_t>(n)) << "step " << k;
+  }
+  EXPECT_GT(e.buffer().delivered_count(), 4u);
+  EXPECT_EQ(e.buffer().all_pending_ids(), pending);
+}
+
+TEST(IdRanges, PairIndexIsSizedByTheFirstPointRun) {
+  // Honest protocols only broadcast, so their executions never allocate
+  // the (sender, receiver) pair index; the first point run sizes it, and
+  // a reset to a larger n resizes it at the next point run.
+  const int t = 1;
+  adversary::FairWindowAdversary fair;
+  Execution e(protocols::make_processes(ProtocolKind::Reset, t,
+                                        protocols::split_inputs(6, 0.5)),
+              5);
+  for (int w = 0; w < 5; ++w) run_acceptable_window(e, fair, t);
+  EXPECT_GT(e.buffer().total_sent(), 0u);
+  EXPECT_TRUE(e.window_scratch().pair_begin.empty());
+
+  e.reset(reset_with_equivocator(6, t), 5);
+  run_acceptable_window(e, fair, t);
+  EXPECT_EQ(e.window_scratch().pair_begin.size(), 6u * 7u);
+
+  e.reset(reset_with_equivocator(9, t), 5);
+  e.begin_window_batch();
+  for (ProcId p = 0; p < 9; ++p) e.sending_step(p);
+  ASSERT_EQ(e.window_batch().broadcast_runs(0), -1);
+  EXPECT_EQ(e.window_scratch().pair_begin.size(), 9u * 10u);
+  expect_pair_index_matches_envelopes(e.window_batch());
 }
 
 // ---------------------------------------------------------------------------
