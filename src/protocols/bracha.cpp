@@ -1,5 +1,7 @@
 #include "protocols/bracha.hpp"
 
+#include <algorithm>
+
 #include "util/check.hpp"
 
 namespace aa::protocols {
@@ -56,11 +58,23 @@ void BrachaProcess::on_receive(const sim::Envelope& env, Rng& rng,
       m.kind != kRbcReadyKind)
     return;
   handle_rbc(m, env.sender, out);
-  // handle_rbc marks freshly delivered instances; drain them.
-  // (Delivery is recorded inside handle_rbc via on_rbc_deliver call below.)
-  // We re-run the agreement advance after every RBC event because a single
-  // echo/ready can complete several pending deliveries in cascade.
+  // handle_rbc records RBC deliveries in step_votes_. We re-run the
+  // agreement advance after every RBC event because a single echo/ready can
+  // complete several pending deliveries in cascade.
   try_advance(rng, out);
+}
+
+std::size_t BrachaProcess::record_of(InstanceKey k) {
+  const auto it = std::lower_bound(
+      records_.begin(), records_.end(), k,
+      [](const RbcRecord& r, InstanceKey key) { return r.key < key; });
+  const auto i = static_cast<std::size_t>(it - records_.begin());
+  if (it == records_.end() || it->key != k) {
+    records_.insert(it, RbcRecord{k});
+    const auto n = static_cast<std::size_t>(n_);
+    seen_.insert(seen_.begin() + static_cast<std::ptrdiff_t>(i * n), n, 0);
+  }
+  return i;
 }
 
 void BrachaProcess::handle_rbc(const sim::Message& m, int sender,
@@ -68,98 +82,82 @@ void BrachaProcess::handle_rbc(const sim::Message& m, int sender,
   const BrachaAux aux = unpack_bracha_aux(m.aux);
   if (aux.step < 1 || aux.step > 3) return;
   if (m.value != 0 && m.value != 1) return;
-  const InstanceKey k = key_of(aux.originator, m.round, aux.step);
-  RbcInstance& inst = instances_[k];
-  const Payload payload{m.value, aux.decide_flag};
+  // Only the originator's own INIT counts.
+  if (m.kind == kRbcInitKind && sender != aux.originator) return;
+  AA_CHECK(sender >= 0 && sender < n_, "BrachaProcess: sender out of range");
+  const std::size_t i = record_of(key_of(aux.originator, m.round, aux.step));
+  RbcRecord& rec = records_[i];
+  const int payload = 2 * m.value + (aux.decide_flag ? 1 : 0);
 
-  auto relay = [&](std::int32_t kind) {
+  if (m.kind == kRbcInitKind) {
+    // The FIRST INIT wins — a later conflicting INIT from an equivocator is
+    // ignored here, and its per-payload echo counts can never both reach
+    // quorum.
+    if (rec.echoed) return;
+    rec.echoed = true;
     sim::Message r = m;
-    r.kind = kind;
+    r.kind = kRbcEchoKind;
     out.broadcast(r);
-  };
-
-  switch (m.kind) {
-    case kRbcInitKind:
-      // Only the originator's own INIT counts; the FIRST one wins — a later
-      // conflicting INIT from an equivocator is ignored here, and its
-      // per-payload echo counts can never both reach quorum.
-      if (sender != aux.originator || inst.have_init) return;
-      inst.have_init = true;
-      if (!inst.sent_echo) {
-        inst.sent_echo = true;
-        relay(kRbcEchoKind);
-      }
-      break;
-    case kRbcEchoKind:
-      if (!inst.echo_senders[payload].insert(sender).second) return;
-      break;
-    case kRbcReadyKind:
-      if (!inst.ready_senders[payload].insert(sender).second) return;
-      break;
-    default:
-      return;
+  } else {
+    // A sender counts once per (kind, payload).
+    const bool echo = m.kind == kRbcEchoKind;
+    const auto n = static_cast<std::size_t>(n_);
+    std::uint8_t& seen = seen_[i * n + static_cast<std::size_t>(sender)];
+    const auto bit =
+        static_cast<std::uint8_t>(1u << (echo ? payload : payload + 4));
+    if ((seen & bit) != 0) return;
+    seen |= bit;
+    ++(echo ? rec.echoes : rec.readies)[payload];
   }
-  maybe_progress_instance(k, aux.originator, m.round, aux.step, out);
+  maybe_progress_instance(rec, aux.originator, m.round, aux.step, out);
 }
 
-void BrachaProcess::maybe_progress_instance(InstanceKey k, int originator,
+void BrachaProcess::maybe_progress_instance(RbcRecord& rec, int originator,
                                             int round, int step,
                                             sim::Outbox& out) {
-  RbcInstance& inst = instances_[k];
+  auto send_ready = [&](int payload) {
+    rec.sent_ready = true;
+    sim::Message r;
+    r.round = round;
+    r.kind = kRbcReadyKind;
+    r.value = payload / 2;
+    r.aux = pack_bracha_aux(originator, step, payload % 2 != 0);
+    out.broadcast(r);
+  };
   const int echo_threshold = (n_ + t_) / 2 + 1;  // strictly more than (n+t)/2
   // Quorums are evaluated per payload: two conflicting payloads cannot both
   // assemble > (n+t)/2 echoes from n honest-counting receivers.
-  for (const auto& [payload, echoes] : inst.echo_senders) {
-    if (inst.sent_ready) break;
-    if (static_cast<int>(echoes.size()) >= echo_threshold) {
-      inst.sent_ready = true;
-      sim::Message r;
-      r.round = round;
-      r.kind = kRbcReadyKind;
-      r.value = payload.first;
-      r.aux = pack_bracha_aux(originator, step, payload.second);
-      out.broadcast(r);
-    }
+  for (int p = 0; p < 4 && !rec.sent_ready; ++p) {
+    if (rec.echoes[p] >= echo_threshold) send_ready(p);
   }
-  for (const auto& [payload, readies] : inst.ready_senders) {
-    if (!inst.sent_ready && static_cast<int>(readies.size()) >= t_ + 1) {
-      // Ready amplification for this payload.
-      inst.sent_ready = true;
-      sim::Message r;
-      r.round = round;
-      r.kind = kRbcReadyKind;
-      r.value = payload.first;
-      r.aux = pack_bracha_aux(originator, step, payload.second);
-      out.broadcast(r);
-    }
-    if (!inst.delivered && static_cast<int>(readies.size()) >= 2 * t_ + 1) {
-      inst.delivered = true;
-      step_votes_[{round, step}].delivered.emplace_back(payload.first,
-                                                        payload.second);
+  for (int p = 0; p < 4; ++p) {
+    // Ready amplification for this payload.
+    if (!rec.sent_ready && rec.readies[p] >= t_ + 1) send_ready(p);
+    if (!rec.delivered && rec.readies[p] >= 2 * t_ + 1) {
+      rec.delivered = true;
+      StepTally& st = step_votes_.at(round).step[step - 1];
+      const int v = p / 2;
+      if (p % 2 != 0 && st.values.arrivals < n_ - t_) ++st.flagged[v];
+      st.values.add(v, n_ - t_);
     }
   }
 }
 
 void BrachaProcess::try_advance(Rng& rng, sim::Outbox& out) {
+  // Each finish_step moves (round_, step_) on, so a step fires once.
   while (true) {
-    auto it = step_votes_.find({round_, step_});
-    if (it == step_votes_.end()) return;
-    StepVotes& sv = it->second;
-    if (sv.acted || static_cast<int>(sv.delivered.size()) < n_ - t_) return;
-    sv.acted = true;
+    const RoundSteps* rs = step_votes_.find(round_);
+    if (rs == nullptr || rs->step[step_ - 1].values.arrivals < n_ - t_)
+      return;
     finish_step(rng, out);
   }
 }
 
 void BrachaProcess::finish_step(Rng& rng, sim::Outbox& out) {
-  const auto& got = step_votes_.at({round_, step_}).delivered;
-  int count[2] = {0, 0};
-  int flagged[2] = {0, 0};
-  for (int i = 0; i < n_ - t_; ++i) {
-    const auto& [v, flag] = got[static_cast<std::size_t>(i)];
-    ++count[v];
-    if (flag) ++flagged[v];
-  }
+  // The first n − t deliveries of this step, by value and flag.
+  const StepTally got = step_votes_.find(round_)->step[step_ - 1];
+  const std::int32_t* count = got.values.count;
+  const std::int32_t* flagged = got.flagged;
 
   switch (step_) {
     case 1:
@@ -200,8 +198,7 @@ void BrachaProcess::finish_step(Rng& rng, sim::Outbox& out) {
       ++round_;
       step_ = 1;
       // Prune bookkeeping from completed rounds.
-      step_votes_.erase(step_votes_.begin(),
-                        step_votes_.lower_bound(std::pair<int, int>{round_, 0}));
+      step_votes_.drop_below(round_);
       break;
     }
     default:
@@ -215,7 +212,8 @@ void BrachaProcess::on_reset() {
   step_ = 1;
   x_ = input_;
   x_flag_ = false;
-  instances_.clear();
+  records_.clear();
+  seen_.clear();
   step_votes_.clear();
 }
 

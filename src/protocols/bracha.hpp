@@ -23,6 +23,17 @@
 // the classic equivocation defence (exercised by experiment T4 via
 // ByzantineProcess).
 //
+// The broadcast state is two flat arrays, no tree nodes. Each instance is one
+// RbcRecord — its key, three flags, and an ECHO and a READY count for each
+// of the four payloads (value × decide flag) — in a vector sorted by the
+// packed (originator, round, step) key, plus one byte per sender in a
+// parallel byte array: sender s's dedupe bits, ECHO and READY × payload.
+// An instance costs sizeof(RbcRecord) + n = 48 + n bytes, however many
+// messages it sees; a hostile round costs one record. Instances are never
+// erased (a late ECHO or READY for an old round must still be relayed).
+// The step votes are per-round counts in a RoundTally, cut below the
+// current round as it advances.
+//
 // Scope note: we implement Bracha's broadcast and voting faithfully, but not
 // his full message *validation* layer (justifying each step value against
 // the previous step's deliveries). Validation defends against Byzantine
@@ -33,11 +44,11 @@
 // records this substitution.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <set>
 #include <vector>
 
+#include "protocols/round_tally.hpp"
 #include "sim/process.hpp"
 
 namespace aa::protocols {
@@ -75,32 +86,38 @@ class BrachaProcess final : public sim::Process {
   [[nodiscard]] const char* protocol_name() const override { return "bracha"; }
 
  private:
-  /// A broadcast payload: the value plus Bracha's decide flag.
-  using Payload = std::pair<int, bool>;
-
-  /// One reliable-broadcast instance: (originator, round, step).
-  /// Echo/ready quorums are tracked per payload so an equivocating
-  /// originator cannot mix support across conflicting payloads.
-  struct RbcInstance {
-    bool have_init = false;
-    std::map<Payload, std::set<int>> echo_senders;
-    std::map<Payload, std::set<int>> ready_senders;
-    bool sent_echo = false;
-    bool sent_ready = false;
-    bool delivered = false;
-  };
-  /// Votes gathered for one (round, step) of the agreement loop.
-  struct StepVotes {
-    std::vector<std::pair<int, bool>> delivered;  ///< (value, decide_flag)
-    bool acted = false;
-  };
-
   using InstanceKey = std::uint64_t;  ///< packed (originator, round, step)
   static InstanceKey key_of(int originator, int round, int step);
 
+  /// One reliable-broadcast instance: (originator, round, step). Echo and
+  /// ready quorums are counted per payload, index 2·value + decide_flag
+  /// (the order (0,f), (0,t), (1,f), (1,t)), so an equivocating originator
+  /// cannot mix support across conflicting payloads.
+  struct RbcRecord {
+    InstanceKey key;
+    std::int32_t echoes[4] = {0, 0, 0, 0};   ///< distinct ECHO senders
+    std::int32_t readies[4] = {0, 0, 0, 0};  ///< distinct READY senders
+    bool echoed = false;  ///< the originator's INIT arrived; ECHO relayed
+    bool sent_ready = false;
+    bool delivered = false;
+  };
+  /// RBC deliveries for one agreement step. finish_step reads only the
+  /// first n − t, so those are counted by value, and the flagged ones
+  /// again in `flagged`.
+  struct StepTally {
+    VoteTally values;
+    std::int32_t flagged[2] = {0, 0};
+  };
+  struct RoundSteps {
+    StepTally step[3];  ///< agreement steps 1..3
+  };
+
+  /// Index of the record for `k`, inserted (with n zero sender bytes) if
+  /// absent.
+  std::size_t record_of(InstanceKey k);
   void rbc_broadcast(int step, int value, bool decide_flag, sim::Outbox& out);
   void handle_rbc(const sim::Message& m, int sender, sim::Outbox& out);
-  void maybe_progress_instance(InstanceKey k, int originator, int round,
+  void maybe_progress_instance(RbcRecord& rec, int originator, int round,
                                int step, sim::Outbox& out);
   void try_advance(Rng& rng, sim::Outbox& out);
   void finish_step(Rng& rng, sim::Outbox& out);
@@ -114,8 +131,11 @@ class BrachaProcess final : public sim::Process {
   int step_ = 1;  ///< agreement step (1..3) currently awaited
   int x_;
   bool x_flag_ = false;  ///< decide flag attached to x (set in step 2)
-  std::map<InstanceKey, RbcInstance> instances_;
-  std::map<std::pair<int, int>, StepVotes> step_votes_;  ///< (round, step)
+  std::vector<RbcRecord> records_;  ///< sorted by key
+  /// n bytes per record, in records_ order: byte s holds sender s's ECHO
+  /// (bits 0-3) and READY (bits 4-7) dedupe bits, one per payload.
+  std::vector<std::uint8_t> seen_;
+  RoundTally<RoundSteps> step_votes_;
 };
 
 }  // namespace aa::protocols

@@ -21,19 +21,24 @@ ByzantineProcess::ByzantineProcess(std::unique_ptr<sim::Process> inner,
   AA_REQUIRE(inner_ != nullptr, "ByzantineProcess: null inner process");
 }
 
-void ByzantineProcess::corrupt_and_forward(sim::Outbox& staged,
-                                           sim::Outbox& out) {
+sim::Outbox& ByzantineProcess::staging(int n) {
+  if (staged_.n() != n) staged_ = sim::Outbox(n);
+  AA_CHECK(staged_.empty(), "ByzantineProcess: staging outbox not drained");
+  return staged_;
+}
+
+void ByzantineProcess::corrupt_and_forward(sim::Outbox& out) {
   if (strategy_ == ByzantineStrategy::Silent) {
-    staged.clear();
+    staged_.clear();
     return;
   }
-  const int n = staged.n();
+  const int n = staged_.n();
   // Forward copy by copy in receiver order, the order the copies' ids
   // take, so per-copy corruption (and RandomLie's draws) follow the
   // published messages.
-  staged.expand();
-  out.reserve(staged.items().size());
-  for (const sim::Outbox::Item& item : staged.items()) {
+  staged_.expand();
+  out.reserve(staged_.items().size());
+  for (const sim::Outbox::Item& item : staged_.items()) {
     sim::Message m = item.msg;
     // Only bit-valued fields are corrupted; ⊥/'?' markers pass through
     // (changing a non-message to a message is not in this wrapper's power,
@@ -56,27 +61,24 @@ void ByzantineProcess::corrupt_and_forward(sim::Outbox& staged,
     }
     out.send(item.to, m);
   }
-  staged.clear();
+  staged_.clear();
 }
 
 void ByzantineProcess::on_start(sim::Outbox& out) {
-  sim::Outbox staged(out.n());
-  inner_->on_start(staged);
-  corrupt_and_forward(staged, out);
+  inner_->on_start(staging(out.n()));
+  corrupt_and_forward(out);
 }
 
 void ByzantineProcess::on_receive(const sim::Envelope& env, Rng& rng,
                                   sim::Outbox& out) {
-  sim::Outbox staged(out.n());
-  inner_->on_receive(env, rng, staged);
-  corrupt_and_forward(staged, out);
+  inner_->on_receive(env, rng, staging(out.n()));
+  corrupt_and_forward(out);
 }
 
 void ByzantineProcess::on_receive_batch(
     std::span<const sim::Envelope* const> envs, Rng& rng, sim::Outbox& out) {
-  sim::Outbox staged(out.n());
-  inner_->on_receive_batch(envs, rng, staged);
-  corrupt_and_forward(staged, out);
+  inner_->on_receive_batch(envs, rng, staging(out.n()));
+  corrupt_and_forward(out);
 }
 
 void ByzantineProcess::on_reset() { inner_->on_reset(); }

@@ -66,11 +66,16 @@ class ByzantineProcess final : public sim::Process {
   [[nodiscard]] const sim::Process& inner() const noexcept { return *inner_; }
 
  private:
-  void corrupt_and_forward(sim::Outbox& staged, sim::Outbox& out);
+  /// The staging outbox for the inner process, sized for `n` receivers and
+  /// checked empty: corrupt_and_forward drains it after every call.
+  sim::Outbox& staging(int n);
+  /// Corrupt the staged run into `out`, then clear it.
+  void corrupt_and_forward(sim::Outbox& out);
 
   std::unique_ptr<sim::Process> inner_;
   ByzantineStrategy strategy_;
   Rng lie_rng_;
+  sim::Outbox staged_{0};  ///< reused across calls; empty between them
 };
 
 /// Build a process vector where the FIRST `byz_count` processors are
