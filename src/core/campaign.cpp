@@ -5,6 +5,8 @@
 #include <cctype>
 #include <chrono>
 #include <cstdio>
+#include <deque>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -13,6 +15,7 @@
 #include <mutex>
 #include <sstream>
 #include <system_error>
+#include <thread>
 #include <utility>
 
 #include "adversary/async_adversaries.hpp"
@@ -21,6 +24,7 @@
 #include "adversary/window_adversaries.hpp"
 #include "core/json_io.hpp"
 #include "lens/accountability.hpp"
+#include "util/annotations.hpp"
 #include "util/check.hpp"
 
 namespace aa::core {
@@ -637,12 +641,92 @@ struct CellRound {
   std::atomic<int> finished{0};  ///< chunks done (run or skipped)
 };
 
+/// The campaign's one artifact writer: a thread that writes the documents
+/// handed to submit() through write_file_atomic, one at a time and in
+/// submission order, so the next cells compute while files are created.
+/// The queue holds at most kCapacity documents and submit() blocks while
+/// it is full, so the writer trails the sweep by a few documents, never
+/// by the whole sweep. The first failed write is kept and every later
+/// document skipped; submit() and finish() rethrow that error.
+class ArtifactWriter {
+ public:
+  ArtifactWriter() { thread_ = std::thread([this] { drain(); }); }
+  ArtifactWriter(const ArtifactWriter&) = delete;
+  ArtifactWriter& operator=(const ArtifactWriter&) = delete;
+  /// The unwinding path: write what is queued, join, never throw.
+  ~ArtifactWriter() { close(); }
+
+  void submit(std::string path, std::string body) {
+    MutexLock lock(mu_);
+    while (!error_ && queue_.size() >= kCapacity) not_full_.wait(lock);
+    if (error_) std::rethrow_exception(error_);
+    queue_.push_back({std::move(path), std::move(body)});
+    not_empty_.notify_one();
+  }
+
+  /// Returns once the last submitted document is renamed into place;
+  /// throws the first write error instead if there was one.
+  void finish() {
+    close();
+    MutexLock lock(mu_);
+    if (error_) std::rethrow_exception(error_);
+  }
+
+ private:
+  struct Document {
+    std::string path;
+    std::string body;
+  };
+  static constexpr std::size_t kCapacity = 16;
+
+  void close() {
+    {
+      MutexLock lock(mu_);
+      closing_ = true;
+    }
+    not_empty_.notify_one();
+    if (thread_.joinable()) thread_.join();
+  }
+
+  void drain() {
+    for (;;) {
+      Document doc;
+      {
+        MutexLock lock(mu_);
+        while (queue_.empty() && !closing_) not_empty_.wait(lock);
+        if (queue_.empty()) return;
+        doc = std::move(queue_.front());
+        queue_.pop_front();
+        not_full_.notify_one();
+        if (error_) continue;
+      }
+      try {
+        write_file_atomic(doc.path, doc.body);
+      } catch (...) {
+        MutexLock lock(mu_);
+        error_ = std::current_exception();
+        not_full_.notify_all();
+      }
+    }
+  }
+
+  Mutex mu_;
+  CondVar not_empty_;  ///< the writer waits for a document or close()
+  CondVar not_full_;   ///< producers wait for a free slot or an error
+  std::deque<Document> queue_ AA_GUARDED_BY(mu_);
+  bool closing_ AA_GUARDED_BY(mu_) = false;
+  std::exception_ptr error_ AA_GUARDED_BY(mu_);
+  std::thread thread_;
+};
+
 /// Land a cell whose last chunk just finished: merge its chunk tallies in
-/// chunk order, release the round's check and tallies, then write the
-/// lens sidecar and THEN the cell artifact (resume keys on the cell
-/// artifact, so one on disk implies its sidecar landed too). An expired
-/// round lands nothing: the cell stays pending.
-void land_cell(const CampaignConfig& config, CellWork& w, CellRound& r) {
+/// chunk order, release the round's check and tallies, then hand the
+/// writer the lens sidecar and THEN the cell artifact (resume keys on the
+/// cell artifact, and the writer keeps submission order, so one on disk
+/// implies its sidecar landed too). An expired round lands nothing: the
+/// cell stays pending. wall_ms stops before the writes.
+void land_cell(const CampaignConfig& config, ArtifactWriter* writer,
+               CellWork& w, CellRound& r) {
   TrialTally total;
   for (const TrialTally& p : r.parts) total.merge(p);
   r.check.reset();
@@ -653,27 +737,24 @@ void land_cell(const CampaignConfig& config, CellWork& w, CellRound& r) {
     // report (the mean is that sum's single exact division).
     w.cell.metric_sum = total.acc.metric_sum();
     w.acc = std::move(total.acc);
-    if (config.lens) {
-      w.cell.lens_report = total.lat.finalize(w.cell.t);
-      if (!w.lens_path.empty()) {
-        write_file_atomic(w.lens_path,
-                          latency_report_json(w.cell.lens_report));
-      }
-    }
-    if (!w.path.empty()) {
-      write_file_atomic(w.path, campaign_cell_json(config, w.cell));
-    }
+    if (config.lens) w.cell.lens_report = total.lat.finalize(w.cell.t);
     w.done = true;
   }
   w.set_wall_ms(elapsed_ms(r.t0, now()), config.trials);
+  if (w.done && writer != nullptr) {
+    if (config.lens) {
+      writer->submit(w.lens_path, latency_report_json(w.cell.lens_report));
+    }
+    writer->submit(w.path, campaign_cell_json(config, w.cell));
+  }
 }
 
 /// The one campaign job: chunk `ci` of cell `w` in round `r`. The deadline
 /// is checked when the chunk starts — a chunk that starts in time runs to
 /// its end, one that starts late is skipped and expires the round.
 void run_cell_chunk(const CampaignConfig& config, CampaignContext& ctx,
-                    CellWork& w, CellRound& r, int ci, int chunks,
-                    std::chrono::milliseconds timeout) {
+                    ArtifactWriter* writer, CellWork& w, CellRound& r,
+                    int ci, int chunks, std::chrono::milliseconds timeout) {
   std::call_once(r.started, [&] {
     r.t0 = now();
     if (config.model == CampaignModel::kWindow) {
@@ -700,7 +781,7 @@ void run_cell_chunk(const CampaignConfig& config, CampaignContext& ctx,
   }
   // acq_rel: the last chunk sees every other chunk's tally and expiry.
   if (r.finished.fetch_add(1, std::memory_order_acq_rel) + 1 == chunks) {
-    land_cell(config, w, r);
+    land_cell(config, writer, w, r);
   }
 }
 
@@ -808,6 +889,10 @@ CampaignResult run_campaign(const CampaignConfig& config,
   // its last chunk. With cell_timeout_ms set, the cells that expired are
   // recomputed in a second round at twice the timeout (validation bounds
   // it, so the doubling cannot overflow) and fail if that expires too.
+  // With output_dir set, the cells' artifacts, then the summary and the
+  // timing sidecar, go through one background writer (ArtifactWriter).
+  std::unique_ptr<ArtifactWriter> writer;
+  if (writing) writer = std::make_unique<ArtifactWriter>();
   const int chunks = chunk_count(config.trials, ctx.parallel());
   ParallelConfig jobs = ctx.parallel();
   jobs.chunk_size = 1;
@@ -825,8 +910,8 @@ CampaignResult run_campaign(const CampaignConfig& config,
         static_cast<std::int64_t>(pending.size()) * chunks, jobs,
         [&](int job, std::int64_t, std::int64_t) {
           const auto c = static_cast<std::size_t>(job / chunks);
-          run_cell_chunk(config, ctx, *pending[c], state[c], job % chunks,
-                         chunks, timeout);
+          run_cell_chunk(config, ctx, writer.get(), *pending[c], state[c],
+                         job % chunks, chunks, timeout);
         },
         ctx.pool());
   }
@@ -842,15 +927,13 @@ CampaignResult run_campaign(const CampaignConfig& config,
   }
   result.summary =
       summary.finalize(config.model == CampaignModel::kAsync);
-  if (writing) {
-    write_file_atomic((fs::path(config.output_dir) /
-                       (config.name + "_summary.json"))
-                          .string(),
-                      campaign_summary_json(result));
-    write_file_atomic((fs::path(config.output_dir) /
-                       (config.name + "_timing.json"))
-                          .string(),
-                      campaign_timing_json(result));
+  if (writer) {
+    const fs::path dir(config.output_dir);
+    writer->submit((dir / (config.name + "_summary.json")).string(),
+                   campaign_summary_json(result));
+    writer->submit((dir / (config.name + "_timing.json")).string(),
+                   campaign_timing_json(result));
+    writer->finish();
   }
   return result;
 }

@@ -2,8 +2,8 @@
 // checkers, sharing ONE CampaignContext (worker pool + per-worker
 // Execution scratch) across every cell. There is one schedule: every
 // pending cell's trial chunks go to the pool as one job list (in order,
-// inline, without a pool), and a cell lands — artifacts written — the
-// moment its last chunk finishes.
+// inline, without a pool), and a cell lands — its artifacts handed to the
+// campaign's one background writer — the moment its last chunk finishes.
 //
 // A campaign is a cross product of sweep axes — n × t × protocol ×
 // thresholds-preset × memory-K × adversary × chaos-plan — where each cell
@@ -208,7 +208,9 @@ struct CampaignCell {
   bool resumed = false;  ///< restored from an existing artifact
   /// Wall-clock from the start of the cell's first chunk to the end of its
   /// last, in the round that landed it (a failed cell: its last round),
-  /// or the time spent restoring it; plus the derived trials/second. On a
+  /// or the time spent restoring it; plus the derived trials/second. It
+  /// excludes the cell's file writes, which the background writer does
+  /// while later cells compute (see run_campaign). On a
   /// pool the cells' chunks interleave, so this span also covers the
   /// neighbours' chunks that ran meanwhile: it is the cell's latency, not
   /// its CPU time, and the cells' spans overlap (their sum can exceed the
@@ -241,10 +243,18 @@ struct CampaignResult {
 /// chunks run inline in exactly that order, cell by cell. The last chunk
 /// of a cell to finish merges the cell's chunk tallies in chunk order, so
 /// every cell report, lens artifact, and the summary are byte-identical
-/// at any thread count. With config.output_dir set, that chunk writes the
-/// cell's lens sidecar and then its JSON ATOMICALLY (temp + rename), and
-/// the summary is written at the end — a SIGKILL mid-sweep leaves only
-/// whole-cell artifacts, which config.resume restores on the next run.
+/// at any thread count. With config.output_dir set, run_campaign starts
+/// one background writer thread, and that chunk hands it the cell's lens
+/// sidecar and then its JSON; the summary and the timing sidecar follow
+/// at the end. The writer writes them in that landing order, each through
+/// write_file_atomic, from a queue of at most 16 documents (a producer
+/// waits while it is full), so the next cells compute while files are
+/// created. run_campaign returns only after the writer's last rename. A
+/// SIGKILL mid-sweep leaves only whole-cell artifacts, which
+/// config.resume restores on the next run. The first failed write is
+/// kept, every later document skipped (no summary is written), and its
+/// error is rethrown from the next hand-off or from run_campaign; on any
+/// other exception the writer finishes what is queued before it unwinds.
 /// config.cell_timeout_ms bounds each cell's wall clock (see there).
 [[nodiscard]] CampaignResult run_campaign(const CampaignConfig& config,
                                           CampaignContext& ctx);
@@ -270,7 +280,9 @@ struct CampaignResult {
 /// Crash-safe text-file write: stream `body` to `<path>.tmp`, flush, then
 /// rename over `path`. Readers never observe a torn file — they see the
 /// old content or the new content, nothing in between. Throws on I/O
-/// errors (the temp file is removed on failure).
+/// errors (the temp file is removed on failure). run_campaign's
+/// background writer calls it for every artifact, one at a time, in
+/// landing order.
 void write_file_atomic(const std::string& path, const std::string& body);
 
 }  // namespace aa::core

@@ -82,6 +82,9 @@ void BrachaProcess::handle_rbc(const sim::Message& m, int sender,
   const BrachaAux aux = unpack_bracha_aux(m.aux);
   if (aux.step < 1 || aux.step > 3) return;
   if (m.value != 0 && m.value != 1) return;
+  // No such processor: its instance could never be relayed (the READY's
+  // aux would not pack), and a negative originator aliases the round bits.
+  if (aux.originator < 0 || aux.originator >= n_) return;
   // Only the originator's own INIT counts.
   if (m.kind == kRbcInitKind && sender != aux.originator) return;
   AA_CHECK(sender >= 0 && sender < n_, "BrachaProcess: sender out of range");

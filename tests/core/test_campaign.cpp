@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <iterator>
 #include <memory>
 #include <stdexcept>
@@ -461,6 +465,11 @@ TEST(Campaign, AuditEveryNeverChangesReports) {
 
 // ---- per-cell timing (sidecar-only) ----------------------------------------
 
+std::string slurp(const std::filesystem::path& p) {
+  std::ifstream in(p, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
 TEST(Campaign, TimingSidecarCoversEveryCellAndStaysOutOfReports) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::temp_directory_path() / "aa_campaign_timing";
@@ -491,10 +500,6 @@ TEST(Campaign, TimingSidecarCoversEveryCellAndStaysOutOfReports) {
   // On disk: the sidecar exists; the byte-identity surface (summary +
   // cells) must NOT mention timing — it is nondeterministic and would
   // break the threads-1-vs-N and fresh-vs-resumed byte diffs.
-  const auto slurp = [](const fs::path& p) {
-    std::ifstream in(p);
-    return std::string(std::istreambuf_iterator<char>(in), {});
-  };
   EXPECT_TRUE(fs::exists(dir / "timing_timing.json"));
   EXPECT_EQ(slurp(dir / "timing_timing.json"), timing);
   const std::string summary = slurp(dir / "timing_summary.json");
@@ -506,6 +511,88 @@ TEST(Campaign, TimingSidecarCoversEveryCellAndStaysOutOfReports) {
   EXPECT_EQ(cell0.find("wall_ms"), std::string::npos);
 
   fs::remove_all(dir);
+}
+
+// ---- the background artifact writer ---------------------------------------
+
+/// run_campaign on another thread. A call still running after a minute is
+/// taken for a hang, and the test binary exits instead of waiting on it.
+CampaignResult run_campaign_or_exit_on_hang(const CampaignConfig& cfg) {
+  std::future<CampaignResult> done =
+      std::async(std::launch::async, [&cfg] { return run_campaign(cfg); });
+  if (done.wait_for(std::chrono::minutes(1)) != std::future_status::ready) {
+    std::fprintf(stderr, "run_campaign did not return within a minute\n");
+    std::_Exit(1);
+  }
+  return done.get();
+}
+
+TEST(Campaign, EveryArtifactIsInPlaceWhenRunCampaignReturns) {
+  // The writer trails the sweep; run_campaign must wait for its last
+  // rename. Every file is then at its final path with its final bytes,
+  // and no temp file is left behind.
+  namespace fs = std::filesystem;
+  for (const int threads : {1, 4}) {
+    const fs::path dir = fs::temp_directory_path() /
+                         ("aa_campaign_writer_" + std::to_string(threads));
+    fs::remove_all(dir);
+    CampaignConfig cfg = tiny_config();
+    cfg.name = "w";
+    cfg.lens = true;
+    cfg.threads = threads;
+    cfg.output_dir = dir.string();
+    const CampaignResult result = run_campaign_or_exit_on_hang(cfg);
+
+    std::size_t files = 0;
+    for (const fs::directory_entry& e : fs::directory_iterator(dir)) {
+      ++files;
+      EXPECT_NE(e.path().extension(), ".tmp") << e.path();
+    }
+    EXPECT_EQ(files, 2 * result.cells.size() + 2) << "threads " << threads;
+    for (const CampaignCell& cell : result.cells) {
+      const std::string stem = "w_cell_" + std::to_string(cell.index);
+      EXPECT_EQ(slurp(dir / (stem + ".json")), campaign_cell_json(cfg, cell))
+          << stem << " at threads " << threads;
+      EXPECT_EQ(slurp(dir / (stem + "_lens.json")),
+                latency_report_json(cell.lens_report))
+          << stem << " at threads " << threads;
+    }
+    EXPECT_EQ(slurp(dir / "w_summary.json"), campaign_summary_json(result));
+    EXPECT_EQ(slurp(dir / "w_timing.json"), campaign_timing_json(result));
+    fs::remove_all(dir);
+  }
+}
+
+TEST(Campaign, FailedArtifactWriteSurfacesFromRunCampaign) {
+  // A directory where cell 2's artifact belongs makes its rename fail.
+  // The writer keeps that error and skips every later document, so the
+  // sweep fails with write_file_atomic's message and no summary lands.
+  namespace fs = std::filesystem;
+  for (const int threads : {1, 4}) {
+    const fs::path dir = fs::temp_directory_path() /
+                         ("aa_campaign_write_error_" + std::to_string(threads));
+    fs::remove_all(dir);
+    const fs::path blocked = dir / "f_cell_2.json";
+    fs::create_directories(blocked);
+    CampaignConfig cfg = tiny_config();
+    cfg.name = "f";
+    cfg.threads = threads;
+    cfg.output_dir = dir.string();
+    try {
+      (void)run_campaign_or_exit_on_hang(cfg);
+      ADD_FAILURE() << "failed write not reported at threads " << threads;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("write_file_atomic: cannot write " +
+                          blocked.string()),
+                std::string::npos)
+          << what;
+    }
+    EXPECT_TRUE(fs::is_directory(blocked));
+    EXPECT_FALSE(fs::exists(dir / "f_summary.json")) << "threads " << threads;
+    EXPECT_FALSE(fs::exists(dir / "f_timing.json")) << "threads " << threads;
+    fs::remove_all(dir);
+  }
 }
 
 // ---- seed-block sharding through the checker -------------------------------

@@ -164,6 +164,40 @@ TEST(Bracha, DuplicateEchoesFromSameSenderDontCount) {
     EXPECT_NE(item.msg.kind, kRbcReadyKind);
 }
 
+// An ECHO/READY quorum for an originator outside [0, n) used to reach the
+// READY relay, whose pack_bracha_aux threw "originator out of range" for a
+// negative one. Such messages are dropped: nothing is relayed.
+void expect_foreign_originator_dropped(std::int32_t aux) {
+  const int n = 4;
+  const int t = 1;
+  BrachaProcess p(0, n, t, 0);
+  sim::Outbox out(n);
+  Rng rng(1);
+  for (const int kind : {kRbcEchoKind, kRbcReadyKind}) {
+    for (int s = 0; s < n; ++s) {
+      sim::Envelope env;
+      env.sender = s;
+      env.receiver = 0;
+      env.payload.round = 1;
+      env.payload.kind = kind;
+      env.payload.value = 0;
+      env.payload.aux = aux;
+      ASSERT_NO_THROW(p.on_receive(env, rng, out)) << "kind " << kind;
+    }
+  }
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(p.round(), 1);
+}
+
+TEST(Bracha, NegativeOriginatorDropped) {
+  // The sample that threw on its third ECHO: originator −1, step 1.
+  expect_foreign_originator_dropped((-1 * 8) | (1 << 1));
+}
+
+TEST(Bracha, OriginatorEqualToNDropped) {
+  expect_foreign_originator_dropped(pack_bracha_aux(4, 1, false));
+}
+
 TEST(Bracha, EndToEndFairWindowsDecideAndAgree) {
   const int n = 7;
   const int t = 2;
@@ -301,6 +335,7 @@ class RefBracha final : public sim::Process {
     const BrachaAux aux = unpack_bracha_aux(m.aux);
     if (aux.step < 1 || aux.step > 3) return;
     if (m.value != 0 && m.value != 1) return;
+    if (aux.originator < 0 || aux.originator >= n_) return;
     const std::uint64_t k = key_of(aux.originator, m.round, aux.step);
     RbcInstance& inst = instances_[k];
     const Payload payload{m.value, aux.decide_flag};

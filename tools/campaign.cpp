@@ -29,9 +29,10 @@
 // artifact but the timing sidecar is byte-identical at any --threads
 // value (the determinism contract core/report.hpp documents).
 //
-// Crash safety: with an output dir set, each finished cell's JSON is
-// written atomically the moment it completes, so a SIGKILL mid-sweep loses
-// at most the in-flight cells. Re-running with --resume restores the
+// Crash safety: with an output dir set, each finished cell's JSON goes to
+// the campaign's background writer the moment the cell completes and is
+// written atomically, so a SIGKILL mid-sweep loses at most the in-flight
+// cells and the few queued documents. Re-running with --resume restores the
 // completed cells from their artifacts and produces a summary byte-
 // identical to an uninterrupted run's.
 #include <cinttypes>
@@ -116,8 +117,9 @@ int main(int argc, char** argv) {
       }
     }
 
-    // run_campaign writes per-cell artifacts (atomically, as cells finish)
-    // and the summary itself when cfg.output_dir is set.
+    // run_campaign writes per-cell artifacts (atomically, on a background
+    // writer, as cells finish) and the summary itself when cfg.output_dir
+    // is set, and returns after the last of them is in place.
     const core::CampaignResult result = core::run_campaign(cfg);
 
     if (print_cells) {
