@@ -44,6 +44,9 @@ class TargetedCensorAdversary final : public sim::WindowAdversary {
   [[nodiscard]] std::span<const sim::ProcId> window_crashes() const override {
     return inner_->window_crashes();
   }
+  [[nodiscard]] bool can_crash() const override {
+    return inner_->can_crash();
+  }
   [[nodiscard]] std::string name() const override {
     return "censor[" + std::to_string(target_) + "](" + inner_->name() + ")";
   }

@@ -43,6 +43,11 @@ class ChaosWindowAdversary final : public sim::WindowAdversary {
   [[nodiscard]] std::span<const sim::ProcId> window_crashes() const override {
     return crashes_;
   }
+  /// True while the plan may still inject a crash: crash_prob > 0 and
+  /// fewer than crash_budget crashes injected so far.
+  [[nodiscard]] bool can_crash() const override {
+    return fp_.crash_prob > 0.0 && crashes_injected_ < fp_.crash_budget;
+  }
   [[nodiscard]] std::string name() const override {
     return "chaos(" + inner_->name() + ")";
   }

@@ -173,6 +173,9 @@ class ReplanEveryWindow final : public sim::WindowAdversary {
   [[nodiscard]] std::span<const sim::ProcId> window_crashes() const override {
     return inner_->window_crashes();
   }
+  [[nodiscard]] bool can_crash() const override {
+    return inner_->can_crash();
+  }
   [[nodiscard]] std::string name() const override {
     return "replan-every-window(" + inner_->name() + ")";
   }

@@ -740,6 +740,8 @@ void land_cell(const CampaignConfig& config, ArtifactWriter* writer,
     if (config.lens) w.cell.lens_report = total.lat.finalize(w.cell.t);
     w.done = true;
   }
+  w.cell.windows = total.windows;
+  w.cell.settled = total.settled;
   w.set_wall_ms(elapsed_ms(r.t0, now()), config.trials);
   if (w.done && writer != nullptr) {
     if (config.lens) {
@@ -991,11 +993,14 @@ std::string campaign_timing_json(const CampaignResult& result) {
   out.lit("[");
   for (std::size_t i = 0; i < result.cells.size(); ++i) {
     const CampaignCell& cell = result.cells[i];
-    char buf[192];
+    char buf[256];
     std::snprintf(buf, sizeof buf,
                   "%s\n    {\"cell\": %d, \"wall_ms\": %.3f, "
-                  "\"trials_per_s\": %.1f, \"resumed\": %s, \"failed\": %s}",
+                  "\"trials_per_s\": %.1f, \"windows\": %lld, "
+                  "\"settled\": %lld, \"resumed\": %s, \"failed\": %s}",
                   i ? "," : "", cell.index, cell.wall_ms, cell.trials_per_s,
+                  static_cast<long long>(cell.windows),
+                  static_cast<long long>(cell.settled),
                   cell.resumed ? "true" : "false",
                   cell.failed ? "true" : "false");
     out.lit(buf);

@@ -221,6 +221,13 @@ struct CampaignCell {
   /// diffs deliberately ignore.
   double wall_ms = 0.0;
   double trials_per_s = 0.0;
+  /// Work the cell's trials did in that same round, for the timing
+  /// sidecar too: windows simulated (window model; the checkers end a
+  /// trial once it settles, see StopCondition::kSettled) and trials that
+  /// settled before the budget. 0 for a resumed cell and in the async
+  /// model.
+  std::int64_t windows = 0;
+  std::int64_t settled = 0;
   /// Finalized lens report for this cell (CampaignConfig::lens): per-sender
   /// confirmation latency, censorship scores, blame lists. A resumed cell
   /// carries the report read back from its <name>_cell_<i>_lens.json.
@@ -272,9 +279,10 @@ struct CampaignResult {
                                              const CampaignCell& cell);
 
 /// The timing sidecar document (<output_dir>/<name>_timing.json): one row
-/// per cell with wall_ms and trials_per_s, plus the sweep's total
-/// wall-clock. Kept OUT of the cell/summary artifacts so the byte-identity
-/// surface (threads 1 vs N, fresh vs resumed) stays timing-free.
+/// per cell with wall_ms, trials_per_s, windows and settled, plus the
+/// sweep's total wall-clock. Kept OUT of the cell/summary artifacts so
+/// the byte-identity surface (threads 1 vs N, fresh vs resumed) stays
+/// timing-free.
 [[nodiscard]] std::string campaign_timing_json(const CampaignResult& result);
 
 /// Crash-safe text-file write: stream `body` to `<path>.tmp`, flush, then

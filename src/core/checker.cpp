@@ -7,9 +7,10 @@ namespace aa::core {
 
 namespace {
 
-/// The checkers always run trials to the all-decided stop condition.
+/// The checkers always run trials to the settled stop condition: all
+/// decided, or (window model) frozen with no crash left to come.
 Experiment checker_spec(Experiment spec, bool lens) {
-  spec.stop = StopCondition::kAllDecided;
+  spec.stop = StopCondition::kSettled;
   if (lens) spec.lens = true;
   return spec;
 }
@@ -84,6 +85,8 @@ void MeasureOneCheck::run_trials(std::int64_t begin, std::int64_t end,
       const auto adv = make_window_(seed);
       const WindowRunResult r = runner_.run_window(*adv, seed, scratch);
       out.acc.add(seed, verdict_of(r, r.windows_to_first));
+      out.windows += r.windows_total;
+      out.settled += r.settled ? 1 : 0;
     }
     if (lens_ && scratch.trace) out.lat.add(*scratch.trace);
   }

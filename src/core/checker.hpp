@@ -36,19 +36,26 @@ using AsyncAdversaryFactory =
 
 /// What one chunk of trials folds into: the verdict tallies and, with the
 /// lens on, the latency tallies. Both are exact integers, so merging the
-/// tallies of a check's chunks gives the same bytes in any order.
+/// tallies of a check's chunks gives the same bytes in any order. The
+/// window model also counts the windows its trials simulated and the
+/// trials that settled early (WindowRunResult::settled) — work counters
+/// for the timing sidecar, never part of a report.
 struct TrialTally {
   MeasureOneAccumulator acc;
   lens::LatencyAccumulator lat;
+  std::int64_t windows = 0;
+  std::int64_t settled = 0;
 
   void merge(const TrialTally& other) {
     acc.merge(other.acc);
     lat.merge(other.lat);
+    windows += other.windows;
+    settled += other.settled;
   }
 };
 
 /// One measure-one check, ready to run in chunks: the Runner (stop
-/// condition forced to kAllDecided; lens forced on when `lens`), the
+/// condition forced to kSettled; lens forced on when `lens`), the
 /// model's adversary factory and the seed block seed0, seed0+1, ...
 /// Immutable; run_trials is const and safe to call from many workers at
 /// once, each with its own scratch and tally.
@@ -82,10 +89,10 @@ class MeasureOneCheck {
 
 /// Window-model checker on a shared campaign context: `trials` runs of
 /// `spec` (budget = max acceptable windows; the stop condition is forced
-/// to kAllDecided), seeds seed0, seed0+1, ... The check's chunks run on
-/// the context's pool per ctx.parallel(); the report is bit-identical at
-/// any thread count. When `acc` is non-null the check's tallies are ALSO
-/// merged into it.
+/// to kSettled, whose verdicts are kAllDecided's), seeds seed0, seed0+1,
+/// ... The check's chunks run on the context's pool per ctx.parallel();
+/// the report is bit-identical at any thread count. When `acc` is
+/// non-null the check's tallies are ALSO merged into it.
 ///
 /// When `lat` is non-null the lens is forced on (Experiment::lens) and
 /// every trial's WindowTrace is folded into it — the same associative

@@ -88,14 +88,24 @@ WindowRunResult Runner::run_window(sim::WindowAdversary& adversary,
       protocols::make_processes(spec_.kind, spec_.t, spec_.inputs,
                                 spec_.thresholds, spec_.memory_k),
       seed);
-  const std::int64_t windows =
-      spec_.stop == StopCondition::kAllDecided
-          ? sim::run_until_all_decided(exec, adversary, spec_.t, spec_.budget)
-          : sim::run_until_first_decision(exec, adversary, spec_.t,
-                                          spec_.budget);
-
   WindowRunResult r;
-  r.windows_total = windows;
+  switch (spec_.stop) {
+    case StopCondition::kFirstDecision:
+      r.windows_total = sim::run_until_first_decision(exec, adversary,
+                                                      spec_.t, spec_.budget);
+      break;
+    case StopCondition::kAllDecided:
+      r.windows_total =
+          sim::run_until_all_decided(exec, adversary, spec_.t, spec_.budget);
+      break;
+    case StopCondition::kSettled: {
+      const sim::SettledRun s =
+          sim::run_until_settled(exec, adversary, spec_.t, spec_.budget);
+      r.windows_total = s.windows;
+      r.settled = s.frozen;
+      break;
+    }
+  }
   r.steps = exec.step_count();
   r.total_resets = exec.total_resets();
   r.decided = exec.decided_count() > 0;
@@ -127,7 +137,7 @@ AsyncRunOutcome Runner::run_async(sim::AsyncAdversary& adversary,
       seed);
   const sim::AsyncRunResult rr =
       sim::run_async(exec, adversary, spec_.t, spec_.budget,
-                     spec_.stop == StopCondition::kAllDecided);
+                     spec_.stop != StopCondition::kFirstDecision);
 
   AsyncRunOutcome r;
   r.deliveries = rr.deliveries;

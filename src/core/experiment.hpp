@@ -37,6 +37,13 @@ namespace aa::core {
 enum class StopCondition {
   kFirstDecision,  ///< stop once some processor wrote its output
   kAllDecided,     ///< stop once every live (honest) processor has
+  /// kAllDecided, and in the window model also stop once the execution is
+  /// frozen and the adversary can no longer crash anyone
+  /// (sim::run_until_settled): the verdicts (agreement, validity,
+  /// decided, all_decided, windows_to_first) equal the kAllDecided run's,
+  /// but windows_total, steps and total_resets stop short of it. The
+  /// measure-one checkers' rule; the async model treats it as kAllDecided.
+  kSettled,
 };
 
 /// Byzantine corruption riding on top of the adversary's budget: the first
@@ -87,7 +94,13 @@ struct WindowRunResult {
   bool all_decided = false;        ///< every live processor wrote its output
   int decision = sim::kBot;        ///< first decided value
   std::int64_t windows_to_first = -1;  ///< windows before the first decision
-  std::int64_t windows_total = 0;  ///< windows actually run
+  /// Windows actually run: the budget, or fewer once the stop condition
+  /// held. Under kSettled a frozen run stops early, so a caller that reads
+  /// windows_total, steps or total_resets as "what the budget does" runs
+  /// kFirstDecision or kAllDecided.
+  std::int64_t windows_total = 0;
+  /// Stopped early on a frozen execution (kSettled only).
+  bool settled = false;
   std::int64_t steps = 0;          ///< fine-grained steps taken
   std::int64_t total_resets = 0;
   bool agreement = true;           ///< no two outputs conflict

@@ -533,6 +533,11 @@ bool Execution::has_staged(ProcId p) const {
   return !staged_[static_cast<std::size_t>(p)].empty();
 }
 
+bool Execution::any_staged() const {
+  return std::any_of(staged_.begin(), staged_.end(),
+                     [](const Outbox& out) { return !out.empty(); });
+}
+
 int Execution::output(ProcId p) const { return process(p).output(); }
 
 std::optional<Decision> Execution::first_decision() const {

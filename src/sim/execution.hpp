@@ -198,6 +198,10 @@ class Execution {
   [[nodiscard]] std::int64_t step_count() const noexcept { return steps_; }
   [[nodiscard]] std::int64_t chain_depth(ProcId p) const;
   [[nodiscard]] bool has_staged(ProcId p) const;
+  /// True iff some processor has staged messages (a crashed one never
+  /// does). False at a window's start means the execution is frozen: see
+  /// sim/window.hpp.
+  [[nodiscard]] bool any_staged() const;
 
   /// Monotone counter bumped by every crash and resetting step. The window
   /// driver re-validates a reused plan whenever this changed since the
@@ -249,6 +253,11 @@ class Execution {
   /// boundary (end_window passes the window index), the async driver once
   /// per delivery (run_async passes the delivery count).
   void audit_if_due(std::int64_t tick) const;
+
+  /// Whether auditing is armed (ExecutionConfig::audit or audit_every).
+  [[nodiscard]] bool auditing() const noexcept {
+    return cfg_.audit || cfg_.audit_every > 0;
+  }
 
  private:
   friend struct AuditTestAccess;

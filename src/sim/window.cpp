@@ -94,6 +94,8 @@ int run_acceptable_window(Execution& exec, WindowAdversary& adv, int t) {
   // last step returns (no extra walks, no per-window counter reset).
   exec.begin_window_batch();
   for (ProcId p = 0; p < n; ++p) exec.sending_step(p);
+  // Asked before planning: the answer covers this window's crashes too.
+  const bool may_crash = adv.can_crash();
 
   // Phase 2: adversary inspects the batch (full information) and plans.
   // Validation runs once per updated plan; a reused plan skips it unless a
@@ -109,12 +111,15 @@ int run_acceptable_window(Execution& exec, WindowAdversary& adv, int t) {
   }
 
   // Batched delivery: each live receiver's whole run in one call, gathered
-  // in plan order from the senders' runs.
+  // in plan order from the senders' runs. A window that published nothing
+  // has nothing to deliver.
   int deliveries = 0;
-  for (ProcId i = 0; i < n; ++i) {
-    if (exec.crashed(i)) continue;
-    deliveries += exec.deliver_plan_row(
-        i, sc.plan.delivery_order[static_cast<std::size_t>(i)]);
+  if (!sc.batch.empty()) {
+    for (ProcId i = 0; i < n; ++i) {
+      if (exec.crashed(i)) continue;
+      deliveries += exec.deliver_plan_row(
+          i, sc.plan.delivery_order[static_cast<std::size_t>(i)]);
+    }
   }
 
   // Phase 3: at most t resetting steps. A reset of a crashed processor is
@@ -125,8 +130,14 @@ int run_acceptable_window(Execution& exec, WindowAdversary& adv, int t) {
   }
 
   // Chaos hook: the adversary (normally a ChaosWindowAdversary wrapper) may
-  // request crashes at the window boundary; crash() is idempotent.
-  for (const ProcId p : adv.window_crashes()) exec.crash(p);
+  // request crashes at the window boundary; crash() is idempotent. An
+  // adversary that said it cannot crash must not: run_until_settled relies
+  // on that answer.
+  const std::span<const ProcId> crashes = adv.window_crashes();
+  AA_CHECK(may_crash || crashes.empty(),
+           "run_acceptable_window: adversary '" + adv.name() +
+               "' requested a crash after can_crash() answered false");
+  for (const ProcId p : crashes) exec.crash(p);
 
   // Window boundary: undelivered window messages are dropped.
   exec.end_window();
@@ -151,6 +162,21 @@ std::int64_t run_until_all_decided(Execution& exec, WindowAdversary& adv,
     ++w;
   }
   return w;
+}
+
+SettledRun run_until_settled(Execution& exec, WindowAdversary& adv, int t,
+                             std::int64_t max_windows) {
+  SettledRun r;
+  while (r.windows < max_windows && !exec.all_live_decided()) {
+    if (!exec.any_staged() && !adv.can_crash()) {
+      r.frozen = true;
+      if (exec.auditing()) exec.audit();
+      break;
+    }
+    run_acceptable_window(exec, adv, t);
+    ++r.windows;
+  }
+  return r;
 }
 
 }  // namespace aa::sim

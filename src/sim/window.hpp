@@ -48,6 +48,25 @@
 //     (published − delivered; the lens walks the runs for its
 //     suppressions only when armed), so each window opens on an empty
 //     store.
+//
+// Frozen executions. A processor stages messages only in on_start and in
+// response to a delivery; a reset erases its staged messages and on_reset
+// has no outbox, and a crash erases them too. So once no live processor
+// has a staged message at a window's start (Execution::any_staged() is
+// false), that window publishes nothing, delivers nothing and therefore
+// stages nothing, and the same holds for every later window: the
+// execution is frozen. Resets still run but leave outputs alone (the
+// output bit survives a reset), so no output, decision record or lens
+// event changes again, and every verdict a checker reads (agreement,
+// validity, decided, windows_to_first) is final. Only all_live_decided()
+// can still move, and only through a crash that removes the last
+// undecided live processor. run_until_settled therefore stops a frozen
+// run as soon as its adversary answers can_crash() == false: the verdict
+// it returns is the one the full budget would have returned. The driver
+// enforces the other half of that contract (an adversary that said it
+// cannot crash requests no crash), and skips the delivery loop of a
+// window that published nothing, where every deliver_plan_row would
+// return 0 untouched.
 #pragma once
 
 #include <span>
@@ -116,6 +135,15 @@ class WindowAdversary {
     return {};
   }
 
+  /// Whether this adversary may still request a crash through
+  /// window_crashes() in some later window of this run. Default false:
+  /// Definition 1 has no crashes. Crash-injecting adversaries answer true
+  /// while they could still crash someone, and wrappers forward their
+  /// inner adversary's answer. run_until_settled ends a frozen run only
+  /// once this is false (see the file comment), and run_acceptable_window
+  /// checks that a window planned after a false answer requests no crash.
+  [[nodiscard]] virtual bool can_crash() const { return false; }
+
   [[nodiscard]] virtual std::string name() const = 0;
 };
 
@@ -177,5 +205,20 @@ std::int64_t run_until_first_decision(Execution& exec, WindowAdversary& adv,
 /// elapse. Returns the number of windows run.
 std::int64_t run_until_all_decided(Execution& exec, WindowAdversary& adv,
                                    int t, std::int64_t max_windows);
+
+/// Outcome of run_until_settled.
+struct SettledRun {
+  std::int64_t windows = 0;  ///< windows run
+  bool frozen = false;  ///< stopped before the budget on a frozen execution
+};
+
+/// run_until_all_decided, but also stops at a window start where the
+/// execution is frozen (no live processor has a staged message) and `adv`
+/// can no longer crash anyone: every verdict is then final (file comment).
+/// A frozen stop audits the execution once when auditing is armed
+/// (ExecutionConfig::audit / audit_every), in place of the audits the
+/// skipped windows would have run.
+SettledRun run_until_settled(Execution& exec, WindowAdversary& adv, int t,
+                             std::int64_t max_windows);
 
 }  // namespace aa::sim

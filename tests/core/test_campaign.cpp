@@ -497,6 +497,22 @@ TEST(Campaign, TimingSidecarCoversEveryCellAndStaysOutOfReports) {
   EXPECT_NE(timing.find("\"wall_ms_total\""), std::string::npos);
   EXPECT_NE(timing.find("\"trials_per_s\""), std::string::npos);
 
+  // Work counters: every trial runs at least one window and at most the
+  // budget, and the random-adversary trials freeze and settle early.
+  std::int64_t settled = 0;
+  for (const CampaignCell& cell : result.cells) {
+    EXPECT_GE(cell.windows, cfg.trials) << "cell " << cell.index;
+    EXPECT_LE(cell.windows, std::int64_t{cfg.trials} * cfg.budget)
+        << "cell " << cell.index;
+    EXPECT_LE(cell.settled, cfg.trials) << "cell " << cell.index;
+    EXPECT_NE(timing.find("\"windows\": " + std::to_string(cell.windows) +
+                          ", \"settled\": " + std::to_string(cell.settled)),
+              std::string::npos)
+        << timing;
+    settled += cell.settled;
+  }
+  EXPECT_GT(settled, 0);
+
   // On disk: the sidecar exists; the byte-identity surface (summary +
   // cells) must NOT mention timing — it is nondeterministic and would
   // break the threads-1-vs-N and fresh-vs-resumed byte diffs.

@@ -100,6 +100,10 @@ TEST(CampaignResume, ResumedSummaryByteIdenticalAfterPartialKill) {
     for (int i = 0; i < 4; ++i) {
       EXPECT_EQ(resumed.cells[static_cast<std::size_t>(i)].resumed, i % 2 == 0)
           << "threads " << threads << " cell " << i;
+      // A restored cell simulated nothing.
+      EXPECT_EQ(resumed.cells[static_cast<std::size_t>(i)].windows == 0,
+                i % 2 == 0)
+          << "threads " << threads << " cell " << i;
       EXPECT_EQ(
           read_file(dir / ("resume_cell_" + std::to_string(i) + ".json")),
           want_cells[static_cast<std::size_t>(i)])

@@ -174,7 +174,7 @@ TEST(MeasureOneExactMean, WindowResetStormIsIntegerQuotient) {
   const std::uint64_t seed0 = 1000;
 
   Experiment ref_spec = spec;
-  ref_spec.stop = StopCondition::kAllDecided;  // the checkers' stop rule
+  ref_spec.stop = StopCondition::kAllDecided;  // the checkers' verdicts
   const Runner runner(ref_spec);
   Reference ref;
   for (int i = 0; i < trials; ++i) {
