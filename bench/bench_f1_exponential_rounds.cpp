@@ -1,4 +1,4 @@
-// Experiment F1 (DESIGN.md): the §3/§4 headline — against the split-keeper
+// Experiment F1: the §3/§4 headline — against the split-keeper
 // strongly adaptive adversary with split inputs, the reset-agreement
 // algorithm's windows-to-decision grows EXPONENTIALLY in n.
 //

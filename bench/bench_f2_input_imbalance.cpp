@@ -1,4 +1,4 @@
-// Experiment F2 (DESIGN.md): Theorem 4's fast path and its decay.
+// Experiment F2: Theorem 4's fast path and its decay.
 // At fixed n, sweep the fraction of 1-inputs from 0 (unanimous) to 1/2
 // (maximally split) against both the fair and split-keeper adversaries.
 // Unanimity decides in window 1 regardless of the adversary; the

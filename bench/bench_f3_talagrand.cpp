@@ -1,4 +1,4 @@
-// Experiment F3 (DESIGN.md): Lemma 9 — Talagrand's inequality
+// Experiment F3: Lemma 9 — Talagrand's inequality
 //     P[A]·(1 − P[B(A,d)]) ≤ e^{−d²/4n}
 // three ways:
 //  (a) exact enumeration over random small product spaces with random sets

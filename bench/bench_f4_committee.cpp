@@ -1,4 +1,4 @@
-// Experiment F4 (DESIGN.md): the §1 contrast with Kapron et al. [16].
+// Experiment F4: the §1 contrast with Kapron et al. [16].
 // Committee-election agreement is polylog-fast against NON-adaptive
 // corruption, pays a nonzero intrinsic failure probability, and collapses
 // completely against an ADAPTIVE adversary that waits for the final

@@ -1,4 +1,4 @@
-// Experiment F5 (DESIGN.md): Theorem 17 — forgetful, fully communicative
+// Experiment F5: Theorem 17 — forgetful, fully communicative
 // algorithms against a classic asynchronous crash adversary need message
 // chains that grow exponentially in n, with t = cn.
 //

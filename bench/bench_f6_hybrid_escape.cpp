@@ -1,4 +1,4 @@
-// Experiment F6 (DESIGN.md): Lemma 14 / Lemma 21 — the hybrid
+// Experiment F6: Lemma 14 / Lemma 21 — the hybrid
 // (coordinate-interpolation) argument. Given π_0 avoiding Z_1 and π_n
 // avoiding Z_0 (both with mass ≤ τ), some hybrid π_{j*} avoids BOTH with
 // mass ≤ η each, so one acceptable window escapes Z_0 ∪ Z_1 with
@@ -19,45 +19,25 @@ using namespace aa;
 namespace {
 
 // Per-coordinate distribution over the encoded alphabet {0,1,2,3,4} of the
-// abstract model after one window with delivery set S (see
-// core/zsets.hpp): deterministic adopt → point mass; split → fair coin;
-// decided processors → point mass on 3/4; reset → point mass on 2.
+// abstract model after one reset-free window with delivery set S (see
+// core/zsets.hpp). Only step 3's coin is random, so the window is applied
+// once with every coin 0 and once with every coin 1: a coordinate whose
+// symbol differs between the two flipped a fair coin, any other is a point
+// mass.
 prob::ProductSpace window_product_space(const core::AbstractConfig& c,
-                                        const std::vector<bool>& in_r,
                                         const std::vector<bool>& in_s,
-                                        const protocols::Thresholds& th) {
-  const int n = c.n();
-  std::vector<int> votes;
-  for (int i = 0; i < n; ++i) {
-    if (in_s[static_cast<std::size_t>(i)] &&
-        c.x[static_cast<std::size_t>(i)] != core::kXRejoining)
-      votes.push_back(c.x[static_cast<std::size_t>(i)]);
-  }
-  int count[2] = {0, 0};
-  const bool enough = static_cast<int>(votes.size()) >= th.t1;
-  if (enough) {
-    for (int i = 0; i < th.t1; ++i) ++count[votes[static_cast<std::size_t>(i)]];
-  }
+                                        const protocols::Thresholds& th,
+                                        int t) {
+  const std::vector<bool> no_r(in_s.size(), false);
+  const prob::Point lo = core::encode_config(core::apply_abstract_window_det(
+      c, no_r, in_s, th, t, [](int) { return 0; }));
+  const prob::Point hi = core::encode_config(core::apply_abstract_window_det(
+      c, no_r, in_s, th, t, [](int) { return 1; }));
   std::vector<prob::FiniteDist> coords;
-  for (int i = 0; i < n; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    if (in_r[idx]) {
-      coords.push_back(prob::FiniteDist::point_mass(2, 5));  // reset
-    } else if (c.out[idx] != -1) {
-      coords.push_back(prob::FiniteDist::point_mass(3 + c.out[idx], 5));
-    } else if (!enough) {
-      // No progress: state persists.
-      const int sym = c.x[idx] == core::kXRejoining ? 2 : c.x[idx];
-      coords.push_back(prob::FiniteDist::point_mass(sym, 5));
-    } else if (count[0] >= th.t2 || count[1] >= th.t2) {
-      const int v = count[0] >= th.t2 ? 0 : 1;
-      coords.push_back(prob::FiniteDist::point_mass(3 + v, 5));  // decides
-    } else if (count[0] >= th.t3 || count[1] >= th.t3) {
-      const int v = count[0] >= th.t3 ? 0 : 1;
-      coords.push_back(prob::FiniteDist::point_mass(v, 5));
-    } else {
-      coords.push_back(prob::FiniteDist({0.5, 0.5, 0.0, 0.0, 0.0}));  // coin
-    }
+  for (std::size_t i = 0; i < lo.size(); ++i) {
+    coords.push_back(lo[i] == hi[i]
+                         ? prob::FiniteDist::point_mass(lo[i], 5)
+                         : prob::FiniteDist({0.5, 0.5, 0.0, 0.0, 0.0}));
   }
   return prob::ProductSpace{coords};
 }
@@ -113,16 +93,14 @@ int main() {
       std::vector<int> inputs(static_cast<std::size_t>(n), 1);
       for (int i = 0; i < th.t1; ++i) inputs[static_cast<std::size_t>(i)] = 0;
       const core::AbstractConfig cfg = core::initial_config(inputs);
-      const std::vector<bool> no_r(static_cast<std::size_t>(n), false);
       std::vector<bool> s_all(static_cast<std::size_t>(n), true);
       std::vector<bool> s_dodge = s_all;
       s_dodge[0] = s_dodge[1] = false;  // silence two zero-voters (|S| = n−t)
       // π_0 := full delivery (decides 0 ⇒ avoids Z1);
       // π_n := dodge window (avoids Z0).
-      const prob::ProductSpace pi_0 =
-          window_product_space(cfg, no_r, s_all, th);
+      const prob::ProductSpace pi_0 = window_product_space(cfg, s_all, th, t);
       const prob::ProductSpace pi_n =
-          window_product_space(cfg, no_r, s_dodge, th);
+          window_product_space(cfg, s_dodge, th, t);
       const prob::SetPredicate in_z0 = [](const prob::Point& x) {
         for (int sym : x) {
           if (sym == 3) return true;

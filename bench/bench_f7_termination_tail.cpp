@@ -1,4 +1,4 @@
-// Experiment F7 (DESIGN.md): termination-probability tails, connecting to
+// Experiment F7: termination-probability tails, connecting to
 // the related work the paper surveys in §1.1 — Attiya & Censor (2008) show
 // that the probability a randomized agreement algorithm has NOT terminated
 // after k(n − t) steps is at least 1/c^k: a geometric tail. Our protocols'

@@ -1,4 +1,4 @@
-// Experiment M1 (DESIGN.md): engineering micro-benchmarks via
+// Experiment M1: engineering micro-benchmarks via
 // google-benchmark — simulator substrate throughput.
 //
 // Unless the caller passes its own --benchmark_out, results are also

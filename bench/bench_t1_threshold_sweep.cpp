@@ -1,4 +1,4 @@
-// Experiment T1 (DESIGN.md): the Theorem 4 threshold regime.
+// Experiment T1: the Theorem 4 threshold regime.
 // For a grid of (n, t), validate threshold presets against the theorem's
 // constraints and measure agreement/termination/mean-windows under a
 // randomized adversary. Includes the canonical preset, a relaxed-T2 preset

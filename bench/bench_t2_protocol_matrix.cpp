@@ -1,4 +1,4 @@
-// Experiment T2 (DESIGN.md): the protocol × adversary resilience matrix —
+// Experiment T2: the protocol × adversary resilience matrix —
 // the §1/§3 qualitative claims in one table.
 //
 // Expected shape:

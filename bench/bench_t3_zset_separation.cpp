@@ -1,4 +1,4 @@
-// Experiment T3 (DESIGN.md): Lemmas 11 & 13 — the progress sets Z^k_0 and
+// Experiment T3: Lemmas 11 & 13 — the progress sets Z^k_0 and
 // Z^k_1 of reachable configurations are Hamming-separated by MORE than t.
 // We sample reachable configurations of the §3 algorithm (abstract model),
 // bucket them by estimated Z^k membership, and report the minimum observed

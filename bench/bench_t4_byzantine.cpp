@@ -1,4 +1,4 @@
-// Experiment T4 (DESIGN.md): the §2 incomparability, measured.
+// Experiment T4: the §2 incomparability, measured.
 //
 // "[The strongly adaptive adversary] has the additional power to erase
 //  processor memory, but it lacks the power to have corrupted processors
@@ -76,9 +76,10 @@ int main() {
       "keeps liveness against equivocators, silencers, and random liars for\n"
       "every f <= t (per-payload RBC quorums); systematic flip-all liars\n"
       "stall its liveness — the gap Bracha's validation layer (out of scope,\n"
-      "see DESIGN.md) exists to close. Reset-agreement, built for erasure\n"
-      "rather than lies, loses liveness to equivocate AND flip-all: together\n"
-      "with T2's reset-storm column (Bracha stalls, reset-agreement sails)\n"
-      "this exhibits the paper's §2 incomparability in both directions.\n");
+      "see protocols/bracha.hpp) exists to close. Reset-agreement, built\n"
+      "for erasure rather than lies, loses liveness to equivocate AND\n"
+      "flip-all: together with T2's reset-storm column (Bracha stalls,\n"
+      "reset-agreement sails) this exhibits the paper's §2 incomparability\n"
+      "in both directions.\n");
   return 0;
 }

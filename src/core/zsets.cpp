@@ -50,13 +50,11 @@ bool window_tally(const AbstractConfig& c, const std::vector<bool>& in_s,
 std::vector<bool> coin_flippers(const AbstractConfig& c,
                                 const std::vector<bool>& in_s,
                                 const protocols::Thresholds& th) {
-  const int n = c.n();
-  std::vector<bool> flips(static_cast<std::size_t>(n), false);
   int count[2];
-  if (!window_tally(c, in_s, th, count)) return flips;
-  if (count[0] >= th.t3 || count[1] >= th.t3) return flips;
-  flips.assign(static_cast<std::size_t>(n), true);
-  return flips;
+  const bool flip = window_tally(c, in_s, th, count) &&
+                    protocols::step3(th, count[0], count[1]).estimate ==
+                        protocols::kFlipCoin;
+  return std::vector<bool>(static_cast<std::size_t>(c.n()), flip);
 }
 
 AbstractConfig apply_abstract_window_det(
@@ -79,16 +77,15 @@ AbstractConfig apply_abstract_window_det(
   AbstractConfig next = c;
   int count[2];
   if (window_tally(c, in_s, th, count)) {
+    // Every receiver consumes the same T1 votes, so step 3 has one outcome
+    // for all of them — including rejoining processors, which adopt the
+    // common round carried by the T1 votes and re-enter step 3.
+    const protocols::Step3 s = protocols::step3(th, count[0], count[1]);
     for (int i = 0; i < n; ++i) {
-      // Step 3 for everyone — including rejoining processors, which adopt
-      // the common round carried by the T1 votes and re-enter step 3.
-      for (int v = 0; v <= 1; ++v) {
-        if (count[v] >= th.t2 && next.out[static_cast<std::size_t>(i)] == -1)
-          next.out[static_cast<std::size_t>(i)] = v;
-      }
-      if (count[0] >= th.t3) next.x[static_cast<std::size_t>(i)] = 0;
-      else if (count[1] >= th.t3) next.x[static_cast<std::size_t>(i)] = 1;
-      else next.x[static_cast<std::size_t>(i)] = coin_for(i);
+      const auto idx = static_cast<std::size_t>(i);
+      if (next.out[idx] == -1) next.out[idx] = s.decide;
+      next.x[idx] = s.estimate == protocols::kFlipCoin ? coin_for(i)
+                                                       : s.estimate;
     }
   }
   // else: too few senders were heard; nobody reaches T1 and states persist.

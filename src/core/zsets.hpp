@@ -54,7 +54,8 @@ struct AbstractConfig {
 /// One acceptable window of the §3 algorithm in the abstract model:
 /// every non-rejoining processor sends its x; every processor receives the
 /// votes of senders in S (ascending id order), consumes the first T1, and
-/// applies step 3 (decide at T2, adopt at T3, else coin from `rng`);
+/// applies protocols::step3 (decide at T2, adopt at T3, else coin from
+/// `rng`);
 /// rejoining processors adopt the common round and re-enter step 3 the same
 /// way; finally processors in R are reset (x := kXRejoining).
 /// `in_s` and `in_r` are indicator vectors; |S| ≥ n − t and |R| ≤ t are the
@@ -75,7 +76,8 @@ struct AbstractConfig {
     const std::function<int(int)>& coin_for);
 
 /// Indicator vector of which processors would flip a coin if this window
-/// were applied (empty counts/deterministic adopts flip nothing).
+/// were applied: every processor when the window's T1 votes make
+/// protocols::step3 say coin, else none.
 [[nodiscard]] std::vector<bool> coin_flippers(const AbstractConfig& c,
                                               const std::vector<bool>& in_s,
                                               const protocols::Thresholds& th);

@@ -40,8 +40,7 @@
 // senders lying about their protocol STATE; the adversaries in this
 // repository schedule, silence, crash, reset, or equivocate values — the
 // paper's strongly adaptive adversary explicitly "lacks the power to have
-// corrupted processors lie about their local random bits". DESIGN.md
-// records this substitution.
+// corrupted processors lie about their local random bits".
 #pragma once
 
 #include <cstddef>

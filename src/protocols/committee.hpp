@@ -5,7 +5,7 @@
 // (b) total collapse against an adaptive adversary, which "can simply wait
 // for the final committee to be determined and then cause faults".
 //
-// Substitution note (DESIGN.md): the real [16] protocol layers elections
+// Substitution note: the real [16] protocol layers elections
 // inside a full asynchronous Byzantine machinery; we reproduce its
 // *structure* — iterated halving elections down to a small final committee
 // that runs Bracha and announces the result — with costs charged per

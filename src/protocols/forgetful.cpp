@@ -25,9 +25,7 @@ ForgetfulProcess::ForgetfulProcess(int id, int n, int input, Thresholds th,
   AA_REQUIRE(id >= 0 && id < n, "ForgetfulProcess: bad id");
   AA_REQUIRE(input == 0 || input == 1, "ForgetfulProcess: input must be a bit");
   AA_REQUIRE(memory_k >= 0, "ForgetfulProcess: memory_k must be >= 0");
-  AA_REQUIRE(th.t1 >= th.t2 && th.t2 >= th.t3 && th.t3 > 0,
-             "ForgetfulProcess: need T1 >= T2 >= T3 > 0");
-  AA_REQUIRE(2 * th.t3 > n, "ForgetfulProcess: need 2*T3 > n");
+  require_step3_thresholds(th, n, "ForgetfulProcess");
 }
 
 void ForgetfulProcess::on_start(sim::Outbox& out) {
@@ -72,13 +70,9 @@ void ForgetfulProcess::advance_from(const VoteTally& reached, Rng& rng,
 
 void ForgetfulProcess::step(const VoteTally& rt, Rng& rng, sim::Outbox& out) {
   AA_CHECK(rt.arrivals >= th_.t1, "a step requires T1 recorded votes");
-  const std::int32_t* count = rt.count;
-  for (int v = 0; v <= 1; ++v) {
-    if (count[v] >= th_.t2 && output_ == sim::kBot) output_ = v;
-  }
-  if (count[0] >= th_.t3) x_ = 0;
-  else if (count[1] >= th_.t3) x_ = 1;
-  else x_ = rng.next_bool() ? 1 : 0;
+  const Step3 s = step3(th_, rt.count[0], rt.count[1]);
+  if (output_ == sim::kBot) output_ = s.decide;
+  x_ = s.estimate == kFlipCoin ? (rng.next_bool() ? 1 : 0) : s.estimate;
   ++round_;
   // Full communication: having heard n − t, speak to all n.
   out.broadcast(make_vote(round_, x_));

@@ -8,7 +8,7 @@
 //   * Fully communicative (Definition 16): whenever the processor has the
 //     most recent messages from n − t processors, it sends to all n.
 //
-// The voting rule mirrors the §3 algorithm with T1 = n − t:
+// The voting rule is the §3 step 3 (protocols::step3) with T1 = n − t:
 //   ≥ T2 matching votes → decide;  ≥ T3 → adopt;  else coin.
 // Defaults mirror the §3 canonical setting where possible: for t < n/6,
 // T3 = n − 3t and T2 = n − 2t (so a decision propagates: any two first-T1

@@ -16,10 +16,7 @@ ResetProcess::ResetProcess(int id, int n, int input, Thresholds th)
     : id_(id), n_(n), th_(th), input_(input), x_(input) {
   AA_REQUIRE(id >= 0 && id < n, "ResetProcess: bad id");
   AA_REQUIRE(input == 0 || input == 1, "ResetProcess: input must be a bit");
-  AA_REQUIRE(th.t1 >= th.t2 && th.t2 >= th.t3 && th.t3 > 0,
-             "ResetProcess: thresholds must satisfy T1 >= T2 >= T3 > 0");
-  AA_REQUIRE(2 * th.t3 > th.t1,
-             "ResetProcess: need 2*T3 > T1 for step 3 to be unambiguous");
+  require_step3_thresholds(th, th.t1, "ResetProcess");
 }
 
 void ResetProcess::on_start(sim::Outbox& out) {
@@ -69,15 +66,10 @@ void ResetProcess::advance_from(const VoteTally& reached, Rng& rng,
 void ResetProcess::step3_and_advance(const VoteTally& rt, Rng& rng,
                                      sim::Outbox& out) {
   AA_CHECK(rt.arrivals >= th_.t1, "step 3 requires T1 recorded votes");
-  const std::int32_t* count = rt.count;
-
-  // Step 3. T2 >= T3 and 2*T3 > T1 make the winning value unique.
-  for (int v = 0; v <= 1; ++v) {
-    if (count[v] >= th_.t2 && output_ == sim::kBot) output_ = v;
-  }
-  if (count[0] >= th_.t3) x_ = 0;
-  else if (count[1] >= th_.t3) x_ = 1;
-  else x_ = rng.next_bool() ? 1 : 0;
+  // Step 3.
+  const Step3 s = step3(th_, rt.count[0], rt.count[1]);
+  if (output_ == sim::kBot) output_ = s.decide;
+  x_ = s.estimate == kFlipCoin ? (rng.next_bool() ? 1 : 0) : s.estimate;
 
   // Step 4. The prune invalidates `rt`.
   ++round_;

@@ -6,7 +6,15 @@
 //   * ≥ T2 of the T1 agree on v  →  write v to the output bit (write-once)
 //   * ≥ T3 of the T1 agree on v  →  x_p := v
 //   * otherwise                  →  x_p := fresh uniform bit
-// and advances to round r + 1.
+// and advances to round r + 1. That rule is protocols::step3
+// (thresholds.hpp), shared with ForgetfulProcess and the abstract window.
+//
+// Which votes step 3 reads: this class applies it to the FIRST T1 votes of
+// a round, which is why its constructor asks only 2·T3 > T1. That reading
+// breaks agreement under the `random` window adversary (127 violations in
+// 24 000 canonical-threshold trials; ROADMAP, "Fix §3 step 3"). Counting
+// every vote delivered in the window instead reads up to n votes, so that
+// reading needs 2·T3 > n, not 2·T3 > T1.
 //
 // Reset handling (the paper's "handling resets" paragraph): a reset is
 // detectable; the processor then refrains from sending, waits until it has

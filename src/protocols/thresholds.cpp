@@ -6,6 +6,15 @@
 
 namespace aa::protocols {
 
+void require_step3_thresholds(const Thresholds& th, int counted,
+                              const char* who) {
+  AA_REQUIRE(th.t1 >= th.t2 && th.t2 >= th.t3 && th.t3 > 0,
+             std::string(who) + ": need T1 >= T2 >= T3 > 0");
+  AA_REQUIRE(2 * th.t3 > counted,
+             std::string(who) + ": need 2*T3 > " + std::to_string(counted) +
+                 " (the votes counted) so at most one value reaches T3");
+}
+
 Thresholds canonical_thresholds(int n, int t) {
   AA_REQUIRE(n > 0 && t >= 0, "canonical_thresholds: bad arguments");
   return Thresholds{n - 2 * t, n - 2 * t, n - 3 * t};

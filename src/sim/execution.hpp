@@ -5,9 +5,9 @@
 // Engine-enforced model invariants:
 //  * A sending step is a complete response to prior events: two consecutive
 //    sending steps with no intervening receiving/resetting step make the
-//    second a no-op (DESIGN.md decision D1).
+//    second a no-op.
 //  * Receiving steps are the only randomized steps; each processor draws
-//    from its own forked Rng stream (decision D3).
+//    from its own forked Rng stream (util/rng.hpp).
 //  * The output bit is write-once: the engine snapshots it around every step
 //    and faults if a protocol ever changes a written output.
 //  * Resets erase staged (unsent) messages too — erased memory cannot send.

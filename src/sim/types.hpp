@@ -29,7 +29,7 @@ enum class StepKind : std::uint8_t { Send, Receive, Reset, Crash };
 
 /// Wire message. Every protocol in this library speaks a common small
 /// message shape so that full-information adversaries can introspect votes
-/// generically (DESIGN.md decision D2):
+/// generically:
 ///
 ///   round — protocol round number r
 ///   kind  — protocol-specific discriminator (vote / report / proposal /

@@ -2,7 +2,8 @@
 //
 // All randomness in the library flows from a single root seed through
 // explicitly forked streams (one per processor, per window, per replica),
-// so every execution is exactly replayable (DESIGN.md decision D3).
+// so every execution is exactly replayable (see the README's "Parallel
+// trial engine").
 //
 // The generator is xoshiro256** (Blackman & Vigna), seeded via SplitMix64.
 // Forking derives an independent stream by hashing (state, stream-id)

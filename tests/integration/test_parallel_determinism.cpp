@@ -2,7 +2,7 @@
 // counts, exact integer-quotient means, and the violating_seeds vector — at
 // every thread count, for both checkers and for the exhaustive explorer.
 // This is the contract that makes parallel Monte-Carlo results replayable
-// (DESIGN.md decision D3 extended to the merge tree: fixed chunking + an
+// (the README's "Parallel trial engine": fixed chunking + an
 // exactly-associative merge).
 #include <gtest/gtest.h>
 

@@ -189,7 +189,7 @@ TEST(ByzantineRun, BrachaFlipAllKeepsSafetyButStallsWithoutValidation) {
   // Systematic contrarians poison every first-(n−t) delivery prefix, so the
   // 2t+1 flagged quorum never completes: liveness stalls. This is exactly
   // the gap Bracha's (unimplemented) validation layer closes — safety is
-  // untouched either way. See DESIGN.md's substitution note.
+  // untouched either way. See the scope note in protocols/bracha.hpp.
   const int n = 10;
   const int t = 3;
   adversary::FairWindowAdversary fair;
