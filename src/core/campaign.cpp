@@ -641,26 +641,32 @@ struct CellRound {
   std::atomic<int> finished{0};  ///< chunks done (run or skipped)
 };
 
-/// The campaign's one artifact writer: a thread that writes the documents
-/// handed to submit() through write_file_atomic, one at a time and in
-/// submission order, so the next cells compute while files are created.
-/// The queue holds at most kCapacity documents and submit() blocks while
-/// it is full, so the writer trails the sweep by a few documents, never
-/// by the whole sweep. The first failed write is kept and every later
+/// The campaign's one artifact writer: a thread that writes the landed
+/// cells' documents through write_file_atomic, one at a time and in
+/// landing order, so the next cells compute while files are created. A
+/// queue entry names a landed cell and which of its documents to write;
+/// the writer serialises that document just before writing it. The cell
+/// stays untouched in its slot until finish() returns, so the queue costs
+/// a few words per document and grows without bound instead of making a
+/// landing chunk wait. The first failed write is kept and every later
 /// document skipped; submit() and finish() rethrow that error.
 class ArtifactWriter {
  public:
-  ArtifactWriter() { thread_ = std::thread([this] { drain(); }); }
+  enum class Doc { kLensSidecar, kCell };
+
+  explicit ArtifactWriter(const CampaignConfig& config) : config_(config) {
+    thread_ = std::thread([this] { drain(); });
+  }
   ArtifactWriter(const ArtifactWriter&) = delete;
   ArtifactWriter& operator=(const ArtifactWriter&) = delete;
   /// The unwinding path: write what is queued, join, never throw.
   ~ArtifactWriter() { close(); }
 
-  void submit(std::string path, std::string body) {
+  /// Queue landed cell `w`'s `doc`. `w` must not change until finish().
+  void submit(const CellWork& w, Doc doc) {
     MutexLock lock(mu_);
-    while (!error_ && queue_.size() >= kCapacity) not_full_.wait(lock);
     if (error_) std::rethrow_exception(error_);
-    queue_.push_back({std::move(path), std::move(body)});
+    queue_.push_back({&w, doc});
     not_empty_.notify_one();
   }
 
@@ -673,11 +679,10 @@ class ArtifactWriter {
   }
 
  private:
-  struct Document {
-    std::string path;
-    std::string body;
+  struct Entry {
+    const CellWork* w;
+    Doc doc;
   };
-  static constexpr std::size_t kCapacity = 16;
 
   void close() {
     {
@@ -690,30 +695,33 @@ class ArtifactWriter {
 
   void drain() {
     for (;;) {
-      Document doc;
+      Entry e{};
       {
         MutexLock lock(mu_);
         while (queue_.empty() && !closing_) not_empty_.wait(lock);
         if (queue_.empty()) return;
-        doc = std::move(queue_.front());
+        e = queue_.front();
         queue_.pop_front();
-        not_full_.notify_one();
         if (error_) continue;
       }
       try {
-        write_file_atomic(doc.path, doc.body);
+        if (e.doc == Doc::kLensSidecar) {
+          write_file_atomic(e.w->lens_path,
+                            latency_report_json(e.w->cell.lens_report));
+        } else {
+          write_file_atomic(e.w->path, campaign_cell_json(config_, e.w->cell));
+        }
       } catch (...) {
         MutexLock lock(mu_);
         error_ = std::current_exception();
-        not_full_.notify_all();
       }
     }
   }
 
+  const CampaignConfig& config_;
   Mutex mu_;
-  CondVar not_empty_;  ///< the writer waits for a document or close()
-  CondVar not_full_;   ///< producers wait for a free slot or an error
-  std::deque<Document> queue_ AA_GUARDED_BY(mu_);
+  CondVar not_empty_;  ///< the writer waits for an entry or close()
+  std::deque<Entry> queue_ AA_GUARDED_BY(mu_);
   bool closing_ AA_GUARDED_BY(mu_) = false;
   std::exception_ptr error_ AA_GUARDED_BY(mu_);
   std::thread thread_;
@@ -744,10 +752,8 @@ void land_cell(const CampaignConfig& config, ArtifactWriter* writer,
   w.cell.settled = total.settled;
   w.set_wall_ms(elapsed_ms(r.t0, now()), config.trials);
   if (w.done && writer != nullptr) {
-    if (config.lens) {
-      writer->submit(w.lens_path, latency_report_json(w.cell.lens_report));
-    }
-    writer->submit(w.path, campaign_cell_json(config, w.cell));
+    if (config.lens) writer->submit(w, ArtifactWriter::Doc::kLensSidecar);
+    writer->submit(w, ArtifactWriter::Doc::kCell);
   }
 }
 
@@ -891,10 +897,12 @@ CampaignResult run_campaign(const CampaignConfig& config,
   // its last chunk. With cell_timeout_ms set, the cells that expired are
   // recomputed in a second round at twice the timeout (validation bounds
   // it, so the doubling cannot overflow) and fail if that expires too.
-  // With output_dir set, the cells' artifacts, then the summary and the
-  // timing sidecar, go through one background writer (ArtifactWriter).
+  // With output_dir set, the cells' artifacts go through one background
+  // writer (ArtifactWriter), which reads each landed cell in `work` when
+  // it writes it. `work` is declared before `writer`, so on the unwinding
+  // path the writer's destructor finishes the queue while `work` lives.
   std::unique_ptr<ArtifactWriter> writer;
-  if (writing) writer = std::make_unique<ArtifactWriter>();
+  if (writing) writer = std::make_unique<ArtifactWriter>(config);
   const int chunks = chunk_count(config.trials, ctx.parallel());
   ParallelConfig jobs = ctx.parallel();
   jobs.chunk_size = 1;
@@ -918,9 +926,13 @@ CampaignResult run_campaign(const CampaignConfig& config,
         ctx.pool());
   }
 
+  // The cells move out of `work` below, so the writer finishes first.
+  if (writer) writer->finish();
+
   // Phase 4 — merge the summary in canonical index order (the accumulator
   // is exactly associative, but fixing the order anyway keeps every
   // schedule byte-identical by construction). Failed cells are excluded.
+  // The summary and the timing sidecar are written last, after every cell.
   MeasureOneAccumulator summary;
   for (CellWork& w : work) {
     w.cell.failed = !w.done;
@@ -929,13 +941,12 @@ CampaignResult run_campaign(const CampaignConfig& config,
   }
   result.summary =
       summary.finalize(config.model == CampaignModel::kAsync);
-  if (writer) {
+  if (writing) {
     const fs::path dir(config.output_dir);
-    writer->submit((dir / (config.name + "_summary.json")).string(),
-                   campaign_summary_json(result));
-    writer->submit((dir / (config.name + "_timing.json")).string(),
-                   campaign_timing_json(result));
-    writer->finish();
+    write_file_atomic((dir / (config.name + "_summary.json")).string(),
+                      campaign_summary_json(result));
+    write_file_atomic((dir / (config.name + "_timing.json")).string(),
+                      campaign_timing_json(result));
   }
   return result;
 }
@@ -1019,7 +1030,9 @@ void write_file_atomic(const std::string& path, const std::string& body) {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (out.good()) {
       out << body;
-      out.flush();
+      // close() flushes; a failed flush or close leaves a short file,
+      // which must not be renamed into place.
+      out.close();
       ok = out.good();
     }
   }

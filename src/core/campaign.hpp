@@ -251,17 +251,20 @@ struct CampaignResult {
 /// of a cell to finish merges the cell's chunk tallies in chunk order, so
 /// every cell report, lens artifact, and the summary are byte-identical
 /// at any thread count. With config.output_dir set, run_campaign starts
-/// one background writer thread, and that chunk hands it the cell's lens
-/// sidecar and then its JSON; the summary and the timing sidecar follow
-/// at the end. The writer writes them in that landing order, each through
-/// write_file_atomic, from a queue of at most 16 documents (a producer
-/// waits while it is full), so the next cells compute while files are
-/// created. run_campaign returns only after the writer's last rename. A
-/// SIGKILL mid-sweep leaves only whole-cell artifacts, which
-/// config.resume restores on the next run. The first failed write is
-/// kept, every later document skipped (no summary is written), and its
-/// error is rethrown from the next hand-off or from run_campaign; on any
-/// other exception the writer finishes what is queued before it unwinds.
+/// one background writer thread, and that chunk queues the cell's lens
+/// sidecar and then its JSON for it. The queue holds references to the
+/// landed cells, not their bytes, so it has no bound and a landing chunk
+/// never waits: the writer serialises each document and writes it through
+/// write_file_atomic, in landing order, while the next cells compute.
+/// Once every cell has landed and the writer has renamed the last of them
+/// into place, the summary and then the timing sidecar are written, and
+/// run_campaign returns. A SIGKILL mid-sweep loses at most the in-flight
+/// cells and the writer's unwritten backlog; it leaves only whole-cell
+/// artifacts, and config.resume recomputes whatever is missing on the
+/// next run. The first failed write is kept, every later document skipped
+/// (no summary is written), and its error is rethrown from the next
+/// hand-off or from run_campaign; on any other exception the writer
+/// finishes what is queued before it unwinds.
 /// config.cell_timeout_ms bounds each cell's wall clock (see there).
 [[nodiscard]] CampaignResult run_campaign(const CampaignConfig& config,
                                           CampaignContext& ctx);
@@ -288,9 +291,11 @@ struct CampaignResult {
 /// Crash-safe text-file write: stream `body` to `<path>.tmp`, flush, then
 /// rename over `path`. Readers never observe a torn file — they see the
 /// old content or the new content, nothing in between. Throws on I/O
-/// errors (the temp file is removed on failure). run_campaign's
-/// background writer calls it for every artifact, one at a time, in
-/// landing order.
+/// errors, including a failed close, so a short file is never renamed
+/// into place (the temp file is removed on failure). run_campaign's
+/// background writer calls it for every cell artifact, one at a time, in
+/// landing order; the summary and timing sidecar follow from the calling
+/// thread.
 void write_file_atomic(const std::string& path, const std::string& body);
 
 }  // namespace aa::core

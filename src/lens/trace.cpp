@@ -65,10 +65,6 @@ void WindowTrace::on_deliver(const sim::Envelope& env, std::int64_t window,
   ++delivery_hist_[hidx(env.sender, bucket_of(window - env.window))];
 }
 
-void WindowTrace::on_suppress(sim::ProcId sender, sim::ProcId receiver) {
-  ++suppressed_[pair(sender, receiver)];
-}
-
 void WindowTrace::on_decision(sim::ProcId p, std::int64_t window,
                               std::int64_t step) {
   decision_window_[idx(p)] = window;

@@ -26,7 +26,10 @@
 // receiver) pairs; begin_trial() re-stamps it with assign(), so after the
 // first trial at a given n the lens allocates nothing. Execution invokes
 // the hooks only when ExecutionConfig::lens is set — a null lens costs one
-// pointer test per hook site and produces bit-identical reports.
+// pointer test per hook site and produces bit-identical reports. The
+// window model's deliveries and suppressions arrive a whole run at a time
+// (on_deliver_run, on_suppress_run): both folds are inline and check their
+// ranges once per run, not once per message.
 //
 // Window spans serve the acceptable-window model; step spans (the engine's
 // deterministic step counter) serve the async/crash model, where run_async
@@ -61,14 +64,61 @@ class WindowTrace {
                   std::span<const sim::StagedMessage> items,
                   std::int64_t window);
 
-  /// A receiving step (or bulk delivery run) delivered `env` in
-  /// `window` at engine step counter `step`.
+  /// A receiving step delivered `env` in `window` at engine step counter
+  /// `step` (the async model's one delivery per step).
   void on_deliver(const sim::Envelope& env, std::int64_t window,
                   std::int64_t step);
 
-  /// A (sender → receiver) window message was dropped undelivered when
-  /// the window closed (Execution::end_window).
-  void on_suppress(sim::ProcId sender, sim::ProcId receiver);
+  /// A window delivery run (Execution::deliver_plan_row) handed `run` to
+  /// `receiver` in `window`, in delivery order; envelope i took engine
+  /// step `step0 + i + 1`. Folds exactly what on_deliver would for each
+  /// envelope in turn. Every envelope's receiver must be `receiver` and
+  /// its sender in [0, n): the engine checked the plan row.
+  void on_deliver_run(sim::ProcId receiver,
+                      std::span<const sim::Envelope> run, std::int64_t window,
+                      std::int64_t step0) {
+    const std::size_t r = idx(receiver);
+    const auto n = static_cast<std::size_t>(n_);
+    std::int64_t* delivered = delivered_.data();
+    std::int64_t* first_window = first_window_.data();
+    std::int64_t* first_step = first_step_.data();
+    std::int64_t* hist = delivery_hist_.data();
+    std::int64_t step = step0;
+    for (const sim::Envelope& env : run) {
+      ++step;
+      const auto s = static_cast<std::size_t>(env.sender);
+      const std::size_t pr = s * n + r;
+      ++delivered[pr];
+      if (first_window[pr] < 0) {
+        first_window[pr] = window;
+        first_step[pr] = step;
+      }
+      ++hist[s * kBuckets + static_cast<std::size_t>(
+                                bucket_of(window - env.window))];
+    }
+  }
+
+  /// `sender`'s window run closed (Execution::end_window): `items` are its
+  /// staged items, a kEveryone item standing for n messages in receiver
+  /// order and a point item for one, and `done` holds one byte per message
+  /// in that order, nonzero if it was delivered. Every undelivered message
+  /// counts one suppression of (sender, its receiver). Point items'
+  /// receivers must be in [0, n): Outbox::send checked them.
+  void on_suppress_run(sim::ProcId sender,
+                       std::span<const sim::StagedMessage> items,
+                       const std::uint8_t* done) {
+    const auto n = static_cast<std::size_t>(n_);
+    std::int64_t* row = suppressed_.data() + idx(sender) * n;
+    for (const sim::StagedMessage& item : items) {
+      if (item.to == sim::kEveryone) {
+        for (std::size_t r = 0; r < n; ++r) row[r] += done[r] == 0 ? 1 : 0;
+        done += n;
+      } else {
+        if (*done == 0) ++row[static_cast<std::size_t>(item.to)];
+        ++done;
+      }
+    }
+  }
 
   /// Processor `p` wrote its decision in `window` at step `step`.
   void on_decision(sim::ProcId p, std::int64_t window, std::int64_t step);

@@ -288,14 +288,18 @@ int Execution::deliver_plan_row(ProcId receiver, std::span<const ProcId> row) {
   sc.window_delivered += k;
   buffer_.retire_claimed(k, 0);
 
-  // Without an event log or a lens, a receiving step only counts.
-  if (!cfg_.record_events && cfg_.lens == nullptr) {
+  // The lens folds the whole run at once: envelope i is step steps_ + i + 1.
+  if (cfg_.lens != nullptr) {
+    cfg_.lens->on_deliver_run(
+        receiver, std::span<const Envelope>(run_envelopes_.data(), k),
+        window_, steps_);
+  }
+  // Without an event log, a receiving step only counts.
+  if (!cfg_.record_events) {
     steps_ += static_cast<std::int64_t>(k);
   } else {
     for (std::size_t i = 0; i < k; ++i) {
-      const Envelope& env = run_envelopes_[i];
-      record(StepKind::Receive, receiver, env.id);
-      if (cfg_.lens != nullptr) cfg_.lens->on_deliver(env, window_, steps_);
+      record(StepKind::Receive, receiver, run_envelopes_[i].id);
     }
   }
   const int out_before = procs_[r]->output();
@@ -344,18 +348,11 @@ void Execution::end_window() {
     // to know which messages those were.
     const std::size_t dropped = sc.batch.size() - sc.window_delivered;
     if (cfg_.lens != nullptr && dropped > 0) {
-      const auto n = static_cast<std::size_t>(n_);
       for (const ProcId s : sc.run_order) {
         const SenderRun& run = sc.runs[static_cast<std::size_t>(s)];
-        const std::uint8_t* done = &sc.delivered[static_cast<std::size_t>(
-            run.first - sc.base)];
-        const bool bcast = run.broadcast_runs > 0;
-        const std::size_t m = bcast ? run.items.size() * n : run.items.size();
-        for (std::size_t j = 0; j < m; ++j) {
-          if (done[j] != 0) continue;
-          cfg_.lens->on_suppress(
-              s, bcast ? static_cast<ProcId>(j % n) : run.items[j].to);
-        }
+        cfg_.lens->on_suppress_run(
+            s, run.items,
+            &sc.delivered[static_cast<std::size_t>(run.first - sc.base)]);
       }
     }
     buffer_.retire_claimed(0, dropped);

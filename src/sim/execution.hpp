@@ -152,9 +152,10 @@ class Execution {
   /// reusable envelope scratch, and the computation runs ONCE over it via
   /// Process::on_receive_batch: the crash check and the output write-once
   /// snapshot happen once per run, while each delivery still counts as one
-  /// receiving step (step counter / event log / lens, in plan order; with
-  /// neither an event log nor a lens armed the counter moves by the run
-  /// length at once). For protocols that honour
+  /// receiving step (step counter / event log / lens, in plan order). The
+  /// lens folds the whole run in one pass (WindowTrace::on_deliver_run);
+  /// without an event log the counter moves by the run length at once.
+  /// For protocols that honour
   /// the on_receive_batch contract this matches a receiving_step per id in
   /// every observable EXCEPT the Decision record's step/chain stamps,
   /// which carry end-of-run granularity (the decision's window and value

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -543,6 +544,33 @@ CampaignResult run_campaign_or_exit_on_hang(const CampaignConfig& cfg) {
   return done.get();
 }
 
+/// A lens sweep of 48 cells of 2 trials each. Its cells land faster than
+/// the writer creates their 96 files, so the writer's queue holds dozens of
+/// documents at once.
+CampaignConfig backlog_config(const std::string& name, int threads,
+                              const std::filesystem::path& dir) {
+  CampaignConfig cfg = tiny_config();
+  cfg.name = name;
+  cfg.adversaries = {"fair", "random", "split-keeper", "reset-storm"};
+  cfg.chaos_plan = {"none", "censor-light", "resets", "crashy"};
+  cfg.lens = true;
+  cfg.trials = 2;
+  cfg.chunk_size = 1;
+  cfg.threads = threads;
+  cfg.output_dir = dir.string();
+  return cfg;
+}
+
+/// Every regular file under `dir`, by name.
+std::vector<std::string> files_in(const std::filesystem::path& dir) {
+  std::vector<std::string> names;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    if (e.is_regular_file()) names.push_back(e.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
 TEST(Campaign, EveryArtifactIsInPlaceWhenRunCampaignReturns) {
   // The writer trails the sweep; run_campaign must wait for its last
   // rename. Every file is then at its final path with its final bytes,
@@ -552,12 +580,9 @@ TEST(Campaign, EveryArtifactIsInPlaceWhenRunCampaignReturns) {
     const fs::path dir = fs::temp_directory_path() /
                          ("aa_campaign_writer_" + std::to_string(threads));
     fs::remove_all(dir);
-    CampaignConfig cfg = tiny_config();
-    cfg.name = "w";
-    cfg.lens = true;
-    cfg.threads = threads;
-    cfg.output_dir = dir.string();
+    const CampaignConfig cfg = backlog_config("w", threads, dir);
     const CampaignResult result = run_campaign_or_exit_on_hang(cfg);
+    ASSERT_EQ(result.cells.size(), 48u);
 
     std::size_t files = 0;
     for (const fs::directory_entry& e : fs::directory_iterator(dir)) {
@@ -579,34 +604,80 @@ TEST(Campaign, EveryArtifactIsInPlaceWhenRunCampaignReturns) {
   }
 }
 
+/// run_campaign(cfg) must fail with write_file_atomic's message for a
+/// path that starts with `blocked`.
+void expect_write_failure(const CampaignConfig& cfg,
+                          const std::string& blocked) {
+  try {
+    (void)run_campaign_or_exit_on_hang(cfg);
+    ADD_FAILURE() << "failed write not reported";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("write_file_atomic: cannot write " + blocked),
+              std::string::npos)
+        << what;
+  }
+}
+
 TEST(Campaign, FailedArtifactWriteSurfacesFromRunCampaign) {
   // A directory where cell 2's artifact belongs makes its rename fail.
   // The writer keeps that error and skips every later document, so the
   // sweep fails with write_file_atomic's message and no summary lands.
+  // Cells land faster than their files are created, so the writer meets
+  // the failure with documents still queued behind it; the next landing
+  // chunk's hand-off rethrows it, and run_campaign unwinds while the
+  // writer still holds references into its cells.
   namespace fs = std::filesystem;
   for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
     const fs::path dir = fs::temp_directory_path() /
                          ("aa_campaign_write_error_" + std::to_string(threads));
     fs::remove_all(dir);
     const fs::path blocked = dir / "f_cell_2.json";
     fs::create_directories(blocked);
-    CampaignConfig cfg = tiny_config();
-    cfg.name = "f";
-    cfg.threads = threads;
-    cfg.output_dir = dir.string();
-    try {
-      (void)run_campaign_or_exit_on_hang(cfg);
-      ADD_FAILURE() << "failed write not reported at threads " << threads;
-    } catch (const std::invalid_argument& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("write_file_atomic: cannot write " +
-                          blocked.string()),
-                std::string::npos)
-          << what;
-    }
+    expect_write_failure(backlog_config("f", threads, dir), blocked.string());
     EXPECT_TRUE(fs::is_directory(blocked));
-    EXPECT_FALSE(fs::exists(dir / "f_summary.json")) << "threads " << threads;
-    EXPECT_FALSE(fs::exists(dir / "f_timing.json")) << "threads " << threads;
+    const std::vector<std::string> files = files_in(dir);
+    if (threads == 1) {
+      // Cells land in index order: exactly what landed before cell 2's
+      // artifact is on disk.
+      EXPECT_EQ(files, (std::vector<std::string>{
+                           "f_cell_0.json", "f_cell_0_lens.json",
+                           "f_cell_1.json", "f_cell_1_lens.json",
+                           "f_cell_2_lens.json"}));
+    } else {
+      // Landing order varies; a cell artifact still implies its sidecar.
+      for (const std::string& f : files) {
+        EXPECT_EQ(f.find("_summary"), std::string::npos) << f;
+        EXPECT_EQ(f.find("_timing"), std::string::npos) << f;
+        EXPECT_EQ(f.find(".tmp"), std::string::npos) << f;
+        if (f.find("_lens") == std::string::npos) {
+          EXPECT_TRUE(fs::exists(dir / (f.substr(0, f.size() - 5) +
+                                        "_lens.json")))
+              << f;
+        }
+      }
+    }
+    fs::remove_all(dir);
+  }
+}
+
+TEST(Campaign, FirstFailedWriteLeavesNoLaterDocument) {
+  // Every lens sidecar's path is a directory, so the first document to
+  // land fails whatever the schedule, and nothing after it may exist.
+  namespace fs = std::filesystem;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const fs::path dir = fs::temp_directory_path() /
+                         ("aa_campaign_first_error_" + std::to_string(threads));
+    fs::remove_all(dir);
+    const CampaignConfig cfg = backlog_config("g", threads, dir);
+    for (int i = 0; i < 48; ++i) {
+      fs::create_directories(dir /
+                             ("g_cell_" + std::to_string(i) + "_lens.json"));
+    }
+    expect_write_failure(cfg, (dir / "g_cell_").string());
+    EXPECT_EQ(files_in(dir), std::vector<std::string>{});
     fs::remove_all(dir);
   }
 }

@@ -40,6 +40,7 @@ void synthetic_trial(WindowTrace& trace, std::uint64_t seed) {
         items.back().msg.value = 1 - items.front().msg.value;
       }
       trace.on_publish(s, items, w);
+      std::vector<std::uint8_t> delivered(static_cast<std::size_t>(kN), 1);
       for (sim::ProcId r = 0; r < kN; ++r) {
         if (rng.next_double() < 0.8) {
           sim::Envelope env;
@@ -51,9 +52,10 @@ void synthetic_trial(WindowTrace& trace, std::uint64_t seed) {
                                         rng.next_u64() % 3),
                            w * 50 + r);
         } else {
-          trace.on_suppress(s, r);
+          delivered[static_cast<std::size_t>(r)] = 0;
         }
       }
+      trace.on_suppress_run(s, items, delivered.data());
     }
   }
   for (sim::ProcId p = 0; p < kN; ++p) {

@@ -3,14 +3,20 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "adversary/async_adversaries.hpp"
 #include "adversary/censor.hpp"
+#include "adversary/chaos.hpp"
 #include "adversary/window_adversaries.hpp"
+#include "core/campaign.hpp"
 #include "core/experiment.hpp"
 #include "lens/accountability.hpp"
 #include "lens/trace.hpp"
+#include "protocols/byzantine.hpp"
 #include "protocols/factory.hpp"
 #include "sim/window.hpp"
 #include "util/rng.hpp"
@@ -144,9 +150,9 @@ TEST(WindowTrace, HookCountsExactUnderRecyclingAndRangeRetirement) {
 TEST(WindowTrace, SuppressHooksFireOncePerUndeliveredWindowMessage) {
   // One window delivered piecemeal — a per-id receiving step, a row with a
   // repeated sender, a row over an already-delivered message — and closed
-  // with receivers 2.. never served. on_suppress must fire exactly once
-  // per undelivered (sender → receiver) message, and never for one that
-  // was delivered.
+  // with receivers 2.. never served. The suppression fold must count
+  // exactly one suppression per undelivered (sender → receiver) message,
+  // and none for one that was delivered.
   const int n = 6;
   const int t = 1;
   WindowTrace trace;
@@ -193,6 +199,283 @@ TEST(WindowTrace, SuppressHooksFireOncePerUndeliveredWindowMessage) {
   EXPECT_GT(suppressed, 0);
   EXPECT_EQ(static_cast<std::size_t>(suppressed), e.buffer().dropped_count());
   EXPECT_EQ(e.buffer().pending_count(), 0u);
+}
+
+// ---- run folds against the per-envelope hooks ------------------------------
+
+/// The lens's delivery, suppression and decision hooks as they were when
+/// the engine called them once per envelope, on the same flat layout: the
+/// reference that WindowTrace's run folds (on_deliver_run,
+/// on_suppress_run) must match view for view.
+struct PerEnvelopeTrace {
+  static constexpr int kBuckets = WindowTrace::kBuckets;
+  int n = 0;
+  std::vector<std::int64_t> confirm_count, confirm_window_sum,
+      confirm_step_sum, delivered, suppressed, first_window, first_step,
+      decision_window, delivery_hist, confirm_hist;
+
+  void begin_trial(int procs) {
+    n = procs;
+    const auto nn = static_cast<std::size_t>(n);
+    const auto hb = nn * static_cast<std::size_t>(kBuckets);
+    confirm_count.assign(nn, 0);
+    confirm_window_sum.assign(nn, 0);
+    confirm_step_sum.assign(nn, 0);
+    delivered.assign(nn * nn, 0);
+    suppressed.assign(nn * nn, 0);
+    first_window.assign(nn * nn, -1);
+    first_step.assign(nn * nn, -1);
+    decision_window.assign(nn, -1);
+    delivery_hist.assign(hb, 0);
+    confirm_hist.assign(hb, 0);
+  }
+  [[nodiscard]] std::size_t pair(sim::ProcId s, sim::ProcId r) const {
+    return static_cast<std::size_t>(s * n + r);
+  }
+  static std::size_t hidx(sim::ProcId s, std::int64_t span) {
+    if (span < 0) span = 0;
+    const std::int64_t b = span >= kBuckets ? kBuckets - 1 : span;
+    return static_cast<std::size_t>(s * kBuckets + b);
+  }
+  void on_deliver(const sim::Envelope& env, std::int64_t window,
+                  std::int64_t step) {
+    const std::size_t pr = pair(env.sender, env.receiver);
+    ++delivered[pr];
+    if (first_window[pr] < 0) {
+      first_window[pr] = window;
+      first_step[pr] = step;
+    }
+    ++delivery_hist[hidx(env.sender, window - env.window)];
+  }
+  void on_suppress(sim::ProcId sender, sim::ProcId receiver) {
+    ++suppressed[pair(sender, receiver)];
+  }
+  void on_decision(sim::ProcId p, std::int64_t window, std::int64_t step) {
+    decision_window[static_cast<std::size_t>(p)] = window;
+    for (sim::ProcId s = 0; s < n; ++s) {
+      const std::size_t pr = pair(s, p);
+      if (first_window[pr] < 0) continue;
+      const std::int64_t wspan = window - first_window[pr];
+      ++confirm_count[static_cast<std::size_t>(s)];
+      confirm_window_sum[static_cast<std::size_t>(s)] += wspan;
+      confirm_step_sum[static_cast<std::size_t>(s)] += step - first_step[pr];
+      ++confirm_hist[hidx(s, wspan)];
+    }
+  }
+};
+
+/// Forwards to `inner` and keeps every window message the driver hands it
+/// at planning time (ids ascend across windows), so the reference can be
+/// replayed from the event log once the run is over.
+class BatchRecorder final : public sim::WindowAdversary {
+ public:
+  explicit BatchRecorder(std::unique_ptr<sim::WindowAdversary> inner)
+      : inner_(std::move(inner)) {}
+  void prepare(int n, int t) override { inner_->prepare(n, t); }
+  sim::PlanDecision plan_window_into(const sim::Execution& exec,
+                                     const sim::WindowBatch& batch,
+                                     sim::WindowPlan& plan) override {
+    for (const sim::MsgId id : batch.ids()) sent.push_back(batch.envelope(id));
+    return inner_->plan_window_into(exec, batch, plan);
+  }
+  [[nodiscard]] std::span<const sim::ProcId> window_crashes() const override {
+    return inner_->window_crashes();
+  }
+  [[nodiscard]] bool can_crash() const override { return inner_->can_crash(); }
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+
+  std::vector<sim::Envelope> sent;
+
+ private:
+  std::unique_ptr<sim::WindowAdversary> inner_;
+};
+
+/// The campaign's chaos presets (core/campaign.cpp's chaos_plan_preset).
+sim::FaultPlan chaos_preset(const std::string& name) {
+  sim::FaultPlan fp;
+  if (name == "censor-light") fp.censor_prob = 0.25;
+  if (name == "resets") fp.reset_prob = 0.5;
+  if (name == "crashy") {
+    fp.crash_prob = 0.2;
+    fp.crash_budget = 1;
+  }
+  return fp;
+}
+
+struct FoldCoverage {
+  std::int64_t delivered = 0;
+  std::int64_t suppressed = 0;
+  std::int64_t decisions = 0;
+  std::int64_t late_confirmations = 0;  ///< confirm_window_sum > 0
+};
+
+/// One trial run twice on the same seed: lens armed with no event log
+/// (the campaign's delivery path), and with the event log and a
+/// BatchRecorder, replayed into the per-envelope reference (event i is
+/// step i + 1; a decision at step k follows delivery k). Returns "" when
+/// every view agrees, else the first difference.
+std::string diff_folds_against_reference(
+    protocols::ProtocolKind kind, int memory_k, bool equivocators, int n,
+    const std::string& adversary, const std::string& chaos,
+    std::uint64_t seed, FoldCoverage& cov) {
+  const int t = n / 6;
+  const int budget = 60;
+  const sim::FaultPlan fp = chaos_preset(chaos);
+  const core::WindowAdversaryFactory base =
+      core::window_adversary_factory(adversary, t);
+  const auto make_adversary = [&]() -> std::unique_ptr<sim::WindowAdversary> {
+    if (!fp.enabled()) return base(seed);
+    return std::make_unique<adversary::ChaosWindowAdversary>(base(seed), fp,
+                                                             seed);
+  };
+  const auto make_procs = [&] {
+    const std::vector<int> inputs = protocols::split_inputs(n, 0.5);
+    if (equivocators) {
+      return protocols::make_byzantine_processes(
+          kind, t, inputs, t, protocols::ByzantineStrategy::Equivocate, seed);
+    }
+    return protocols::make_processes(kind, t, inputs, std::nullopt, memory_k);
+  };
+
+  WindowTrace trace;
+  sim::ExecutionConfig lens_cfg;
+  lens_cfg.lens = &trace;
+  sim::Execution lensed(make_procs(), seed, lens_cfg);
+  const std::unique_ptr<sim::WindowAdversary> adv = make_adversary();
+  (void)sim::run_until_settled(lensed, *adv, t, budget);
+
+  sim::ExecutionConfig log_cfg;
+  log_cfg.record_events = true;
+  sim::Execution logged(make_procs(), seed, log_cfg);
+  BatchRecorder recorder(make_adversary());
+  (void)sim::run_until_settled(logged, recorder, t, budget);
+  if (logged.step_count() != lensed.step_count() ||
+      logged.decided_count() != lensed.decided_count()) {
+    return "the two runs diverged";
+  }
+
+  PerEnvelopeTrace ref;
+  ref.begin_trial(n);
+  const std::vector<sim::Envelope>& sent = recorder.sent;
+  std::vector<std::uint8_t> done(sent.size(), 0);
+  const std::vector<sim::Decision>& decisions = logged.decisions();
+  std::size_t next_decision = 0;
+  const auto decide_through = [&](std::int64_t step) {
+    for (; next_decision < decisions.size() &&
+           decisions[next_decision].step <= step;
+         ++next_decision) {
+      const sim::Decision& d = decisions[next_decision];
+      ref.on_decision(d.proc, d.window, d.step);
+    }
+  };
+  decide_through(0);
+  const std::vector<sim::Event>& events = logged.events();
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const sim::Event& e = events[i];
+    const auto step = static_cast<std::int64_t>(i) + 1;
+    if (e.kind == sim::StepKind::Receive) {
+      const auto it = std::lower_bound(
+          sent.begin(), sent.end(), e.msg,
+          [](const sim::Envelope& env, sim::MsgId id) { return env.id < id; });
+      if (it == sent.end() || it->id != e.msg) return "unrecorded delivery";
+      done[static_cast<std::size_t>(it - sent.begin())] = 1;
+      ref.on_deliver(*it, e.window, step);
+    }
+    decide_through(step);
+  }
+  // Every window was closed, so whatever it did not deliver was dropped.
+  for (std::size_t j = 0; j < sent.size(); ++j) {
+    if (done[j] == 0) ref.on_suppress(sent[j].sender, sent[j].receiver);
+  }
+
+  const auto differ = [](const char* view, sim::ProcId s, std::int64_t key) {
+    return std::string(view) + " differs at sender " + std::to_string(s) +
+           ", " + std::to_string(key);
+  };
+  for (sim::ProcId s = 0; s < n; ++s) {
+    const auto si = static_cast<std::size_t>(s);
+    for (sim::ProcId r = 0; r < n; ++r) {
+      const std::size_t pr = ref.pair(s, r);
+      if (trace.delivered(s, r) != ref.delivered[pr]) {
+        return differ("delivered", s, r);
+      }
+      if (trace.suppressed(s, r) != ref.suppressed[pr]) {
+        return differ("suppressed", s, r);
+      }
+      if (trace.first_heard_window(s, r) != ref.first_window[pr]) {
+        return differ("first_heard_window", s, r);
+      }
+      if (trace.first_heard_step(s, r) != ref.first_step[pr]) {
+        return differ("first_heard_step", s, r);
+      }
+      cov.delivered += ref.delivered[pr];
+      cov.suppressed += ref.suppressed[pr];
+    }
+    for (int b = 0; b < WindowTrace::kBuckets; ++b) {
+      const std::size_t h = si * WindowTrace::kBuckets +
+                            static_cast<std::size_t>(b);
+      if (trace.delivery_hist(s, b) != ref.delivery_hist[h]) {
+        return differ("delivery_hist", s, b);
+      }
+      if (trace.confirm_hist(s, b) != ref.confirm_hist[h]) {
+        return differ("confirm_hist", s, b);
+      }
+    }
+    if (trace.confirm_count(s) != ref.confirm_count[si] ||
+        trace.confirm_window_sum(s) != ref.confirm_window_sum[si] ||
+        trace.confirm_step_sum(s) != ref.confirm_step_sum[si]) {
+      return differ("confirmation sums", s, 0);
+    }
+    if (trace.decision_window(s) != ref.decision_window[si]) {
+      return differ("decision_window", s, 0);
+    }
+    if (ref.confirm_window_sum[si] > 0) ++cov.late_confirmations;
+  }
+  cov.decisions += static_cast<std::int64_t>(decisions.size());
+  return "";
+}
+
+TEST(LensFoldDifferential, RunFoldsMatchPerEnvelopeReference) {
+  // The honest protocols broadcast only; Bracha's runs hold several
+  // broadcasts, and t equivocating reset senders add point runs, the other
+  // layout the suppression fold reads.
+  struct Proto {
+    protocols::ProtocolKind kind;
+    int memory_k;
+    bool equivocators;
+    const char* name;
+  };
+  const Proto protos[] = {
+      {protocols::ProtocolKind::Reset, 0, false, "reset"},
+      {protocols::ProtocolKind::Forgetful, 0, false, "forgetful k=0"},
+      {protocols::ProtocolKind::Forgetful, 3, false, "forgetful k=3"},
+      {protocols::ProtocolKind::BenOr, 0, false, "benor"},
+      {protocols::ProtocolKind::Bracha, 0, false, "bracha"},
+      {protocols::ProtocolKind::Reset, 0, true, "reset + equivocators"},
+  };
+  FoldCoverage cov;
+  for (const Proto& proto : protos) {
+    for (const char* adv : {"fair", "random", "split-keeper", "reset-storm"}) {
+      for (const char* chaos : {"none", "censor-light", "resets", "crashy"}) {
+        for (const int n : {7, 13}) {
+          for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+            SCOPED_TRACE(std::string(proto.name) + " " + adv + " " + chaos +
+                         " n=" + std::to_string(n) +
+                         " seed=" + std::to_string(seed));
+            ASSERT_EQ(diff_folds_against_reference(proto.kind, proto.memory_k,
+                                                   proto.equivocators, n, adv,
+                                                   chaos, seed, cov),
+                      "");
+          }
+        }
+      }
+    }
+  }
+  // The grid must exercise every view it compares.
+  EXPECT_GT(cov.delivered, 50000);
+  EXPECT_GT(cov.suppressed, 2000);
+  EXPECT_GT(cov.decisions, 1000);
+  EXPECT_GT(cov.late_confirmations, 1000);
 }
 
 // ---- targeted censorship ---------------------------------------------------

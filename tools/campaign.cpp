@@ -29,12 +29,12 @@
 // artifact but the timing sidecar is byte-identical at any --threads
 // value (the determinism contract core/report.hpp documents).
 //
-// Crash safety: with an output dir set, each finished cell's JSON goes to
-// the campaign's background writer the moment the cell completes and is
-// written atomically, so a SIGKILL mid-sweep loses at most the in-flight
-// cells and the few queued documents. Re-running with --resume restores the
-// completed cells from their artifacts and produces a summary byte-
-// identical to an uninterrupted run's.
+// Crash safety: with an output dir set, each finished cell is queued for
+// the campaign's background writer the moment it completes, and every
+// file is written atomically, so a SIGKILL mid-sweep loses at most the
+// in-flight cells and the writer's unwritten backlog. Re-running with
+// --resume restores the cells whose artifacts landed, recomputes the rest
+// and produces a summary byte-identical to an uninterrupted run's.
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
