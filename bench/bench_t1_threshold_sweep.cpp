@@ -4,11 +4,9 @@
 // randomized adversary. Includes the canonical preset, a relaxed-T2 preset
 // (legal only when t has slack — it speeds decisions), and a deliberately
 // broken preset to show the constraint is load-bearing.
-#include <chrono>
 #include <cstdio>
 #include <iostream>
 
-#include "bench_json.hpp"
 #include "core/api.hpp"
 
 using namespace aa;
@@ -107,65 +105,5 @@ int main() {
   std::printf("Theorem 4 rows (Thm4-ok = yes) must show agree = 1.00 and "
               "term = 1.00. BROKEN rows demonstrate the constraints are "
               "load-bearing (agreement/validity or termination degrade).\n");
-
-  // ---- serial vs parallel throughput on one hot configuration ----------
-  {
-    const int n = 13;
-    const int t = 2;
-    const int tp_trials = 64;
-    core::Experiment spec;
-    spec.kind = protocols::ProtocolKind::Reset;
-    spec.inputs = protocols::split_inputs(n, 0.5);
-    spec.t = t;
-    spec.budget = 50000;
-    spec.thresholds = protocols::canonical_thresholds(n, t);
-    const auto measure = [&](core::CampaignContext& run_ctx,
-                             core::MeasureOneReport& rep) {
-      const auto start = std::chrono::steady_clock::now();
-      rep = core::check_measure_one_window(
-          spec,
-          [t](std::uint64_t seed) {
-            return std::make_unique<adversary::RandomWindowAdversary>(
-                t, 0.2, Rng(seed));
-          },
-          tp_trials, /*seed0=*/9000, run_ctx);
-      return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                           start)
-          .count();
-    };
-    core::MeasureOneReport serial_rep;
-    core::MeasureOneReport parallel_rep;
-    core::CampaignContext serial_ctx(
-        ParallelConfig{.threads = 1, .chunk_size = 2});
-    const double serial_s = measure(serial_ctx, serial_rep);
-    // The parallel side reuses the bench-wide context: pool already up,
-    // per-worker Executions already warm from the sweep above.
-    const double parallel_s = measure(ctx, parallel_rep);
-    const bool identical =
-        serial_rep.mean_windows_to_first == parallel_rep.mean_windows_to_first &&
-        serial_rep.all_decided_runs == parallel_rep.all_decided_runs &&
-        serial_rep.violating_seeds == parallel_rep.violating_seeds;
-    std::printf(
-        "\nthroughput (n=%d, t=%d, %d trials): serial %.2f trials/s, "
-        "parallel(%d threads) %.2f trials/s, speedup %.2fx, "
-        "reports bit-identical: %s\n",
-        n, t, tp_trials, tp_trials / serial_s, kPool.resolved_threads(),
-        tp_trials / parallel_s, serial_s / parallel_s,
-        identical ? "yes" : "NO");
-
-    bench::BenchJson j("t1_threshold_sweep");
-    j.set("config.n", n);
-    j.set("config.t", t);
-    j.set("config.trials", tp_trials);
-    j.set("config.threads", kPool.resolved_threads());
-    j.set("serial.trials_per_sec", tp_trials / serial_s);
-    j.set("serial.wall_seconds", serial_s);
-    j.set("parallel.trials_per_sec", tp_trials / parallel_s);
-    j.set("parallel.wall_seconds", parallel_s);
-    j.set("parallel_speedup", serial_s / parallel_s);
-    j.set("reports_bit_identical", identical);
-    const std::string path = j.write();
-    if (!path.empty()) std::printf("wrote %s\n", path.c_str());
-  }
   return 0;
 }

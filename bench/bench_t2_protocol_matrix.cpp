@@ -8,11 +8,9 @@
 //     but stall under the reset storm (no rejoin path).
 //   * forgetful handles fair/silencer and is slowed by the split-keeper
 //     (Theorem 17's subject).
-#include <chrono>
 #include <cstdio>
 #include <iostream>
 
-#include "bench_json.hpp"
 #include "core/api.hpp"
 #include "util/thread_pool.hpp"
 
@@ -118,60 +116,23 @@ int main() {
   const Adv advs[] = {Adv::Fair, Adv::Silencer, Adv::Random, Adv::ResetStorm,
                       Adv::SplitKeeper};
 
-  const auto run_matrix = [&](core::CampaignContext& ctx, Table* table) {
-    const auto start = std::chrono::steady_clock::now();
-    for (const auto kind : kinds) {
-      for (const Adv a : advs) {
-        const Cell cell = run_cell(kind, a, n, t, trials, horizon, ctx);
-        if (table) {
-          table->add_row(
-              {protocols::protocol_kind_name(kind), adv_label(a),
-               std::to_string(cell.decided) + "/" + std::to_string(trials),
-               std::to_string(cell.agree) + "/" + std::to_string(trials),
-               std::to_string(cell.valid) + "/" + std::to_string(trials),
-               cell.decided ? Table::fmt(cell.windows.mean(), 1) : "-"});
-        }
-      }
-    }
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start)
-        .count();
-  };
-
   Table table({"protocol", "adversary", "decided", "agree", "valid",
                "mean windows"});
-  const ParallelConfig pool{.threads = 0, .chunk_size = 1};
-  // One context per throughput mode, each persisting across all 20 cells:
-  // the pool spawn and per-worker Execution growth happen once, not per
-  // cell — the overhead that used to flatten this bench's speedup.
-  core::CampaignContext parallel_ctx(pool);
-  core::CampaignContext serial_ctx(
-      ParallelConfig{.threads = 1, .chunk_size = 1});
-  const double parallel_s = run_matrix(parallel_ctx, &table);
-  const double serial_s = run_matrix(serial_ctx, nullptr);
+  // One context persisting across all 20 cells: the pool spawn and
+  // per-worker Execution growth happen once, not per cell.
+  core::CampaignContext ctx(ParallelConfig{.threads = 0, .chunk_size = 1});
+  for (const auto kind : kinds) {
+    for (const Adv a : advs) {
+      const Cell cell = run_cell(kind, a, n, t, trials, horizon, ctx);
+      table.add_row(
+          {protocols::protocol_kind_name(kind), adv_label(a),
+           std::to_string(cell.decided) + "/" + std::to_string(trials),
+           std::to_string(cell.agree) + "/" + std::to_string(trials),
+           std::to_string(cell.valid) + "/" + std::to_string(trials),
+           cell.decided ? Table::fmt(cell.windows.mean(), 1) : "-"});
+    }
+  }
   table.print(std::cout, "T2 protocol x adversary");
-
-  const int total = static_cast<int>(std::size(kinds)) *
-                    static_cast<int>(std::size(advs)) * trials;
-  std::printf("throughput (%d runs): serial %.2f runs/s, parallel(%d threads) "
-              "%.2f runs/s, speedup %.2fx\n",
-              total, total / serial_s, pool.resolved_threads(),
-              total / parallel_s, serial_s / parallel_s);
-
-  bench::BenchJson j("t2_protocol_matrix");
-  j.set("config.n", n);
-  j.set("config.t", t);
-  j.set("config.trials", trials);
-  j.set("config.horizon_windows", horizon);
-  j.set("config.runs", total);
-  j.set("config.threads", pool.resolved_threads());
-  j.set("serial.runs_per_sec", total / serial_s);
-  j.set("serial.wall_seconds", serial_s);
-  j.set("parallel.runs_per_sec", total / parallel_s);
-  j.set("parallel.wall_seconds", parallel_s);
-  j.set("parallel_speedup", serial_s / parallel_s);
-  const std::string json_path = j.write();
-  if (!json_path.empty()) std::printf("wrote %s\n", json_path.c_str());
   std::printf(
       "Reading: reset-agreement terminates in every row (Theorem 4); the\n"
       "baselines keep SAFETY everywhere but lose liveness under the reset\n"

@@ -28,8 +28,8 @@ across resume/chaos/replay — rests on invariants no compiler checks:
                        the check keys on.
   file-write           Every file-writing call site (std::ofstream,
                        std::fstream, fopen) must route through the atomic
-                       writers (core::write_file_atomic / bench_json's
-                       write) so a SIGKILL never leaves a torn artifact.
+                       writer (core::write_file_atomic) so a SIGKILL never
+                       leaves a torn artifact.
                        std::ifstream (read-only) is always fine.
 
 Waivers: a finding is suppressed when its line (or the line above) carries
@@ -132,8 +132,8 @@ RULES = [
         ),
         dirs=("src/", "tools/", "bench/", "examples/"),
         allow=(),
-        why="file writes must go through write_file_atomic / "
-            "bench_json::write (crash-safe temp+rename)",
+        why="file writes must go through write_file_atomic "
+            "(crash-safe temp+rename)",
     ),
 ]
 

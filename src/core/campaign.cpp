@@ -263,30 +263,69 @@ bool read_text(const std::string& path, std::string& text) {
   return true;
 }
 
+/// True iff `rep` and `metric_sum` could come from rep.trials trials seeded
+/// seed0, seed0 + 1, ...: every count in [0, trials]; violating seeds
+/// distinct and inside that block (the difference taken in uint64, so a
+/// block that wraps around still checks); one seed per violating trial,
+/// so between the larger violation count and their sum, as one trial can
+/// break both properties; and a metric sum that is non-negative and zero
+/// when no run decided. `rep.violating_seeds` is ascending.
+bool possible_tallies(const MeasureOneReport& rep, std::int64_t metric_sum,
+                      std::uint64_t seed0) {
+  const auto in_range = [&](int count) {
+    return count >= 0 && count <= rep.trials;
+  };
+  if (!in_range(rep.agreement_violations) ||
+      !in_range(rep.validity_violations) || !in_range(rep.decided_runs) ||
+      !in_range(rep.all_decided_runs)) {
+    return false;
+  }
+  const std::size_t seeds = rep.violating_seeds.size();
+  if (seeds < static_cast<std::size_t>(std::max(rep.agreement_violations,
+                                                rep.validity_violations)) ||
+      seeds > static_cast<std::size_t>(rep.agreement_violations +
+                                       rep.validity_violations)) {
+    return false;
+  }
+  for (std::size_t i = 0; i < seeds; ++i) {
+    const std::uint64_t seed = rep.violating_seeds[i];
+    if (seed - seed0 >= static_cast<std::uint64_t>(rep.trials)) return false;
+    if (i > 0 && seed == rep.violating_seeds[i - 1]) return false;
+  }
+  return metric_sum >= 0 && (rep.decided_runs > 0 || metric_sum == 0);
+}
+
 /// Restore `cell` from its existing artifacts. The cell artifact must read
 /// back through cell_layout, whose identity fields pin it to THIS cell of
-/// THIS config, claim exactly config.trials trials, and — after the
+/// THIS config, claim exactly config.trials trials, hold tallies some run
+/// of the cell could produce (possible_tallies), and — after the
 /// accumulator is rebuilt from its exact integer tallies — re-serialize to
 /// the same bytes. With the lens armed (`lens_path` non-empty) the lens
-/// sidecar must likewise read back for this cell's (n, t) and trial count
-/// and re-serialize to the same bytes: the lens numbers cannot be rebuilt
-/// from the cell tallies, so a byte-perfect cell artifact with a missing,
-/// truncated or foreign sidecar is NOT resumable. Anything else forces a
-/// recompute, which rewrites the sidecar before the cell artifact. On
-/// success the tallies land in `acc_out` (the cell's slot in the
-/// end-of-sweep index-order summary merge), making the resumed summary
-/// byte-identical to an uninterrupted run's.
+/// sidecar must likewise read back for this cell's (n, t) and trial count,
+/// carry the blame threshold the campaign finalizes with, and
+/// re-serialize to the same bytes once its shares, scores and blame lists
+/// are derived again from its tallies (lens::derive_accountability): the
+/// tallies themselves cannot be rebuilt from the cell artifact, so a
+/// byte-perfect cell artifact with a missing, truncated or foreign
+/// sidecar is NOT resumable. Anything else forces a recompute, which
+/// rewrites the sidecar before the cell artifact. On success the tallies
+/// land in `acc_out` (the cell's slot in the end-of-sweep index-order
+/// summary merge), making the resumed summary byte-identical to an
+/// uninterrupted run's.
 bool try_resume_cell(const CampaignConfig& config, CampaignCell& cell,
                      const std::string& path, const std::string& lens_path,
                      MeasureOneAccumulator& acc_out) {
   std::string text;
   lens::LatencyReport lens_report;
-  if (!lens_path.empty() &&
-      !(read_text(lens_path, text) &&
-        latency_report_from_json(text, cell.n, cell.t, config.trials,
-                                 lens_report) &&
-        latency_report_json(lens_report) == text)) {
-    return false;
+  if (!lens_path.empty()) {
+    if (!read_text(lens_path, text) ||
+        !latency_report_from_json(text, cell.n, cell.t, config.trials,
+                                  lens_report) ||
+        lens_report.blame_threshold != lens::kDefaultBlameThreshold) {
+      return false;
+    }
+    lens::derive_accountability(lens_report);
+    if (latency_report_json(lens_report) != text) return false;
   }
   if (!read_text(path, text)) return false;
   std::int64_t metric_sum = 0;
@@ -303,7 +342,10 @@ bool try_resume_cell(const CampaignConfig& config, CampaignCell& cell,
       acc.finalize(config.model == CampaignModel::kAsync);
   JsonOut canonical;
   cell_layout(canonical, config, cell, metric_sum, report);
-  if (canonical.take() != text) return false;
+  if (canonical.take() != text ||
+      !possible_tallies(report, metric_sum, cell.seed0)) {
+    return false;
+  }
   cell.metric_sum = metric_sum;
   cell.report = report;
   cell.lens_report = std::move(lens_report);

@@ -109,11 +109,13 @@ struct CampaignConfig {
   std::int64_t cell_timeout_ms = 0;
   /// Resume a killed sweep (`resume = true` or --resume): a cell whose
   /// output JSON reads back through the artifact's layout for THIS cell
-  /// (core/json_io.hpp) and byte-matches its canonical re-serialization is
-  /// restored (exact tallies) instead of recomputed, so the resumed summary
-  /// is byte-identical to an uninterrupted run's. With the lens armed the
+  /// (core/json_io.hpp), holds tallies some run of the cell could produce
+  /// and byte-matches its canonical re-serialization is restored (exact
+  /// tallies) instead of recomputed, so the resumed summary is
+  /// byte-identical to an uninterrupted run's. With the lens armed the
   /// cell's lens sidecar must pass the same test for the cell's (n, t) and
-  /// trial count — the lens numbers are not rebuildable from the cell
+  /// trial count, with its shares, scores and blame lists derived again
+  /// from its tallies — the lens numbers are not rebuildable from the cell
   /// tallies, so a cell with a missing/truncated/stale sidecar is
   /// recomputed even when its own artifact byte-matches.
   bool resume = false;

@@ -69,6 +69,42 @@ void LatencyAccumulator::merge(const LatencyAccumulator& other) {
   }
 }
 
+void derive_accountability(LatencyReport& rep) {
+  rep.blamed_equivocators.clear();
+  rep.blamed_censored.clear();
+  if (rep.senders.empty()) return;
+  // The window contract's fair long-run share: each receiver hears at
+  // least n − t senders per window (Definition 1).
+  const double expected =
+      static_cast<double>(rep.n - rep.t) / static_cast<double>(rep.n);
+  for (sim::ProcId s = 0; s < static_cast<sim::ProcId>(rep.senders.size());
+       ++s) {
+    SenderLatency& row = rep.senders[static_cast<std::size_t>(s)];
+    if (row.confirm_count == 0) {
+      row.mean_confirm_windows = 0.0;
+      row.mean_confirm_steps = 0.0;
+    }
+    const std::int64_t fate = row.delivered + row.suppressed;
+    row.delivered_share =
+        fate > 0 ? static_cast<double>(row.delivered) /
+                       static_cast<double>(fate)
+                 : 1.0;
+    row.confirmed_share =
+        rep.deciders > 0 ? static_cast<double>(row.confirm_count) /
+                               static_cast<double>(rep.deciders)
+                         : 1.0;
+    row.censorship_score =
+        row.sent > 0
+            ? std::max(0.0, expected - std::min(row.delivered_share,
+                                                row.confirmed_share))
+            : 0.0;
+    if (row.equivocations > 0) rep.blamed_equivocators.push_back(s);
+    if (row.censorship_score > rep.blame_threshold) {
+      rep.blamed_censored.push_back(s);
+    }
+  }
+}
+
 LatencyReport LatencyAccumulator::finalize(int t,
                                            double blame_threshold) const {
   LatencyReport rep;
@@ -80,10 +116,6 @@ LatencyReport LatencyAccumulator::finalize(int t,
   AA_REQUIRE(t >= 0 && t < n_, "LatencyAccumulator::finalize: bad t");
   rep.n = n_;
   rep.senders.resize(static_cast<std::size_t>(n_));
-  // The window contract's fair long-run share: each receiver hears at
-  // least n − t senders per window (Definition 1).
-  const double expected =
-      static_cast<double>(n_ - t) / static_cast<double>(n_);
   for (sim::ProcId s = 0; s < n_; ++s) {
     const auto si = static_cast<std::size_t>(s);
     SenderLatency& row = rep.senders[si];
@@ -99,20 +131,6 @@ LatencyReport LatencyAccumulator::finalize(int t,
       row.mean_confirm_steps = static_cast<double>(confirm_step_sum_[si]) /
                                static_cast<double>(row.confirm_count);
     }
-    const std::int64_t fate = row.delivered + row.suppressed;
-    row.delivered_share =
-        fate > 0 ? static_cast<double>(row.delivered) /
-                       static_cast<double>(fate)
-                 : 1.0;
-    row.confirmed_share =
-        deciders_ > 0 ? static_cast<double>(row.confirm_count) /
-                            static_cast<double>(deciders_)
-                      : 1.0;
-    if (row.sent > 0) {
-      row.censorship_score = std::max(
-          0.0,
-          expected - std::min(row.delivered_share, row.confirmed_share));
-    }
     for (int b = 0; b < WindowTrace::kBuckets; ++b) {
       const std::size_t h =
           si * static_cast<std::size_t>(WindowTrace::kBuckets) +
@@ -120,11 +138,8 @@ LatencyReport LatencyAccumulator::finalize(int t,
       row.delivery_hist[static_cast<std::size_t>(b)] = delivery_hist_[h];
       row.confirm_hist[static_cast<std::size_t>(b)] = confirm_hist_[h];
     }
-    if (row.equivocations > 0) rep.blamed_equivocators.push_back(s);
-    if (row.censorship_score > blame_threshold) {
-      rep.blamed_censored.push_back(s);
-    }
   }
+  derive_accountability(rep);
   return rep;
 }
 

@@ -23,6 +23,10 @@
 //     broadcast one value per key) and senders whose censorship score
 //     exceeds the blame threshold. Fault-free runs under fair scheduling
 //     produce empty lists: every share is exactly 1.
+//
+// The shares, scores and blame lists are functions of the row tallies
+// alone (derive_accountability), so a serialized report can be checked
+// against its own tallies.
 #pragma once
 
 #include <array>
@@ -61,6 +65,19 @@ struct LatencyReport {
   std::vector<sim::ProcId> blamed_censored;     ///< ascending
 };
 
+/// Blame threshold finalize() uses unless told otherwise.
+inline constexpr double kDefaultBlameThreshold = 0.1;
+
+/// Set every field of `rep` that follows from its tallies alone: each
+/// row's delivered_share, confirmed_share and censorship_score (from the
+/// row's sent, delivered, suppressed and confirm_count, rep.deciders and
+/// the fair share (rep.n − rep.t)/rep.n), zero confirmation means on a
+/// row with no confirmations, and both blame lists, rebuilt under
+/// rep.blame_threshold in ascending sender order. finalize() ends with
+/// it; campaign resume runs it over a sidecar it read back, so derived
+/// fields that disagree with their tallies re-serialize differently.
+void derive_accountability(LatencyReport& rep);
+
 /// Exactly-associative accumulator over WindowTrace trials. A
 /// default-constructed accumulator is the merge identity (n() == -1); the
 /// first add()/merge() fixes n and later folds must match it.
@@ -74,8 +91,8 @@ class LatencyAccumulator {
 
   /// Snapshot as a report under budget `t` and the given blame threshold.
   /// Callable any number of times; does not mutate the accumulator.
-  [[nodiscard]] LatencyReport finalize(int t,
-                                       double blame_threshold = 0.1) const;
+  [[nodiscard]] LatencyReport finalize(
+      int t, double blame_threshold = kDefaultBlameThreshold) const;
 
   [[nodiscard]] int n() const noexcept { return n_; }
   [[nodiscard]] std::int64_t trials() const noexcept { return trials_; }

@@ -70,7 +70,7 @@ struct ChunkRange {
 /// Long-lived worker pool for campaign-scale workloads: one pool is
 /// created per campaign (core::CampaignContext) and shared across every
 /// check it runs, instead of a spawn/join cycle per check (the overhead
-/// that flattened BENCH_t1/t2's parallel speedup to ~1x).
+/// that flattened the benches' parallel speedup to ~1x).
 ///
 /// Design:
 ///   * One mutex-protected FIFO job queue. Jobs are coarse chunks, so the

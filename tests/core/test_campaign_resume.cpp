@@ -249,9 +249,12 @@ TEST(CampaignResume, LensSidecarValidatedOnResume) {
 TEST(CampaignResume, MutatedArtifactsRecomputeOrResumeByteIdentical) {
   // Deterministic mutations of one cell artifact and of its lens sidecar:
   // truncation at a fixed stride of offsets, single-byte flips at a fixed
-  // stride, one duplicated key line, and two swapped key lines. Every case
-  // must end with the uninterrupted run's cell, sidecar and summary bytes:
-  // a mutation the readers miss would resume the mutated file and fail.
+  // stride, one duplicated key line, two swapped key lines, and values
+  // changed to well-formed but impossible ones (tallies no run of the cell
+  // could produce, derived lens fields that disagree with their tallies).
+  // Every case must end with the uninterrupted run's cell, sidecar and
+  // summary bytes: a mutation the readers miss would resume the mutated
+  // file and fail.
   // The flips toggle one of the high four bits (0x10..0x80, in turn), so a
   // digit never turns into another digit: changing one digit of a value
   // keeps the text well formed, and only a checksum, which the artifact
@@ -330,6 +333,77 @@ TEST(CampaignResume, MutatedArtifactsRecomputeOrResumeByteIdentical) {
     std::swap(swapped[keys[1]], swapped[keys[2]]);
     run(target, join(swapped), name + " swapped key lines");
   }
+
+  // Value-level mutations: each keeps its file well formed and
+  // re-serializing to itself, so only a check of the values against each
+  // other, the cell's trial count and its seed block can reject it.
+  const auto value_of = [](const std::string& text, const std::string& key) {
+    const std::string tag = "\"" + key + "\": ";
+    const std::size_t at = text.find(tag) + tag.size();
+    return text.substr(at, text.find_first_of(",\n", at) - at);
+  };
+  // `text` with the first `from` at or after `anchor` replaced by `to`.
+  const auto edit = [](std::string text, const std::string& from,
+                       const std::string& to, const std::string& anchor = "") {
+    const std::size_t at = text.find(from, text.find(anchor));
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) text.replace(at, from.size(), to);
+    return text;
+  };
+  const std::uint64_t seed0 = std::stoull(value_of(want_cell, "seed0"));
+  const std::string trials = value_of(want_cell, "trials");
+  const std::string decided = value_of(want_cell, "decided_runs");
+  const std::string metric_sum = value_of(want_cell, "metric_sum");
+  const std::string mean = value_of(want_cell, "mean_windows_to_first");
+  ASSERT_EQ(value_of(want_cell, "agreement_violations"), "0");
+  ASSERT_EQ(value_of(want_cell, "validity_violations"), "0");
+  ASSERT_EQ(value_of(want_cell, "violating_seeds"), "[]");
+  ASSERT_NE(metric_sum, "0");
+  const auto with_violations = [&](const std::string& count,
+                                   const std::string& seeds) {
+    return edit(edit(want_cell, "\"agreement_violations\": 0",
+                     "\"agreement_violations\": " + count),
+                "\"violating_seeds\": []",
+                "\"violating_seeds\": [" + seeds + "]");
+  };
+  run(cell,
+      edit(want_cell, "\"all_decided_runs\": " + trials,
+           "\"all_decided_runs\": 9" + trials),
+      "all_decided_runs above trials");
+  run(cell, with_violations("1", std::to_string(seed0 + 900000)),
+      "violating seed outside the cell's block");
+  run(cell,
+      with_violations("2", std::to_string(seed0) + "," +
+                               std::to_string(seed0)),
+      "duplicated violating seed");
+  run(cell, with_violations("1", ""), "violation without its seed");
+  run(cell,
+      edit(edit(want_cell, "\"metric_sum\": " + metric_sum,
+                "\"metric_sum\": -" + metric_sum),
+           "\"mean_windows_to_first\": " + mean,
+           "\"mean_windows_to_first\": -" + mean),
+      "negative metric_sum");
+  run(cell,
+      edit(edit(edit(want_cell, "\"decided_runs\": " + decided,
+                     "\"decided_runs\": 0"),
+                "\"all_decided_runs\": " + decided,
+                "\"all_decided_runs\": 0"),
+           "\"mean_windows_to_first\": " + mean,
+           "\"mean_windows_to_first\": 0"),
+      "metric_sum without a deciding run");
+  // Sender 1 was delivered and confirmed in full, so its score is 0; a
+  // fabricated score and blame must not survive.
+  ASSERT_EQ(value_of(want_lens, "blamed_censored"), "[]");
+  run(lens,
+      edit(edit(want_lens, "\"censorship_score\": 0,",
+                "\"censorship_score\": 0.5,", "{\"sender\": 1,"),
+           "\"blamed_censored\": []", "\"blamed_censored\": [1]"),
+      "fabricated censorship blame");
+  const std::string threshold = value_of(want_lens, "blame_threshold");
+  run(lens,
+      edit(want_lens, "\"blame_threshold\": " + threshold,
+           "\"blame_threshold\": 0.5"),
+      "foreign blame threshold");
   EXPECT_EQ(recomputed, cases - 1);  // every mutation recomputed
   EXPECT_TRUE(tmp_leftovers(dir).empty());
   fs::remove_all(dir);
